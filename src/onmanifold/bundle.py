@@ -9,11 +9,15 @@ File layout::
                   in the order declared by manifest['arrays']
 
 The manifest is rebuilt canonically on every save, so loading a bundle
-and saving it again is byte-identical.
+and saving it again is byte-identical.  Saves replace the target file
+atomically.
 """
 
+import contextlib
 import hashlib
 import json
+import os
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,14 +122,23 @@ def _manifest_and_arrays(bundle: ModelBundle):
 
 
 def save_bundle(path, bundle: ModelBundle) -> None:
+    """Write the bundle atomically: a temporary file in the target directory
+    is renamed over ``path``, so a failed write leaves any old file intact."""
     manifest, arrays = _manifest_and_arrays(bundle)
     blob = json.dumps(manifest, sort_keys=True, separators=(',', ':')).encode('utf-8')
-    with open(path, 'wb') as fh:
-        fh.write(MAGIC)
-        fh.write(np.uint64(len(blob)).tobytes())
-        fh.write(blob)
-        for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype='<f8').tobytes())
+    tmp = f'{os.fspath(path)}.{secrets.token_hex(8)}.tmp'
+    try:
+        with open(tmp, 'xb') as fh:
+            fh.write(MAGIC)
+            fh.write(np.uint64(len(blob)).tobytes())
+            fh.write(blob)
+            for _, arr in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype='<f8').tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_bundle(path) -> ModelBundle:

@@ -22,6 +22,10 @@ degrees asymptotically constant, the two agree in the large-data limit;
 we use the degree-weighted form throughout so that orthonormality, the
 constant mode ``phi_0 == 1`` and full-spectrum interpolation identities
 hold to machine precision on finite data.
+
+The kernel is built here only: ``_knn_scales`` owns the kNN scale of any
+distance rows, ``_kernel_matrix`` the training kernel of the fit and the
+SEC smoother; ``nystrom._kernel_rows`` owns the out-of-sample row.
 """
 
 from dataclasses import dataclass
@@ -188,34 +192,46 @@ def knn_scales(points: PointCloud, k_nn: int, average: bool = True) -> np.ndarra
 
     Entry i is the mean of the Euclidean distances from ``x_i`` to its
     ``k_nn`` nearest distinct-index neighbors (or the k-th distance alone
-    when ``average=False``).  Ties are broken by ascending index, which
-    never changes the returned values but makes neighbor sets
-    deterministic.
+    when ``average=False``); these are the scales :func:`fit` uses.
 
     Raises
     ------
     DuplicatePointError
         If any scale is <= 1e-12 times the maximum pairwise distance.
     """
-    pts = points.points
-    N = points.n_points
+    return _training_scales(_squared_distances(points.points), k_nn, average)[0]
+
+
+def _squared_distances(pts: np.ndarray) -> np.ndarray:
+    return squareform(pdist(pts, 'sqeuclidean'))
+
+
+def _knn_scales(dist: np.ndarray, k_nn: int, average: bool) -> np.ndarray:
+    """Mean (or, if not ``average``, largest) of the k smallest entries per row,
+    reduced in ascending order.  Excluded entries are inf; a row with fewer
+    than k finite entries gets scale inf.  Reorders ``dist`` in place."""
+    dist.partition(k_nn - 1, axis=1)
+    nearest = dist[:, :k_nn]
+    nearest.sort(axis=1)
+    return nearest.sum(axis=1) / k_nn if average else nearest[:, -1]
+
+
+def _training_scales(d2: np.ndarray, k_nn: int, average: bool):
+    """kNN scales of the training points (self excluded) and the data diameter."""
+    N = d2.shape[0]
     if not 1 <= k_nn <= N - 1:
         raise ValueError(f'k_nn must be in [1, {N - 1}], got {k_nn}')
-    dist = squareform(pdist(pts))
-    return _scales_from_sorted(np.sort(dist, axis=1), k_nn, average, dist.max())
-
-
-def _scales_from_sorted(dist_sorted: np.ndarray, k_nn: int, average: bool,
-                        diameter: float) -> np.ndarray:
-    # column 0 is the self-distance 0; neighbors start at column 1
-    neigh = dist_sorted[:, 1:k_nn + 1]
-    scales = neigh.mean(axis=1) if average else neigh[:, -1]
+    dist = np.sqrt(d2)
+    diameter = float(dist.max())
+    # only the self-distance is excluded: a coincident pair keeps its zero
+    np.fill_diagonal(dist, np.inf)
+    scales = _knn_scales(dist, k_nn, average)
     if np.any(scales <= DUPLICATE_SCALE_FRAC * max(diameter, np.finfo(float).tiny)):
         bad = int(np.argmin(scales))
         raise DuplicatePointError(
             f'point {bad} has kNN scale {scales[bad]:.3e}; '
             'coincident training points make the rescaled distance undefined')
-    return scales
+    return scales, diameter
 
 
 def cidm_dissimilarity_sq(x: np.ndarray, y: np.ndarray,
@@ -227,9 +243,8 @@ def cidm_dissimilarity_sq(x: np.ndarray, y: np.ndarray,
     return float(diff @ diff) / (scale_x * scale_y)
 
 
-def _kernel_matrix(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
+def _kernel_matrix(d2: np.ndarray, scales: np.ndarray, config: CidmConfig):
     """Symmetric kernel matrix, its degree vector, and the raw CIDM degrees."""
-    d2 = squareform(pdist(pts, 'sqeuclidean'))
     delta2 = d2 / np.outer(scales, scales)
     K = shape_function(delta2 / config.epsilon ** 2, config.shape)
     raw_degree = K.sum(axis=1)
@@ -285,16 +300,10 @@ def fit(points: PointCloud, config: CidmConfig) -> CidmModel:
     """
     if isinstance(points, np.ndarray):
         points = PointCloud(points)
-    pts = points.points
-    N = points.n_points
-    if not 1 <= config.k_nn <= N - 1:
-        raise ValueError(f'k_nn must be in [1, {N - 1}], got {config.k_nn}')
-
-    dist = squareform(pdist(pts))
-    diameter = float(dist.max())
-    scales = _scales_from_sorted(np.sort(dist, axis=1), config.k_nn,
-                                 config.average_scales, diameter)
-    K, degree, raw_degree = _kernel_matrix(pts, scales, config)
+    d2 = _squared_distances(points.points)
+    scales, diameter = _training_scales(d2, config.k_nn, config.average_scales)
+    K, degree, raw_degree = _kernel_matrix(d2, scales, config)
+    del d2
     if np.any(degree <= 0):
         raise DisconnectedGraphError('kernel row sums vanish: isolated points '
                                      '(indicator shape with too small epsilon?)')

@@ -53,6 +53,9 @@ def _cap_threads(n: int | None):
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
+        print(f'warning: --threads {n} was not applied because threadpoolctl is not '
+              'installed; set OPENBLAS_NUM_THREADS and OMP_NUM_THREADS before '
+              'starting to cap BLAS threads', file=sys.stderr)
         return None
     return threadpool_limits(limits=n)
 
@@ -354,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description='CIDM manifold geometry and on-manifold PGD')
     parser.add_argument('--version', action='version', version=__version__)
     parser.add_argument('--threads', type=int, default=None,
-                        help='cap BLAS threads (1 = bit-reproducible mode)')
+                        help='cap BLAS threads via threadpoolctl (1 = bit-reproducible mode)')
     sub = parser.add_subparsers(dest='verb', required=True)
 
     p = sub.add_parser('synth', help='generate a synthetic manifold sample')

@@ -11,6 +11,9 @@ training points at strictly positive distance.  Excluding exact-zero
 distances makes the out-of-sample kernel row at a training point equal
 to the fitted row, so the extension interpolates training values.
 
+``_kernel_rows`` owns the out-of-sample kernel row (scales and shape come
+from ``cidm``); extension, projection and gradients all go through it.
+
 Gradients differentiate the full kernel row, including the variation of
 the query's kNN scale (smooth while the neighbor set is fixed); the
 neighbor-set switching boundaries are rejected via
@@ -23,7 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .cidm import CidmModel, inner
+from .cidm import CidmModel, _knn_scales, inner, shape_function
 from .errors import GeometryError, KnnBoundaryError, SmallEigenvalueError
 
 __all__ = [
@@ -48,6 +51,9 @@ SMALL_LAMBDA = 1e-10
 #: neighbor distances count as tied for gradient purposes.
 KNN_GAP_FRAC = 1e-9
 
+#: Query-to-training distances at or above this overflow when squared.
+MAX_DISTANCE = np.sqrt(np.finfo(np.float64).max)
+
 
 def _as_queries(x) -> tuple[np.ndarray, bool]:
     q = np.asarray(x, dtype=np.float64)
@@ -58,44 +64,40 @@ def _as_queries(x) -> tuple[np.ndarray, bool]:
     raise ValueError('query must be an n-vector or an (m, n) array')
 
 
-def _query_scales(dists: np.ndarray, k_nn: int, average: bool) -> np.ndarray:
-    """kNN scale per query row, skipping exact-zero distances."""
-    m, N = dists.shape
-    scales = np.empty(m)
-    for a in range(m):
-        row = dists[a]
-        pos = row[row > 0.0]
-        if pos.shape[0] < k_nn:
-            raise ValueError('fewer than k_nn distinct training points for a query')
-        nearest = np.partition(pos, k_nn - 1)[:k_nn]
-        scales[a] = nearest.mean() if average else nearest.max()
-    return scales
-
-
 def _kernel_rows(model: CidmModel, queries: np.ndarray):
-    """Row-normalized out-of-sample kernel weights.
+    """Row-normalized out-of-sample kernel weights, the one kernel row.
 
-    Returns ``(weights, dists, scales)`` with shapes (m, N), (m, N), (m,).
-    The exponential shape is evaluated with the minimum dissimilarity
-    shifted out, which leaves the normalized weights unchanged but keeps
-    them finite arbitrarily far from the training data.
+    Returns ``(weights, dists, scales, delta2)`` with shapes (m, N),
+    (m, N), (m,), (m, N).  The exponential shape is evaluated with the
+    minimum dissimilarity shifted out, which leaves the normalized
+    weights unchanged but keeps them finite arbitrarily far from the
+    training data.
     """
     cfg = model.config
     pts = model.training.points
+    if queries.shape[1] != pts.shape[1]:
+        raise ValueError(f'query dimension {queries.shape[1]} does not match '
+                         f'the training dimension {pts.shape[1]}')
     dists = cdist(queries, pts)
-    scales = _query_scales(dists, cfg.k_nn, cfg.average_scales)
+    if not dists.max() < MAX_DISTANCE:             # NaN, inf, or overflow
+        bad = int(np.argmin(dists.max(axis=1) < MAX_DISTANCE))
+        raise ValueError(f'query row {bad}: the query or its squared distances '
+                         'to the training points are not finite')
+    # exact-zero distances are skipped, so a training point's row is its fitted row
+    scales = _knn_scales(np.where(dists > 0.0, dists, np.inf), cfg.k_nn, cfg.average_scales)
+    if np.isinf(scales).any():
+        raise ValueError('fewer than k_nn distinct training points for a query')
     delta2 = dists ** 2 / (scales[:, None] * model.knn_scale[None, :])
     z = delta2 / cfg.epsilon ** 2
     if cfg.shape == 'exponential':
-        u = np.exp(-(z - z.min(axis=1, keepdims=True)))
-    else:
-        u = (z <= 1.0).astype(np.float64)
+        z = z - z.min(axis=1, keepdims=True)
+    u = shape_function(z, cfg.shape)
     if cfg.kernel_variant == 'cidm_dm_normalized':
         u = u / model.raw_degree[None, :]
     norm = u.sum(axis=1, keepdims=True)
     if np.any(norm == 0.0):
         raise GeometryError('query outside the support of the indicator kernel')
-    return u / norm, dists, scales
+    return u / norm, dists, scales, delta2
 
 
 def eigenfunction_values(model: CidmModel, x, n_modes: int) -> np.ndarray:
@@ -110,7 +112,7 @@ def eigenfunction_values(model: CidmModel, x, n_modes: int) -> np.ndarray:
             f'mode {bad} has |lambda| = {abs(lam[bad]):.2e} < {SMALL_LAMBDA:g}; '
             'its Nystrom extension is numerically meaningless')
     queries, single = _as_queries(x)
-    weights, _, _ = _kernel_rows(model, queries)
+    weights = _kernel_rows(model, queries)[0]
     vals = (weights @ model.eig_phi[:, :n_modes]) / lam[None, :]
     return vals[0] if single else vals
 
@@ -200,12 +202,13 @@ def project(projector: NystromProjector, x, iterations: int = 2) -> np.ndarray:
 
 
 def _grad_pieces(model: CidmModel, query: np.ndarray):
-    """Kernel row plus the ingredients of its spatial derivative at one query."""
+    """Kernel row at one query plus the gradient of its kNN scale."""
     cfg = model.config
     if cfg.shape != 'exponential':
         raise ValueError('gradients require the exponential shape')
+    weights, dists, scales, delta2 = _kernel_rows(model, query[None, :])
+    row = dists[0]
     pts = model.training.points
-    row = cdist(query[None, :], pts)[0]
     order = np.argsort(row, kind='stable')          # ties resolved by index
     pos = order[row[order] > 0.0]
     k = cfg.k_nn
@@ -216,21 +219,9 @@ def _grad_pieces(model: CidmModel, query: np.ndarray):
         raise KnnBoundaryError(
             f'query is equidistant from its {k}-th and {k + 1}-th neighbors '
             f'(gap {gap:.3e}); the kNN scale is not differentiable here')
-    nbr = pos[:k]
-    if cfg.average_scales:
-        scale = row[nbr].mean()
-        grad_scale = ((query[None, :] - pts[nbr]) / row[nbr][:, None]).mean(axis=0)
-    else:
-        scale = row[pos[k - 1]]
-        edge = pos[k - 1]
-        grad_scale = (query - pts[edge]) / row[edge]
-    delta2 = row ** 2 / (scale * model.knn_scale)
-    z = delta2 / cfg.epsilon ** 2
-    u = np.exp(-(z - z.min()))
-    if cfg.kernel_variant == 'cidm_dm_normalized':
-        u = u / model.raw_degree
-    weights = u / u.sum()
-    return weights, row, delta2, scale, grad_scale
+    nbr = pos[:k] if cfg.average_scales else pos[k - 1:k]
+    grad_scale = ((query[None, :] - pts[nbr]) / row[nbr][:, None]).mean(axis=0)
+    return weights[0], row, delta2[0], scales[0], grad_scale
 
 
 def diffusion_map_jacobian(model: CidmModel, n_modes: int, x) -> np.ndarray:

@@ -256,7 +256,7 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
 
     Raises
     ------
-    TangentRankError
+    RankDeficiencyError
         Propagated from the tangent frame when the fields do not span.
     StalledError
         If the tangent projection annihilates the gradient or the

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh
 from scipy.spatial import cKDTree
 
-from .cidm import CidmModel, PointCloud
+from .cidm import CidmModel, PointCloud, _kernel_matrix, _squared_distances
 from .errors import (DegenerateFrameError, EigensolverFailure,
                      RankDeficiencyError, SingularGramError)
 from .nystrom import eigenfunction_values
@@ -276,19 +276,6 @@ class SecFrame:
         return self.config.m_basis
 
 
-def _diffusion_operator(model: CidmModel) -> np.ndarray:
-    """Row-stochastic training-kernel operator D^{-1} K (the fitted kernel)."""
-    from scipy.spatial.distance import pdist, squareform
-    from .cidm import shape_function
-    pts = model.training.points
-    d2 = squareform(pdist(pts, 'sqeuclidean'))
-    delta2 = d2 / np.outer(model.knn_scale, model.knn_scale)
-    K = shape_function(delta2 / model.config.epsilon ** 2, model.config.shape)
-    if model.config.kernel_variant == 'cidm_dm_normalized':
-        K = K / np.outer(model.raw_degree, model.raw_degree)
-    return K / K.sum(axis=1, keepdims=True)
-
-
 def build_sec_frame(model: CidmModel, config: SecBasisConfig,
                     n_fields: int) -> SecFrame:
     """Assemble tensors, Sobolev basis, and the ``n_fields`` best eigenfields.
@@ -320,7 +307,9 @@ def build_sec_frame(model: CidmModel, config: SecBasisConfig,
     from .nystrom import fourier_coefficients  # local import to avoid a cycle
     fhat = fourier_coefficients(model, model.training.points, m)
     phi_vals = model.eig_phi[:, :m_inner]
-    smoother = _diffusion_operator(model)
+    smoother, _, _ = _kernel_matrix(_squared_distances(model.training.points),
+                                    model.knn_scale, model.config)
+    smoother /= model.degree[:, None]                # the fitted D^{-1} K
     w = model.inner_weights
     screened = []
     for f in candidates:

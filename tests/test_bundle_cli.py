@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -72,6 +73,17 @@ class TestBundle:
         bad.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
             load_bundle(bad)
+
+    def test_failed_save_leaves_old_bundle(self, small_bundle, tmp_path):
+        path, bundle = small_bundle
+        target = tmp_path / 'model.bundle'
+        target.write_bytes(path.read_bytes())
+        # the header and the model arrays are written before xhat fails to convert
+        broken = ModelBundle(model=bundle.model, xhat=np.array([['x']], dtype=object))
+        with pytest.raises(ValueError):
+            save_bundle(target, broken)
+        assert target.read_bytes() == path.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ['model.bundle']
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / 'junk.bundle'
@@ -163,6 +175,14 @@ class TestCli:
         assert run_cli('project', str(tmp_path / 'nope.bundle'),
                        str(tmp_path / 'nope.csv'), '--out',
                        str(tmp_path / 'o.csv')) == 1
+
+    def test_threads_without_threadpoolctl_warns(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, 'threadpoolctl', None)    # import fails
+        assert run_cli('--threads', '1', 'synth', '--kind', 'circle', '--n', '20',
+                       '--out', str(tmp_path / 'pts.csv')) == 0
+        err = capsys.readouterr().err
+        assert 'not applied' in err
+        assert 'OPENBLAS_NUM_THREADS' in err and 'OMP_NUM_THREADS' in err
 
     def test_overwrite_needs_force(self, tmp_path):
         pts = tmp_path / 'pts.csv'

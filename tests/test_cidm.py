@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import onmanifold as om
 from onmanifold.cidm import knn_scales, cidm_dissimilarity_sq, shape_function
+from onmanifold.nystrom import _kernel_rows
 
 
 def brute_force_scales(pts, k):
@@ -40,8 +41,13 @@ class TestKnnScales:
     def test_random_clouds_vs_brute_force(self, seed, k):
         rng = np.random.default_rng(seed)
         pts = om.PointCloud(rng.standard_normal((k + 3, 3)))
-        npt.assert_allclose(knn_scales(pts, k), brute_force_scales(pts.points, k),
-                            rtol=1e-10)
+        expected = brute_force_scales(pts.points, k)
+        npt.assert_allclose(knn_scales(pts, k), expected, rtol=1e-10)
+        # fit uses the same scales; queries at the training points reproduce them
+        model = om.fit(pts, om.CidmConfig(k_nn=k, n_eigs=2))
+        npt.assert_array_equal(model.knn_scale, knn_scales(pts, k))
+        _, _, query_scales, _ = _kernel_rows(model, pts.points)
+        npt.assert_allclose(query_scales, expected, rtol=1e-10)
 
     def test_kth_neighbor_variant(self):
         rng = np.random.default_rng(1)
@@ -49,6 +55,10 @@ class TestKnnScales:
         kth = knn_scales(pts, 3, average=False)
         full = np.sort(np.linalg.norm(pts.points[:, None] - pts.points[None], axis=2), axis=1)
         npt.assert_allclose(kth, full[:, 3], rtol=1e-12)
+        model = om.fit(pts, om.CidmConfig(k_nn=3, n_eigs=4, average_scales=False))
+        npt.assert_array_equal(model.knn_scale, kth)
+        _, _, query_scales, _ = _kernel_rows(model, pts.points)
+        npt.assert_allclose(query_scales, full[:, 3], rtol=1e-12)
 
     def test_duplicate_points_raise(self):
         pts = om.PointCloud(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
@@ -137,14 +147,15 @@ class TestFit:
 
     def test_kernel_symmetry_is_exact(self):
         # assembled from the symmetric formula: K - K.T must be identically 0
-        from onmanifold.cidm import _kernel_matrix
+        from onmanifold.cidm import _kernel_matrix, _squared_distances
         rng = np.random.default_rng(3)
         cloud = om.PointCloud(rng.standard_normal((40, 2)))
+        d2 = _squared_distances(cloud.points)
         cfg = om.CidmConfig(k_nn=4, n_eigs=5)
-        K, _, _ = _kernel_matrix(cloud.points, knn_scales(cloud, 4), cfg)
+        K, _, _ = _kernel_matrix(d2, knn_scales(cloud, 4), cfg)
         npt.assert_array_equal(K, K.T)
         cfg_dm = om.CidmConfig(k_nn=4, n_eigs=5, kernel_variant='cidm_dm_normalized')
-        K_dm, _, _ = _kernel_matrix(cloud.points, knn_scales(cloud, 4), cfg_dm)
+        K_dm, _, _ = _kernel_matrix(d2, knn_scales(cloud, 4), cfg_dm)
         npt.assert_array_equal(K_dm, K_dm.T)
 
     def test_variable_bandwidth_survives_where_fixed_disconnects(self):

@@ -330,13 +330,39 @@ class TestKernelVariants:
             om.extend_eigenfunction(model, 1, np.array([50.0, 0.0]))
 
 
+class TestBadQueries:
+    @pytest.mark.filterwarnings('error')
+    @pytest.mark.parametrize('bad', [[np.nan, 1.0], [np.inf, 0.0], [1e200, 0.0],
+                                     [1.0, 2.0, 3.0]],
+                             ids=['nan', 'inf', 'overflow', 'wrong-dimension'])
+    @pytest.mark.parametrize('entry', ['eigenfunction_values', 'project_many',
+                                       'diffusion_map_jacobian'])
+    def test_named_value_error(self, noisy_circle, bad, entry):
+        _, _, model = noisy_circle
+        bad = np.array(bad)
+        if bad.shape[0] != model.training.ambient_dim:
+            match = 'query dimension 3 does not match the training dimension 2'
+            batch = np.vstack([np.zeros(3), bad])
+        else:
+            row = 1 if entry == 'project_many' else 0
+            match = f'query row {row}: the query or its squared distances .* not finite'
+            batch = np.vstack([[1.0, 0.0], bad, [0.0, 1.0]])
+        with pytest.raises(ValueError, match=match):
+            if entry == 'eigenfunction_values':
+                om.eigenfunction_values(model, bad, 3)
+            elif entry == 'project_many':
+                om.project_many(om.build_projector(model, 15), batch)
+            else:
+                om.diffusion_map_jacobian(model, 3, bad)
+
+
 class TestPartitionOfUnity:
     def test_weights_sum_to_one(self, noisy_circle):
         _, _, model = noisy_circle
         from onmanifold.nystrom import _kernel_rows
         rng = np.random.default_rng(2)
-        queries = rng.uniform(-3, 3, size=(20, 2))
-        weights, _, _ = _kernel_rows(model, queries)
+        queries = np.vstack([rng.uniform(-3, 3, size=(20, 2)), model.training.points[:5]])
+        weights, _, _, _ = _kernel_rows(model, queries)
         npt.assert_allclose(weights.sum(axis=1), 1.0, rtol=1e-12)
 
     def test_idempotence_near_manifold(self, fig2):
