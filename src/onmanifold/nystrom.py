@@ -11,8 +11,10 @@ training points at strictly positive distance.  Excluding exact-zero
 distances makes the out-of-sample kernel row at a training point equal
 to the fitted row, so the extension interpolates training values.
 
-``_kernel_rows`` owns the out-of-sample kernel row (scales and shape come
-from ``cidm``); extension, projection and gradients all go through it.
+``_kernel_rows`` owns the out-of-sample kernel row (scales, shape and the
+certified cutoff come from ``cidm``); extension, projection and gradients
+all go through it.  The cutoff is applied after the min-shift, so the row
+at a training point has the same support as its fitted row.
 
 Gradients differentiate the full kernel row, including the variation of
 the query's kNN scale (smooth while the neighbor set is fixed); the
@@ -26,7 +28,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .cidm import CidmModel, _knn_scales, inner, shape_function
+from .cidm import CidmModel, _cut_shape, _knn_scales, inner
 from .errors import GeometryError, KnnBoundaryError, SmallEigenvalueError
 
 __all__ = [
@@ -71,7 +73,7 @@ def _kernel_rows(model: CidmModel, queries: np.ndarray):
     (m, N), (m,), (m, N).  The exponential shape is evaluated with the
     minimum dissimilarity shifted out, which leaves the normalized
     weights unchanged but keeps them finite arbitrarily far from the
-    training data.
+    training data; the certified cutoff then drops the shifted tail.
     """
     cfg = model.config
     pts = model.training.points
@@ -90,8 +92,8 @@ def _kernel_rows(model: CidmModel, queries: np.ndarray):
     delta2 = dists ** 2 / (scales[:, None] * model.knn_scale[None, :])
     z = delta2 / cfg.epsilon ** 2
     if cfg.shape == 'exponential':
-        z = z - z.min(axis=1, keepdims=True)
-    u = shape_function(z, cfg.shape)
+        z -= z.min(axis=1, keepdims=True)
+    u = _cut_shape(z, cfg.shape, model.n_points)
     if cfg.kernel_variant == 'cidm_dm_normalized':
         u = u / model.raw_degree[None, :]
     norm = u.sum(axis=1, keepdims=True)
@@ -100,8 +102,8 @@ def _kernel_rows(model: CidmModel, queries: np.ndarray):
     return u / norm, dists, scales, delta2
 
 
-def eigenfunction_values(model: CidmModel, x, n_modes: int) -> np.ndarray:
-    """Nystrom values of modes 0..n_modes-1 at one or many queries."""
+def _mode_lambdas(model: CidmModel, n_modes: int) -> np.ndarray:
+    """Kernel eigenvalues of modes 0..n_modes-1, checked to be extendable."""
     if not 1 <= n_modes <= model.n_eigs:
         raise ValueError(f'n_modes must be in [1, {model.n_eigs}]')
     lam = model.eig_lambda[:n_modes]
@@ -111,6 +113,12 @@ def eigenfunction_values(model: CidmModel, x, n_modes: int) -> np.ndarray:
         raise SmallEigenvalueError(
             f'mode {bad} has |lambda| = {abs(lam[bad]):.2e} < {SMALL_LAMBDA:g}; '
             'its Nystrom extension is numerically meaningless')
+    return lam
+
+
+def eigenfunction_values(model: CidmModel, x, n_modes: int) -> np.ndarray:
+    """Nystrom values of modes 0..n_modes-1 at one or many queries."""
+    lam = _mode_lambdas(model, n_modes)
     queries, single = _as_queries(x)
     weights = _kernel_rows(model, queries)[0]
     vals = (weights @ model.eig_phi[:, :n_modes]) / lam[None, :]
@@ -209,11 +217,13 @@ def _grad_pieces(model: CidmModel, query: np.ndarray):
     weights, dists, scales, delta2 = _kernel_rows(model, query[None, :])
     row = dists[0]
     pts = model.training.points
-    order = np.argsort(row, kind='stable')          # ties resolved by index
-    pos = order[row[order] > 0.0]
+    pos = np.flatnonzero(row > 0.0)
     k = cfg.k_nn
     if pos.shape[0] < k + 1:
         raise ValueError('need at least k_nn + 1 distinct training points')
+    # the k + 1 nearest, ordered by distance with ties resolved by index
+    pos = pos[np.argpartition(row[pos], k)[:k + 1]]
+    pos = pos[np.lexsort((pos, row[pos]))]
     gap = row[pos[k]] - row[pos[k - 1]]
     if gap < KNN_GAP_FRAC * model.data_diameter:
         raise KnnBoundaryError(
@@ -231,12 +241,7 @@ def diffusion_map_jacobian(model: CidmModel, n_modes: int, x) -> np.ndarray:
     fixed neighbor set: both the Euclidean-distance term and the kNN-scale
     variation contribute.  Mode 0 yields an exactly zero row.
     """
-    if not 1 <= n_modes <= model.n_eigs:
-        raise ValueError(f'n_modes must be in [1, {model.n_eigs}]')
-    lam = model.eig_lambda[:n_modes]
-    if np.any(np.abs(lam) < SMALL_LAMBDA):
-        bad = int(np.flatnonzero(np.abs(lam) < SMALL_LAMBDA)[0])
-        raise SmallEigenvalueError(f'mode {bad} has |lambda| < {SMALL_LAMBDA:g}')
+    lam = _mode_lambdas(model, n_modes)
     query = np.asarray(x, dtype=np.float64)
     weights, row, delta2, scale, grad_scale = _grad_pieces(model, query)
 

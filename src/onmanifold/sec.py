@@ -15,6 +15,12 @@ Index pairs are flattened row-major: ``(i, j) -> i * m_basis + j``.
 Smoothest fields minimize ``c^T E c / c^T G c`` after a Sobolev (E+G)
 basis reduction; their pushforward arrows in input space come from the
 operator coefficients ``v_ij = sum_lk v^{lk} G_ijlk``.
+
+Nothing here is O(N^2): the frame only acts on the span of the first
+``m_inner`` eigenfunctions, where one step of the fitted diffusion
+operator ``D^{-1} K`` is multiplication by the kernel eigenvalues.  The
+roughness screen of :func:`build_sec_frame` uses that instead of the
+training kernel, and ``c`` costs one BLAS product per mode.
 """
 
 from dataclasses import dataclass
@@ -23,10 +29,10 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh
 from scipy.spatial import cKDTree
 
-from .cidm import CidmModel, PointCloud, _kernel_matrix, _squared_distances
+from .cidm import CidmModel, PointCloud
 from .errors import (DegenerateFrameError, EigensolverFailure,
                      RankDeficiencyError, SingularGramError)
-from .nystrom import eigenfunction_values
+from .nystrom import eigenfunction_values, fourier_coefficients
 
 __all__ = [
     'SecBasisConfig',
@@ -122,12 +128,20 @@ class OperatorRep:
 
 
 def structure_constants(model: CidmModel, m_inner: int) -> np.ndarray:
-    """Triple products c_ijs = <phi_i phi_j, phi_s> up to mode m_inner."""
+    """Triple products c_ijs = <phi_i phi_j, phi_s> up to mode m_inner.
+
+    One BLAS product per i fills the rows j >= i; the rows j < i are
+    mirrored from them, so c is exactly symmetric in (i, j).
+    """
     if not 1 <= m_inner <= model.n_eigs:
         raise ValueError(f'm_inner must be in [1, {model.n_eigs}]')
     phi = model.eig_phi[:, :m_inner]
-    weighted = phi * model.inner_weights[:, None]
-    return np.einsum('ai,aj,as->ijs', weighted, phi, phi, optimize=True)
+    w = model.inner_weights[:, None]
+    c = np.empty((m_inner, m_inner, m_inner))
+    for i in range(m_inner):
+        c[i, i:] = ((phi[:, i:i + 1] * phi[:, i:]) * w).T @ phi
+        c[i + 1:, i] = c[i, i + 1:]
+    return c
 
 
 def _check_c_xi(c: np.ndarray, xi: np.ndarray, m_basis: int) -> int:
@@ -289,7 +303,9 @@ def build_sec_frame(model: CidmModel, config: SecBasisConfig,
     mixtures.  Candidates below the mass floor are dropped, the remainder
     are ranked by the roughness of their arrow field under one step of
     the fitted diffusion operator, and the ``n_fields`` smoothest are
-    returned in ascending-eta order.
+    returned in ascending-eta order.  The arrows lie in the span of the
+    first ``m_inner`` eigenfunctions, where that step is ``diag(lambda)``:
+    the screen is spectral (:func:`_arrow_screen`) and builds no kernel.
     """
     m = config.m_basis
     m_inner = config.resolved_m_inner(model.n_eigs)
@@ -304,22 +320,13 @@ def build_sec_frame(model: CidmModel, config: SecBasisConfig,
     u_tilde = sobolev_basis(E_r, G_r, config.tau_frac)
     candidates = eigenfields(E_r, G_r, u_tilde, n_fields + CANDIDATE_SURPLUS)
 
-    from .nystrom import fourier_coefficients  # local import to avoid a cycle
     fhat = fourier_coefficients(model, model.training.points, m)
-    phi_vals = model.eig_phi[:, :m_inner]
-    smoother, _, _ = _kernel_matrix(_squared_distances(model.training.points),
-                                    model.knn_scale, model.config)
-    smoother /= model.degree[:, None]                # the fitted D^{-1} K
-    w = model.inner_weights
     screened = []
     for f in candidates:
         coeffs = np.zeros(m * m)
         coeffs[frame_index] = f.coeffs
         op = field_operator(c, xi, coeffs, m, m_out=m_inner)
-        arrows = phi_vals @ (op.v_op @ fhat)
-        mass = float(w @ (arrows ** 2).sum(axis=1))
-        resid = arrows - smoother @ arrows
-        rough = float(w @ (resid ** 2).sum(axis=1)) / max(mass, np.finfo(float).tiny)
+        mass, rough = _arrow_screen(model, op.v_op @ fhat)
         screened.append((EigenField(eta=f.eta, coeffs=coeffs), op, mass, rough))
     max_mass = max(mass for _, _, mass, _ in screened)
     if max_mass <= 0:
@@ -332,6 +339,24 @@ def build_sec_frame(model: CidmModel, config: SecBasisConfig,
     return SecFrame(config=config, m_inner=m_inner, c=c, G=G, E=E,
                     frame_index=frame_index, u_tilde=u_tilde,
                     fields=fields, ops=ops)
+
+
+def _arrow_screen(model: CidmModel, A: np.ndarray) -> tuple[float, float]:
+    """Mass and roughness of the arrow field ``phi @ A`` on the training points.
+
+    The mass is the mean squared arrow; the roughness is the mean squared
+    change of the arrows under one step of the fitted ``D^{-1} K``,
+    relative to the mass.  On the span of the first ``len(A)``
+    eigenfunctions that step is ``diag(lambda)``, so the change is
+    ``phi @ (xi * A)`` with ``xi = 1 - lambda``.
+    """
+    m_inner = A.shape[0]
+    phi = model.eig_phi[:, :m_inner]
+    w = model.inner_weights
+    mass = float(w @ ((phi @ A) ** 2).sum(axis=1))
+    resid = phi @ (model.eig_xi[:m_inner, None] * A)
+    rough = float(w @ (resid ** 2).sum(axis=1)) / max(mass, np.finfo(float).tiny)
+    return mass, rough
 
 
 def pushforward(model: CidmModel, op: OperatorRep, fhat: np.ndarray, x) -> np.ndarray:

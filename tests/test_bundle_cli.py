@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -233,6 +235,21 @@ class TestCli:
         assert code == 2
         lines = [json.loads(line) for line in (tmp_path / 't.jsonl').read_text().splitlines()]
         assert lines[-1]['summary']['status'] == 'stalled'
+
+    def test_repro_fig2_bytes_identical_across_processes(self, tmp_path):
+        # fig2 (N=1500, 40 modes) fits through ARPACK on the CSR kernel
+        src = os.path.dirname(os.path.dirname(om.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS='1', OMP_NUM_THREADS='1',
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get('PYTHONPATH')])))
+        for tag in ('a', 'b'):
+            subprocess.run([sys.executable, '-m', 'onmanifold.cli', 'repro', 'fig2',
+                            '--out-dir', str(tmp_path / tag)],
+                           env=env, check=True, capture_output=True)
+        names = sorted(p.name for p in (tmp_path / 'a').iterdir())
+        assert names == sorted(p.name for p in (tmp_path / 'b').iterdir())
+        assert len(names) == 5
+        for name in names:
+            assert (tmp_path / 'a' / name).read_bytes() == (tmp_path / 'b' / name).read_bytes(), name
 
     def test_repro_outputs_are_deterministic(self, tmp_path):
         d1, d2 = tmp_path / 'a', tmp_path / 'b'

@@ -1,11 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import eigsh
 
 import onmanifold as om
-from onmanifold.cidm import knn_scales, cidm_dissimilarity_sq, shape_function
+from onmanifold import cidm
+from onmanifold.cidm import (KERNEL_TAIL, _kernel_matrix, _squared_distances, knn_scales,
+                             cidm_dissimilarity_sq, shape_function)
 from onmanifold.nystrom import _kernel_rows
 
 
@@ -198,6 +205,86 @@ class TestFit:
         pts = om.PointCloud(np.random.default_rng(0).standard_normal((10, 2)))
         with pytest.raises(ValueError):
             om.fit(pts, om.CidmConfig(k_nn=3, n_eigs=11))
+
+
+def small_torus():
+    cloud, _ = om.generate(om.SynthSpec(kind='torus', n_points=1000, seed=1))
+    return cloud, om.CidmConfig(k_nn=24, n_eigs=40)
+
+
+class TestCertifiedCutoff:
+    """Exponential entries with z > ln N + KERNEL_TAIL are exactly 0."""
+
+    @pytest.fixture(params=['fig2', 'torus'])
+    def case(self, request):
+        if request.param == 'fig2':
+            model = request.getfixturevalue('fig2')['model']
+            return model.training, model.config
+        return small_torus()
+
+    def test_dropped_row_mass_is_certified(self, case):
+        cloud, cfg = case
+        d2 = _squared_distances(cloud.points)
+        scales = knn_scales(cloud, cfg.k_nn)
+        K, _, _ = _kernel_matrix(d2, scales, cfg)
+        uncut = shape_function(d2 / np.outer(scales, scales) / cfg.epsilon ** 2, cfg.shape)
+        kept = K != 0.0
+        assert not kept.all()                      # the cutoff does drop entries
+        npt.assert_array_equal(K[kept], uncut[kept])
+        dropped = np.where(kept, 0.0, uncut).sum(axis=1)
+        assert np.all(dropped <= np.exp(-KERNEL_TAIL) * uncut.sum(axis=1))
+        assert np.exp(-KERNEL_TAIL) <= 1.3e-14
+
+    def test_nystrom_row_keeps_the_fitted_support(self, case):
+        cloud, cfg = case
+        model = om.fit(cloud, cfg)
+        K, _, _ = _kernel_matrix(_squared_distances(cloud.points), model.knn_scale, cfg)
+        idx = np.arange(0, cloud.n_points, 7)
+        weights = _kernel_rows(model, cloud.points[idx])[0]
+        npt.assert_array_equal(weights != 0.0, K[idx] != 0.0)
+
+    @staticmethod
+    def symmetric_kernel(cloud, cfg):
+        K, degree, _ = _kernel_matrix(_squared_distances(cloud.points),
+                                      knn_scales(cloud, cfg.k_nn), cfg)
+        return K / np.sqrt(np.outer(degree, degree))
+
+    @staticmethod
+    def spy_on_arpack(monkeypatch):
+        """Record each operator handed to ARPACK and the traced bytes alive then."""
+        calls = []
+
+        def spy(op, **kwargs):
+            calls.append((op, tracemalloc.get_traced_memory()[0]))
+            return eigsh(op, **kwargs)
+
+        monkeypatch.setattr(cidm, 'eigsh', spy)
+        return calls
+
+    def test_sparse_arpack_matches_dense_eigh(self, monkeypatch):
+        cloud, cfg = small_torus()
+        K_sym = self.symmetric_kernel(cloud, cfg)
+        calls = self.spy_on_arpack(monkeypatch)
+        lam, V = cidm._top_eigenpairs(K_sym, cfg.n_eigs)
+        assert len(calls) == 1 and isinstance(calls[0][0], csr_array)
+        N = cloud.n_points
+        ref = eigh(K_sym, eigvals_only=True, subset_by_index=[N - cfg.n_eigs, N - 1])
+        npt.assert_allclose(lam, ref[::-1], rtol=0, atol=1e-12)
+        assert np.linalg.norm(K_sym @ V - V * lam, axis=0).max() <= 1e-10
+
+    def test_fit_drops_the_dense_kernel_before_arpack(self, fig2, monkeypatch):
+        model = fig2['model']
+        calls = self.spy_on_arpack(monkeypatch)
+        tracemalloc.start()
+        try:
+            om.fit(model.training, model.config)
+        finally:
+            tracemalloc.stop()
+        (op, held), = calls
+        assert isinstance(op, csr_array)
+        # the fig2 kernel is 15 % dense: its CSR form is well under half of
+        # the N^2 doubles that a dense K_sym alone would hold
+        assert held < 0.5 * model.n_points ** 2 * 8
 
 
 class TestPointCloud:

@@ -4,6 +4,8 @@ import pytest
 from scipy.linalg import eigh
 
 import onmanifold as om
+from onmanifold import sec
+from onmanifold.cidm import _kernel_matrix, _squared_distances
 from onmanifold.sec import (dirichlet_energy_tensor, eigenfields, field_operator,
                             frame_to_operator, local_pca_tangent, metric_tensor,
                             sobolev_basis, structure_constants)
@@ -80,6 +82,15 @@ class TestStructureConstants:
         _, _, model = noisy_circle
         c = structure_constants(model, 10)
         npt.assert_allclose(c, np.swapaxes(c, 0, 1), atol=1e-14)
+
+    @pytest.mark.parametrize('case, m_inner', [('noisy_circle', 40), ('torus_assets', 30)])
+    def test_blas_blocks_match_naive_einsum(self, case, m_inner, request):
+        model = request.getfixturevalue(case)[2]
+        c = structure_constants(model, m_inner)
+        npt.assert_array_equal(c, c.swapaxes(0, 1))
+        phi = model.eig_phi[:, :m_inner]
+        naive = np.einsum('ai,aj,as->ijs', phi * model.inner_weights[:, None], phi, phi)
+        npt.assert_allclose(c, naive, rtol=0, atol=1e-13)
 
     def test_circle_triple_products_match_fourier_identities(self, circle300):
         # with phi_1, phi_2 the first harmonic pair and phi_3, phi_4 the
@@ -415,6 +426,44 @@ class TestLocalPca:
         cs_pca = np.abs(np.sum(pca * tangents, axis=1)) / np.linalg.norm(pca, axis=1)
         noisy = ~out['clean_mask']
         assert cs[noisy].mean() > cs_pca[noisy].mean()
+
+
+class TestSpectralScreen:
+    """The roughness screen against an explicitly built D^{-1} K."""
+
+    @pytest.mark.parametrize('case', ['pgd_run', 'torus_assets'])
+    def test_matches_explicit_smoother(self, case, request, monkeypatch):
+        if case == 'pgd_run':
+            model = request.getfixturevalue(case)['model']
+            config, n_fields = om.SecBasisConfig(m_basis=8, m_inner=40), 2
+        else:
+            model = request.getfixturevalue(case)[2]
+            config, n_fields = om.SecBasisConfig(m_basis=13, m_inner=72), 4
+        spectral = om.build_sec_frame(model, config, n_fields)
+
+        K, _, _ = _kernel_matrix(_squared_distances(model.training.points),
+                                 model.knn_scale, model.config)
+        smoother = K / model.degree[:, None]
+        w = model.inner_weights
+        spectral_screen = sec._arrow_screen
+        screens = []
+
+        def explicit_screen(model, A):
+            arrows = model.eig_phi[:, :A.shape[0]] @ A
+            mass = float(w @ (arrows ** 2).sum(axis=1))
+            resid = arrows - smoother @ arrows
+            rough = float(w @ (resid ** 2).sum(axis=1)) / mass
+            screens.append(((mass, rough), spectral_screen(model, A)))
+            return mass, rough
+
+        monkeypatch.setattr(sec, '_arrow_screen', explicit_screen)
+        explicit = om.build_sec_frame(model, config, n_fields)
+        assert len(screens) > n_fields
+        for want, got in screens:
+            npt.assert_allclose(got, want, rtol=1e-8)
+        assert len(explicit.ops) == len(spectral.ops)
+        for a, b in zip(explicit.ops, spectral.ops):
+            npt.assert_array_equal(a.v_op, b.v_op)
 
 
 class TestFramePipeline:
