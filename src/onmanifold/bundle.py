@@ -121,24 +121,33 @@ def _manifest_and_arrays(bundle: ModelBundle):
     return manifest, arrays
 
 
-def save_bundle(path, bundle: ModelBundle) -> None:
-    """Write the bundle atomically: a temporary file in the target directory
-    is renamed over ``path``, so a failed write leaves any old file intact."""
-    manifest, arrays = _manifest_and_arrays(bundle)
-    blob = json.dumps(manifest, sort_keys=True, separators=(',', ':')).encode('utf-8')
+@contextlib.contextmanager
+def atomic_write(path, mode: str = 'x'):
+    """Open a new temporary file next to ``path`` for writing (``mode`` is
+    ``'x'`` or ``'xb'``) and rename it over ``path`` once the block ends; on
+    any exception the temporary file is removed, so a failed write leaves
+    any old file intact."""
     tmp = f'{os.fspath(path)}.{secrets.token_hex(8)}.tmp'
     try:
-        with open(tmp, 'xb') as fh:
-            fh.write(MAGIC)
-            fh.write(np.uint64(len(blob)).tobytes())
-            fh.write(blob)
-            for _, arr in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype='<f8').tobytes())
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def save_bundle(path, bundle: ModelBundle) -> None:
+    """Write the bundle atomically (:func:`atomic_write`)."""
+    manifest, arrays = _manifest_and_arrays(bundle)
+    blob = json.dumps(manifest, sort_keys=True, separators=(',', ':')).encode('utf-8')
+    with atomic_write(path, 'xb') as fh:
+        fh.write(MAGIC)
+        fh.write(np.uint64(len(blob)).tobytes())
+        fh.write(blob)
+        for _, arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype='<f8').tobytes())
 
 
 def load_bundle(path) -> ModelBundle:

@@ -24,7 +24,7 @@ constant mode ``phi_0 == 1`` and full-spectrum interpolation identities
 hold to machine precision on finite data.
 
 The kernel is built here only: ``_knn_scales`` owns the kNN scale of any
-distance rows, ``_cut_shape`` the kernel values, ``_kernel_matrix`` the
+distance rows, ``_cut_shape`` the kernel values, ``_kernel_csr`` the
 training kernel of the fit; ``nystrom._kernel_rows`` owns the
 out-of-sample row.
 
@@ -38,10 +38,17 @@ the (min-shifted) out-of-sample rows alike.  Every row holds an entry
 is below ``e^{-32} ~ 1.3e-14`` of its sum.  The indicator shape is exactly
 sparse already and is left as it is.  Because row support depends on k
 and the intrinsic dimension rather than on N, the kernel of a large
-low-dimensional cloud is mostly exact zeros: ARPACK runs on the CSR form
-of ``K_sym`` (14 % dense on the N=4000, k=24 torus), and ``fit`` drops the
-dense array before the solve.  Small or full-spectrum fits use dense
-``eigh`` as before.
+low-dimensional cloud is mostly exact zeros (14 % dense on the N=4000,
+k=24 torus).
+
+Until the eigensolve no N x N array is formed: the scales and the kernel
+are computed from row blocks of B = max(1, ``_BLOCK_ENTRIES`` // N)
+training rows, and only the kept entries go into the CSR kernel, so the
+fit holds O(B N + nnz) memory.  Each entry and each degree (the sum of a
+dense kernel row) is computed with the same operations in the same order
+as on the full matrix, so the CSR kernel equals ``csr_array`` of the
+dense one bit for bit.  ARPACK runs on the CSR form of ``K_sym``; only
+small or full-spectrum fits hand dense ``eigh`` its ``toarray()``.
 """
 
 from dataclasses import dataclass
@@ -51,7 +58,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import eigsh, ArpackNoConvergence
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .errors import DisconnectedGraphError, DuplicatePointError, EigensolverFailure
 
@@ -80,6 +87,11 @@ DUPLICATE_SCALE_FRAC = 1e-12
 #: Exponential kernel entries with z > ln N + KERNEL_TAIL are exactly 0;
 #: the dropped mass of a row is then below e^{-KERNEL_TAIL} of its sum.
 KERNEL_TAIL = 32.0
+
+#: Entries in one row block of the training distances and kernel (a block
+#: holds at least one row); the fit holds one block plus the kept kernel
+#: entries instead of O(N^2).
+_BLOCK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -220,11 +232,15 @@ def knn_scales(points: PointCloud, k_nn: int, average: bool = True) -> np.ndarra
     DuplicatePointError
         If any scale is <= 1e-12 times the maximum pairwise distance.
     """
-    return _training_scales(_squared_distances(points.points), k_nn, average)[0]
+    return _training_scales(points.points, k_nn, average)[0]
 
 
-def _squared_distances(pts: np.ndarray) -> np.ndarray:
-    return squareform(pdist(pts, 'sqeuclidean'))
+def _row_blocks(n_points: int):
+    """Bounds ``(a, b)`` of consecutive row blocks of an N x N array, each
+    holding at most ``_BLOCK_ENTRIES`` entries (and at least one row)."""
+    step = max(1, _BLOCK_ENTRIES // n_points)
+    for a in range(0, n_points, step):
+        yield a, min(a + step, n_points)
 
 
 def _knn_scales(dist: np.ndarray, k_nn: int, average: bool) -> np.ndarray:
@@ -237,16 +253,20 @@ def _knn_scales(dist: np.ndarray, k_nn: int, average: bool) -> np.ndarray:
     return nearest.sum(axis=1) / k_nn if average else nearest[:, -1]
 
 
-def _training_scales(d2: np.ndarray, k_nn: int, average: bool):
-    """kNN scales of the training points (self excluded) and the data diameter."""
-    N = d2.shape[0]
+def _training_scales(pts: np.ndarray, k_nn: int, average: bool):
+    """kNN scales of the training points (self excluded) and the data
+    diameter, from one row block of distances at a time."""
+    N = pts.shape[0]
     if not 1 <= k_nn <= N - 1:
         raise ValueError(f'k_nn must be in [1, {N - 1}], got {k_nn}')
-    dist = np.sqrt(d2)
-    diameter = float(dist.max())
-    # only the self-distance is excluded: a coincident pair keeps its zero
-    np.fill_diagonal(dist, np.inf)
-    scales = _knn_scales(dist, k_nn, average)
+    scales = np.empty(N)
+    diameter = 0.0
+    for a, b in _row_blocks(N):
+        dist = np.sqrt(cdist(pts[a:b], pts, 'sqeuclidean'))
+        diameter = max(diameter, float(dist.max()))
+        # only the self-distance is excluded: a coincident pair keeps its zero
+        dist[np.arange(b - a), np.arange(a, b)] = np.inf
+        scales[a:b] = _knn_scales(dist, k_nn, average)
     if np.any(scales <= DUPLICATE_SCALE_FRAC * max(diameter, np.finfo(float).tiny)):
         bad = int(np.argmin(scales))
         raise DuplicatePointError(
@@ -278,16 +298,48 @@ def _cut_shape(z: np.ndarray, shape: ShapeName, n_points: int) -> np.ndarray:
     return z
 
 
-def _kernel_matrix(d2: np.ndarray, scales: np.ndarray, config: CidmConfig):
-    """Symmetric kernel matrix, its degree vector, and the raw CIDM degrees."""
-    z = d2 / np.outer(scales, scales)
-    z /= config.epsilon ** 2
-    K = _cut_shape(z, config.shape, d2.shape[0])
-    raw_degree = K.sum(axis=1)
+def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
+    """CSR training kernel, its degree vector, and the raw CIDM degrees.
+
+    Built one row block at a time: only the kept (nonzero) entries of a
+    block are stored, and every degree is the sum of a dense kernel row, so
+    the result is ``csr_array`` of the dense kernel, bit for bit.
+    """
+    N = pts.shape[0]
+    data, indices = [], []
+    indptr = np.zeros(N + 1, dtype=np.int64)
+    raw_degree = np.empty(N)
+    for a, b in _row_blocks(N):
+        z = cdist(pts[a:b], pts, 'sqeuclidean')
+        z /= np.outer(scales[a:b], scales)
+        z /= config.epsilon ** 2
+        K = _cut_shape(z, config.shape, N)
+        raw_degree[a:b] = K.sum(axis=1)
+        kept = np.flatnonzero(K)
+        data.append(K.ravel()[kept])
+        indices.append((kept % N).astype(np.int32))
+        indptr[a + 1:b + 1] = np.count_nonzero(K, axis=1)
+    np.cumsum(indptr, out=indptr)
+    K = csr_array((np.concatenate(data), np.concatenate(indices), indptr), shape=(N, N))
     if config.kernel_variant == 'cidm_dm_normalized':
-        K /= np.outer(raw_degree, raw_degree)
-        return K, K.sum(axis=1), raw_degree
+        _divide_entries(K, raw_degree, root=False)
+        degree = np.empty(N)
+        for a, b in _row_blocks(N):
+            degree[a:b] = K[a:b].toarray().sum(axis=1)
+        return K, degree, raw_degree
     return K, raw_degree, None
+
+
+def _divide_entries(K: csr_array, d: np.ndarray, root: bool) -> None:
+    """``K_ij /= d_i d_j`` (``sqrt(d_i d_j)`` if ``root``) on the stored
+    entries, in place, one row block at a time."""
+    indptr = K.indptr
+    for a, b in _row_blocks(K.shape[0]):
+        lo, hi = indptr[a], indptr[b]
+        den = np.repeat(d[a:b], np.diff(indptr[a:b + 1])) * d[K.indices[lo:hi]]
+        if root:
+            np.sqrt(den, out=den)
+        K.data[lo:hi] /= den
 
 
 def _uses_arpack(n_points: int, n_eigs: int) -> bool:
@@ -345,17 +397,15 @@ def fit(points: PointCloud, config: CidmConfig) -> CidmModel:
     """
     if isinstance(points, np.ndarray):
         points = PointCloud(points)
-    d2 = _squared_distances(points.points)
-    scales, diameter = _training_scales(d2, config.k_nn, config.average_scales)
-    K, degree, raw_degree = _kernel_matrix(d2, scales, config)
-    del d2
+    scales, diameter = _training_scales(points.points, config.k_nn, config.average_scales)
+    K, degree, raw_degree = _kernel_csr(points.points, scales, config)
     if np.any(degree <= 0):
         raise DisconnectedGraphError('kernel row sums vanish: isolated points '
                                      '(indicator shape with too small epsilon?)')
 
-    K /= np.sqrt(np.outer(degree, degree))          # K_sym, in place of K
-    if _uses_arpack(points.n_points, config.n_eigs):
-        K = csr_array(K)                            # frees the dense K_sym
+    _divide_entries(K, degree, root=True)           # K_sym, in place of K
+    if not _uses_arpack(points.n_points, config.n_eigs):
+        K = K.toarray()
     lam, V = _top_eigenpairs(K, config.n_eigs)
 
     xi = 1.0 - lam

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bundle import ModelBundle, load_bundle, save_bundle
+from .bundle import ModelBundle, atomic_write, load_bundle, save_bundle
 from .cidm import CidmConfig, PointCloud, fit
 from .errors import GeometryError
 from .nystrom import (build_projector, extend_function, fourier_coefficients,
@@ -34,7 +34,20 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_csv(path, array, force: bool) -> None:
     _guard_overwrite(path, force)
-    np.savetxt(path, np.atleast_2d(array), delimiter=',', fmt=CSV_FMT)
+    with atomic_write(path) as fh:
+        np.savetxt(fh, np.atleast_2d(array), delimiter=',', fmt=CSV_FMT)
+
+
+def _write_trace(path, trace, force: bool) -> None:
+    """One JSON line per PGD step, then a summary line."""
+    _guard_overwrite(path, force)
+    with atomic_write(path) as fh:
+        for rec in trace.to_records():
+            fh.write(json.dumps(rec, sort_keys=True) + '\n')
+        fh.write(json.dumps({'summary': {'status': trace.status,
+                                         'true_label': trace.true_label,
+                                         'n_steps': len(trace.steps)}},
+                            sort_keys=True) + '\n')
 
 
 def _guard_overwrite(path, force: bool) -> None:
@@ -163,14 +176,7 @@ def _cmd_pgd(args) -> int:
     true_label = args.true_label if args.true_label is not None else oracle.predict(x0)
     trace = om_pgd(start, true_label, oracle, projector, bundle.sec_frame,
                    bundle.sec_fhat, config, label_map=bundle.label_map)
-    _guard_overwrite(args.out, args.force)
-    with open(args.out, 'w') as fh:
-        for rec in trace.to_records():
-            fh.write(json.dumps(rec, sort_keys=True) + '\n')
-        fh.write(json.dumps({'summary': {'status': trace.status,
-                                         'true_label': trace.true_label,
-                                         'n_steps': len(trace.steps)}},
-                            sort_keys=True) + '\n')
+    _write_trace(args.out, trace, args.force)
     print(f'pgd: status={trace.status} steps={len(trace.steps)}')
     if trace.status == 'stalled':
         print('ERROR StalledError: PGD stalled before misclassification', file=sys.stderr)
@@ -334,14 +340,7 @@ def _cmd_repro(args) -> int:
     elif args.figure == 'pgd-circle':
         out = pgd_circle_pipeline()
         trace = out['trace']
-        _guard_overwrite(path('pgd_trace.jsonl'), args.force)
-        with open(path('pgd_trace.jsonl'), 'w') as fh:
-            for rec in trace.to_records():
-                fh.write(json.dumps(rec, sort_keys=True) + '\n')
-            fh.write(json.dumps({'summary': {'status': trace.status,
-                                             'true_label': trace.true_label,
-                                             'n_steps': len(trace.steps)}},
-                                sort_keys=True) + '\n')
+        _write_trace(path('pgd_trace.jsonl'), trace, args.force)
         print(f'pgd-circle: status={trace.status} steps={len(trace.steps)}')
         if trace.status == 'stalled':
             print('ERROR StalledError: PGD stalled', file=sys.stderr)

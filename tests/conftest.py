@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 import onmanifold as om
+from onmanifold.cidm import DUPLICATE_SCALE_FRAC, CidmConfig, _cut_shape, _knn_scales
+from onmanifold.errors import DuplicatePointError
 from onmanifold.cli import (equispaced_circle, fig2_pipeline, fig3_pipeline,
                             pgd_circle_pipeline)
 
@@ -86,6 +89,45 @@ def semantic_model():
     cloud, params = om.generate(om.SynthSpec(kind='circle', n_points=1000, seed=2))
     model = om.fit(cloud, om.CidmConfig(k_nn=20, n_eigs=40, epsilon=2.5))
     return cloud, params, model
+
+
+# ---------------------------------------------------- naive dense kernel
+# The training kernel as one N x N array: the reference that the row-block
+# CSR build of ``cidm.fit`` must reproduce bit for bit.
+
+
+def dense_squared_distances(pts: np.ndarray) -> np.ndarray:
+    return squareform(pdist(pts, 'sqeuclidean'))
+
+
+def dense_training_scales(d2: np.ndarray, k_nn: int, average: bool):
+    """kNN scales of the training points (self excluded) and the data diameter."""
+    N = d2.shape[0]
+    if not 1 <= k_nn <= N - 1:
+        raise ValueError(f'k_nn must be in [1, {N - 1}], got {k_nn}')
+    dist = np.sqrt(d2)
+    diameter = float(dist.max())
+    # only the self-distance is excluded: a coincident pair keeps its zero
+    np.fill_diagonal(dist, np.inf)
+    scales = _knn_scales(dist, k_nn, average)
+    if np.any(scales <= DUPLICATE_SCALE_FRAC * max(diameter, np.finfo(float).tiny)):
+        bad = int(np.argmin(scales))
+        raise DuplicatePointError(
+            f'point {bad} has kNN scale {scales[bad]:.3e}; '
+            'coincident training points make the rescaled distance undefined')
+    return scales, diameter
+
+
+def dense_kernel_matrix(d2: np.ndarray, scales: np.ndarray, config: CidmConfig):
+    """Symmetric kernel matrix, its degree vector, and the raw CIDM degrees."""
+    z = d2 / np.outer(scales, scales)
+    z /= config.epsilon ** 2
+    K = _cut_shape(z, config.shape, d2.shape[0])
+    raw_degree = K.sum(axis=1)
+    if config.kernel_variant == 'cidm_dm_normalized':
+        K /= np.outer(raw_degree, raw_degree)
+        return K, K.sum(axis=1), raw_degree
+    return K, raw_degree, None
 
 
 def angle_diff_deg(a, b):

@@ -9,7 +9,7 @@ import pytest
 
 import onmanifold as om
 from onmanifold.bundle import ModelBundle, dataset_digest, load_bundle, save_bundle
-from onmanifold.cli import main
+from onmanifold.cli import _write_csv, main
 
 
 @pytest.fixture(scope='module')
@@ -86,6 +86,19 @@ class TestBundle:
             save_bundle(target, broken)
         assert target.read_bytes() == path.read_bytes()
         assert [p.name for p in tmp_path.iterdir()] == ['model.bundle']
+
+    def test_failed_csv_write_leaves_old_file(self, tmp_path):
+        target = tmp_path / 'out.csv'
+        target.write_text('old\n')
+        # the first row is written before the second fails to format
+        bad = np.array([[1.0, 2.0], ['x', 'y']], dtype=object)
+        with pytest.raises(TypeError):
+            _write_csv(target, bad, force=True)
+        assert target.read_text() == 'old\n'
+        assert [p.name for p in tmp_path.iterdir()] == ['out.csv']
+        _write_csv(target, np.eye(2), force=True)
+        npt.assert_array_equal(np.loadtxt(target, delimiter=','), np.eye(2))
+        assert [p.name for p in tmp_path.iterdir()] == ['out.csv']
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / 'junk.bundle'
@@ -236,18 +249,20 @@ class TestCli:
         lines = [json.loads(line) for line in (tmp_path / 't.jsonl').read_text().splitlines()]
         assert lines[-1]['summary']['status'] == 'stalled'
 
-    def test_repro_fig2_bytes_identical_across_processes(self, tmp_path):
-        # fig2 (N=1500, 40 modes) fits through ARPACK on the CSR kernel
+    @pytest.mark.parametrize('verb', ['fig1', 'fig2', 'fig3', 'pgd-circle'])
+    def test_repro_bytes_identical_across_processes(self, verb, tmp_path):
+        # fig2 (N=1500, 40 modes) fits through ARPACK on the CSR kernel, the
+        # others through dense eigh
         src = os.path.dirname(os.path.dirname(om.__file__))
         env = dict(os.environ, OPENBLAS_NUM_THREADS='1', OMP_NUM_THREADS='1',
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get('PYTHONPATH')])))
         for tag in ('a', 'b'):
-            subprocess.run([sys.executable, '-m', 'onmanifold.cli', 'repro', 'fig2',
+            subprocess.run([sys.executable, '-m', 'onmanifold.cli', 'repro', verb,
                             '--out-dir', str(tmp_path / tag)],
                            env=env, check=True, capture_output=True)
         names = sorted(p.name for p in (tmp_path / 'a').iterdir())
         assert names == sorted(p.name for p in (tmp_path / 'b').iterdir())
-        assert len(names) == 5
+        assert len(names) == {'fig1': 2, 'fig2': 5, 'fig3': 8, 'pgd-circle': 1}[verb]
         for name in names:
             assert (tmp_path / 'a' / name).read_bytes() == (tmp_path / 'b' / name).read_bytes(), name
 

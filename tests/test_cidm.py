@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -11,9 +12,10 @@ from scipy.sparse.linalg import eigsh
 
 import onmanifold as om
 from onmanifold import cidm
-from onmanifold.cidm import (KERNEL_TAIL, _kernel_matrix, _squared_distances, knn_scales,
-                             cidm_dissimilarity_sq, shape_function)
+from onmanifold.cidm import KERNEL_TAIL, knn_scales, cidm_dissimilarity_sq, shape_function
 from onmanifold.nystrom import _kernel_rows
+
+from conftest import dense_kernel_matrix, dense_squared_distances, dense_training_scales
 
 
 def brute_force_scales(pts, k):
@@ -154,15 +156,14 @@ class TestFit:
 
     def test_kernel_symmetry_is_exact(self):
         # assembled from the symmetric formula: K - K.T must be identically 0
-        from onmanifold.cidm import _kernel_matrix, _squared_distances
         rng = np.random.default_rng(3)
         cloud = om.PointCloud(rng.standard_normal((40, 2)))
-        d2 = _squared_distances(cloud.points)
+        d2 = dense_squared_distances(cloud.points)
         cfg = om.CidmConfig(k_nn=4, n_eigs=5)
-        K, _, _ = _kernel_matrix(d2, knn_scales(cloud, 4), cfg)
+        K, _, _ = dense_kernel_matrix(d2, knn_scales(cloud, 4), cfg)
         npt.assert_array_equal(K, K.T)
         cfg_dm = om.CidmConfig(k_nn=4, n_eigs=5, kernel_variant='cidm_dm_normalized')
-        K_dm, _, _ = _kernel_matrix(d2, knn_scales(cloud, 4), cfg_dm)
+        K_dm, _, _ = dense_kernel_matrix(d2, knn_scales(cloud, 4), cfg_dm)
         npt.assert_array_equal(K_dm, K_dm.T)
 
     def test_variable_bandwidth_survives_where_fixed_disconnects(self):
@@ -224,9 +225,9 @@ class TestCertifiedCutoff:
 
     def test_dropped_row_mass_is_certified(self, case):
         cloud, cfg = case
-        d2 = _squared_distances(cloud.points)
+        d2 = dense_squared_distances(cloud.points)
         scales = knn_scales(cloud, cfg.k_nn)
-        K, _, _ = _kernel_matrix(d2, scales, cfg)
+        K, _, _ = dense_kernel_matrix(d2, scales, cfg)
         uncut = shape_function(d2 / np.outer(scales, scales) / cfg.epsilon ** 2, cfg.shape)
         kept = K != 0.0
         assert not kept.all()                      # the cutoff does drop entries
@@ -238,15 +239,15 @@ class TestCertifiedCutoff:
     def test_nystrom_row_keeps_the_fitted_support(self, case):
         cloud, cfg = case
         model = om.fit(cloud, cfg)
-        K, _, _ = _kernel_matrix(_squared_distances(cloud.points), model.knn_scale, cfg)
+        K, _, _ = dense_kernel_matrix(dense_squared_distances(cloud.points), model.knn_scale, cfg)
         idx = np.arange(0, cloud.n_points, 7)
         weights = _kernel_rows(model, cloud.points[idx])[0]
         npt.assert_array_equal(weights != 0.0, K[idx] != 0.0)
 
     @staticmethod
     def symmetric_kernel(cloud, cfg):
-        K, degree, _ = _kernel_matrix(_squared_distances(cloud.points),
-                                      knn_scales(cloud, cfg.k_nn), cfg)
+        K, degree, _ = dense_kernel_matrix(dense_squared_distances(cloud.points),
+                                           knn_scales(cloud, cfg.k_nn), cfg)
         return K / np.sqrt(np.outer(degree, degree))
 
     @staticmethod
@@ -285,6 +286,76 @@ class TestCertifiedCutoff:
         # the fig2 kernel is 15 % dense: its CSR form is well under half of
         # the N^2 doubles that a dense K_sym alone would hold
         assert held < 0.5 * model.n_points ** 2 * 8
+
+
+def row_block_cases():
+    fig2 = om.generate(om.SynthSpec(kind='circle', n_points=1500, noise_sigma=0.1, seed=7))[0]
+    fig2_cfg = om.CidmConfig(k_nn=24, n_eigs=40)
+    rng = np.random.default_rng(11)
+    return {
+        # 43-row blocks: the last of the 35 blocks holds 38 rows
+        'fig2': (fig2, fig2_cfg),
+        'fig2-dm': (fig2, replace(fig2_cfg, kernel_variant='cidm_dm_normalized')),
+        'fig2-indicator': (fig2, replace(fig2_cfg, shape='indicator', epsilon=2.0)),
+        'fig2-kth-scale': (fig2, replace(fig2_cfg, average_scales=False)),
+        'fig2-epsilon': (fig2, replace(fig2_cfg, epsilon=0.7)),
+        # blocks of 218 and 82 rows
+        'ragged': (om.PointCloud(rng.standard_normal((300, 3))), om.CidmConfig(k_nn=7, n_eigs=20)),
+        # 40 rows in a single block
+        'one-block': (om.PointCloud(rng.standard_normal((40, 5))),
+                      om.CidmConfig(k_nn=4, n_eigs=40, kernel_variant='cidm_dm_normalized')),
+    }
+
+
+class TestRowBlockKernel:
+    """The row-block CSR kernel is ``csr_array`` of the dense kernel, bit for bit."""
+
+    @pytest.fixture(scope='class', params=list(row_block_cases()))
+    def case(self, request):
+        cloud, cfg = row_block_cases()[request.param]
+        d2 = dense_squared_distances(cloud.points)
+        scales, diameter = dense_training_scales(d2, cfg.k_nn, cfg.average_scales)
+        K, degree, raw_degree = dense_kernel_matrix(d2, scales, cfg)
+        K /= np.sqrt(np.outer(degree, degree))
+        ref = dict(K_sym=csr_array(K), knn_scale=scales, data_diameter=diameter,
+                   degree=degree, raw_degree=raw_degree)
+        return cloud, cfg, ref
+
+    def test_csr_kernel_is_bit_identical(self, case):
+        cloud, cfg, ref = case
+        K, degree, raw_degree = cidm._kernel_csr(cloud.points, ref['knn_scale'], cfg)
+        cidm._divide_entries(K, degree, root=True)
+        for name in ('indptr', 'indices', 'data'):
+            npt.assert_array_equal(getattr(K, name), getattr(ref['K_sym'], name), err_msg=name)
+        npt.assert_array_equal(degree, ref['degree'])
+        npt.assert_array_equal(raw_degree, ref['raw_degree'])
+
+    def test_fitted_model_is_bit_identical(self, case):
+        cloud, cfg, ref = case
+        model = om.fit(cloud, cfg)
+        for name in ('knn_scale', 'degree', 'raw_degree'):
+            npt.assert_array_equal(getattr(model, name), ref[name], err_msg=name)
+        assert model.data_diameter == ref['data_diameter']
+        npt.assert_array_equal(knn_scales(cloud, cfg.k_nn, cfg.average_scales), ref['knn_scale'])
+
+    def test_single_row_blocks(self, monkeypatch):
+        cloud, cfg = row_block_cases()['one-block']
+        ref = om.fit(cloud, cfg)
+        monkeypatch.setattr(cidm, '_BLOCK_ENTRIES', 1)
+        model = om.fit(cloud, cfg)
+        for name in ('knn_scale', 'degree', 'raw_degree', 'eig_xi', 'eig_phi'):
+            npt.assert_array_equal(getattr(model, name), getattr(ref, name), err_msg=name)
+
+    def test_fit_peaks_below_one_dense_array(self, fig2):
+        model = fig2['model']
+        tracemalloc.start()
+        try:
+            om.fit(model.training, model.config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one N x N float64 array is 17.2 MiB at the fig2 size (N=1500)
+        assert peak < model.n_points ** 2 * 8
 
 
 class TestPointCloud:

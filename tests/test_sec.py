@@ -5,7 +5,7 @@ from scipy.linalg import eigh
 
 import onmanifold as om
 from onmanifold import sec
-from onmanifold.cidm import _kernel_matrix, _squared_distances
+from conftest import dense_kernel_matrix, dense_squared_distances
 from onmanifold.sec import (dirichlet_energy_tensor, eigenfields, field_operator,
                             frame_to_operator, local_pca_tangent, metric_tensor,
                             sobolev_basis, structure_constants)
@@ -441,8 +441,8 @@ class TestSpectralScreen:
             config, n_fields = om.SecBasisConfig(m_basis=13, m_inner=72), 4
         spectral = om.build_sec_frame(model, config, n_fields)
 
-        K, _, _ = _kernel_matrix(_squared_distances(model.training.points),
-                                 model.knn_scale, model.config)
+        K, _, _ = dense_kernel_matrix(dense_squared_distances(model.training.points),
+                                      model.knn_scale, model.config)
         smoother = K / model.degree[:, None]
         w = model.inner_weights
         spectral_screen = sec._arrow_screen
