@@ -1,10 +1,10 @@
 """Manifold-learning geometry engine: CIDM fitting, Nystrom extension and
 projection, SEC vector fields, and on-manifold projected gradient descent."""
 
-from .errors import (GeometryError, DuplicatePointError, EigensolverFailure,
-                     DisconnectedGraphError, SmallEigenvalueError, KnnBoundaryError,
-                     DegenerateFrameError, SingularGramError, RankDeficiencyError,
-                     TangentRankError, StalledError)
+from .errors import (GeometryError, InvalidQueryError, DuplicatePointError,
+                     EigensolverFailure, DisconnectedGraphError, SmallEigenvalueError,
+                     KnnBoundaryError, DegenerateFrameError, SingularGramError,
+                     RankDeficiencyError, TangentRankError, StalledError)
 from .cidm import (PointCloud, CidmConfig, CidmModel, knn_scales,
                    cidm_dissimilarity_sq, fit, inner)
 from .nystrom import (NystromProjector, extend_eigenfunction, eigenfunction_values,

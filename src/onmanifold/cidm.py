@@ -127,7 +127,10 @@ class PointCloud:
         return cls(pts)
 
     def to_csv(self, path) -> None:
-        np.savetxt(path, self.points, delimiter=',', fmt='%.17g')
+        """Write a headerless CSV atomically: a failed write leaves any old file."""
+        from .bundle import atomic_write        # bundle imports this module
+        with atomic_write(path) as fh:
+            np.savetxt(fh, self.points, delimiter=',', fmt='%.17g')
 
 
 @dataclass(frozen=True)
@@ -288,11 +291,16 @@ def _cut_shape(z: np.ndarray, shape: ShapeName, n_points: int) -> np.ndarray:
     """Kernel values h(z) of an N-point kernel with the certified cutoff.
 
     Exponential entries with z > ln N + ``KERNEL_TAIL`` are exactly 0.
+    Those entries are clamped to the cut before the ``exp``, which keeps it
+    off its slow subnormal and underflow inputs (z above about 708); the
+    kept entries see the same input, so the values do not change.
     Overwrites ``z`` with the result for that shape.
     """
     if shape != 'exponential':
         return shape_function(z, shape)
-    far = z > np.log(n_points) + KERNEL_TAIL
+    cut = np.log(n_points) + KERNEL_TAIL
+    far = z > cut
+    np.minimum(z, cut, out=z)
     np.exp(np.negative(z, out=z), out=z)
     np.putmask(z, far, 0.0)
     return z

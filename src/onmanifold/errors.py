@@ -7,6 +7,7 @@ mistakes (plain ``ValueError``) from genuine numerical breakdowns.
 
 __all__ = [
     'GeometryError',
+    'InvalidQueryError',
     'DuplicatePointError',
     'EigensolverFailure',
     'DisconnectedGraphError',
@@ -22,6 +23,11 @@ __all__ = [
 
 class GeometryError(RuntimeError):
     """Base class for numerical failures in the geometry pipeline."""
+
+
+class InvalidQueryError(GeometryError, ValueError):
+    """A query point is not finite, overflows when squared against the training
+    points, or has the wrong dimension.  Also a ``ValueError``: the input is at fault."""
 
 
 class DuplicatePointError(GeometryError):

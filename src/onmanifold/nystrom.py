@@ -14,7 +14,18 @@ to the fitted row, so the extension interpolates training values.
 ``_kernel_rows`` owns the out-of-sample kernel row (scales, shape and the
 certified cutoff come from ``cidm``); extension, projection and gradients
 all go through it.  The cutoff is applied after the min-shift, so the row
-at a training point has the same support as its fitted row.
+at a training point has the same support as its fitted row.  Even after
+the shift, most of a row can lie far past the cut (z > 708 for 69 % of
+the entries of a row at a ``repro pgd-circle`` iterate), where numpy's
+``exp`` takes its slow subnormal and underflow paths; ``cidm._cut_shape``
+clamps those entries to the cut first.  A query that is not finite,
+overflows when squared, or has the wrong dimension raises
+:class:`InvalidQueryError`.
+
+A row costs O(N) per query, so a caller that needs several quantities
+at one point asks :func:`eigenfunction_values` once, for the widest
+range of modes, and slices the result: the PGD loop takes both the
+tangent frame and the semantic labels of an iterate from one row.
 
 Gradients differentiate the full kernel row, including the variation of
 the query's kNN scale (smooth while the neighbor set is fixed); the
@@ -29,7 +40,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .cidm import CidmModel, _cut_shape, _knn_scales, inner
-from .errors import GeometryError, KnnBoundaryError, SmallEigenvalueError
+from .errors import (GeometryError, InvalidQueryError, KnnBoundaryError,
+                     SmallEigenvalueError)
 
 __all__ = [
     'NystromProjector',
@@ -78,13 +90,13 @@ def _kernel_rows(model: CidmModel, queries: np.ndarray):
     cfg = model.config
     pts = model.training.points
     if queries.shape[1] != pts.shape[1]:
-        raise ValueError(f'query dimension {queries.shape[1]} does not match '
-                         f'the training dimension {pts.shape[1]}')
+        raise InvalidQueryError(f'query dimension {queries.shape[1]} does not match '
+                                f'the training dimension {pts.shape[1]}')
     dists = cdist(queries, pts)
     if not dists.max() < MAX_DISTANCE:             # NaN, inf, or overflow
         bad = int(np.argmin(dists.max(axis=1) < MAX_DISTANCE))
-        raise ValueError(f'query row {bad}: the query or its squared distances '
-                         'to the training points are not finite')
+        raise InvalidQueryError(f'query row {bad}: the query or its squared distances '
+                                'to the training points are not finite')
     # exact-zero distances are skipped, so a training point's row is its fitted row
     scales = _knn_scales(np.where(dists > 0.0, dists, np.inf), cfg.k_nn, cfg.average_scales)
     if np.isinf(scales).any():
@@ -97,7 +109,7 @@ def _kernel_rows(model: CidmModel, queries: np.ndarray):
     if cfg.kernel_variant == 'cidm_dm_normalized':
         u = u / model.raw_degree[None, :]
     norm = u.sum(axis=1, keepdims=True)
-    if np.any(norm == 0.0):
+    if (norm == 0.0).any():
         raise GeometryError('query outside the support of the indicator kernel')
     return u / norm, dists, scales, delta2
 
@@ -106,9 +118,9 @@ def _mode_lambdas(model: CidmModel, n_modes: int) -> np.ndarray:
     """Kernel eigenvalues of modes 0..n_modes-1, checked to be extendable."""
     if not 1 <= n_modes <= model.n_eigs:
         raise ValueError(f'n_modes must be in [1, {model.n_eigs}]')
-    lam = model.eig_lambda[:n_modes]
+    lam = 1.0 - model.eig_xi[:n_modes]
     small = np.abs(lam) < SMALL_LAMBDA
-    if np.any(small):
+    if small.any():
         bad = int(np.flatnonzero(small)[0])
         raise SmallEigenvalueError(
             f'mode {bad} has |lambda| = {abs(lam[bad]):.2e} < {SMALL_LAMBDA:g}; '

@@ -6,6 +6,13 @@ amount, and Nystrom-projects the result back onto the manifold; the loop
 stops at the first misclassified projected iterate.  Intrinsic
 (semantic) coordinates of every iterate are recovered by extending the
 known training labels.
+
+Every Nystrom row costs O(N), and each iterate needs one row: the
+semantic labels of ``x_next`` are read from it, and so is the tangent
+frame of the next step, whose ``x_on`` is that ``x_next``.  A step
+therefore computes the row at ``x_next`` once, with the modes both
+consumers need, and returns it; :func:`om_pgd` hands it to the next
+step.  With the two projection rows, a step makes three rows.
 """
 
 from dataclasses import dataclass, field
@@ -13,11 +20,15 @@ from typing import Literal, Protocol, Sequence
 
 import numpy as np
 
+# rows are looked up as nystrom.eigenfunction_values at call time, as
+# nystrom's own callers look them up, so one patch of it sees every row
+from . import nystrom
 from .cidm import CidmModel
 from .errors import StalledError
-from .nystrom import (NystromProjector, build_projector, extend_function,
-                      fourier_coefficients, project_many)
-from .sec import SecFrame, tangent_frame_at
+from .nystrom import NystromProjector, build_projector, fourier_coefficients, project_many
+# the step builds its frame with _tangent_frame; tangent_frame_at stays
+# importable from here because perfbench/tracing.py wraps it by this name
+from .sec import SecFrame, _tangent_frame, tangent_frame_at
 
 __all__ = [
     'ClassifierOracle',
@@ -132,6 +143,10 @@ class SemanticMap:
     def n_params(self) -> int:
         return len(self.periodic)
 
+    @property
+    def n_modes(self) -> int:
+        return self.coeffs.shape[0]
+
 
 def semantic_map(model: CidmModel, params_deg: np.ndarray,
                  periodic: Sequence[bool], l_trunc: int) -> SemanticMap:
@@ -155,7 +170,14 @@ def semantic_map(model: CidmModel, params_deg: np.ndarray,
 
 def semantic_labels(model: CidmModel, label_map: SemanticMap, x) -> np.ndarray:
     """Intrinsic parameters of x; periodic ones in degrees in [0, 360)."""
-    ext = np.atleast_1d(extend_function(model, label_map.coeffs, x))
+    vals = nystrom.eigenfunction_values(model, x, label_map.n_modes)
+    return _decode_labels(label_map, vals)
+
+
+def _decode_labels(label_map: SemanticMap, vals: np.ndarray) -> np.ndarray:
+    """:func:`semantic_labels` from the eigenfunction values at x, ``vals``,
+    which must cover the map's modes (further modes are not read)."""
+    ext = np.atleast_1d(vals[..., :label_map.n_modes] @ label_map.coeffs)
     out = np.empty(label_map.n_params)
     col = 0
     for j, per in enumerate(label_map.periodic):
@@ -198,7 +220,12 @@ class PgdConfig:
 
 @dataclass(frozen=True)
 class PgdStep:
-    """One on-manifold PGD step, in execution order."""
+    """One on-manifold PGD step, in execution order.
+
+    ``x_next_values`` holds the eigenfunction values at ``x_next`` that
+    the step computed for its semantic labels (None without a label map);
+    they are not part of :meth:`PgdTrace.to_records`.
+    """
 
     index: int
     x_on: np.ndarray
@@ -208,6 +235,7 @@ class PgdStep:
     x_next: np.ndarray
     label_pred: int
     semantics: np.ndarray | None
+    x_next_values: np.ndarray | None = field(default=None, repr=False)
 
 
 Status = Literal['misclassified', 'max_steps', 'stalled']
@@ -248,14 +276,33 @@ def _resolve_projector(projector: NystromProjector, config: PgdConfig) -> Nystro
     return build_projector(projector.model, config.l_trunc)
 
 
+def _row_width(frame: SecFrame, label_map: SemanticMap | None) -> int:
+    """Modes of the one Nystrom row per iterate: the tangent frame's, and the
+    label map's if there is one.  A carried row and a fresh one have the
+    same width, because the leading columns of a wider ``weights @ phi``
+    are not bit-equal to a narrower product."""
+    return frame.m_out if label_map is None else max(frame.m_out, label_map.n_modes)
+
+
 def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
                 projector: NystromProjector, frame: SecFrame, fhat: np.ndarray,
                 config: PgdConfig, index: int = 0,
-                label_map: SemanticMap | None = None) -> PgdStep:
+                label_map: SemanticMap | None = None, *,
+                x_on_values: np.ndarray | None = None) -> PgdStep:
     """One gradient / tangent-project / step / Nystrom-project cycle.
+
+    The tangent frame at ``x_on`` is built from the eigenfunction values
+    there: ``x_on_values`` if given (the ``x_next_values`` of the step
+    that produced ``x_on``), else one fresh Nystrom row.  With a label
+    map, the step computes the row at ``x_next`` once, reads the semantic
+    labels from it and returns it as ``x_next_values``.  Carrying the
+    values changes no output bit; it saves one row per step.
 
     Raises
     ------
+    ValueError
+        If ``x_on_values`` does not hold one value per mode of the row
+        (``frame.m_out``, or the larger of it and the label map's modes).
     RankDeficiencyError
         Propagated from the tangent frame when the fields do not span.
     StalledError
@@ -265,12 +312,18 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
     projector = _resolve_projector(projector, config)
     model = projector.model
     x_on = np.asarray(x_on, dtype=np.float64)
+    width = _row_width(frame, label_map)
+    if x_on_values is not None and np.shape(x_on_values) != (width,):
+        raise ValueError(f'x_on_values must have shape ({width},), '
+                         f'got {np.shape(x_on_values)}')
     g_raw = np.asarray(oracle.loss_grad(x_on, true_label), dtype=np.float64)
     raw_norm = float(np.linalg.norm(g_raw))
     if raw_norm == 0.0:
         raise StalledError('loss gradient vanished at the current iterate')
     g = g_raw / raw_norm if config.normalize_gradient else g_raw
-    T = tangent_frame_at(model, frame, fhat, x_on, config.tangent_dim)
+    if x_on_values is None:
+        x_on_values = nystrom.eigenfunction_values(model, x_on, width)
+    T = _tangent_frame(frame, fhat, x_on_values, config.tangent_dim)
     g_tan = T @ (T.T @ g)
     if np.linalg.norm(g_tan) <= STALL_GRAD_RTOL * np.linalg.norm(g):
         raise StalledError('gradient is orthogonal to the tangent frame')
@@ -278,6 +331,11 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
     x_next = project_many(projector, x_stepped, config.project_iters)
     if np.linalg.norm(x_next - x_on) < STALL_MOVE_RTOL * model.data_diameter:
         raise StalledError('projected step did not move the iterate')
+    label_pred = int(oracle.predict(x_next))
+    x_next_values = semantics = None
+    if label_map is not None:
+        x_next_values = nystrom.eigenfunction_values(model, x_next, width)
+        semantics = _decode_labels(label_map, x_next_values)
     return PgdStep(
         index=index,
         x_on=x_on,
@@ -285,8 +343,9 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
         g_tan=g_tan,
         x_stepped=x_stepped,
         x_next=x_next,
-        label_pred=int(oracle.predict(x_next)),
-        semantics=None if label_map is None else semantic_labels(model, label_map, x_next),
+        label_pred=label_pred,
+        semantics=semantics,
+        x_next_values=x_next_values,
     )
 
 
@@ -296,24 +355,26 @@ def om_pgd(start: np.ndarray, true_label: int, oracle: ClassifierOracle,
     """Iterate :func:`om_pgd_step` until misclassification, stall, or max_steps.
 
     The start point may be off-manifold; it is projected before step 1.
-    Stalls terminate the trace with status ``'stalled'`` rather than
-    propagating.
+    Each step gets the eigenfunction values its predecessor computed at
+    its ``x_on``, so an iterate's Nystrom row is computed once.  Stalls
+    terminate the trace with status ``'stalled'`` rather than propagating.
     """
     projector = _resolve_projector(projector, config)
     start = np.asarray(start, dtype=np.float64)
     x0 = project_many(projector, start, config.project_iters)
-    x_on = x0
+    x_on, x_on_values = x0, None
     steps: list[PgdStep] = []
     status: Status = 'max_steps'
     for i in range(config.max_steps):
         try:
             step = om_pgd_step(x_on, true_label, oracle, projector, frame, fhat,
-                               config, index=i, label_map=label_map)
+                               config, index=i, label_map=label_map,
+                               x_on_values=x_on_values)
         except StalledError:
             status = 'stalled'
             break
         steps.append(step)
-        x_on = step.x_next
+        x_on, x_on_values = step.x_next, step.x_next_values
         if step.label_pred != true_label:
             status = 'misclassified'
             break

@@ -289,6 +289,12 @@ class SecFrame:
     def m_basis(self) -> int:
         return self.config.m_basis
 
+    @property
+    def m_out(self) -> int:
+        """Output modes of the field operators: the eigenfunction values a
+        tangent frame reads."""
+        return self.ops[0].m_out
+
 
 def build_sec_frame(model: CidmModel, config: SecBasisConfig,
                     n_fields: int) -> SecFrame:
@@ -382,7 +388,9 @@ def tangent_frame_at(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
     vectors.  Each field contributes its arrow at three output-mode
     truncations (rows of the extended operator are truncation-independent,
     so these are free); the tangent direction is common to all of them
-    while reconstruction noise is not, which steadies the SVD.
+    while reconstruction noise is not, which steadies the SVD.  The one
+    O(N) step is the kernel row at x; the PGD loop builds the frame from
+    a row it has already computed at x instead.
 
     Raises
     ------
@@ -390,16 +398,21 @@ def tangent_frame_at(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
         If fewer than ``dim`` singular values clear the rank threshold:
         the supplied fields do not span the tangent space at x.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if dim < 1 or dim > x.shape[-1]:
+    return _tangent_frame(frame, fhat, eigenfunction_values(model, x, frame.m_out), dim)
+
+
+def _tangent_frame(frame: SecFrame, fhat: np.ndarray, vals: np.ndarray,
+                   dim: int) -> np.ndarray:
+    """The basis of :func:`tangent_frame_at` from the eigenfunction values
+    at x, ``vals``, which must cover modes 0..m_out-1 (further modes are
+    not read)."""
+    fhat = np.asarray(fhat, dtype=np.float64)
+    if dim < 1 or dim > fhat.shape[-1]:
         raise ValueError('dim must be in [1, ambient dimension]')
     if len(frame.fields) < dim:
         raise ValueError(f'need at least {dim} eigenfields, have {len(frame.fields)}')
     n_use = min(2 * dim, len(frame.fields))
-    m_basis = frame.m_basis
-    m_out = frame.ops[0].m_out
-    vals = eigenfunction_values(model, x, m_out)
-    fhat = np.asarray(fhat, dtype=np.float64)
+    m_basis, m_out = frame.m_basis, frame.m_out
     resolutions = sorted({m_basis, (m_basis + m_out) // 2, m_out})
     arrows = []
     for op in frame.ops[:n_use]:

@@ -244,6 +244,22 @@ class TestCertifiedCutoff:
         weights = _kernel_rows(model, cloud.points[idx])[0]
         npt.assert_array_equal(weights != 0.0, K[idx] != 0.0)
 
+    @pytest.mark.parametrize('n_points', [40, 400, 4000])
+    def test_clamp_before_exp_keeps_every_value(self, n_points):
+        # the cut shape clamps z before the exp; the reference does not
+        cut = np.log(n_points) + KERNEL_TAIL
+        z = np.concatenate([
+            np.linspace(0.0, 1e4, 20001),
+            np.linspace(700.0, 750.0, 5001),            # subnormal and underflow exp
+            [cut, np.nextafter(cut, 0.0), np.nextafter(cut, np.inf)],
+            np.random.default_rng(n_points).uniform(0.0, 2.0 * cut, 5000),
+        ])
+        assert (z == cut).any() and (z > cut).any()
+        ref = np.exp(-z)
+        ref[z > cut] = 0.0
+        got = cidm._cut_shape(z.copy(), 'exponential', n_points)
+        npt.assert_array_equal(got, ref)
+
     @staticmethod
     def symmetric_kernel(cloud, cfg):
         K, degree, _ = dense_kernel_matrix(dense_squared_distances(cloud.points),
@@ -365,6 +381,23 @@ class TestPointCloud:
         path = tmp_path / 'pts.csv'
         cloud.to_csv(path)
         npt.assert_array_equal(om.PointCloud.from_csv(path).points, cloud.points)
+
+    def test_failed_write_keeps_the_old_csv(self, tmp_path, monkeypatch):
+        path = tmp_path / 'pts.csv'
+        old = om.PointCloud(np.arange(12.0).reshape(6, 2))
+        old.to_csv(path)
+        before = path.read_bytes()
+        savetxt = np.savetxt
+
+        def fail_after_one_row(fname, X, *args, **kwargs):
+            savetxt(fname, X[:1], *args, **kwargs)
+            raise OSError('No space left on device')
+
+        monkeypatch.setattr(np, 'savetxt', fail_after_one_row)
+        with pytest.raises(OSError, match='No space left'):
+            om.PointCloud(-np.ones((5, 2))).to_csv(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ['pts.csv']
 
     @pytest.mark.parametrize('bad', [
         np.ones((1, 2)),                       # too few points

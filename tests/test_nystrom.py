@@ -355,6 +355,24 @@ class TestBadQueries:
             else:
                 om.diffusion_map_jacobian(model, 3, bad)
 
+    @pytest.mark.parametrize('bad', [[np.nan, 1.0], [np.inf, 0.0], [1e200, 0.0],
+                                     [1.0, 2.0, 3.0]],
+                             ids=['nan', 'inf', 'overflow', 'wrong-dimension'])
+    @pytest.mark.parametrize('entry', ['eigenfunction_values', 'project_many',
+                                       'diffusion_map_jacobian'])
+    def test_named_error_type(self, noisy_circle, bad, entry):
+        _, _, model = noisy_circle
+        bad = np.array(bad)
+        with pytest.raises(om.InvalidQueryError) as info:
+            if entry == 'eigenfunction_values':
+                om.eigenfunction_values(model, bad, 3)
+            elif entry == 'project_many':
+                om.project_many(om.build_projector(model, 15), bad)
+            else:
+                om.diffusion_map_jacobian(model, 3, bad)
+        assert isinstance(info.value, om.GeometryError)
+        assert isinstance(info.value, ValueError)
+
 
 class TestPartitionOfUnity:
     def test_weights_sum_to_one(self, noisy_circle):

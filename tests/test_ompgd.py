@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import onmanifold as om
+from onmanifold import nystrom, sec
 from onmanifold.ompgd import om_pgd, om_pgd_step
 
 from conftest import angle_diff_deg
@@ -285,3 +288,92 @@ class TestOmPgd:
         assert longer.l_trunc == 30
         npt.assert_allclose(longer.xhat[:projector.l_trunc], projector.xhat,
                             atol=1e-12)
+
+
+PGD_STEP_FIELDS = ('index', 'x_on', 'g_raw', 'g_tan', 'x_stepped', 'x_next', 'label_pred',
+                   'semantics', 'x_next_values')
+
+
+def pgd_attack(pgd_run, label_modes, m_out=40):
+    """A few-step attack from 100 degrees with a label map of
+    ``label_modes`` modes, or none, and SEC operators with ``m_out`` modes."""
+    model, oracle = pgd_run['model'], pgd_run['oracle']
+    if m_out == 40:
+        frame, fhat = pgd_circle_frame(pgd_run)
+    else:
+        frame = om.build_sec_frame(model, om.SecBasisConfig(m_basis=8, m_inner=m_out),
+                                   n_fields=2)
+        fhat = om.fourier_coefficients(model, pgd_run['cloud'].points, 8)
+    label_map = None if label_modes is None else om.semantic_map(
+        model, pgd_run['params'], [True], label_modes)
+    rad = np.radians(100.0)
+    start = np.array([1.05 * np.cos(rad), 1.05 * np.sin(rad)])
+    config = om.PgdConfig(alpha=np.radians(2.0), max_steps=40)
+    args = (oracle.sector_of(100.0), oracle, pgd_run['projector'], frame, fhat, config)
+    return start, args, label_map
+
+
+class TestOneRowPerIterate:
+    """om_pgd hands each step the row its predecessor computed at x_on."""
+
+    @pytest.mark.parametrize('label_modes, m_out', [(None, 40), (40, 40), (30, 40), (40, 30)],
+                             ids=['no-label-map', 'label-modes-eq-m-out',
+                                  'label-modes-lt-m-out', 'label-modes-gt-m-out'])
+    def test_trace_equals_chained_steps_without_carried_values(self, pgd_run, label_modes,
+                                                               m_out):
+        start, args, label_map = pgd_attack(pgd_run, label_modes, m_out)
+        trace = om_pgd(start, *args, label_map=label_map)
+        true_label, projector, config = args[0], args[2], args[5]
+        x_on = om.project_many(projector, start, config.project_iters)
+        npt.assert_array_equal(trace.x0, x_on)
+        status = 'max_steps'
+        for i, carried in enumerate(trace.steps):
+            step = om_pgd_step(x_on, *args, index=i, label_map=label_map)
+            for name in PGD_STEP_FIELDS:
+                npt.assert_array_equal(getattr(carried, name), getattr(step, name),
+                                       err_msg=f'step {i} field {name}')
+            x_on = step.x_next
+            if step.label_pred != true_label:
+                status = 'misclassified'
+                break
+        assert trace.status == status == 'misclassified'
+        assert len(trace.steps) >= 4
+        if label_map is None:
+            assert all(s.x_next_values is None for s in trace.steps)
+        else:
+            assert all(s.x_next_values.shape == (40,) for s in trace.steps)
+
+    @pytest.mark.parametrize('label_modes, m_out', [(None, 40), (40, 40), (40, 30)])
+    def test_rows_per_attack(self, pgd_run, monkeypatch, label_modes, m_out):
+        start, args, label_map = pgd_attack(pgd_run, label_modes, m_out)
+        widths = []
+        values = nystrom.eigenfunction_values
+
+        def counted(model, x, n_modes):
+            widths.append(n_modes)
+            return values(model, x, n_modes)
+
+        # every caller resolves the row through one of these two names
+        monkeypatch.setattr(nystrom, 'eigenfunction_values', counted)
+        monkeypatch.setattr(sec, 'eigenfunction_values', counted)
+        trace = om_pgd(start, *args, label_map=label_map)
+        steps = len(trace.steps)
+        assert trace.status == 'misclassified' and steps >= 4
+        l_trunc = args[2].l_trunc
+        if label_map is None:
+            # two projection rows of the start and of every step, and the
+            # tangent row at every x_on
+            assert len(widths) == 2 + 3 * steps
+            assert Counter(widths) == {l_trunc: 2 + 2 * steps, m_out: steps}
+        else:
+            # plus the row at x0; the row at each x_next serves its labels
+            # and the next step's tangent frame, so it has both their modes
+            assert len(widths) == 3 + 3 * steps
+            assert Counter(widths) == {l_trunc: 2 + 2 * steps,
+                                       max(m_out, label_modes): 1 + steps}
+
+    def test_carried_values_of_the_wrong_width_rejected(self, pgd_run):
+        start, args, label_map = pgd_attack(pgd_run, 30)
+        x_on = om.project(args[2], start, 2)
+        with pytest.raises(ValueError, match=r'x_on_values must have shape \(40,\)'):
+            om_pgd_step(x_on, *args, label_map=label_map, x_on_values=np.zeros(30))
