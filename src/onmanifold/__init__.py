@@ -4,21 +4,20 @@ projection, SEC vector fields, and on-manifold projected gradient descent."""
 from .errors import (GeometryError, InvalidQueryError, DuplicatePointError,
                      EigensolverFailure, DisconnectedGraphError, SmallEigenvalueError,
                      KnnBoundaryError, DegenerateFrameError, SingularGramError,
-                     RankDeficiencyError, TangentRankError, StalledError)
-from .cidm import (PointCloud, CidmConfig, CidmModel, knn_scales,
-                   cidm_dissimilarity_sq, fit, inner)
+                     RankDeficiencyError, StalledError)
+from .cidm import PointCloud, CidmConfig, CidmModel, knn_scales, fit, inner
 from .nystrom import (NystromProjector, extend_eigenfunction, eigenfunction_values,
                       diffusion_map, fourier_coefficients, extend_function,
                       build_projector, project, project_many, grad_eigenfunction,
                       diffusion_map_jacobian, restricted_loss_gradient)
 from .sec import (SecBasisConfig, SecFrame, OperatorRep, EigenField,
                   structure_constants, metric_tensor, dirichlet_energy_tensor,
-                  sobolev_basis, eigenfields, frame_to_operator, field_operator,
+                  sobolev_basis, eigenfields, field_operator,
                   build_sec_frame, pushforward, tangent_frame_at, local_pca_tangent)
 from .ompgd import (ClassifierOracle, SectorClassifier, sector_classifier,
                     SemanticMap, semantic_map, semantic_labels, PgdConfig,
                     PgdStep, PgdTrace, om_pgd_step, om_pgd)
 from .synth import SynthSpec, generate, fig1_target_function, periodic_flags
-from .bundle import ModelBundle, save_bundle, load_bundle, dataset_digest
+from .bundle import ModelBundle, save_bundle, load_bundle
 
 __version__ = '0.1.0'

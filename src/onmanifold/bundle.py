@@ -1,6 +1,6 @@
 """Model persistence: JSON manifest plus a little-endian float64 blob.
 
-File layout::
+File layout (format version 2)::
 
     bytes 0..7    magic b'OMFB0001'
     bytes 8..15   uint64 LE manifest length in bytes
@@ -8,9 +8,14 @@ File layout::
     arrays        concatenated C-order float64 little-endian buffers,
                   in the order declared by manifest['arrays']
 
-The manifest is rebuilt canonically on every save, so loading a bundle
-and saving it again is byte-identical.  Saves replace the target file
-atomically.
+A bundle stores only what queries read: the fitted model, and the
+projector coefficients, SEC fields with their operators and embedding
+coefficients, and semantic coefficients where attached.  The manifest's
+``arrays_digest`` is one SHA-256 over the whole array blob.  A load
+raises ``ValueError`` if the arrays do not match it, or if the file ends
+before or runs on past the last array the manifest declares.  The manifest is rebuilt canonically on every save, so
+loading a bundle and saving it again is byte-identical.  Saves replace
+the target file atomically.
 """
 
 import contextlib
@@ -27,16 +32,18 @@ from .nystrom import NystromProjector
 from .ompgd import SemanticMap
 from .sec import EigenField, OperatorRep, SecBasisConfig, SecFrame
 
-__all__ = ['ModelBundle', 'save_bundle', 'load_bundle', 'dataset_digest']
+__all__ = ['ModelBundle', 'save_bundle', 'load_bundle']
 
 MAGIC = b'OMFB0001'
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-def dataset_digest(points: np.ndarray) -> str:
-    """SHA-256 of the canonical float64 little-endian bytes of the points."""
-    blob = np.ascontiguousarray(points, dtype='<f8').tobytes()
-    return 'sha256:' + hashlib.sha256(blob).hexdigest()
+def _arrays_digest(buffers) -> str:
+    """SHA-256 of the concatenated buffers, fed one at a time."""
+    h = hashlib.sha256()
+    for buf in buffers:
+        h.update(buf)
+    return 'sha256:' + h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,7 @@ class ModelBundle:
 
 
 def _manifest_and_arrays(bundle: ModelBundle):
+    """The manifest and the (name, C-order ``<f8`` array) pairs it declares."""
     model = bundle.model
     cfg = model.config
     arrays: list[tuple[str, np.ndarray]] = [
@@ -81,7 +89,6 @@ def _manifest_and_arrays(bundle: ModelBundle):
         'ambient_dim': model.training.ambient_dim,
         'n_eigs': model.n_eigs,
         'data_diameter': model.data_diameter,
-        'dataset_digest': dataset_digest(model.training.points),
         'projector': None,
         'sec': None,
         'semantics': None,
@@ -98,14 +105,8 @@ def _manifest_and_arrays(bundle: ModelBundle):
             'm_inner': frame.m_inner,
             'tau_frac': frame.config.tau_frac,
             'n_fields': len(frame.fields),
-            'm_out': frame.ops[0].m_out if frame.ops else frame.config.m_basis,
-            'frame_index': [int(i) for i in frame.frame_index],
         }
         arrays.extend([
-            ('sec_c', frame.c),
-            ('sec_G', frame.G),
-            ('sec_E', frame.E),
-            ('sec_u_tilde', frame.u_tilde),
             ('sec_etas', np.array([f.eta for f in frame.fields])),
             ('sec_coeffs', np.stack([f.coeffs for f in frame.fields])),
             ('sec_ops', np.stack([op.v_op for op in frame.ops])),
@@ -117,7 +118,9 @@ def _manifest_and_arrays(bundle: ModelBundle):
             'l_trunc': int(bundle.label_map.coeffs.shape[0]),
         }
         arrays.append(('semantic_coeffs', bundle.label_map.coeffs))
+    arrays = [(name, np.ascontiguousarray(arr, dtype='<f8')) for name, arr in arrays]
     manifest['arrays'] = [[name, list(arr.shape)] for name, arr in arrays]
+    manifest['arrays_digest'] = _arrays_digest(arr for _, arr in arrays)
     return manifest, arrays
 
 
@@ -139,31 +142,57 @@ def atomic_write(path, mode: str = 'x'):
 
 
 def save_bundle(path, bundle: ModelBundle) -> None:
-    """Write the bundle atomically (:func:`atomic_write`)."""
-    manifest, arrays = _manifest_and_arrays(bundle)
-    blob = json.dumps(manifest, sort_keys=True, separators=(',', ':')).encode('utf-8')
+    """Write the bundle atomically (:func:`atomic_write`).
+
+    The arrays are converted inside the write, so a conversion failure
+    leaves any old file intact too.
+    """
     with atomic_write(path, 'xb') as fh:
+        manifest, arrays = _manifest_and_arrays(bundle)
+        blob = json.dumps(manifest, sort_keys=True, separators=(',', ':')).encode('utf-8')
         fh.write(MAGIC)
         fh.write(np.uint64(len(blob)).tobytes())
         fh.write(blob)
         for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype='<f8').tobytes())
+            fh.write(arr)
+
+
+def _read_exact(fh, n: int, what: str) -> bytearray:
+    buf = bytearray(n)
+    got = fh.readinto(buf)
+    if got < n:
+        raise ValueError(f'bundle truncated: {what} needs {n} bytes, '
+                         f'but only {got} remain in the file')
+    return buf
 
 
 def load_bundle(path) -> ModelBundle:
+    """Read a bundle written by :func:`save_bundle` and check its digest.
+
+    Raises
+    ------
+    ValueError
+        If the file is not a bundle, has another format version, does
+        not end exactly after its last array, or its arrays do not match
+        the digest.
+    """
     with open(path, 'rb') as fh:
         magic = fh.read(8)
         if magic != MAGIC:
             raise ValueError(f'not a model bundle (magic {magic!r})')
-        (length,) = np.frombuffer(fh.read(8), dtype='<u8')
-        manifest = json.loads(fh.read(int(length)).decode('utf-8'))
+        (length,) = np.frombuffer(_read_exact(fh, 8, 'the manifest length'), dtype='<u8')
+        manifest = json.loads(_read_exact(fh, int(length), 'the manifest').decode('utf-8'))
         if manifest['format_version'] != FORMAT_VERSION:
-            raise ValueError(f"unsupported bundle version {manifest['format_version']}")
-        data: dict[str, np.ndarray] = {}
-        for name, shape in manifest['arrays']:
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            data[name] = np.frombuffer(buf, dtype='<f8').reshape(shape).copy()
+            raise ValueError(f"unsupported bundle version {manifest['format_version']} "
+                             f'(this build reads version {FORMAT_VERSION})')
+        buffers = [_read_exact(fh, 8 * int(np.prod(shape)), f'array {name!r}')
+                   for name, shape in manifest['arrays']]
+        if fh.read(1):
+            raise ValueError('bundle has bytes past its last declared array')
+    if manifest['arrays_digest'] != _arrays_digest(buffers):
+        raise ValueError('bundle digest does not match its stored arrays')
+    data = {name: np.frombuffer(buf, dtype='<f8').reshape(shape)
+            for (name, shape), buf in zip(manifest['arrays'], buffers)}
 
     cfg = CidmConfig(**manifest['cidm'])
     model = CidmModel(
@@ -176,8 +205,6 @@ def load_bundle(path) -> ModelBundle:
         data_diameter=manifest['data_diameter'],
         raw_degree=data.get('raw_degree'),
     )
-    if manifest['dataset_digest'] != dataset_digest(model.training.points):
-        raise ValueError('bundle dataset digest does not match its stored points')
 
     xhat = data.get('xhat')
     sec_frame = None
@@ -189,10 +216,7 @@ def load_bundle(path) -> ModelBundle:
         fields = [EigenField(eta=float(e), coeffs=cv)
                   for e, cv in zip(data['sec_etas'], data['sec_coeffs'])]
         ops = [OperatorRep(v_op=v) for v in data['sec_ops']]
-        sec_frame = SecFrame(config=config, m_inner=ms['m_inner'], c=data['sec_c'],
-                             G=data['sec_G'], E=data['sec_E'],
-                             frame_index=np.array(ms['frame_index'], dtype=int),
-                             u_tilde=data['sec_u_tilde'], fields=fields, ops=ops)
+        sec_frame = SecFrame(config=config, m_inner=ms['m_inner'], fields=fields, ops=ops)
         sec_fhat = data['sec_fhat']
     label_map = None
     if manifest['semantics'] is not None:

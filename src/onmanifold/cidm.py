@@ -67,7 +67,6 @@ __all__ = [
     'CidmConfig',
     'CidmModel',
     'knn_scales',
-    'cidm_dissimilarity_sq',
     'fit',
     'inner',
     'shape_function',
@@ -276,15 +275,6 @@ def _training_scales(pts: np.ndarray, k_nn: int, average: bool):
             f'point {bad} has kNN scale {scales[bad]:.3e}; '
             'coincident training points make the rescaled distance undefined')
     return scales, diameter
-
-
-def cidm_dissimilarity_sq(x: np.ndarray, y: np.ndarray,
-                          scale_x: float, scale_y: float) -> float:
-    """Squared rescaled dissimilarity d(x, y)^2 / (scale_x * scale_y)."""
-    if not (scale_x > 0 and scale_y > 0):
-        raise ValueError('scales must be strictly positive')
-    diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return float(diff @ diff) / (scale_x * scale_y)
 
 
 def _cut_shape(z: np.ndarray, shape: ShapeName, n_points: int) -> np.ndarray:

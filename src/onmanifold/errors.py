@@ -16,7 +16,6 @@ __all__ = [
     'DegenerateFrameError',
     'SingularGramError',
     'RankDeficiencyError',
-    'TangentRankError',
     'StalledError',
 ]
 
@@ -60,10 +59,6 @@ class SingularGramError(GeometryError):
 
 class RankDeficiencyError(GeometryError):
     """Pushforward arrows do not span the requested tangent dimension."""
-
-
-# The PGD driver surfaces tangent-frame failures under this name.
-TangentRankError = RankDeficiencyError
 
 
 class StalledError(GeometryError):

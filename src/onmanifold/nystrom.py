@@ -255,11 +255,19 @@ def diffusion_map_jacobian(model: CidmModel, n_modes: int, x) -> np.ndarray:
     """
     lam = _mode_lambdas(model, n_modes)
     query = np.asarray(x, dtype=np.float64)
-    weights, row, delta2, scale, grad_scale = _grad_pieces(model, query)
+    return _jacobian(model, lam, query, _grad_pieces(model, query))[0]
+
+
+def _jacobian(model: CidmModel, lam: np.ndarray, query: np.ndarray, pieces):
+    """:func:`diffusion_map_jacobian` for the modes of the kernel
+    eigenvalues ``lam``, from the kernel row at ``query`` (``pieces``, as
+    :func:`_grad_pieces` returns it).  Also returns ``weights @ phi``, which
+    is ``lam`` times the Nystrom values of those modes at ``query``."""
+    weights, _, delta2, scale, grad_scale = pieces
 
     pts = model.training.points
     eps2 = model.config.epsilon ** 2
-    phi = model.eig_phi[:, :n_modes]
+    phi = model.eig_phi[:, :lam.shape[0]]
     phi_hat = weights @ phi                          # = lambda * phi(x), (L,)
     centered = phi - phi_hat[None, :]                # (N, L)
 
@@ -268,7 +276,7 @@ def diffusion_map_jacobian(model: CidmModel, n_modes: int, x) -> np.ndarray:
     drift = np.outer(U.sum(axis=0), query) - U.T @ pts      # (L, n)
     s_coef = (weights * delta2) @ centered                  # (L,)
     jac = -(2.0 * drift - np.outer(s_coef, grad_scale)) / (lam[:, None] * eps2 * scale)
-    return jac
+    return jac, phi_hat
 
 
 def grad_eigenfunction(model: CidmModel, ell: int, x) -> np.ndarray:
@@ -284,10 +292,13 @@ def restricted_loss_gradient(projector: NystromProjector,
     """Gradient of loss(projection(x)): DPhi(x)^T xhat gradL(projection(x)).
 
     ``loss_grad_at`` maps an input-space point to the loss gradient there;
-    it is evaluated at the single-iteration projection of x.
+    it is evaluated at the single-iteration projection of x, which is read
+    from the same kernel row as the Jacobian.
     """
+    model = projector.model
+    lam = _mode_lambdas(model, projector.l_trunc)
     query = np.asarray(x, dtype=np.float64)
-    jac = diffusion_map_jacobian(projector.model, projector.l_trunc, query)
-    target = project_many(projector, query, iterations=1)
+    jac, phi_hat = _jacobian(model, lam, query, _grad_pieces(model, query))
+    target = (phi_hat / lam) @ projector.xhat
     g = np.asarray(loss_grad_at(target), dtype=np.float64)
     return jac.T @ (projector.xhat @ g)

@@ -24,8 +24,8 @@ import numpy as np
 # nystrom's own callers look them up, so one patch of it sees every row
 from . import nystrom
 from .cidm import CidmModel
-from .errors import StalledError
-from .nystrom import NystromProjector, build_projector, fourier_coefficients, project_many
+from .errors import InvalidQueryError, StalledError
+from .nystrom import NystromProjector, fourier_coefficients, project_many
 # the step builds its frame with _tangent_frame; tangent_frame_at stays
 # importable from here because perfbench/tracing.py wraps it by this name
 from .sec import SecFrame, _tangent_frame, tangent_frame_at
@@ -169,7 +169,16 @@ def semantic_map(model: CidmModel, params_deg: np.ndarray,
 
 
 def semantic_labels(model: CidmModel, label_map: SemanticMap, x) -> np.ndarray:
-    """Intrinsic parameters of x; periodic ones in degrees in [0, 360)."""
+    """Intrinsic parameters of one point x; periodic ones in degrees in [0, 360).
+
+    Raises
+    ------
+    InvalidQueryError
+        If x is not a single point (a 1-D array).
+    """
+    if np.ndim(x) != 1:
+        raise InvalidQueryError(f'semantic_labels decodes one point, an n-vector; '
+                                f'got an array of shape {np.shape(x)}')
     vals = nystrom.eigenfunction_values(model, x, label_map.n_modes)
     return _decode_labels(label_map, vals)
 
@@ -194,15 +203,13 @@ def _decode_labels(label_map: SemanticMap, vals: np.ndarray) -> np.ndarray:
 class PgdConfig:
     """Step size, iteration budget, and projection settings for the PGD loop.
 
-    ``l_trunc`` optionally overrides the projector truncation for the run
-    (None keeps the truncation the projector was built with).
+    The projection truncation is the one the projector was built with.
     """
 
     alpha: float
     max_steps: int
     tangent_dim: int = 1
     normalize_gradient: bool = True
-    l_trunc: int | None = None
     project_iters: int = 2
 
     def __post_init__(self):
@@ -212,8 +219,6 @@ class PgdConfig:
             raise ValueError('max_steps must be >= 1')
         if self.tangent_dim < 1:
             raise ValueError('tangent_dim must be >= 1')
-        if self.l_trunc is not None and self.l_trunc < 1:
-            raise ValueError('l_trunc must be >= 1')
         if self.project_iters < 1:
             raise ValueError('project_iters must be >= 1')
 
@@ -266,16 +271,6 @@ class PgdTrace:
         return recs
 
 
-def _resolve_projector(projector: NystromProjector, config: PgdConfig) -> NystromProjector:
-    if config.l_trunc is None or config.l_trunc == projector.l_trunc:
-        return projector
-    if config.l_trunc <= projector.l_trunc:
-        # coefficients of a shorter truncation are a prefix of the longer one
-        return NystromProjector(model=projector.model, l_trunc=config.l_trunc,
-                                xhat=projector.xhat[:config.l_trunc])
-    return build_projector(projector.model, config.l_trunc)
-
-
 def _row_width(frame: SecFrame, label_map: SemanticMap | None) -> int:
     """Modes of the one Nystrom row per iterate: the tangent frame's, and the
     label map's if there is one.  A carried row and a fresh one have the
@@ -309,7 +304,6 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
         If the tangent projection annihilates the gradient or the
         projected step does not move the iterate.
     """
-    projector = _resolve_projector(projector, config)
     model = projector.model
     x_on = np.asarray(x_on, dtype=np.float64)
     width = _row_width(frame, label_map)
@@ -359,7 +353,6 @@ def om_pgd(start: np.ndarray, true_label: int, oracle: ClassifierOracle,
     its ``x_on``, so an iterate's Nystrom row is computed once.  Stalls
     terminate the trace with status ``'stalled'`` rather than propagating.
     """
-    projector = _resolve_projector(projector, config)
     start = np.asarray(start, dtype=np.float64)
     x0 = project_many(projector, start, config.project_iters)
     x_on, x_on_values = x0, None

@@ -44,7 +44,6 @@ __all__ = [
     'dirichlet_energy_tensor',
     'sobolev_basis',
     'eigenfields',
-    'frame_to_operator',
     'field_operator',
     'build_sec_frame',
     'pushforward',
@@ -111,9 +110,8 @@ class OperatorRep:
     """Matrix of operator coefficients v_ij = <phi_i, v(phi_j)>.
 
     Rows index the output mode i (``m_out`` of them), columns the input
-    mode j < m_basis.  ``frame_to_operator`` produces the square
-    m_basis x m_basis truncation; :func:`field_operator` can extend the
-    output modes for sharper arrow reconstruction.
+    mode j < m_basis.  :func:`field_operator` fills every output mode up
+    to m_inner.
     """
 
     v_op: np.ndarray
@@ -233,55 +231,38 @@ def eigenfields(E: np.ndarray, G: np.ndarray, u_tilde: np.ndarray,
     return fields
 
 
-def frame_to_operator(coeffs: np.ndarray, G: np.ndarray) -> OperatorRep:
-    """Operator coefficients v_ij = sum_lk v^{lk} G_ijlk (square truncation)."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    m_sq = G.shape[0]
-    m = int(round(np.sqrt(m_sq)))
-    if coeffs.shape != (m_sq,):
-        raise ValueError('coeffs must match the flattened frame dimension of G')
-    return OperatorRep(v_op=(G @ coeffs).reshape(m, m))
-
-
 def field_operator(c: np.ndarray, xi: np.ndarray, coeffs: np.ndarray,
-                   m_basis: int, m_out: int | None = None) -> OperatorRep:
-    """Operator coefficients with the output-mode range widened to m_out.
+                   m_basis: int) -> OperatorRep:
+    """Operator coefficients v_ij = sum_lk v^{lk} G_ijlk for every output
+    mode i < m_inner.
 
-    The same closed form as :func:`frame_to_operator` -- the output index
-    i enters only through ``c_lsi`` -- so rows i < m_basis coincide with
-    the square truncation while rows up to ``m_out <= m_inner`` resolve
-    the field's action on the embedding more sharply.
+    The output index i enters only through ``c_lsi``, so rows i < m_basis
+    are the square truncation ``(G @ coeffs).reshape(m_basis, m_basis)``,
+    and the further rows resolve the field's action on the embedding more
+    sharply.
     """
     xi = np.asarray(xi, dtype=np.float64)
     m_inner = _check_c_xi(c, xi, m_basis)
-    m_out = m_inner if m_out is None else m_out
-    if not m_basis <= m_out <= m_inner:
-        raise ValueError(f'm_out must be in [{m_basis}, {m_inner}]')
     V = np.asarray(coeffs, dtype=np.float64).reshape(m_basis, m_basis)
     P = _plus_weighted(c, xi, m_basis, m_inner)
-    v_op = 0.5 * np.einsum('lk,jks,sli->ij', V, P, c[:m_inner, :m_basis, :m_out],
+    v_op = 0.5 * np.einsum('lk,jks,sli->ij', V, P, c[:m_inner, :m_basis, :m_inner],
                            optimize=True)
     return OperatorRep(v_op=v_op)
 
 
 @dataclass(frozen=True)
 class SecFrame:
-    """SEC tensors and minimal-energy fields for one fitted model.
+    """The minimal-energy fields of one fitted model, as queries read them.
 
-    ``frame_index`` lists the flattened (i, j) pairs the eigenfield
-    computation ran on (j = 0 excluded: ``grad(phi_0) = 0``); ``u_tilde``
-    is the Sobolev basis on that restricted frame.  ``fields`` carry full
-    m_basis^2 coefficient vectors (zeros on the excluded pairs) and
-    ``ops`` their precomputed extended operators.
+    ``fields`` carry full m_basis^2 frame coefficient vectors (zeros on
+    the pairs (i, 0), since ``grad(phi_0) = 0``) and ``ops`` their
+    operators over m_inner output modes (:func:`field_operator`), which
+    is what a tangent frame or a PGD step reads.  The tensors the fields
+    were solved from are not kept.
     """
 
     config: SecBasisConfig
     m_inner: int
-    c: np.ndarray
-    G: np.ndarray
-    E: np.ndarray
-    frame_index: np.ndarray
-    u_tilde: np.ndarray
     fields: list[EigenField]
     ops: list[OperatorRep]
 
@@ -331,7 +312,7 @@ def build_sec_frame(model: CidmModel, config: SecBasisConfig,
     for f in candidates:
         coeffs = np.zeros(m * m)
         coeffs[frame_index] = f.coeffs
-        op = field_operator(c, xi, coeffs, m, m_out=m_inner)
+        op = field_operator(c, xi, coeffs, m)
         mass, rough = _arrow_screen(model, op.v_op @ fhat)
         screened.append((EigenField(eta=f.eta, coeffs=coeffs), op, mass, rough))
     max_mass = max(mass for _, _, mass, _ in screened)
@@ -342,9 +323,7 @@ def build_sec_frame(model: CidmModel, config: SecBasisConfig,
     kept = sorted(smoothest, key=lambda s: s[0].eta)
     fields = [fld for fld, _, _, _ in kept]
     ops = [op for _, op, _, _ in kept]
-    return SecFrame(config=config, m_inner=m_inner, c=c, G=G, E=E,
-                    frame_index=frame_index, u_tilde=u_tilde,
-                    fields=fields, ops=ops)
+    return SecFrame(config=config, m_inner=m_inner, fields=fields, ops=ops)
 
 
 def _arrow_screen(model: CidmModel, A: np.ndarray) -> tuple[float, float]:

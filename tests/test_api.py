@@ -1,0 +1,35 @@
+"""The public surface keeps only what the CLI, the PGD loop and the
+acceptance suite use."""
+
+import inspect
+
+import pytest
+
+import onmanifold as om
+from onmanifold import bundle, cidm, errors, sec
+
+
+@pytest.mark.parametrize('module, name', [
+    (errors, 'TangentRankError'),
+    (cidm, 'cidm_dissimilarity_sq'),
+    (sec, 'frame_to_operator'),
+    (bundle, 'dataset_digest'),
+])
+def test_removed_names_are_gone(module, name):
+    assert not hasattr(om, name)
+    assert not hasattr(module, name)
+    assert name not in module.__all__
+
+
+def test_pgd_config_has_no_l_trunc():
+    with pytest.raises(TypeError):
+        om.PgdConfig(alpha=0.1, max_steps=1, l_trunc=10)
+
+
+def test_field_operator_has_no_m_out():
+    assert 'm_out' not in inspect.signature(om.field_operator).parameters
+
+
+def test_sec_frame_keeps_only_what_queries_read():
+    assert list(inspect.signature(om.SecFrame).parameters) == ['config', 'm_inner',
+                                                               'fields', 'ops']

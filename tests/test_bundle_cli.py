@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import onmanifold as om
-from onmanifold.bundle import ModelBundle, dataset_digest, load_bundle, save_bundle
+from onmanifold.bundle import ModelBundle, _arrays_digest, load_bundle, save_bundle
 from onmanifold.cli import _write_csv, main
 
 
@@ -40,8 +41,9 @@ class TestBundle:
         assert loaded.model.config == bundle.model.config
         assert loaded.model.data_diameter == bundle.model.data_diameter
         npt.assert_array_equal(loaded.xhat, bundle.xhat)
-        npt.assert_array_equal(loaded.sec_frame.G, bundle.sec_frame.G)
-        npt.assert_array_equal(loaded.sec_frame.u_tilde, bundle.sec_frame.u_tilde)
+        for a, b in zip(loaded.sec_frame.ops, bundle.sec_frame.ops, strict=True):
+            npt.assert_array_equal(a.v_op, b.v_op)
+        npt.assert_array_equal(loaded.sec_fhat, bundle.sec_fhat)
         assert loaded.label_map.periodic == bundle.label_map.periodic
         for a, b in zip(loaded.sec_frame.fields, bundle.sec_frame.fields):
             assert a.eta == b.eta
@@ -55,7 +57,7 @@ class TestBundle:
         assert copy.read_bytes() == path.read_bytes()
 
     def test_loaded_bundle_is_usable(self, small_bundle):
-        path, _ = small_bundle
+        path, bundle = small_bundle
         loaded = load_bundle(path)
         projector = loaded.projector()
         p = om.project(projector, np.array([1.5, 0.2]), 2)
@@ -63,6 +65,8 @@ class TestBundle:
         T = om.tangent_frame_at(loaded.model, loaded.sec_frame, loaded.sec_fhat,
                                 np.array([0.0, 1.0]), 1)
         assert T.shape == (2, 1)
+        npt.assert_array_equal(T, om.tangent_frame_at(loaded.model, bundle.sec_frame,
+                                                      bundle.sec_fhat, np.array([0.0, 1.0]), 1))
         labels = om.semantic_labels(loaded.model, loaded.label_map, np.array([0.0, 1.1]))
         assert 0.0 <= labels[0] < 360.0
 
@@ -80,7 +84,7 @@ class TestBundle:
         path, bundle = small_bundle
         target = tmp_path / 'model.bundle'
         target.write_bytes(path.read_bytes())
-        # the header and the model arrays are written before xhat fails to convert
+        # xhat fails to convert inside the write, once the temporary file is open
         broken = ModelBundle(model=bundle.model, xhat=np.array([['x']], dtype=object))
         with pytest.raises(ValueError):
             save_bundle(target, broken)
@@ -108,8 +112,58 @@ class TestBundle:
 
     def test_digest_is_stable(self):
         pts = np.arange(12, dtype=np.float64).reshape(4, 3)
-        assert dataset_digest(pts) == dataset_digest(pts.copy())
-        assert dataset_digest(pts) != dataset_digest(pts + 1)
+        other = np.ones(5)
+        assert _arrays_digest([pts, other]) == _arrays_digest([pts.copy(), other.copy()])
+        assert _arrays_digest([pts, other]) != _arrays_digest([pts, other + 1])
+        # one digest of the concatenated blob, however it is split
+        blob = pts.tobytes() + other.tobytes()
+        assert _arrays_digest([pts, other]) == 'sha256:' + hashlib.sha256(blob).hexdigest()
+        assert _arrays_digest([blob[:40], blob[40:]]) == _arrays_digest([pts, other])
+
+    def test_digest_covers_every_array(self, small_bundle, tmp_path):
+        path, _ = small_bundle
+        raw = bytearray(path.read_bytes())
+        manifest_len = int(np.frombuffer(raw[8:16], dtype='<u8')[0])
+        manifest = json.loads(raw[16:16 + manifest_len])
+        offset = 16 + manifest_len
+        for name, shape in manifest['arrays']:
+            if name == 'eig_phi':
+                break
+            offset += 8 * int(np.prod(shape))
+        raw[offset + 8 * 7 + 3] ^= 0x01     # one bit of one eig_phi value
+        bad = tmp_path / 'tampered.bundle'
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match='digest'):
+            load_bundle(bad)
+
+    def test_truncated_bundle_named(self, small_bundle, tmp_path):
+        path, bundle = small_bundle
+        cut = tmp_path / 'cut.bundle'
+        cut.write_bytes(path.read_bytes()[:-8])
+        n_bytes = 8 * bundle.label_map.coeffs.size
+        with pytest.raises(ValueError, match=f"truncated: array 'semantic_coeffs' needs "
+                                             f"{n_bytes} bytes, but only {n_bytes - 8} remain"):
+            load_bundle(cut)
+
+    def test_trailing_bytes_refused(self, small_bundle, tmp_path):
+        path, _ = small_bundle
+        long = tmp_path / 'long.bundle'
+        long.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match='past its last declared array'):
+            load_bundle(long)
+
+    def test_version_1_refused(self, small_bundle, tmp_path):
+        path, _ = small_bundle
+        raw = path.read_bytes()
+        manifest_len = int(np.frombuffer(raw[8:16], dtype='<u8')[0])
+        manifest = json.loads(raw[16:16 + manifest_len])
+        manifest['format_version'] = 1
+        blob = json.dumps(manifest, sort_keys=True, separators=(',', ':')).encode('utf-8')
+        old = tmp_path / 'v1.bundle'
+        old.write_bytes(raw[:8] + np.uint64(len(blob)).tobytes() + blob
+                        + raw[16 + manifest_len:])
+        with pytest.raises(ValueError, match='unsupported bundle version 1 '):
+            load_bundle(old)
 
     def test_dm_variant_round_trip(self, tmp_path, circle300):
         cloud, _, _ = circle300

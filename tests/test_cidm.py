@@ -12,7 +12,7 @@ from scipy.sparse.linalg import eigsh
 
 import onmanifold as om
 from onmanifold import cidm
-from onmanifold.cidm import KERNEL_TAIL, knn_scales, cidm_dissimilarity_sq, shape_function
+from onmanifold.cidm import KERNEL_TAIL, knn_scales, shape_function
 from onmanifold.nystrom import _kernel_rows
 
 from conftest import dense_kernel_matrix, dense_squared_distances, dense_training_scales
@@ -78,29 +78,6 @@ class TestKnnScales:
         pts = om.PointCloud(np.random.default_rng(0).standard_normal((5, 2)))
         with pytest.raises(ValueError):
             knn_scales(pts, 5)
-
-
-class TestDissimilarity:
-    def test_zero_at_coincidence(self):
-        assert cidm_dissimilarity_sq(np.ones(3), np.ones(3), 0.5, 2.0) == 0.0
-
-    def test_known_value(self):
-        assert cidm_dissimilarity_sq(np.array([0.0]), np.array([2.0]), 1.0, 4.0) == pytest.approx(1.0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_matches_direct_recomputation_and_symmetry(self, seed):
-        rng = np.random.default_rng(seed)
-        x, y = rng.standard_normal((2, 4))
-        sx, sy = rng.uniform(0.1, 5.0, 2)
-        got = cidm_dissimilarity_sq(x, y, sx, sy)
-        expected = np.linalg.norm(x - y) ** 2 / (sx * sy)
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert got == pytest.approx(cidm_dissimilarity_sq(y, x, sy, sx), rel=1e-12)
-
-    def test_nonpositive_scale_rejected(self):
-        with pytest.raises(ValueError):
-            cidm_dissimilarity_sq(np.zeros(2), np.ones(2), 0.0, 1.0)
 
 
 class TestFit:

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import onmanifold as om
+from onmanifold import nystrom
 
 
 class TestExtendEigenfunction:
@@ -300,6 +301,33 @@ class TestRestrictedLossGradient:
             g = om.restricted_loss_gradient(projector, lambda y: y, x)
             raw = om.project(projector, x, 1)
             assert np.linalg.norm(g) <= 0.1 * np.linalg.norm(raw)
+
+
+    def test_one_kernel_row_per_gradient(self, noisy_circle, monkeypatch):
+        # the c04 queries, against the two-row formula: the Jacobian's row
+        # and a separate single-iteration projection
+        _, _, model = noisy_circle
+        projector = om.build_projector(model, 15)
+        rows = nystrom._kernel_rows
+        calls = []
+
+        def counted(model, queries):
+            calls.append(queries.shape[0])
+            return rows(model, queries)
+
+        monkeypatch.setattr(nystrom, '_kernel_rows', counted)
+        rng = np.random.default_rng(101)
+        for _ in range(100):
+            theta, r = rng.uniform(0, 2 * np.pi), rng.uniform(0.8, 1.3)
+            x = np.array([r * np.cos(theta), r * np.sin(theta)])
+            jac = om.diffusion_map_jacobian(model, 15, x)
+            target = om.project_many(projector, x, iterations=1)
+            want = jac.T @ (projector.xhat @ (target - 0.3))
+            seen, calls[:] = [], []
+            got = om.restricted_loss_gradient(projector, lambda y: seen.append(y) or y - 0.3, x)
+            assert calls == [1]
+            npt.assert_array_equal(seen[0], target)
+            npt.assert_array_equal(got, want)
 
 
 class TestKernelVariants:

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -91,6 +92,13 @@ class TestSemanticLabels:
         got = om.semantic_labels(model, smap, cloud.points[33])
         assert abs(angle_diff_deg(got[0], params[33, 0])) <= 1.0
         assert got[1] == pytest.approx(3.0 * params[33, 0] + 1.0, rel=1e-2)
+
+    @pytest.mark.parametrize('shape', [(1, 2), (2, 2)])
+    def test_non_vector_query_named(self, circle_clean_full, shape):
+        _, params, model = circle_clean_full
+        smap = om.semantic_map(model, params, [True], 10)
+        with pytest.raises(om.InvalidQueryError, match=re.escape(f'shape {shape}')):
+            om.semantic_labels(model, smap, np.ones(shape))
 
     def test_periodic_flags_must_match_columns(self, circle_clean_full):
         _, params, model = circle_clean_full
@@ -273,21 +281,6 @@ class TestOmPgd:
         import json
         payload = json.dumps(pgd_run['trace'].to_records())
         assert json.loads(payload)[0]['step'] == 0
-
-    def test_config_l_trunc_overrides_projector(self, pgd_run):
-        from onmanifold.ompgd import _resolve_projector
-        projector = pgd_run['projector']
-        same = _resolve_projector(projector, om.PgdConfig(alpha=0.1, max_steps=1))
-        assert same is projector
-        shorter = _resolve_projector(projector,
-                                     om.PgdConfig(alpha=0.1, max_steps=1, l_trunc=10))
-        assert shorter.l_trunc == 10
-        npt.assert_array_equal(shorter.xhat, projector.xhat[:10])
-        longer = _resolve_projector(projector,
-                                    om.PgdConfig(alpha=0.1, max_steps=1, l_trunc=30))
-        assert longer.l_trunc == 30
-        npt.assert_allclose(longer.xhat[:projector.l_trunc], projector.xhat,
-                            atol=1e-12)
 
 
 PGD_STEP_FIELDS = ('index', 'x_on', 'g_raw', 'g_tan', 'x_stepped', 'x_next', 'label_pred',

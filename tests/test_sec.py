@@ -7,8 +7,8 @@ import onmanifold as om
 from onmanifold import sec
 from conftest import dense_kernel_matrix, dense_squared_distances
 from onmanifold.sec import (dirichlet_energy_tensor, eigenfields, field_operator,
-                            frame_to_operator, local_pca_tangent, metric_tensor,
-                            sobolev_basis, structure_constants)
+                            local_pca_tangent, metric_tensor, sobolev_basis,
+                            structure_constants)
 
 from conftest import principal_angles_deg, torus_tangent_basis
 
@@ -237,6 +237,15 @@ def reduced_problem(circle300):
     return E_r, G_r, u_tilde
 
 
+@pytest.fixture(scope='module')
+def circle_tensors(circle300):
+    """c, xi, G and E of the ``circle_sec`` frame, which the frame does not keep."""
+    _, _, model = circle300
+    c = structure_constants(model, 30)
+    xi = model.eig_xi[:30]
+    return c, xi, metric_tensor(c, xi, 6), dirichlet_energy_tensor(c, xi, 6)
+
+
 class TestEigenfields:
 
     def test_reduced_eigenpair_residual(self, reduced_problem):
@@ -270,36 +279,36 @@ class TestEigenfields:
         etas = [f.eta for f in eigenfields(E_r, G_r, u_tilde, 6)]
         assert etas == sorted(etas)
 
-    def test_singular_gram_raises(self, circle_sec):
+    def test_singular_gram_raises(self, circle_tensors):
         # an identity "basis" keeps the exactly-null grad(phi_0) frame
         # columns, so the reduced Gram is singular
-        frame, _ = circle_sec
+        _, _, G, E = circle_tensors
         with pytest.raises(om.SingularGramError):
-            eigenfields(frame.E, frame.G, np.eye(frame.G.shape[0]), 2)
+            eigenfields(E, G, np.eye(G.shape[0]), 2)
 
 
 class TestOperators:
-    def test_zero_coefficients_zero_operator(self, circle_sec):
-        frame, _ = circle_sec
-        op = frame_to_operator(np.zeros(frame.G.shape[0]), frame.G)
+    def test_zero_coefficients_zero_operator(self, circle_tensors):
+        c, xi, G, _ = circle_tensors
+        op = field_operator(c, xi, np.zeros(G.shape[0]), 6)
         npt.assert_array_equal(op.v_op, 0.0)
 
-    def test_unit_coefficient_selects_gram_column(self, circle_sec):
-        frame, _ = circle_sec
-        m = frame.m_basis
+    def test_unit_coefficient_selects_gram_column(self, circle_tensors):
+        c, xi, G, _ = circle_tensors
+        m = 6
         e = np.zeros(m * m)
         e[2 * m + 1] = 1.0
-        op = frame_to_operator(e, frame.G)
-        npt.assert_allclose(op.v_op.ravel(), frame.G[:, 2 * m + 1], atol=1e-14)
+        op = field_operator(c, xi, e, m)
+        npt.assert_allclose(op.v_op[:m].ravel(), G[:, 2 * m + 1], atol=1e-14)
 
-    def test_field_operator_extends_square_truncation(self, circle_sec, circle300):
-        _, _, model = circle300
+    def test_field_operator_extends_square_truncation(self, circle_sec, circle_tensors):
         frame, _ = circle_sec
+        c, xi, G, _ = circle_tensors
         coeffs = frame.fields[0].coeffs
-        xi = model.eig_xi[:frame.m_inner]
-        square = frame_to_operator(coeffs, frame.G)
-        extended = field_operator(frame.c, xi, coeffs, frame.m_basis, m_out=frame.m_inner)
-        npt.assert_allclose(extended.v_op[:frame.m_basis], square.v_op, atol=1e-10)
+        square = (G @ coeffs).reshape(frame.m_basis, frame.m_basis)
+        extended = field_operator(c, xi, coeffs, frame.m_basis)
+        assert extended.m_out == frame.m_inner
+        npt.assert_allclose(extended.v_op[:frame.m_basis], square, atol=1e-10)
 
     def test_operator_action_matches_pointwise_derivative(self):
         # apply the frame element phi_l grad(phi_k) to f: the reconstructed
@@ -312,7 +321,7 @@ class TestOperators:
         l_idx, k_idx = 2, 1
         coeffs = np.zeros(m * m)
         coeffs[l_idx * m + k_idx] = 1.0
-        op = field_operator(c, lam, coeffs, m, m_out=24)
+        op = field_operator(c, lam, coeffs, m)
         f = phi[:, 3]
         fhat = (phi / n).T @ f
         recon = phi[:, :24] @ (op.v_op @ fhat[:m])
@@ -467,11 +476,14 @@ class TestSpectralScreen:
 
 
 class TestFramePipeline:
-    def test_frame_invariants(self, circle_sec):
+    def test_frame_invariants(self, circle_sec, circle_tensors):
         frame, _ = circle_sec
+        _, _, G, _ = circle_tensors
         assert all(a.eta <= b.eta for a, b in zip(frame.fields, frame.fields[1:]))
-        assert frame.u_tilde.shape[0] == len(frame.frame_index)
-        evG = eigh(frame.G, eigvals_only=True)
+        m = frame.m_basis
+        for f in frame.fields:      # phi_i grad(phi_0) = 0 is outside the frame
+            npt.assert_array_equal(f.coeffs.reshape(m, m)[:, 0], 0.0)
+        evG = eigh(G, eigvals_only=True)
         assert evG.min() >= -1e-4 * np.abs(evG).max()   # PSD up to truncation
 
     def test_permutation_invariance_of_tensors(self):
