@@ -201,7 +201,7 @@ def load_bundle(path) -> ModelBundle:
         knn_scale=data['knn_scale'],
         degree=data['degree'],
         eig_xi=data['eig_xi'],
-        eig_phi=data['eig_phi'],
+        eig_phi=np.asfortranarray(data['eig_phi']),     # the layout fit gives it
         data_diameter=manifest['data_diameter'],
         raw_degree=data.get('raw_degree'),
     )

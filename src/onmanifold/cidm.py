@@ -125,12 +125,6 @@ class PointCloud:
         pts = np.loadtxt(path, delimiter=',', dtype=np.float64, ndmin=2)
         return cls(pts)
 
-    def to_csv(self, path) -> None:
-        """Write a headerless CSV atomically: a failed write leaves any old file."""
-        from .bundle import atomic_write        # bundle imports this module
-        with atomic_write(path) as fh:
-            np.savetxt(fh, self.points, delimiter=',', fmt='%.17g')
-
 
 @dataclass(frozen=True)
 class CidmConfig:
@@ -198,11 +192,6 @@ class CidmModel:
     @property
     def n_eigs(self) -> int:
         return self.eig_xi.shape[0]
-
-    @property
-    def eig_lambda(self) -> np.ndarray:
-        """Kernel eigenvalues lambda = 1 - xi of D^{-1} K."""
-        return 1.0 - self.eig_xi
 
     @property
     def inner_weights(self) -> np.ndarray:

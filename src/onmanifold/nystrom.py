@@ -20,7 +20,8 @@ the entries of a row at a ``repro pgd-circle`` iterate), where numpy's
 ``exp`` takes its slow subnormal and underflow paths; ``cidm._cut_shape``
 clamps those entries to the cut first.  A query that is not finite,
 overflows when squared, or has the wrong dimension raises
-:class:`InvalidQueryError`.
+:class:`InvalidQueryError`, and so does a query of a function of one point
+that is not one n-vector (``_one_point``).
 
 A row costs O(N) per query, so a caller that needs several quantities
 at one point asks :func:`eigenfunction_values` once, for the widest
@@ -76,6 +77,16 @@ def _as_queries(x) -> tuple[np.ndarray, bool]:
     if q.ndim == 2:
         return q, False
     raise ValueError('query must be an n-vector or an (m, n) array')
+
+
+def _one_point(x) -> np.ndarray:
+    """The query of a single-point function as an n-vector; any other shape
+    raises :class:`InvalidQueryError` naming it."""
+    q = np.asarray(x, dtype=np.float64)
+    if q.ndim != 1:
+        raise InvalidQueryError(f'a single-point query must be an n-vector; '
+                                f'got an array of shape {q.shape}')
+    return q
 
 
 def _kernel_rows(model: CidmModel, queries: np.ndarray):
@@ -141,7 +152,7 @@ def extend_eigenfunction(model: CidmModel, ell: int, x) -> float:
     """Nystrom extension of eigenfunction ``ell`` at a single point."""
     if not 0 <= ell < model.n_eigs:
         raise ValueError(f'ell must be in [0, {model.n_eigs})')
-    return float(eigenfunction_values(model, x, ell + 1)[..., ell])
+    return float(eigenfunction_values(model, _one_point(x), ell + 1)[ell])
 
 
 def diffusion_map(model: CidmModel, l_trunc: int, x) -> np.ndarray:
@@ -254,7 +265,7 @@ def diffusion_map_jacobian(model: CidmModel, n_modes: int, x) -> np.ndarray:
     variation contribute.  Mode 0 yields an exactly zero row.
     """
     lam = _mode_lambdas(model, n_modes)
-    query = np.asarray(x, dtype=np.float64)
+    query = _one_point(x)
     return _jacobian(model, lam, query, _grad_pieces(model, query))[0]
 
 
@@ -297,7 +308,7 @@ def restricted_loss_gradient(projector: NystromProjector,
     """
     model = projector.model
     lam = _mode_lambdas(model, projector.l_trunc)
-    query = np.asarray(x, dtype=np.float64)
+    query = _one_point(x)
     jac, phi_hat = _jacobian(model, lam, query, _grad_pieces(model, query))
     target = (phi_hat / lam) @ projector.xhat
     g = np.asarray(loss_grad_at(target), dtype=np.float64)

@@ -24,7 +24,7 @@ import numpy as np
 # nystrom's own callers look them up, so one patch of it sees every row
 from . import nystrom
 from .cidm import CidmModel
-from .errors import InvalidQueryError, StalledError
+from .errors import StalledError
 from .nystrom import NystromProjector, fourier_coefficients, project_many
 # the step builds its frame with _tangent_frame; tangent_frame_at stays
 # importable from here because perfbench/tracing.py wraps it by this name
@@ -176,10 +176,7 @@ def semantic_labels(model: CidmModel, label_map: SemanticMap, x) -> np.ndarray:
     InvalidQueryError
         If x is not a single point (a 1-D array).
     """
-    if np.ndim(x) != 1:
-        raise InvalidQueryError(f'semantic_labels decodes one point, an n-vector; '
-                                f'got an array of shape {np.shape(x)}')
-    vals = nystrom.eigenfunction_values(model, x, label_map.n_modes)
+    vals = nystrom.eigenfunction_values(model, nystrom._one_point(x), label_map.n_modes)
     return _decode_labels(label_map, vals)
 
 
@@ -255,7 +252,7 @@ class PgdTrace:
     status: Status = 'max_steps'
 
     def to_records(self) -> list[dict]:
-        """JSON-friendly per-step records plus a trailing summary."""
+        """JSON-friendly per-step records."""
         recs = []
         for s in self.steps:
             recs.append({

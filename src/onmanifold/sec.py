@@ -32,7 +32,7 @@ from scipy.spatial import cKDTree
 from .cidm import CidmModel, PointCloud
 from .errors import (DegenerateFrameError, EigensolverFailure,
                      RankDeficiencyError, SingularGramError)
-from .nystrom import eigenfunction_values, fourier_coefficients
+from .nystrom import _one_point, eigenfunction_values, fourier_coefficients
 
 __all__ = [
     'SecBasisConfig',
@@ -313,7 +313,7 @@ def build_sec_frame(model: CidmModel, config: SecBasisConfig,
         coeffs = np.zeros(m * m)
         coeffs[frame_index] = f.coeffs
         op = field_operator(c, xi, coeffs, m)
-        mass, rough = _arrow_screen(model, op.v_op @ fhat)
+        mass, rough = _arrow_screen(model, _arrow_coeffs(op, fhat))
         screened.append((EigenField(eta=f.eta, coeffs=coeffs), op, mass, rough))
     max_mass = max(mass for _, _, mass, _ in screened)
     if max_mass <= 0:
@@ -344,6 +344,16 @@ def _arrow_screen(model: CidmModel, A: np.ndarray) -> tuple[float, float]:
     return mass, rough
 
 
+def _arrow_coeffs(op: OperatorRep, fhat) -> np.ndarray:
+    """The field's arrows in the eigenbasis, ``v_op @ fhat``: row i holds
+    the coefficients of phi_i, so the arrow at x is the eigenfunction
+    values there times this (:func:`pushforward`)."""
+    fhat = np.asarray(fhat, dtype=np.float64)
+    if fhat.shape[0] < op.m_basis:
+        raise ValueError(f'fhat must cover at least {op.m_basis} modes')
+    return op.v_op @ fhat[:op.m_basis]
+
+
 def pushforward(model: CidmModel, op: OperatorRep, fhat: np.ndarray, x) -> np.ndarray:
     """Arrow of the field at x: (DF(x) v_x)_k = sum_ij v_ij fhat[j, k] phi_i(x).
 
@@ -351,11 +361,7 @@ def pushforward(model: CidmModel, op: OperatorRep, fhat: np.ndarray, x) -> np.nd
     (rows are modes, columns ambient coordinates); rows beyond the
     operator's input range are ignored.
     """
-    fhat = np.asarray(fhat, dtype=np.float64)
-    if fhat.shape[0] < op.m_basis:
-        raise ValueError(f'fhat must cover at least {op.m_basis} modes')
-    vals = eigenfunction_values(model, x, op.m_out)
-    return vals @ (op.v_op @ fhat[:op.m_basis])
+    return eigenfunction_values(model, x, op.m_out) @ _arrow_coeffs(op, fhat)
 
 
 def tangent_frame_at(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
@@ -377,7 +383,8 @@ def tangent_frame_at(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
         If fewer than ``dim`` singular values clear the rank threshold:
         the supplied fields do not span the tangent space at x.
     """
-    return _tangent_frame(frame, fhat, eigenfunction_values(model, x, frame.m_out), dim)
+    vals = eigenfunction_values(model, _one_point(x), frame.m_out)
+    return _tangent_frame(frame, fhat, vals, dim)
 
 
 def _tangent_frame(frame: SecFrame, fhat: np.ndarray, vals: np.ndarray,
@@ -385,8 +392,7 @@ def _tangent_frame(frame: SecFrame, fhat: np.ndarray, vals: np.ndarray,
     """The basis of :func:`tangent_frame_at` from the eigenfunction values
     at x, ``vals``, which must cover modes 0..m_out-1 (further modes are
     not read)."""
-    fhat = np.asarray(fhat, dtype=np.float64)
-    if dim < 1 or dim > fhat.shape[-1]:
+    if dim < 1 or dim > np.shape(fhat)[-1]:
         raise ValueError('dim must be in [1, ambient dimension]')
     if len(frame.fields) < dim:
         raise ValueError(f'need at least {dim} eigenfields, have {len(frame.fields)}')
@@ -395,7 +401,7 @@ def _tangent_frame(frame: SecFrame, fhat: np.ndarray, vals: np.ndarray,
     resolutions = sorted({m_basis, (m_basis + m_out) // 2, m_out})
     arrows = []
     for op in frame.ops[:n_use]:
-        w = op.v_op @ fhat[:op.m_basis]
+        w = _arrow_coeffs(op, fhat)
         arrows.extend(vals[:mo] @ w[:mo] for mo in resolutions)
     U, sv, _ = np.linalg.svd(np.stack(arrows).T, full_matrices=False)
     rank = int(np.sum(sv > TANGENT_SVD_RTOL * sv[0])) if sv[0] > 0 else 0
@@ -412,7 +418,7 @@ def local_pca_tangent(points: PointCloud, x, k: int, dim: int) -> np.ndarray:
         raise ValueError(f'k must be in [1, {pts.shape[0]}]')
     if not 1 <= dim <= min(k, pts.shape[1]):
         raise ValueError('dim must be <= min(k, ambient dimension)')
-    _, idx = cKDTree(pts).query(np.asarray(x, dtype=np.float64), k=k)
+    _, idx = cKDTree(pts).query(_one_point(x), k=k)
     nbrs = pts[np.atleast_1d(idx)]
     centered = nbrs - nbrs.mean(axis=0)
     _, _, Vt = np.linalg.svd(centered, full_matrices=False)

@@ -5,8 +5,8 @@ from scipy.spatial.distance import pdist, squareform
 import onmanifold as om
 from onmanifold.cidm import DUPLICATE_SCALE_FRAC, CidmConfig, _cut_shape, _knn_scales
 from onmanifold.errors import DuplicatePointError
-from onmanifold.cli import (equispaced_circle, fig2_pipeline, fig3_pipeline,
-                            pgd_circle_pipeline)
+from onmanifold.repro import (equispaced_circle, fig2_pipeline, fig3_pipeline,
+                              pgd_circle_pipeline)
 
 
 @pytest.fixture(scope='session')

@@ -7,6 +7,8 @@ import pytest
 
 import onmanifold as om
 from onmanifold import bundle, cidm, errors, sec
+from onmanifold.cli import main
+from onmanifold.repro import FIGURES
 
 
 @pytest.mark.parametrize('module, name', [
@@ -33,3 +35,11 @@ def test_field_operator_has_no_m_out():
 def test_sec_frame_keeps_only_what_queries_read():
     assert list(inspect.signature(om.SecFrame).parameters) == ['config', 'm_inner',
                                                                'fields', 'ops']
+
+
+def test_repro_offers_exactly_the_figures(capsys):
+    assert list(FIGURES) == ['fig1', 'fig2', 'fig3', 'pgd-circle']
+    with pytest.raises(SystemExit) as info:
+        main(['repro', 'fig4'])
+    assert info.value.code == 1
+    assert "invalid choice: 'fig4'" in capsys.readouterr().err

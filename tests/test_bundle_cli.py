@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import onmanifold as om
+from onmanifold import cidm
 from onmanifold.bundle import ModelBundle, _arrays_digest, load_bundle, save_bundle
 from onmanifold.cli import _write_csv, main
 
@@ -69,6 +70,35 @@ class TestBundle:
                                                       bundle.sec_fhat, np.array([0.0, 1.0]), 1))
         labels = om.semantic_labels(loaded.model, loaded.label_map, np.array([0.0, 1.1]))
         assert 0.0 <= labels[0] < 360.0
+
+    @pytest.mark.parametrize('solver', ['eigh', 'arpack'])
+    def test_loaded_model_gives_the_fitted_bits(self, solver, small_bundle, fig2, tmp_path):
+        if solver == 'eigh':
+            _, bundle = small_bundle
+        else:
+            model = fig2['model']
+            frame = om.build_sec_frame(model, om.SecBasisConfig(m_basis=6, m_inner=30),
+                                       n_fields=2)
+            fhat = om.fourier_coefficients(model, model.training.points, 6)
+            bundle = ModelBundle(model=model, xhat=fig2['projector'].xhat,
+                                 sec_frame=frame, sec_fhat=fhat)
+        model = bundle.model
+        assert cidm._uses_arpack(model.n_points, model.n_eigs) == (solver == 'arpack')
+        path = tmp_path / 'model.bundle'
+        save_bundle(path, bundle)
+        loaded = load_bundle(path)
+        queries = np.random.default_rng(8).uniform(-1.5, 1.5, size=(50, 2))
+        npt.assert_array_equal(om.eigenfunction_values(loaded.model, queries, model.n_eigs),
+                               om.eigenfunction_values(model, queries, model.n_eigs))
+        npt.assert_array_equal(om.project_many(loaded.projector(), queries),
+                               om.project_many(bundle.projector(), queries))
+        for x in queries:
+            npt.assert_array_equal(
+                om.tangent_frame_at(loaded.model, loaded.sec_frame, loaded.sec_fhat, x, 1),
+                om.tangent_frame_at(model, bundle.sec_frame, bundle.sec_fhat, x, 1))
+        copy = tmp_path / 'copy.bundle'
+        save_bundle(copy, loaded)
+        assert copy.read_bytes() == path.read_bytes()
 
     def test_digest_guards_against_tampering(self, small_bundle, tmp_path):
         path, _ = small_bundle
@@ -302,6 +332,21 @@ class TestCli:
         assert code == 2
         lines = [json.loads(line) for line in (tmp_path / 't.jsonl').read_text().splitlines()]
         assert lines[-1]['summary']['status'] == 'stalled'
+
+    @pytest.mark.parametrize('index', [-1, 5000])
+    def test_pgd_start_index_out_of_range(self, tmp_path, capsys, index):
+        pts = tmp_path / 'pts.csv'
+        bundle = tmp_path / 'model.bundle'
+        run_cli('synth', '--kind', 'circle', '--n', '200', '--seed', '5', '--out', str(pts))
+        run_cli('fit', str(pts), '--k-nn', '8', '--n-eigs', '40', '--l-trunc', '20',
+                '--out', str(bundle))
+        run_cli('sec-fields', str(bundle), '--m-basis', '6', '--n-fields', '2', '--force')
+        capsys.readouterr()
+        code = run_cli('pgd', str(bundle), '--start-index', str(index), '--alpha', '0.1',
+                       '--out', str(tmp_path / 'trace.jsonl'))
+        assert code == 1
+        assert f'--start-index must be in [0, 200), got {index}' in capsys.readouterr().err
+        assert not (tmp_path / 'trace.jsonl').exists()
 
     @pytest.mark.parametrize('verb', ['fig1', 'fig2', 'fig3', 'pgd-circle'])
     def test_repro_bytes_identical_across_processes(self, verb, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -400,6 +402,28 @@ class TestBadQueries:
                 om.diffusion_map_jacobian(model, 3, bad)
         assert isinstance(info.value, om.GeometryError)
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize('shape', [(), (1, 2), (2, 2), (1, 1, 2)])
+    @pytest.mark.parametrize('entry', ['diffusion_map_jacobian', 'grad_eigenfunction',
+                                       'restricted_loss_gradient', 'extend_eigenfunction',
+                                       'tangent_frame_at', 'local_pca_tangent',
+                                       'semantic_labels'])
+    def test_single_point_entries_name_the_shape(self, circle300, circle_sec, entry, shape):
+        cloud, params, model = circle300
+        frame, fhat = circle_sec
+        calls = {
+            'diffusion_map_jacobian': lambda x: om.diffusion_map_jacobian(model, 3, x),
+            'grad_eigenfunction': lambda x: om.grad_eigenfunction(model, 1, x),
+            'restricted_loss_gradient': lambda x: om.restricted_loss_gradient(
+                om.build_projector(model, 10), lambda y: y, x),
+            'extend_eigenfunction': lambda x: om.extend_eigenfunction(model, 1, x),
+            'tangent_frame_at': lambda x: om.tangent_frame_at(model, frame, fhat, x, 1),
+            'local_pca_tangent': lambda x: om.local_pca_tangent(cloud, x, 10, 1),
+            'semantic_labels': lambda x: om.semantic_labels(
+                model, om.semantic_map(model, params, [True], 10), x),
+        }
+        with pytest.raises(om.InvalidQueryError, match=re.escape(f'shape {shape}')):
+            calls[entry](np.full(shape, 0.5))
 
 
 class TestPartitionOfUnity:

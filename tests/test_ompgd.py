@@ -244,7 +244,7 @@ class TestOmPgd:
         assert len(trace.steps) == 0
 
     def test_deterministic_rerun(self, pgd_run):
-        from onmanifold.cli import pgd_circle_pipeline
+        from onmanifold.repro import pgd_circle_pipeline
         a = pgd_run['trace']
         b = pgd_circle_pipeline()['trace']
         assert a.status == b.status and len(a.steps) == len(b.steps)
