@@ -18,7 +18,7 @@ from .bundle import ModelBundle, atomic_write, load_bundle, save_bundle
 from .cidm import CidmConfig, PointCloud, fit
 from .errors import GeometryError
 from .nystrom import build_projector, extend_function, fourier_coefficients, project_many
-from .ompgd import PgdConfig, PgdTrace, om_pgd, sector_classifier
+from .ompgd import PgdConfig, PgdTrace, _pgd_from, sector_classifier
 from .repro import FIGURES, equispaced_circle  # noqa: F401 (tests import it from here)
 from .sec import SecBasisConfig, _arrow_coeffs, build_sec_frame, tangent_frame_at
 from .synth import SynthSpec, generate
@@ -177,10 +177,11 @@ def _cmd_pgd(args) -> int:
                        tangent_dim=args.tangent_dim,
                        normalize_gradient=args.normalize,
                        project_iters=args.project_iters)
+    # the start is projected once: for the true label and as the loop's x0
     x0 = project_many(projector, start, config.project_iters)
     true_label = args.true_label if args.true_label is not None else oracle.predict(x0)
-    trace = om_pgd(start, true_label, oracle, projector, bundle.sec_frame,
-                   bundle.sec_fhat, config, label_map=bundle.label_map)
+    trace = _pgd_from(start, x0, true_label, oracle, projector, bundle.sec_frame,
+                      bundle.sec_fhat, config, bundle.label_map)
     return _report_pgd('pgd', args.out, trace, args.force)
 
 

@@ -18,7 +18,9 @@ at a training point has the same support as its fitted row.  Even after
 the shift, most of a row can lie far past the cut (z > 708 for 69 % of
 the entries of a row at a ``repro pgd-circle`` iterate), where numpy's
 ``exp`` takes its slow subnormal and underflow paths; ``cidm._cut_shape``
-clamps those entries to the cut first.  A query that is not finite,
+clamps those entries to the cut first.  The row's arithmetic runs in
+place on one scratch array, with the operations and their order of the
+plain expression, so it gives the same bits.  A query that is not finite,
 overflows when squared, or has the wrong dimension raises
 :class:`InvalidQueryError`, and so does a query of a function of one point
 that is not one n-vector (``_one_point``).
@@ -97,6 +99,11 @@ def _kernel_rows(model: CidmModel, queries: np.ndarray):
     minimum dissimilarity shifted out, which leaves the normalized
     weights unchanged but keeps them finite arbitrarily far from the
     training data; the certified cutoff then drops the shifted tail.
+
+    Besides the three returned (m, N) arrays the row allocates one more,
+    the scratch ``z``: it holds the distances the kNN scales reorder, then
+    the scale products, then the weights, each operation writing in place.
+    An empty batch gives empty rows.
     """
     cfg = model.config
     pts = model.training.points
@@ -104,25 +111,28 @@ def _kernel_rows(model: CidmModel, queries: np.ndarray):
         raise InvalidQueryError(f'query dimension {queries.shape[1]} does not match '
                                 f'the training dimension {pts.shape[1]}')
     dists = cdist(queries, pts)
-    if not dists.max() < MAX_DISTANCE:             # NaN, inf, or overflow
+    if not dists.max(initial=0.0) < MAX_DISTANCE:  # NaN, inf, or overflow
         bad = int(np.argmin(dists.max(axis=1) < MAX_DISTANCE))
         raise InvalidQueryError(f'query row {bad}: the query or its squared distances '
                                 'to the training points are not finite')
     # exact-zero distances are skipped, so a training point's row is its fitted row
-    scales = _knn_scales(np.where(dists > 0.0, dists, np.inf), cfg.k_nn, cfg.average_scales)
+    z = np.where(dists > 0.0, dists, np.inf)
+    scales = _knn_scales(z, cfg.k_nn, cfg.average_scales)
     if np.isinf(scales).any():
         raise ValueError('fewer than k_nn distinct training points for a query')
-    delta2 = dists ** 2 / (scales[:, None] * model.knn_scale[None, :])
-    z = delta2 / cfg.epsilon ** 2
+    delta2 = np.square(dists)
+    delta2 /= np.multiply(scales[:, None], model.knn_scale[None, :], out=z)
+    np.divide(delta2, cfg.epsilon ** 2, out=z)
     if cfg.shape == 'exponential':
         z -= z.min(axis=1, keepdims=True)
     u = _cut_shape(z, cfg.shape, model.n_points)
     if cfg.kernel_variant == 'cidm_dm_normalized':
-        u = u / model.raw_degree[None, :]
+        u /= model.raw_degree[None, :]
     norm = u.sum(axis=1, keepdims=True)
     if (norm == 0.0).any():
         raise GeometryError('query outside the support of the indicator kernel')
-    return u / norm, dists, scales, delta2
+    u /= norm
+    return u, dists, scales, delta2
 
 
 def _mode_lambdas(model: CidmModel, n_modes: int) -> np.ndarray:

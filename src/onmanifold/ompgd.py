@@ -352,6 +352,16 @@ def om_pgd(start: np.ndarray, true_label: int, oracle: ClassifierOracle,
     """
     start = np.asarray(start, dtype=np.float64)
     x0 = project_many(projector, start, config.project_iters)
+    return _pgd_from(start, x0, true_label, oracle, projector, frame, fhat,
+                     config, label_map)
+
+
+def _pgd_from(start: np.ndarray, x0: np.ndarray, true_label: int,
+              oracle: ClassifierOracle, projector: NystromProjector, frame: SecFrame,
+              fhat: np.ndarray, config: PgdConfig,
+              label_map: SemanticMap | None) -> PgdTrace:
+    """The loop of :func:`om_pgd`, from ``x0``, the projection of ``start``
+    that the caller has already computed."""
     x_on, x_on_values = x0, None
     steps: list[PgdStep] = []
     status: Status = 'max_steps'

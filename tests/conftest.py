@@ -3,8 +3,12 @@ import pytest
 from scipy.spatial.distance import pdist, squareform
 
 import onmanifold as om
-from onmanifold.cidm import DUPLICATE_SCALE_FRAC, CidmConfig, _cut_shape, _knn_scales
-from onmanifold.errors import DuplicatePointError
+from scipy.spatial.distance import cdist
+
+from onmanifold.cidm import (DUPLICATE_SCALE_FRAC, KERNEL_TAIL, CidmConfig, _knn_scales,
+                             shape_function)
+from onmanifold.errors import DuplicatePointError, GeometryError, InvalidQueryError
+from onmanifold.nystrom import MAX_DISTANCE
 from onmanifold.repro import (equispaced_circle, fig2_pipeline, fig3_pipeline,
                               pgd_circle_pipeline)
 
@@ -91,6 +95,53 @@ def semantic_model():
     return cloud, params, model
 
 
+# ---------------------------------------------------- reference kernel values
+# The kernel values with a masked store of the cut entries, and the
+# out-of-sample row built from fresh temporaries: the plain forms that the
+# mask multiply of ``cidm._cut_shape`` and the in-place arithmetic of
+# ``nystrom._kernel_rows`` must reproduce bit for bit.
+
+
+def reference_cut_shape(z: np.ndarray, shape, n_points: int) -> np.ndarray:
+    if shape != 'exponential':
+        return shape_function(z, shape)
+    cut = np.log(n_points) + KERNEL_TAIL
+    far = z > cut
+    np.minimum(z, cut, out=z)
+    np.exp(np.negative(z, out=z), out=z)
+    np.putmask(z, far, 0.0)
+    return z
+
+
+def reference_kernel_rows(model, queries: np.ndarray):
+    """``(weights, dists, scales, delta2)`` of the out-of-sample rows."""
+    cfg = model.config
+    pts = model.training.points
+    if queries.shape[1] != pts.shape[1]:
+        raise InvalidQueryError(f'query dimension {queries.shape[1]} does not match '
+                                f'the training dimension {pts.shape[1]}')
+    dists = cdist(queries, pts)
+    if not dists.max() < MAX_DISTANCE:             # NaN, inf, or overflow
+        bad = int(np.argmin(dists.max(axis=1) < MAX_DISTANCE))
+        raise InvalidQueryError(f'query row {bad}: the query or its squared distances '
+                                'to the training points are not finite')
+    # exact-zero distances are skipped, so a training point's row is its fitted row
+    scales = _knn_scales(np.where(dists > 0.0, dists, np.inf), cfg.k_nn, cfg.average_scales)
+    if np.isinf(scales).any():
+        raise ValueError('fewer than k_nn distinct training points for a query')
+    delta2 = dists ** 2 / (scales[:, None] * model.knn_scale[None, :])
+    z = delta2 / cfg.epsilon ** 2
+    if cfg.shape == 'exponential':
+        z -= z.min(axis=1, keepdims=True)
+    u = reference_cut_shape(z, cfg.shape, model.n_points)
+    if cfg.kernel_variant == 'cidm_dm_normalized':
+        u = u / model.raw_degree[None, :]
+    norm = u.sum(axis=1, keepdims=True)
+    if (norm == 0.0).any():
+        raise GeometryError('query outside the support of the indicator kernel')
+    return u / norm, dists, scales, delta2
+
+
 # ---------------------------------------------------- naive dense kernel
 # The training kernel as one N x N array: the reference that the row-block
 # CSR build of ``cidm.fit`` must reproduce bit for bit.
@@ -122,7 +173,7 @@ def dense_kernel_matrix(d2: np.ndarray, scales: np.ndarray, config: CidmConfig):
     """Symmetric kernel matrix, its degree vector, and the raw CIDM degrees."""
     z = d2 / np.outer(scales, scales)
     z /= config.epsilon ** 2
-    K = _cut_shape(z, config.shape, d2.shape[0])
+    K = reference_cut_shape(z, config.shape, d2.shape[0])
     raw_degree = K.sum(axis=1)
     if config.kernel_variant == 'cidm_dm_normalized':
         K /= np.outer(raw_degree, raw_degree)

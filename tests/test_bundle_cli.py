@@ -9,9 +9,9 @@ import numpy.testing as npt
 import pytest
 
 import onmanifold as om
-from onmanifold import cidm
+from onmanifold import cidm, nystrom
 from onmanifold.bundle import ModelBundle, _arrays_digest, load_bundle, save_bundle
-from onmanifold.cli import _write_csv, main
+from onmanifold.cli import _report_pgd, _write_csv, main
 
 
 @pytest.fixture(scope='module')
@@ -332,6 +332,37 @@ class TestCli:
         assert code == 2
         lines = [json.loads(line) for line in (tmp_path / 't.jsonl').read_text().splitlines()]
         assert lines[-1]['summary']['status'] == 'stalled'
+
+    def test_pgd_verb_projects_its_start_once(self, small_bundle, tmp_path, monkeypatch):
+        path, _ = small_bundle
+        rows = []
+        kernel_rows = nystrom._kernel_rows
+
+        def counting(model, queries):
+            rows.append(queries.shape[0])
+            return kernel_rows(model, queries)
+
+        monkeypatch.setattr(nystrom, '_kernel_rows', counting)
+        out = tmp_path / 'trace.jsonl'
+        code = run_cli('pgd', str(path), '--start', '0.87,0.5', '--boundary-offset', '40',
+                       '--alpha', '0.15', '--max-steps', '4', '--out', str(out))
+        cli_rows = sum(rows)
+        # the same attack through om_pgd, which projects the start itself;
+        # the label comes from a projection outside the count
+        bundle = load_bundle(path)
+        projector = bundle.projector()
+        start = np.array([0.87, 0.5])
+        oracle = om.sector_classifier(4, boundary_offset=40.0)
+        config = om.PgdConfig(alpha=0.15, max_steps=4)
+        label = oracle.predict(om.project_many(projector, start, config.project_iters))
+        rows.clear()
+        trace = om.om_pgd(start, label, oracle, projector, bundle.sec_frame,
+                          bundle.sec_fhat, config, label_map=bundle.label_map)
+        assert cli_rows == sum(rows)
+        assert trace.steps
+        ref = tmp_path / 'ref.jsonl'
+        assert _report_pgd('pgd', ref, trace, force=False) == code
+        assert out.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize('index', [-1, 5000])
     def test_pgd_start_index_out_of_range(self, tmp_path, capsys, index):

@@ -16,7 +16,8 @@ from onmanifold.cidm import KERNEL_TAIL, knn_scales, shape_function
 from onmanifold.cli import _write_csv
 from onmanifold.nystrom import _kernel_rows
 
-from conftest import dense_kernel_matrix, dense_squared_distances, dense_training_scales
+from conftest import (dense_kernel_matrix, dense_squared_distances, dense_training_scales,
+                      reference_cut_shape)
 
 
 def brute_force_scales(pts, k):
@@ -238,6 +239,20 @@ class TestCertifiedCutoff:
         got = cidm._cut_shape(z.copy(), 'exponential', n_points)
         npt.assert_array_equal(got, ref)
 
+    @pytest.mark.parametrize('n_points', [40, 4000])
+    def test_mask_multiply_matches_the_masked_store(self, n_points):
+        # zeroing the cut entries by a 0/1 multiply gives the bits of a
+        # masked store, signs of zeros and NaN included
+        cut = np.log(n_points) + KERNEL_TAIL
+        z = np.concatenate([
+            [0.0, -0.0, cut, np.nextafter(cut, 0.0), np.nextafter(cut, np.inf),
+             1e300, np.inf, np.nan],
+            np.random.default_rng(n_points).uniform(0.0, 2.0 * cut, 5000),
+        ])
+        got = cidm._cut_shape(z.copy(), 'exponential', n_points)
+        ref = reference_cut_shape(z.copy(), 'exponential', n_points)
+        npt.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
     @staticmethod
     def symmetric_kernel(cloud, cfg):
         K, degree, _ = dense_kernel_matrix(dense_squared_distances(cloud.points),
@@ -323,6 +338,20 @@ class TestRowBlockKernel:
             npt.assert_array_equal(getattr(K, name), getattr(ref['K_sym'], name), err_msg=name)
         npt.assert_array_equal(degree, ref['degree'])
         npt.assert_array_equal(raw_degree, ref['raw_degree'])
+
+    def test_csr_kernel_has_int32_indices(self, case):
+        cloud, cfg, ref = case
+        K = cidm._kernel_csr(cloud.points, ref['knn_scale'], cfg)[0]
+        assert K.indices.dtype == np.int32
+        assert K.indptr.dtype == np.int32
+
+    def test_fit_hands_arpack_an_int32_csr(self, fig2, monkeypatch):
+        model = fig2['model']
+        calls = TestCertifiedCutoff.spy_on_arpack(monkeypatch)
+        om.fit(model.training, model.config)
+        (op, _), = calls
+        assert isinstance(op, csr_array)
+        assert op.indices.dtype == np.int32 and op.indptr.dtype == np.int32
 
     def test_fitted_model_is_bit_identical(self, case):
         cloud, cfg, ref = case

@@ -7,6 +7,8 @@ import pytest
 import onmanifold as om
 from onmanifold import nystrom
 
+from conftest import reference_kernel_rows
+
 
 class TestExtendEigenfunction:
     def test_constant_mode_is_one_everywhere(self, noisy_circle):
@@ -449,3 +451,59 @@ class TestPartitionOfUnity:
         ratios = lhs[keep] / rhs[keep]
         assert np.median(ratios) <= 0.1
         assert np.percentile(ratios, 90) <= 0.3
+
+
+def _variant(**kw):
+    """A small noisy circle fitted with one kernel setting changed, and
+    queries near it."""
+    cloud, _ = om.generate(om.SynthSpec(kind='circle', n_points=300, noise_sigma=0.05, seed=3))
+    model = om.fit(cloud, om.CidmConfig(k_nn=10, n_eigs=20, **kw))
+    near = cloud.points + np.random.default_rng(8).normal(scale=0.02, size=cloud.points.shape)
+    return model, near
+
+
+def _pgd_iterates(run):
+    return np.vstack([np.vstack([s.x_on, s.x_stepped, s.x_next]) for s in run['trace'].steps])
+
+
+#: Case -> ``request -> (model, queries)`` for the reference-row comparison.
+REFERENCE_ROW_CASES = {
+    'fig2-grid': lambda r: (r.getfixturevalue('fig2')['model'], r.getfixturevalue('fig2')['grid']),
+    'pgd-circle-iterates': lambda r: (r.getfixturevalue('pgd_run')['model'],
+                                      _pgd_iterates(r.getfixturevalue('pgd_run'))),
+    'training-points': lambda r: (r.getfixturevalue('fig2')['model'],
+                                  r.getfixturevalue('fig2')['cloud'].points),
+    'scale-1e3': lambda r: (r.getfixturevalue('fig2')['model'],
+                            1e3 * r.getfixturevalue('fig2')['grid']),
+    'dm-normalized': lambda r: _variant(kernel_variant='cidm_dm_normalized'),
+    'indicator': lambda r: _variant(shape='indicator', epsilon=2.0),
+    'epsilon-1.3': lambda r: _variant(epsilon=1.3),
+    'kth-scale': lambda r: _variant(average_scales=False),
+}
+
+
+class TestReferenceRows:
+    """The in-place row equals the row built from fresh temporaries, bit for bit."""
+
+    @pytest.mark.parametrize('case', list(REFERENCE_ROW_CASES))
+    def test_rows_are_bit_identical(self, case, request):
+        model, queries = REFERENCE_ROW_CASES[case](request)
+        got = nystrom._kernel_rows(model, queries)
+        ref = reference_kernel_rows(model, queries)
+        for name, a, b in zip(('weights', 'dists', 'scales', 'delta2'), got, ref):
+            assert a.shape == b.shape, name
+            npt.assert_array_equal(a, b, err_msg=name)
+
+
+class TestEmptyBatch:
+    def test_empty_batch_gives_empty_rows(self, noisy_circle):
+        _, _, model = noisy_circle
+        empty = np.empty((0, 2))
+        assert om.eigenfunction_values(model, empty, 5).shape == (0, 5)
+        assert om.project_many(om.build_projector(model, 15), empty).shape == (0, 2)
+        assert om.extend_function(model, np.ones(4), empty).shape == (0,)
+
+    def test_empty_batch_of_wrong_dimension_raises(self, noisy_circle):
+        _, _, model = noisy_circle
+        with pytest.raises(om.InvalidQueryError, match='query dimension 3'):
+            om.eigenfunction_values(model, np.empty((0, 3)), 5)
