@@ -36,10 +36,13 @@ the (min-shifted) out-of-sample rows alike.  Every row holds an entry
 ``h(0) = 1``, and at most N entries of a row are dropped, each below
 ``exp(-(ln N + KERNEL_TAIL)) = e^{-32} / N``; so the dropped mass of a row
 is below ``e^{-32} ~ 1.3e-14`` of its sum.  The indicator shape is exactly
-sparse already and is left as it is.  Because row support depends on k
-and the intrinsic dimension rather than on N, the kernel of a large
-low-dimensional cloud is mostly exact zeros (14 % dense on the N=4000,
-k=24 torus).
+sparse already and is left as it is.  The cutoff is written once, in
+``_kernel_cut``: a fit computes it once for its training kernel, and a
+model once, when it is made, for its out-of-sample rows (with its kernel
+eigenvalues ``1 - xi``; see :class:`CidmModel`).  Neither is stored in a
+bundle.  Because row support depends on k and the intrinsic dimension
+rather than on N, the kernel of a large low-dimensional cloud is mostly
+exact zeros (14 % dense on the N=4000, k=24 torus).
 
 Until the eigensolve no N x N array is formed: the scales and the kernel
 are computed from row blocks of B = max(1, ``_BLOCK_ENTRIES`` // N)
@@ -87,6 +90,9 @@ DUPLICATE_SCALE_FRAC = 1e-12
 #: Exponential kernel entries with z > ln N + KERNEL_TAIL are exactly 0;
 #: the dropped mass of a row is then below e^{-KERNEL_TAIL} of its sum.
 KERNEL_TAIL = 32.0
+
+#: Modes with |lambda| below this cutoff cannot be Nystrom-extended.
+SMALL_LAMBDA = 1e-10
 
 #: Entries in one row block of the training distances and kernel (a block
 #: holds at least one row); the fit holds one block plus the kept kernel
@@ -175,6 +181,13 @@ class CidmModel:
     diffusion-maps-normalized variant ``raw_degree`` additionally keeps
     the pre-normalization CIDM degrees needed by out-of-sample kernel
     rows.
+
+    Construction (a fit, a bundle load, ``dataclasses.replace``) derives
+    what every out-of-sample row reads from these fields: the read-only
+    kernel eigenvalues ``_lambdas = 1 - eig_xi``, the count
+    ``_n_extendable`` of leading modes with ``|lambda| >= SMALL_LAMBDA``,
+    and the cutoff ``_cut`` (:func:`_kernel_cut`).  They are not stored in
+    a bundle.
     """
 
     training: PointCloud
@@ -185,6 +198,15 @@ class CidmModel:
     eig_phi: np.ndarray
     data_diameter: float
     raw_degree: np.ndarray | None = None
+
+    def __post_init__(self):
+        lam = 1.0 - self.eig_xi
+        lam.flags.writeable = False
+        small = np.abs(lam) < SMALL_LAMBDA
+        object.__setattr__(self, '_lambdas', lam)
+        object.__setattr__(self, '_n_extendable',
+                           int(np.argmax(small)) if small.any() else lam.shape[0])
+        object.__setattr__(self, '_cut', _kernel_cut(self.n_points))
 
     @property
     def n_points(self) -> int:
@@ -268,10 +290,15 @@ def _training_scales(pts: np.ndarray, k_nn: int, average: bool):
     return scales, diameter
 
 
-def _cut_shape(z: np.ndarray, shape: ShapeName, n_points: int) -> np.ndarray:
-    """Kernel values h(z) of an N-point kernel with the certified cutoff.
+def _kernel_cut(n_points: int) -> float:
+    """The certified cutoff ln N + ``KERNEL_TAIL`` of an N-point kernel."""
+    return np.log(n_points) + KERNEL_TAIL
 
-    Exponential entries with z > ln N + ``KERNEL_TAIL`` are exactly 0.
+
+def _cut_shape(z: np.ndarray, shape: ShapeName, cut: float) -> np.ndarray:
+    """Kernel values h(z) with the certified cutoff ``cut`` (:func:`_kernel_cut`).
+
+    Exponential entries with z > ``cut`` are exactly 0.
     Those entries are clamped to the cut before the ``exp``, which keeps it
     off its slow subnormal and underflow inputs (z above about 708); the
     kept entries see the same input, so the values do not change.  The cut
@@ -282,7 +309,6 @@ def _cut_shape(z: np.ndarray, shape: ShapeName, n_points: int) -> np.ndarray:
     """
     if shape != 'exponential':
         return shape_function(z, shape)
-    cut = np.log(n_points) + KERNEL_TAIL
     keep = z <= cut
     np.minimum(z, cut, out=z)
     np.exp(np.negative(z, out=z), out=z)
@@ -303,11 +329,12 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
     data, indices = [], []
     indptr = np.zeros(N + 1, dtype=np.int64)
     raw_degree = np.empty(N)
+    cut = _kernel_cut(N)
     for a, b in _row_blocks(N):
         z = cdist(pts[a:b], pts, 'sqeuclidean')
         z /= np.outer(scales[a:b], scales)
         z /= config.epsilon ** 2
-        K = _cut_shape(z, config.shape, N)
+        K = _cut_shape(z, config.shape, cut)
         raw_degree[a:b] = K.sum(axis=1)
         kept = np.flatnonzero(K)
         data.append(K.ravel()[kept])

@@ -25,6 +25,12 @@ overflows when squared, or has the wrong dimension raises
 :class:`InvalidQueryError`, and so does a query of a function of one point
 that is not one n-vector (``_one_point``).
 
+A row also reads what its model derived once, when it was made (fitted,
+loaded or replaced): the read-only kernel eigenvalues ``1 - xi``, the
+number of leading modes whose ``|lambda|`` clears ``SMALL_LAMBDA``, and
+the cutoff.  So :func:`_mode_lambdas` is a range check, one integer
+comparison and a slice.  None of these is stored in a bundle.
+
 A row costs O(N) per query, so a caller that needs several quantities
 at one point asks :func:`eigenfunction_values` once, for the widest
 range of modes, and slices the result: the PGD loop takes both the
@@ -42,7 +48,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .cidm import CidmModel, _cut_shape, _knn_scales, inner
+from .cidm import SMALL_LAMBDA, CidmModel, _cut_shape, _knn_scales, inner
 from .errors import (GeometryError, InvalidQueryError, KnnBoundaryError,
                      SmallEigenvalueError)
 
@@ -60,9 +66,6 @@ __all__ = [
     'diffusion_map_jacobian',
     'restricted_loss_gradient',
 ]
-
-#: Modes with |lambda| below this cutoff cannot be Nystrom-extended.
-SMALL_LAMBDA = 1e-10
 
 #: Relative gap (vs data diameter) below which the k-th and (k+1)-th
 #: neighbor distances count as tied for gradient purposes.
@@ -125,7 +128,7 @@ def _kernel_rows(model: CidmModel, queries: np.ndarray):
     np.divide(delta2, cfg.epsilon ** 2, out=z)
     if cfg.shape == 'exponential':
         z -= z.min(axis=1, keepdims=True)
-    u = _cut_shape(z, cfg.shape, model.n_points)
+    u = _cut_shape(z, cfg.shape, model._cut)
     if cfg.kernel_variant == 'cidm_dm_normalized':
         u /= model.raw_degree[None, :]
     norm = u.sum(axis=1, keepdims=True)
@@ -136,17 +139,16 @@ def _kernel_rows(model: CidmModel, queries: np.ndarray):
 
 
 def _mode_lambdas(model: CidmModel, n_modes: int) -> np.ndarray:
-    """Kernel eigenvalues of modes 0..n_modes-1, checked to be extendable."""
+    """Kernel eigenvalues of modes 0..n_modes-1, checked to be extendable: a
+    read-only view of the ones the model derived when it was made."""
     if not 1 <= n_modes <= model.n_eigs:
         raise ValueError(f'n_modes must be in [1, {model.n_eigs}]')
-    lam = 1.0 - model.eig_xi[:n_modes]
-    small = np.abs(lam) < SMALL_LAMBDA
-    if small.any():
-        bad = int(np.flatnonzero(small)[0])
+    if n_modes > model._n_extendable:
+        bad = model._n_extendable
         raise SmallEigenvalueError(
-            f'mode {bad} has |lambda| = {abs(lam[bad]):.2e} < {SMALL_LAMBDA:g}; '
+            f'mode {bad} has |lambda| = {abs(model._lambdas[bad]):.2e} < {SMALL_LAMBDA:g}; '
             'its Nystrom extension is numerically meaningless')
-    return lam
+    return model._lambdas[:n_modes]
 
 
 def eigenfunction_values(model: CidmModel, x, n_modes: int) -> np.ndarray:

@@ -13,8 +13,18 @@ frame of the next step, whose ``x_on`` is that ``x_next``.  A step
 therefore computes the row at ``x_next`` once, with the modes both
 consumers need, and returns it; :func:`om_pgd` hands it to the next
 step.  With the two projection rows, a step makes three rows.
+
+A step is bound by per-call work, so what it reads that does not change
+within an attack is derived once: per model, the kernel eigenvalues,
+the extendable modes and the kernel cutoff (when the model is made, see
+``cidm.CidmModel``); per attack, each field's arrow coefficients at the
+three truncations of the tangent frame (``sec._frame_arrows``, which
+:func:`om_pgd` carries into every step as it carries the row); and per
+classifier, the sector centres in radians.  None of them is stored in a
+bundle, and none changes an output bit.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal, Protocol, Sequence
 
@@ -26,9 +36,10 @@ from . import nystrom
 from .cidm import CidmModel
 from .errors import StalledError
 from .nystrom import NystromProjector, fourier_coefficients, project_many
-# the step builds its frame with _tangent_frame; tangent_frame_at stays
-# importable from here because perfbench/tracing.py wraps it by this name
-from .sec import SecFrame, _tangent_frame, tangent_frame_at
+# the step builds its frame with _frame_arrows and _tangent_frame;
+# tangent_frame_at stays importable from here because perfbench/tracing.py
+# wraps it by this name
+from .sec import SecFrame, _frame_arrows, _tangent_frame, tangent_frame_at
 
 __all__ = [
     'ClassifierOracle',
@@ -69,11 +80,18 @@ class SectorClassifier:
     ``w = 360 / n_classes``; logits are ``kappa * cos(theta - center_c)``
     so ``predict`` returns the sector whose center is nearest.  Boundary
     positions are exact, which makes PGD termination assertions easy.
+    The centers in radians, which every logit reads, are derived once
+    when the classifier is made.
     """
 
     n_classes: int
     boundary_offset_deg: float = 0.0
     kappa: float = 8.0
+
+    def __post_init__(self):
+        centers = np.radians(self.center_angles_deg)
+        centers.flags.writeable = False
+        object.__setattr__(self, '_centers_rad', centers)
 
     @property
     def sector_width_deg(self) -> float:
@@ -95,8 +113,7 @@ class SectorClassifier:
 
     def _logits(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         theta = np.arctan2(x[1], x[0])
-        centers = np.radians(self.center_angles_deg)
-        return self.kappa * np.cos(theta - centers), theta
+        return self.kappa * np.cos(theta - self._centers_rad), theta
 
     def predict(self, x: np.ndarray) -> int:
         z, _ = self._logits(np.asarray(x, dtype=np.float64))
@@ -108,14 +125,23 @@ class SectorClassifier:
         return float(np.log(np.exp(z).sum()) - z[target_label])
 
     def loss_grad(self, x: np.ndarray, target_label: int) -> np.ndarray:
+        """Gradient of :meth:`loss` in x.
+
+        Raises
+        ------
+        ValueError
+            At the origin, where the angle, and so the gradient, is undefined.
+        """
         x = np.asarray(x, dtype=np.float64)
+        r2 = x[0] ** 2 + x[1] ** 2
+        if r2 == 0.0:
+            raise ValueError('x has squared radius 0: the angle, and so the loss '
+                             'gradient, is undefined at the origin')
         z, theta = self._logits(x)
         p = np.exp(z - z.max())
         p /= p.sum()
         p[target_label] -= 1.0
-        centers = np.radians(self.center_angles_deg)
-        dloss_dtheta = float(p @ (-self.kappa * np.sin(theta - centers)))
-        r2 = x[0] ** 2 + x[1] ** 2
+        dloss_dtheta = float(p @ (-self.kappa * np.sin(theta - self._centers_rad)))
         grad_theta = np.array([-x[1], x[0]]) / r2
         return dloss_dtheta * grad_theta
 
@@ -210,8 +236,8 @@ class PgdConfig:
     project_iters: int = 2
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError('alpha must be >= 0')
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f'alpha must be finite and >= 0, got {self.alpha}')
         if self.max_steps < 1:
             raise ValueError('max_steps must be >= 1')
         if self.tangent_dim < 1:
@@ -276,25 +302,41 @@ def _row_width(frame: SecFrame, label_map: SemanticMap | None) -> int:
     return frame.m_out if label_map is None else max(frame.m_out, label_map.n_modes)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float array, with the bits of ``np.linalg.norm``:
+    that computes the same square root of the same dot product, behind
+    several microseconds of dispatch.  ``np.vdot`` rather than ``v.dot``,
+    because it does not warn where the squares overflow: the caller reports
+    the infinite norm itself."""
+    return math.sqrt(np.vdot(v, v))
+
+
 def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
                 projector: NystromProjector, frame: SecFrame, fhat: np.ndarray,
                 config: PgdConfig, index: int = 0,
                 label_map: SemanticMap | None = None, *,
-                x_on_values: np.ndarray | None = None) -> PgdStep:
+                x_on_values: np.ndarray | None = None,
+                arrows: tuple | None = None) -> PgdStep:
     """One gradient / tangent-project / step / Nystrom-project cycle.
 
     The tangent frame at ``x_on`` is built from the eigenfunction values
     there: ``x_on_values`` if given (the ``x_next_values`` of the step
     that produced ``x_on``), else one fresh Nystrom row.  With a label
     map, the step computes the row at ``x_next`` once, reads the semantic
-    labels from it and returns it as ``x_next_values``.  Carrying the
-    values changes no output bit; it saves one row per step.
+    labels from it and returns it as ``x_next_values``.  The frame's
+    arrow coefficients are ``arrows`` if given (what
+    ``sec._frame_arrows(frame, fhat, config.tangent_dim)`` returns, which
+    :func:`om_pgd` computes once per attack), else computed here.
+    Carrying either changes no output bit.
 
     Raises
     ------
     ValueError
         If ``x_on_values`` does not hold one value per mode of the row
-        (``frame.m_out``, or the larger of it and the label map's modes).
+        (``frame.m_out``, or the larger of it and the label map's modes),
+        or if the oracle's ``loss_grad`` does not return one value per
+        coordinate of ``x_on`` or returns a gradient whose norm is not
+        finite.
     RankDeficiencyError
         Propagated from the tangent frame when the fields do not span.
     StalledError
@@ -308,19 +350,27 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
         raise ValueError(f'x_on_values must have shape ({width},), '
                          f'got {np.shape(x_on_values)}')
     g_raw = np.asarray(oracle.loss_grad(x_on, true_label), dtype=np.float64)
-    raw_norm = float(np.linalg.norm(g_raw))
+    if g_raw.shape != x_on.shape:
+        raise ValueError(f'loss_grad returned an array of shape {g_raw.shape}; '
+                         f'the gradient at x_on must have its shape {x_on.shape}')
+    raw_norm = _norm(g_raw)
+    if not raw_norm < math.inf:         # a NaN or inf entry, or the squares overflow
+        raise ValueError(f'loss_grad returned a gradient whose norm is not finite '
+                         f'({raw_norm})')
     if raw_norm == 0.0:
         raise StalledError('loss gradient vanished at the current iterate')
     g = g_raw / raw_norm if config.normalize_gradient else g_raw
     if x_on_values is None:
         x_on_values = nystrom.eigenfunction_values(model, x_on, width)
-    T = _tangent_frame(frame, fhat, x_on_values, config.tangent_dim)
+    if arrows is None:
+        arrows = _frame_arrows(frame, fhat, config.tangent_dim)
+    T = _tangent_frame(arrows, x_on_values, config.tangent_dim)
     g_tan = T @ (T.T @ g)
-    if np.linalg.norm(g_tan) <= STALL_GRAD_RTOL * np.linalg.norm(g):
+    if _norm(g_tan) <= STALL_GRAD_RTOL * _norm(g):
         raise StalledError('gradient is orthogonal to the tangent frame')
     x_stepped = x_on + config.alpha * g_tan
     x_next = project_many(projector, x_stepped, config.project_iters)
-    if np.linalg.norm(x_next - x_on) < STALL_MOVE_RTOL * model.data_diameter:
+    if _norm(x_next - x_on) < STALL_MOVE_RTOL * model.data_diameter:
         raise StalledError('projected step did not move the iterate')
     label_pred = int(oracle.predict(x_next))
     x_next_values = semantics = None
@@ -361,7 +411,9 @@ def _pgd_from(start: np.ndarray, x0: np.ndarray, true_label: int,
               fhat: np.ndarray, config: PgdConfig,
               label_map: SemanticMap | None) -> PgdTrace:
     """The loop of :func:`om_pgd`, from ``x0``, the projection of ``start``
-    that the caller has already computed."""
+    that the caller has already computed.  The frame's arrow coefficients
+    are fixed for the attack, so they are computed here once."""
+    arrows = _frame_arrows(frame, fhat, config.tangent_dim)
     x_on, x_on_values = x0, None
     steps: list[PgdStep] = []
     status: Status = 'max_steps'
@@ -369,7 +421,7 @@ def _pgd_from(start: np.ndarray, x0: np.ndarray, true_label: int,
         try:
             step = om_pgd_step(x_on, true_label, oracle, projector, frame, fhat,
                                config, index=i, label_map=label_map,
-                               x_on_values=x_on_values)
+                               x_on_values=x_on_values, arrows=arrows)
         except StalledError:
             status = 'stalled'
             break

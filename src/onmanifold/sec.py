@@ -375,7 +375,8 @@ def tangent_frame_at(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
     so these are free); the tangent direction is common to all of them
     while reconstruction noise is not, which steadies the SVD.  The one
     O(N) step is the kernel row at x; the PGD loop builds the frame from
-    a row it has already computed at x instead.
+    a row it has already computed at x instead, and from the arrows it
+    computed once for the attack (:func:`_frame_arrows`).
 
     Raises
     ------
@@ -384,14 +385,17 @@ def tangent_frame_at(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
         the supplied fields do not span the tangent space at x.
     """
     vals = eigenfunction_values(model, _one_point(x), frame.m_out)
-    return _tangent_frame(frame, fhat, vals, dim)
+    return _tangent_frame(_frame_arrows(frame, fhat, dim), vals, dim)
 
 
-def _tangent_frame(frame: SecFrame, fhat: np.ndarray, vals: np.ndarray,
-                   dim: int) -> np.ndarray:
-    """The basis of :func:`tangent_frame_at` from the eigenfunction values
-    at x, ``vals``, which must cover modes 0..m_out-1 (further modes are
-    not read)."""
+def _frame_arrows(frame: SecFrame, fhat: np.ndarray,
+                  dim: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """What a tangent frame of dimension ``dim`` reads of ``frame`` and
+    ``fhat``, at any x: for each field it uses, the arrow coefficients
+    (:func:`_arrow_coeffs`) cut to each of the three output-mode
+    truncations, as ``(modes, coefficients)`` pairs.  They are fixed once
+    the frame and ``fhat`` are, so the PGD loop computes them once per attack.
+    """
     if dim < 1 or dim > np.shape(fhat)[-1]:
         raise ValueError('dim must be in [1, ambient dimension]')
     if len(frame.fields) < dim:
@@ -402,8 +406,17 @@ def _tangent_frame(frame: SecFrame, fhat: np.ndarray, vals: np.ndarray,
     arrows = []
     for op in frame.ops[:n_use]:
         w = _arrow_coeffs(op, fhat)
-        arrows.extend(vals[:mo] @ w[:mo] for mo in resolutions)
-    U, sv, _ = np.linalg.svd(np.stack(arrows).T, full_matrices=False)
+        arrows.extend((mo, w[:mo]) for mo in resolutions)
+    return tuple(arrows)
+
+
+def _tangent_frame(arrows: tuple[tuple[int, np.ndarray], ...], vals: np.ndarray,
+                   dim: int) -> np.ndarray:
+    """The basis of :func:`tangent_frame_at` from the frame's ``arrows``
+    (:func:`_frame_arrows`) and the eigenfunction values at x, ``vals``,
+    which must cover modes 0..m_out-1 (further modes are not read)."""
+    U, sv, _ = np.linalg.svd(np.stack([vals[:mo] @ w for mo, w in arrows]).T,
+                             full_matrices=False)
     rank = int(np.sum(sv > TANGENT_SVD_RTOL * sv[0])) if sv[0] > 0 else 0
     if rank < dim:
         raise RankDeficiencyError(

@@ -199,3 +199,51 @@ def torus_tangent_basis(u_deg, v_deg, major=2.0, minor=0.7):
 def principal_angles_deg(A, B):
     s = np.linalg.svd(A.T @ B, compute_uv=False)
     return np.degrees(np.arccos(np.clip(s, -1.0, 1.0)))
+
+
+# ---------------------------------------------------- reference sector classifier
+# The classifier with its centre angles rebuilt and converted on every call:
+# the plain form that the radians derived once by ``ompgd.SectorClassifier``
+# must reproduce bit for bit.
+
+
+class ReferenceSectorClassifier:
+    def __init__(self, n_classes: int, boundary_offset_deg: float = 0.0, kappa: float = 8.0):
+        self.n_classes = n_classes
+        self.boundary_offset_deg = boundary_offset_deg
+        self.kappa = kappa
+
+    @property
+    def sector_width_deg(self) -> float:
+        return 360.0 / self.n_classes
+
+    @property
+    def center_angles_deg(self) -> np.ndarray:
+        w = self.sector_width_deg
+        return (self.boundary_offset_deg + (np.arange(self.n_classes) + 0.5) * w) % 360.0
+
+    def _logits(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        theta = np.arctan2(x[1], x[0])
+        centers = np.radians(self.center_angles_deg)
+        return self.kappa * np.cos(theta - centers), theta
+
+    def predict(self, x: np.ndarray) -> int:
+        z, _ = self._logits(np.asarray(x, dtype=np.float64))
+        return int(np.argmax(z))
+
+    def loss(self, x: np.ndarray, target_label: int) -> float:
+        z, _ = self._logits(np.asarray(x, dtype=np.float64))
+        z = z - z.max()
+        return float(np.log(np.exp(z).sum()) - z[target_label])
+
+    def loss_grad(self, x: np.ndarray, target_label: int) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        z, theta = self._logits(x)
+        p = np.exp(z - z.max())
+        p /= p.sum()
+        p[target_label] -= 1.0
+        centers = np.radians(self.center_angles_deg)
+        dloss_dtheta = float(p @ (-self.kappa * np.sin(theta - centers)))
+        r2 = x[0] ** 2 + x[1] ** 2
+        grad_theta = np.array([-x[1], x[0]]) / r2
+        return dloss_dtheta * grad_theta

@@ -100,6 +100,20 @@ class TestBundle:
         save_bundle(copy, loaded)
         assert copy.read_bytes() == path.read_bytes()
 
+    def test_loaded_model_derives_the_fitted_constants(self, small_bundle):
+        # the kernel eigenvalues and the cutoff are not stored; the load
+        # derives them again, with the fitted model's bits
+        path, bundle = small_bundle
+        loaded, model = load_bundle(path).model, bundle.model
+        npt.assert_array_equal(loaded._lambdas, model._lambdas)
+        assert not loaded._lambdas.flags.writeable
+        assert loaded._n_extendable == model._n_extendable
+        assert loaded._cut == model._cut
+        queries = np.random.default_rng(3).uniform(-1.5, 1.5, size=(20, 2))
+        for x in queries:
+            npt.assert_array_equal(om.eigenfunction_values(loaded, x, model.n_eigs),
+                                   om.eigenfunction_values(model, x, model.n_eigs))
+
     def test_digest_guards_against_tampering(self, small_bundle, tmp_path):
         path, _ = small_bundle
         raw = bytearray(path.read_bytes())

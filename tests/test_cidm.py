@@ -236,7 +236,7 @@ class TestCertifiedCutoff:
         assert (z == cut).any() and (z > cut).any()
         ref = np.exp(-z)
         ref[z > cut] = 0.0
-        got = cidm._cut_shape(z.copy(), 'exponential', n_points)
+        got = cidm._cut_shape(z.copy(), 'exponential', cut)
         npt.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize('n_points', [40, 4000])
@@ -249,7 +249,7 @@ class TestCertifiedCutoff:
              1e300, np.inf, np.nan],
             np.random.default_rng(n_points).uniform(0.0, 2.0 * cut, 5000),
         ])
-        got = cidm._cut_shape(z.copy(), 'exponential', n_points)
+        got = cidm._cut_shape(z.copy(), 'exponential', cut)
         ref = reference_cut_shape(z.copy(), 'exponential', n_points)
         npt.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import onmanifold as om
 from onmanifold import nystrom
+from onmanifold.cidm import KERNEL_TAIL
 
 from conftest import reference_kernel_rows
 
@@ -507,3 +509,52 @@ class TestEmptyBatch:
         _, _, model = noisy_circle
         with pytest.raises(om.InvalidQueryError, match='query dimension 3'):
             om.eigenfunction_values(model, np.empty((0, 3)), 5)
+
+
+class TestModelConstants:
+    """The kernel eigenvalues, the extendable modes and the cutoff that a
+    model derives once, when it is made."""
+
+    def test_replaced_model_derives_its_own_constants(self, circle_full):
+        _, _, model = circle_full
+        x = np.array([0.5, 0.5])
+        full = om.eigenfunction_values(model, x, model.n_eigs)
+        xi = model.eig_xi.copy()
+        xi[7] = 1.0 + 5e-11                               # |lambda| = 5e-11
+        doctored = dataclasses.replace(model, eig_xi=xi)
+        with pytest.raises(om.SmallEigenvalueError) as info:
+            om.eigenfunction_values(doctored, x, 8)
+        # the message of an eigenvalue check made on every row
+        assert str(info.value) == ('mode 7 has |lambda| = 5.00e-11 < 1e-10; '
+                                   'its Nystrom extension is numerically meaningless')
+        npt.assert_array_equal(om.eigenfunction_values(doctored, x, 7),
+                               om.eigenfunction_values(model, x, 7))
+        # the first model keeps its own constants
+        npt.assert_array_equal(om.eigenfunction_values(model, x, model.n_eigs), full)
+        assert doctored._n_extendable == 7 and model._n_extendable == model.n_eigs
+
+    def test_first_small_mode_is_named(self, circle_full):
+        _, _, model = circle_full
+        xi = model.eig_xi.copy()
+        xi[[5, 9]] = 1.0
+        doctored = dataclasses.replace(model, eig_xi=xi)
+        with pytest.raises(om.SmallEigenvalueError,
+                           match=r'^mode 5 has \|lambda\| = 0\.00e\+00 < 1e-10;'):
+            om.eigenfunction_values(doctored, np.array([0.5, 0.5]), 10)
+
+    def test_lambdas_are_read_only(self, circle_full):
+        _, _, model = circle_full
+        lam = nystrom._mode_lambdas(model, 10)
+        npt.assert_array_equal(lam, 1.0 - model.eig_xi[:10])
+        assert not lam.flags.writeable and not model._lambdas.flags.writeable
+        with pytest.raises(ValueError, match='read-only'):
+            lam[0] = 2.0
+
+    def test_cut_is_the_certified_cutoff(self, circle_full, noisy_circle):
+        for _, _, model in (circle_full, noisy_circle):
+            assert model._cut == np.log(model.n_points) + KERNEL_TAIL
+
+    def test_mode_range_checked_first(self, circle_full):
+        _, _, model = circle_full
+        with pytest.raises(ValueError, match=r'n_modes must be in \[1, 200\]'):
+            nystrom._mode_lambdas(model, 201)

@@ -1,15 +1,18 @@
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onmanifold as om
-from onmanifold import nystrom, sec
+from onmanifold import nystrom, ompgd, sec
 from onmanifold.ompgd import om_pgd, om_pgd_step
 
-from conftest import angle_diff_deg
+from conftest import ReferenceSectorClassifier, angle_diff_deg
 
 
 class TestSectorClassifier:
@@ -56,6 +59,40 @@ class TestSectorClassifier:
     def test_few_classes_rejected(self):
         with pytest.raises(ValueError):
             om.sector_classifier(1)
+
+    @pytest.mark.parametrize('n_classes, offset', [(4, 40.0), (3, 0.0), (7, 333.3)])
+    def test_matches_the_classifier_with_per_call_centres(self, n_classes, offset):
+        # the centres in radians are derived once; every output keeps its bits
+        oracle = om.sector_classifier(n_classes, boundary_offset=offset)
+        ref = ReferenceSectorClassifier(n_classes, offset)
+        rng = np.random.default_rng(n_classes)
+        theta = np.concatenate([np.radians(oracle.boundary_angles_deg),
+                                np.radians(oracle.center_angles_deg),
+                                rng.uniform(0.0, 2.0 * np.pi, 200 - 2 * n_classes)])
+        r = rng.uniform(1e-3, 10.0, 200)
+        for x, label in zip(np.column_stack([r * np.cos(theta), r * np.sin(theta)]),
+                            rng.integers(0, n_classes, 200)):
+            label = int(label)
+            npt.assert_array_equal(oracle.loss_grad(x, label), ref.loss_grad(x, label))
+            assert oracle.loss(x, label) == ref.loss(x, label)
+            assert oracle.predict(x) == ref.predict(x)
+
+    def test_loss_grad_at_origin_rejected(self):
+        oracle = om.sector_classifier(4)
+        with pytest.raises(ValueError, match='undefined at the origin'):
+            oracle.loss_grad(np.zeros(2), 0)
+        with pytest.raises(ValueError, match='undefined at the origin'):
+            oracle.loss_grad(np.array([-0.0, 1e-200]), 0)     # squared radius underflows
+
+
+class TestPgdConfig:
+    @pytest.mark.parametrize('alpha', [np.inf, np.nan, -1.0])
+    def test_alpha_must_be_finite_and_non_negative(self, alpha):
+        with pytest.raises(ValueError, match='alpha must be finite and >= 0'):
+            om.PgdConfig(alpha=alpha, max_steps=3)
+
+    def test_largest_finite_alpha_accepted(self):
+        assert om.PgdConfig(alpha=np.finfo(float).max, max_steps=3).alpha > 0
 
 
 class TestSemanticLabels:
@@ -370,3 +407,104 @@ class TestOneRowPerIterate:
         x_on = om.project(args[2], start, 2)
         with pytest.raises(ValueError, match=r'x_on_values must have shape \(40,\)'):
             om_pgd_step(x_on, *args, label_map=label_map, x_on_values=np.zeros(30))
+
+
+class FixedGradient:
+    """An oracle whose loss gradient is the same array everywhere."""
+
+    def __init__(self, grad):
+        self.grad = grad
+
+    def predict(self, x):
+        return 0
+
+    def loss_grad(self, x, label):
+        return self.grad
+
+
+@pytest.fixture(scope='module')
+def circle_step(pgd_run):
+    """One on-manifold iterate of the pgd-circle set-up with its frame."""
+    frame, fhat = pgd_circle_frame(pgd_run)
+    x_on = om.project(pgd_run['projector'], np.array([0.6, 0.8]), 2)
+    return x_on, pgd_run['projector'], frame, fhat
+
+
+class TestOracleGradientChecked:
+    """A loss gradient that is not one finite value per coordinate is named."""
+
+    @pytest.mark.parametrize('grad, message', [
+        ([np.nan, 1.0], r'loss_grad returned a gradient whose norm is not finite \(nan\)'),
+        ([np.inf, 1.0], r'loss_grad returned a gradient whose norm is not finite \(inf\)'),
+        ([-np.inf, np.inf], r'not finite \(inf\)'),
+        ([1e200, -1e200], r'not finite \(inf\)'),            # the squares overflow
+        ([1.0, 2.0, 3.0], r'loss_grad returned an array of shape \(3,\); '
+                          r'the gradient at x_on must have its shape \(2,\)'),
+        ([[1.0, 2.0]], r'loss_grad returned an array of shape \(1, 2\)'),
+        (1.0, r'loss_grad returned an array of shape \(\)'),
+    ], ids=['nan', 'inf', 'both-infinite', 'overflow', 'three-vector', 'row', 'scalar'])
+    def test_bad_gradient_named(self, circle_step, grad, message):
+        x_on, projector, frame, fhat = circle_step
+        with pytest.raises(ValueError, match=message):
+            om_pgd_step(x_on, 0, FixedGradient(np.array(grad)), projector, frame, fhat,
+                        om.PgdConfig(alpha=0.05, max_steps=3))
+
+    def test_bad_gradient_ends_the_attack(self, circle_step):
+        # not a stall: the oracle is at fault, so the error propagates
+        x_on, projector, frame, fhat = circle_step
+        with pytest.raises(ValueError, match='loss_grad'):
+            om_pgd(x_on, 0, FixedGradient(np.array([np.nan, 0.0])), projector, frame, fhat,
+                   om.PgdConfig(alpha=0.05, max_steps=3))
+
+    @settings(max_examples=80, deadline=None)
+    @given(grad=st.lists(st.floats(width=64), min_size=1, max_size=3),
+           normalize=st.booleans())
+    def test_any_gradient_gives_finite_fields_or_a_named_error(self, circle_step, grad,
+                                                               normalize):
+        x_on, projector, frame, fhat = circle_step
+        config = om.PgdConfig(alpha=np.radians(2.0), max_steps=3,
+                              normalize_gradient=normalize)
+        with warnings.catch_warnings():
+            warnings.simplefilter('error')
+            try:
+                step = om_pgd_step(x_on, 0, FixedGradient(np.array(grad)), projector,
+                                   frame, fhat, config)
+            except (ValueError, om.GeometryError):
+                return
+        for name in ('g_raw', 'g_tan', 'x_stepped', 'x_next'):
+            assert np.isfinite(getattr(step, name)).all(), name
+
+
+class TestArrowsOncePerAttack:
+    def test_frame_arrows_computed_once_per_attack(self, pgd_run, monkeypatch):
+        start, args, label_map = pgd_attack(pgd_run, 40)
+        calls = []
+        arrows = sec._frame_arrows
+
+        def counted(*a):
+            calls.append(a)
+            return arrows(*a)
+
+        monkeypatch.setattr(ompgd, '_frame_arrows', counted)
+        trace = om_pgd(start, *args, label_map=label_map)
+        assert len(trace.steps) >= 4 and len(calls) == 1
+        # a step called on its own computes them itself
+        om_pgd_step(trace.x0, *args, label_map=label_map)
+        assert len(calls) == 2
+
+    def test_bad_tangent_dim_named_before_the_first_step(self, pgd_run):
+        start, args, _ = pgd_attack(pgd_run, None)
+        oracle_calls = []
+
+        class Counting:
+            def predict(self, x):
+                return 0
+
+            def loss_grad(self, x, label):
+                oracle_calls.append(x)
+                return np.ones(2)
+
+        config = om.PgdConfig(alpha=0.05, max_steps=3, tangent_dim=3)
+        with pytest.raises(ValueError, match=r'dim must be in \[1, ambient dimension\]'):
+            om_pgd(start, args[0], Counting(), *args[2:5], config)
+        assert not oracle_calls
