@@ -24,9 +24,9 @@ constant mode ``phi_0 == 1`` and full-spectrum interpolation identities
 hold to machine precision on finite data.
 
 The kernel is built here only: ``_knn_scales`` owns the kNN scale of any
-distance rows, ``_cut_shape`` the kernel values, ``_kernel_csr`` the
-training kernel of the fit; ``nystrom._kernel_rows`` owns the
-out-of-sample row.
+distance rows, ``_kept`` which entries are kept, ``_cut_shape`` the kernel
+values, ``_kernel_csr`` the training kernel of the fit;
+``nystrom._kernel_rows`` owns the out-of-sample row.
 
 Certified cutoff
 ----------------
@@ -46,13 +46,16 @@ exact zeros (14 % dense on the N=4000, k=24 torus).
 
 Until the eigensolve no N x N array is formed: the scales and the kernel
 are computed from row blocks of B = max(1, ``_BLOCK_ENTRIES`` // N)
-training rows, and only the kept entries go into the CSR kernel, so the
-fit holds O(B N + nnz) memory.  Each entry and each degree (the sum of a
-dense kernel row) is computed with the same operations in the same order
-as on the full matrix, so the CSR kernel equals ``csr_array`` of the
-dense one bit for bit.  ARPACK runs on the CSR form of ``K_sym``, with
-int32 index arrays while the entry count fits; only small or
-full-spectrum fits hand dense ``eigh`` its ``toarray()``.
+training rows.  The kernel takes two passes over the blocks: a count pass
+that counts each row's kept entries, and a fill pass that writes them
+into CSR arrays allocated once, at their exact size.  So the fit holds
+O(B N) scratch plus the nnz kept entries, once.  Each entry and each
+degree (the sum of a dense kernel row) is computed with the same
+operations in the same order as on the full matrix, so the CSR kernel
+equals ``csr_array`` of the dense one bit for bit.  ARPACK runs on the
+CSR form of ``K_sym``, with int32 index arrays while the entry count
+fits; only small or full-spectrum fits hand dense ``eigh`` its
+``toarray()``.
 """
 
 from dataclasses import dataclass
@@ -90,6 +93,9 @@ DUPLICATE_SCALE_FRAC = 1e-12
 #: Exponential kernel entries with z > ln N + KERNEL_TAIL are exactly 0;
 #: the dropped mass of a row is then below e^{-KERNEL_TAIL} of its sum.
 KERNEL_TAIL = 32.0
+
+#: Distances at or above this overflow when squared.
+MAX_DISTANCE = np.sqrt(np.finfo(np.float64).max)
 
 #: Modes with |lambda| below this cutoff cannot be Nystrom-extended.
 SMALL_LAMBDA = 1e-10
@@ -154,8 +160,11 @@ class CidmConfig:
             raise ValueError('k_nn must be >= 1')
         if self.n_eigs < 1:
             raise ValueError('n_eigs must be >= 1')
-        if not self.epsilon > 0:
-            raise ValueError('epsilon must be positive')
+        # a float product rounds to inf or 0 where ``**`` raises OverflowError
+        eps2 = float(self.epsilon) * float(self.epsilon)
+        if not (self.epsilon > 0 and 0.0 < eps2 < np.inf):
+            raise ValueError(f'epsilon must be positive with a finite, nonzero square, '
+                             f'got {self.epsilon!r}')
         if self.shape not in ('exponential', 'indicator'):
             raise ValueError(f'unknown shape {self.shape!r}')
         if self.kernel_variant not in ('cidm', 'cidm_dm_normalized'):
@@ -282,6 +291,9 @@ def _training_scales(pts: np.ndarray, k_nn: int, average: bool):
         # only the self-distance is excluded: a coincident pair keeps its zero
         dist[np.arange(b - a), np.arange(a, b)] = np.inf
         scales[a:b] = _knn_scales(dist, k_nn, average)
+    if not diameter < MAX_DISTANCE:
+        raise ValueError(f'training distances overflow when squared: the data diameter '
+                         f'{diameter:.3e} is not below {MAX_DISTANCE:.3e}; rescale the points')
     if np.any(scales <= DUPLICATE_SCALE_FRAC * max(diameter, np.finfo(float).tiny)):
         bad = int(np.argmin(scales))
         raise DuplicatePointError(
@@ -295,21 +307,36 @@ def _kernel_cut(n_points: int) -> float:
     return np.log(n_points) + KERNEL_TAIL
 
 
-def _cut_shape(z: np.ndarray, shape: ShapeName, cut: float) -> np.ndarray:
+def _kept(z: np.ndarray, shape: ShapeName, cut: float) -> np.ndarray:
+    """Mask of the kernel entries that are kept: z <= ``cut`` for the
+    exponential shape (the certified cutoff, :func:`_kernel_cut`), the
+    support z <= 1 of the indicator.
+
+    On finite z >= 0, which is all a fit gets this far, the kept entries
+    are exactly the nonzero ones: a kept exponential value is at least
+    ``exp(-cut) > 0``.
+    """
+    return z <= (cut if shape == 'exponential' else 1.0)
+
+
+def _cut_shape(z: np.ndarray, shape: ShapeName, cut: float,
+               keep: np.ndarray | None = None) -> np.ndarray:
     """Kernel values h(z) with the certified cutoff ``cut`` (:func:`_kernel_cut`).
 
-    Exponential entries with z > ``cut`` are exactly 0.
-    Those entries are clamped to the cut before the ``exp``, which keeps it
-    off its slow subnormal and underflow inputs (z above about 708); the
-    kept entries see the same input, so the values do not change.  The cut
-    entries are then zeroed by multiplying with the 0/1 keep mask, which
-    does not branch on the (random) cut pattern as a masked store does; a
-    kept value is finite, so times 1 it is exact, and a NaN stays NaN.
-    Overwrites ``z`` with the result for that shape.
+    ``keep`` is the mask :func:`_kept` of ``z``, computed here when not
+    given; entries outside it are exactly 0.  Exponential entries are
+    clamped to the cut before the ``exp``, which keeps it off its slow
+    subnormal and underflow inputs (z above about 708); the kept entries
+    see the same input, so the values do not change.  The cut entries are
+    then zeroed by multiplying with the 0/1 mask, which does not branch on
+    the (random) cut pattern as a masked store does; a kept value is
+    finite, so times 1 it is exact, and a NaN stays NaN.  Overwrites ``z``
+    with the result for the exponential shape.
     """
+    if keep is None:
+        keep = _kept(z, shape, cut)
     if shape != 'exponential':
-        return shape_function(z, shape)
-    keep = z <= cut
+        return keep.astype(np.float64)
     np.minimum(z, cut, out=z)
     np.exp(np.negative(z, out=z), out=z)
     np.multiply(z, keep, out=z)
@@ -319,34 +346,47 @@ def _cut_shape(z: np.ndarray, shape: ShapeName, cut: float) -> np.ndarray:
 def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
     """CSR training kernel, its degree vector, and the raw CIDM degrees.
 
-    Built one row block at a time: only the kept (nonzero) entries of a
-    block are stored, and every degree is the sum of a dense kernel row, so
-    the result is ``csr_array`` of the dense kernel, bit for bit.  The
-    index arrays are int32 while the entry count fits (int64 beyond), so a
-    sparse product streams 12 bytes per entry rather than 16.
+    Two passes over the row blocks.  The count pass computes each block's
+    z and counts the kept entries (:func:`_kept`) of each row into
+    ``indptr``.  ``data`` and ``indices`` are then allocated once, at their
+    exact size, and the fill pass recomputes each block and writes its kept
+    values and columns straight into their slices; so the kernel's entries
+    are held once, never in per-block pieces and a joined copy.  Every
+    degree is the sum of a dense kernel row, and the kept entries are the
+    nonzero ones, so the result is ``csr_array`` of the dense kernel, bit
+    for bit.  The index arrays are int32 while the entry count fits (int64
+    beyond), so a sparse product streams 12 bytes per entry rather than 16.
     """
     N = pts.shape[0]
-    data, indices = [], []
-    indptr = np.zeros(N + 1, dtype=np.int64)
-    raw_degree = np.empty(N)
     cut = _kernel_cut(N)
-    for a, b in _row_blocks(N):
+
+    def block_z(a, b):
         z = cdist(pts[a:b], pts, 'sqeuclidean')
         z /= np.outer(scales[a:b], scales)
         z /= config.epsilon ** 2
-        K = _cut_shape(z, config.shape, cut)
-        raw_degree[a:b] = K.sum(axis=1)
-        kept = np.flatnonzero(K)
-        data.append(K.ravel()[kept])
-        row_nnz = np.count_nonzero(K, axis=1)
-        indptr[a + 1:b + 1] = row_nnz
-        # column = flat index in the block minus the start of its row
-        kept -= np.repeat(np.arange(0, (b - a) * N, N), row_nnz)
-        indices.append(kept.astype(np.int32))
+        return z
+
+    indptr = np.zeros(N + 1, dtype=np.int64)
+    for a, b in _row_blocks(N):
+        indptr[a + 1:b + 1] = np.count_nonzero(_kept(block_z(a, b), config.shape, cut),
+                                               axis=1)
     np.cumsum(indptr, out=indptr)
     index_dtype = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
-    K = csr_array((np.concatenate(data), np.concatenate(indices, dtype=index_dtype),
-                   indptr.astype(index_dtype)), shape=(N, N))
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=index_dtype)
+    raw_degree = np.empty(N)
+    for a, b in _row_blocks(N):
+        z = block_z(a, b)
+        keep = _kept(z, config.shape, cut)
+        K = _cut_shape(z, config.shape, cut, keep)
+        raw_degree[a:b] = K.sum(axis=1)
+        lo, hi = indptr[a], indptr[b]
+        kept = np.flatnonzero(keep)
+        data[lo:hi] = K.ravel()[kept]
+        # column = flat index in the block minus the start of its row
+        kept -= np.repeat(np.arange(0, (b - a) * N, N), np.diff(indptr[a:b + 1]))
+        indices[lo:hi] = kept
+    K = csr_array((data, indices, indptr.astype(index_dtype)), shape=(N, N))
     if config.kernel_variant == 'cidm_dm_normalized':
         _divide_entries(K, raw_degree, root=False)
         degree = np.empty(N)

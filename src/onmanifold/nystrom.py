@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .cidm import SMALL_LAMBDA, CidmModel, _cut_shape, _knn_scales, inner
+from .cidm import MAX_DISTANCE, SMALL_LAMBDA, CidmModel, _cut_shape, _knn_scales, inner
 from .errors import (GeometryError, InvalidQueryError, KnnBoundaryError,
                      SmallEigenvalueError)
 
@@ -70,9 +70,6 @@ __all__ = [
 #: Relative gap (vs data diameter) below which the k-th and (k+1)-th
 #: neighbor distances count as tied for gradient purposes.
 KNN_GAP_FRAC = 1e-9
-
-#: Query-to-training distances at or above this overflow when squared.
-MAX_DISTANCE = np.sqrt(np.finfo(np.float64).max)
 
 
 def _as_queries(x) -> tuple[np.ndarray, bool]:

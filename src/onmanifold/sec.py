@@ -87,8 +87,8 @@ class SecBasisConfig:
             raise ValueError('m_basis must be >= 2')
         if self.m_inner is not None and self.m_inner < self.m_basis:
             raise ValueError('m_inner must be >= m_basis')
-        if self.tau_frac < 0:
-            raise ValueError('tau_frac must be >= 0')
+        if not 0.0 <= self.tau_frac < np.inf:
+            raise ValueError(f'tau_frac must be finite and >= 0, got {self.tau_frac!r}')
 
     def resolved_m_inner(self, n_eigs: int) -> int:
         m_inner = self.m_inner if self.m_inner is not None else min(2 * self.m_basis ** 2, n_eigs)

@@ -5,10 +5,9 @@ from scipy.spatial.distance import pdist, squareform
 import onmanifold as om
 from scipy.spatial.distance import cdist
 
-from onmanifold.cidm import (DUPLICATE_SCALE_FRAC, KERNEL_TAIL, CidmConfig, _knn_scales,
-                             shape_function)
+from onmanifold.cidm import (DUPLICATE_SCALE_FRAC, KERNEL_TAIL, MAX_DISTANCE, CidmConfig,
+                             _knn_scales, shape_function)
 from onmanifold.errors import DuplicatePointError, GeometryError, InvalidQueryError
-from onmanifold.nystrom import MAX_DISTANCE
 from onmanifold.repro import (equispaced_circle, fig2_pipeline, fig3_pipeline,
                               pgd_circle_pipeline)
 

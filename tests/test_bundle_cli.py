@@ -289,6 +289,16 @@ class TestCli:
                        str(tmp_path / 'nope.csv'), '--out',
                        str(tmp_path / 'o.csv')) == 1
 
+    def test_overflowing_epsilon_is_a_usage_error(self, tmp_path, capsys):
+        pts = tmp_path / 'pts.csv'
+        run_cli('synth', '--kind', 'circle', '--n', '50', '--out', str(pts))
+        capsys.readouterr()
+        assert run_cli('fit', str(pts), '--k-nn', '5', '--n-eigs', '4', '--epsilon', '1e300',
+                       '--out', str(tmp_path / 'model.bundle')) == 1
+        err = capsys.readouterr().err
+        assert err.startswith('error: ') and 'epsilon' in err
+        assert err.count('\n') == 1
+
     def test_threads_without_threadpoolctl_warns(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(sys.modules, 'threadpoolctl', None)    # import fails
         assert run_cli('--threads', '1', 'synth', '--kind', 'circle', '--n', '20',

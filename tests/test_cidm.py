@@ -81,6 +81,12 @@ class TestKnnScales:
         with pytest.raises(ValueError):
             knn_scales(pts, 5)
 
+    def test_overflowing_distances_are_named(self):
+        # the squared distances overflow; the points are not coincident
+        pts = om.PointCloud(1e160 * np.random.default_rng(0).standard_normal((30, 2)))
+        with pytest.raises(ValueError, match='overflow when squared'):
+            om.fit(pts, om.CidmConfig(k_nn=5, n_eigs=4))
+
 
 class TestFit:
     def test_circle_spectrum_ratios(self, circle300):
@@ -185,6 +191,12 @@ class TestFit:
         pts = om.PointCloud(np.random.default_rng(0).standard_normal((10, 2)))
         with pytest.raises(ValueError):
             om.fit(pts, om.CidmConfig(k_nn=3, n_eigs=11))
+
+    # inf squares to inf, 1e300 overflows when squared, 1e-200 squares to 0
+    @pytest.mark.parametrize('epsilon', [np.inf, 1e300, 1e-200])
+    def test_epsilon_square_must_be_finite_and_positive(self, epsilon):
+        with pytest.raises(ValueError, match='epsilon'):
+            om.CidmConfig(k_nn=3, n_eigs=4, epsilon=epsilon)
 
 
 def small_torus():
@@ -379,6 +391,19 @@ class TestRowBlockKernel:
             tracemalloc.stop()
         # one N x N float64 array is 17.2 MiB at the fig2 size (N=1500)
         assert peak < model.n_points ** 2 * 8
+
+    def test_kernel_csr_holds_one_copy(self, fig2):
+        # the kept entries are written once into arrays of their exact size:
+        # beyond the CSR, the build holds a few row blocks at a time
+        model = fig2['model']
+        tracemalloc.start()
+        try:
+            K = cidm._kernel_csr(model.training.points, model.knn_scale, model.config)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        csr_bytes = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+        assert peak <= csr_bytes + 6 * cidm._BLOCK_ENTRIES * 8
 
 
 class TestPointCloud:

@@ -201,6 +201,11 @@ class TestSobolevBasis:
         with pytest.raises(om.DegenerateFrameError):
             sobolev_basis(np.eye(4), np.eye(4), 2.0)
 
+    @pytest.mark.parametrize('tau_frac', [np.nan, np.inf])
+    def test_non_finite_threshold_rejected(self, tau_frac):
+        with pytest.raises(ValueError, match='tau_frac'):
+            om.SecBasisConfig(m_basis=4, tau_frac=tau_frac)
+
     def test_retained_count_stable_across_resamples(self):
         counts = []
         for seed in range(5):
