@@ -10,9 +10,8 @@ from .nystrom import (NystromProjector, extend_eigenfunction, eigenfunction_valu
                       diffusion_map, fourier_coefficients, extend_function,
                       build_projector, project, project_many, grad_eigenfunction,
                       diffusion_map_jacobian, restricted_loss_gradient)
-from .sec import (SecBasisConfig, SecFrame, OperatorRep, EigenField,
-                  structure_constants, metric_tensor, dirichlet_energy_tensor,
-                  sobolev_basis, eigenfields, field_operator,
+from .sec import (SecBasisConfig, SecFrame, structure_constants, metric_tensor,
+                  dirichlet_energy_tensor, sobolev_basis, eigenfields, field_operator,
                   build_sec_frame, pushforward, tangent_frame_at, local_pca_tangent)
 from .ompgd import (ClassifierOracle, SectorClassifier, sector_classifier,
                     SemanticMap, semantic_map, semantic_labels, PgdConfig,

@@ -1,6 +1,6 @@
 """Model persistence: JSON manifest plus a little-endian float64 blob.
 
-File layout (format version 2)::
+File layout (format version 3)::
 
     bytes 0..7    magic b'OMFB0001'
     bytes 8..15   uint64 LE manifest length in bytes
@@ -8,19 +8,23 @@ File layout (format version 2)::
     arrays        concatenated C-order float64 little-endian buffers,
                   in the order declared by manifest['arrays']
 
-A bundle stores only what queries read: the fitted model, and the
-projector coefficients, SEC fields with their operators and embedding
-coefficients, and semantic coefficients where attached.  The manifest's
-``arrays_digest`` is one SHA-256 over the whole array blob.  A load
-raises ``ValueError`` if the arrays do not match it, or if the file ends
-before or runs on past the last array the manifest declares.  The manifest is rebuilt canonically on every save, so
-loading a bundle and saving it again is byte-identical.  Saves replace
-the target file atomically.
+A bundle stores only what queries read (``_SECTIONS``).  Sizes are read
+from the arrays' shapes and a section is found by its arrays, so the
+manifest holds only ``format_version``, ``cidm``, ``data_diameter``,
+``semantics.periodic``, ``arrays`` (``[name, shape]`` pairs) and
+``arrays_digest``, one SHA-256 over the whole array blob.  A load raises
+``ValueError`` on any other version, on a missing or mistyped entry or a
+partial section, on a size beyond the bytes left in the file (checked
+before allocating), on bytes past the last array, and on a digest
+mismatch.  Saves are atomic and canonical, so re-saving a loaded bundle
+is byte-identical.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import secrets
 from dataclasses import dataclass
@@ -30,12 +34,23 @@ import numpy as np
 from .cidm import CidmConfig, CidmModel, PointCloud
 from .nystrom import NystromProjector
 from .ompgd import SemanticMap
-from .sec import EigenField, OperatorRep, SecBasisConfig, SecFrame
+from .sec import SecFrame
 
 __all__ = ['ModelBundle', 'save_bundle', 'load_bundle']
 
 MAGIC = b'OMFB0001'
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+#: The arrays of each section.  A section is in a bundle when its arrays
+#: are, and ``model`` always is; ``raw_degree`` comes with models of the
+#: ``cidm_dm_normalized`` variant.
+_SECTIONS = {
+    'model': ('points', 'knn_scale', 'degree', 'eig_xi', 'eig_phi'),
+    'raw_degree': ('raw_degree',),
+    'projector': ('xhat',),
+    'sec': ('sec_etas', 'sec_ops', 'sec_fhat'),
+    'semantics': ('semantic_coeffs',),
+}
 
 
 def _arrays_digest(buffers) -> str:
@@ -59,68 +74,32 @@ class ModelBundle:
     def projector(self) -> NystromProjector:
         if self.xhat is None:
             raise ValueError('bundle has no projector section; run build_projector first')
-        return NystromProjector(model=self.model, l_trunc=self.xhat.shape[0], xhat=self.xhat)
+        return NystromProjector(model=self.model, xhat=self.xhat)
 
 
 def _manifest_and_arrays(bundle: ModelBundle):
     """The manifest and the (name, C-order ``<f8`` array) pairs it declares."""
-    model = bundle.model
-    cfg = model.config
-    arrays: list[tuple[str, np.ndarray]] = [
-        ('points', model.training.points),
-        ('knn_scale', model.knn_scale),
-        ('degree', model.degree),
-        ('eig_xi', model.eig_xi),
-        ('eig_phi', model.eig_phi),
-    ]
-    if model.raw_degree is not None:
-        arrays.append(('raw_degree', model.raw_degree))
-    manifest = {
-        'format_version': FORMAT_VERSION,
-        'cidm': {
-            'k_nn': cfg.k_nn,
-            'n_eigs': cfg.n_eigs,
-            'epsilon': cfg.epsilon,
-            'shape': cfg.shape,
-            'kernel_variant': cfg.kernel_variant,
-            'average_scales': cfg.average_scales,
-        },
-        'n_points': model.n_points,
-        'ambient_dim': model.training.ambient_dim,
-        'n_eigs': model.n_eigs,
-        'data_diameter': model.data_diameter,
-        'projector': None,
-        'sec': None,
-        'semantics': None,
-    }
-    if bundle.xhat is not None:
-        manifest['projector'] = {'l_trunc': int(bundle.xhat.shape[0])}
-        arrays.append(('xhat', bundle.xhat))
-    frame = bundle.sec_frame
+    model, frame, label_map = bundle.model, bundle.sec_frame, bundle.label_map
+    arrays = {'points': model.training.points, 'knn_scale': model.knn_scale,
+              'degree': model.degree, 'eig_xi': model.eig_xi, 'eig_phi': model.eig_phi,
+              'raw_degree': model.raw_degree, 'xhat': bundle.xhat}
     if frame is not None:
         if bundle.sec_fhat is None:
             raise ValueError('a SEC section requires sec_fhat')
-        manifest['sec'] = {
-            'm_basis': frame.config.m_basis,
-            'm_inner': frame.m_inner,
-            'tau_frac': frame.config.tau_frac,
-            'n_fields': len(frame.fields),
-        }
-        arrays.extend([
-            ('sec_etas', np.array([f.eta for f in frame.fields])),
-            ('sec_coeffs', np.stack([f.coeffs for f in frame.fields])),
-            ('sec_ops', np.stack([op.v_op for op in frame.ops])),
-            ('sec_fhat', bundle.sec_fhat),
-        ])
-    if bundle.label_map is not None:
-        manifest['semantics'] = {
-            'periodic': list(bundle.label_map.periodic),
-            'l_trunc': int(bundle.label_map.coeffs.shape[0]),
-        }
-        arrays.append(('semantic_coeffs', bundle.label_map.coeffs))
-    arrays = [(name, np.ascontiguousarray(arr, dtype='<f8')) for name, arr in arrays]
-    manifest['arrays'] = [[name, list(arr.shape)] for name, arr in arrays]
-    manifest['arrays_digest'] = _arrays_digest(arr for _, arr in arrays)
+        arrays.update(sec_etas=frame.etas, sec_ops=frame.ops, sec_fhat=bundle.sec_fhat)
+    if label_map is not None:
+        arrays['semantic_coeffs'] = label_map.coeffs
+    arrays = [(name, np.ascontiguousarray(arr, dtype='<f8'))
+              for name, arr in arrays.items() if arr is not None]
+    manifest = {
+        'format_version': FORMAT_VERSION,
+        'cidm': dataclasses.asdict(model.config),
+        'data_diameter': model.data_diameter,
+        'arrays': [[name, list(arr.shape)] for name, arr in arrays],
+        'arrays_digest': _arrays_digest(arr for _, arr in arrays),
+    }
+    if label_map is not None:
+        manifest['semantics'] = {'periodic': list(label_map.periodic)}
     return manifest, arrays
 
 
@@ -158,12 +137,53 @@ def save_bundle(path, bundle: ModelBundle) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytearray:
-    buf = bytearray(n)
-    got = fh.readinto(buf)
-    if got < n:
+    """The next ``n`` bytes of the file.  ``n`` is checked against the bytes
+    left in the file before anything is allocated, so a corrupted size
+    cannot ask for more memory than the file holds."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
         raise ValueError(f'bundle truncated: {what} needs {n} bytes, '
-                         f'but only {got} remain in the file')
+                         f'but only {left} remain in the file')
+    buf = bytearray(n)
+    fh.readinto(buf)
     return buf
+
+
+def _entry(mapping: dict, key: str, kind, name: str | None = None):
+    """``mapping[key]`` if it is a ``kind``, else a ValueError naming it."""
+    value = mapping.get(key)
+    if not isinstance(value, kind):
+        raise ValueError(f'bundle manifest entry {name or key!r} is ' + (
+            f'{value!r}, of the wrong type' if key in mapping else 'missing'))
+    return value
+
+
+def _check_manifest(manifest) -> dict:
+    """The manifest, once every entry a load reads has its type and each
+    section declares all of its arrays or none; else a ValueError naming it."""
+    if not isinstance(manifest, dict):
+        raise ValueError('bundle manifest is not a JSON object')
+    version = _entry(manifest, 'format_version', int)
+    if version != FORMAT_VERSION:
+        raise ValueError(f'unsupported bundle version {version} '
+                         f'(this build reads version {FORMAT_VERSION})')
+    for key, kind in ('cidm', dict), ('data_diameter', (int, float)), ('arrays_digest', str):
+        _entry(manifest, key, kind)
+    arrays = _entry(manifest, 'arrays', list)
+    for entry in arrays:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and isinstance(entry[1], list)
+                and all(isinstance(d, int) and d >= 0 for d in entry[1])):
+            raise ValueError(f"bundle manifest entry 'arrays' holds {entry!r}, "
+                             'not a [name, shape] pair')
+    names = [name for name, _ in arrays]
+    for section, arrs in _SECTIONS.items():
+        missing = [name for name in arrs if name not in names]
+        if missing and (section == 'model' or len(missing) < len(arrs)):
+            raise ValueError(f'bundle section {section!r} lacks the arrays {missing}')
+    if 'semantic_coeffs' in names:
+        _entry(_entry(manifest, 'semantics', dict), 'periodic', list, 'semantics.periodic')
+    return manifest
 
 
 def load_bundle(path) -> ModelBundle:
@@ -172,20 +192,19 @@ def load_bundle(path) -> ModelBundle:
     Raises
     ------
     ValueError
-        If the file is not a bundle, has another format version, does
-        not end exactly after its last array, or its arrays do not match
-        the digest.
+        If the file is not a bundle, has another format version, has a
+        manifest that lacks or mistypes an entry or declares part of a
+        section, does not end exactly after its last array, or its arrays
+        do not match the digest.
     """
     with open(path, 'rb') as fh:
         magic = fh.read(8)
         if magic != MAGIC:
             raise ValueError(f'not a model bundle (magic {magic!r})')
         (length,) = np.frombuffer(_read_exact(fh, 8, 'the manifest length'), dtype='<u8')
-        manifest = json.loads(_read_exact(fh, int(length), 'the manifest').decode('utf-8'))
-        if manifest['format_version'] != FORMAT_VERSION:
-            raise ValueError(f"unsupported bundle version {manifest['format_version']} "
-                             f'(this build reads version {FORMAT_VERSION})')
-        buffers = [_read_exact(fh, 8 * int(np.prod(shape)), f'array {name!r}')
+        manifest = _check_manifest(
+            json.loads(_read_exact(fh, int(length), 'the manifest').decode('utf-8')))
+        buffers = [_read_exact(fh, 8 * math.prod(shape), f'array {name!r}')
                    for name, shape in manifest['arrays']]
         if fh.read(1):
             raise ValueError('bundle has bytes past its last declared array')
@@ -194,10 +213,13 @@ def load_bundle(path) -> ModelBundle:
     data = {name: np.frombuffer(buf, dtype='<f8').reshape(shape)
             for (name, shape), buf in zip(manifest['arrays'], buffers)}
 
-    cfg = CidmConfig(**manifest['cidm'])
+    try:
+        config = CidmConfig(**manifest['cidm'])
+    except TypeError as exc:
+        raise ValueError(f"bundle manifest entry 'cidm' is not a CidmConfig: {exc}") from None
     model = CidmModel(
         training=PointCloud(data['points']),
-        config=cfg,
+        config=config,
         knn_scale=data['knn_scale'],
         degree=data['degree'],
         eig_xi=data['eig_xi'],
@@ -205,22 +227,12 @@ def load_bundle(path) -> ModelBundle:
         data_diameter=manifest['data_diameter'],
         raw_degree=data.get('raw_degree'),
     )
-
-    xhat = data.get('xhat')
     sec_frame = None
-    sec_fhat = None
-    if manifest['sec'] is not None:
-        ms = manifest['sec']
-        config = SecBasisConfig(m_basis=ms['m_basis'], m_inner=ms['m_inner'],
-                                tau_frac=ms['tau_frac'])
-        fields = [EigenField(eta=float(e), coeffs=cv)
-                  for e, cv in zip(data['sec_etas'], data['sec_coeffs'])]
-        ops = [OperatorRep(v_op=v) for v in data['sec_ops']]
-        sec_frame = SecFrame(config=config, m_inner=ms['m_inner'], fields=fields, ops=ops)
-        sec_fhat = data['sec_fhat']
+    if 'sec_ops' in data:
+        sec_frame = SecFrame(etas=data['sec_etas'], ops=data['sec_ops'])
     label_map = None
-    if manifest['semantics'] is not None:
+    if 'semantic_coeffs' in data:
         label_map = SemanticMap(coeffs=data['semantic_coeffs'],
                                 periodic=tuple(bool(p) for p in manifest['semantics']['periodic']))
-    return ModelBundle(model=model, xhat=xhat, sec_frame=sec_frame,
-                       sec_fhat=sec_fhat, label_map=label_map)
+    return ModelBundle(model=model, xhat=data.get('xhat'), sec_frame=sec_frame,
+                       sec_fhat=data.get('sec_fhat'), label_map=label_map)

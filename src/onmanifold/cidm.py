@@ -363,7 +363,9 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
     def block_z(a, b):
         z = cdist(pts[a:b], pts, 'sqeuclidean')
         z /= np.outer(scales[a:b], scales)
-        z /= config.epsilon ** 2
+        # a tiny epsilon overflows z to inf, and an infinite z is a cut entry
+        with np.errstate(over='ignore'):
+            z /= config.epsilon ** 2
         return z
 
     indptr = np.zeros(N + 1, dtype=np.int64)
@@ -464,11 +466,8 @@ def fit(points: PointCloud, config: CidmConfig) -> CidmModel:
     if isinstance(points, np.ndarray):
         points = PointCloud(points)
     scales, diameter = _training_scales(points.points, config.k_nn, config.average_scales)
+    # each row keeps its own entry h(0) = 1, so every degree is positive
     K, degree, raw_degree = _kernel_csr(points.points, scales, config)
-    if np.any(degree <= 0):
-        raise DisconnectedGraphError('kernel row sums vanish: isolated points '
-                                     '(indicator shape with too small epsilon?)')
-
     _divide_entries(K, degree, root=True)           # K_sym, in place of K
     if not _uses_arpack(points.n_points, config.n_eigs):
         K = K.toarray()
@@ -478,8 +477,9 @@ def fit(points: PointCloud, config: CidmConfig) -> CidmModel:
     n_zero = int(np.sum(np.abs(xi) <= ZERO_EIGENVALUE_TOL))
     if n_zero > 1:
         raise DisconnectedGraphError(
-            f'{n_zero} eigenvalues within {ZERO_EIGENVALUE_TOL:g} of zero: '
-            'the kernel graph has numerically disconnected components')
+            f'{n_zero} eigenvalues within {ZERO_EIGENVALUE_TOL:g} of zero: the kernel '
+            f'graph has numerically disconnected components (epsilon={config.epsilon!r}, '
+            f'k_nn={config.k_nn}; a larger epsilon or k_nn connects more points)')
 
     # phi = D^{-1/2} v, rescaled to unit norm under the degree-weighted
     # inner product; the orthonormal V makes the factor sqrt(sum(D)) global.

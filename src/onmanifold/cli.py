@@ -134,8 +134,8 @@ def _cmd_sec_fields(args) -> int:
     save_bundle(args.model, ModelBundle(model=model, xhat=bundle.xhat,
                                         sec_frame=frame, sec_fhat=fhat,
                                         label_map=bundle.label_map))
-    for i, f in enumerate(frame.fields):
-        print(f'field {i}: eta={f.eta:.6e}')
+    for i, eta in enumerate(frame.etas):
+        print(f'field {i}: eta={eta:.6e}')
     if args.arrows_out:
         arrows = model.eig_phi[:, :frame.m_out] @ _arrow_coeffs(frame.ops[0], fhat)
         _write_csv(args.arrows_out,

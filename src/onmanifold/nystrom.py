@@ -204,24 +204,30 @@ def extend_function(model: CidmModel, coeffs: np.ndarray, x) -> np.ndarray:
 class NystromProjector:
     """Generalized Fourier coefficients of the coordinate functions.
 
-    ``xhat[ell, s] = <coordinate s, phi_ell>``; the projection is
-    ``x -> xhat.T @ (phi_0(x), ..., phi_{L-1}(x))``, the constant mode
-    included so the data mean is representable.
+    ``xhat[ell, s] = <coordinate s, phi_ell>``, an (L, n) array; the
+    projection is ``x -> xhat.T @ (phi_0(x), ..., phi_{L-1}(x))``, the
+    constant mode included so the data mean is representable.
     """
 
     model: CidmModel
-    l_trunc: int
     xhat: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.l_trunc <= self.model.n_eigs:
-            raise ValueError('l_trunc must be in [1, n_eigs]')
+        shape = np.shape(self.xhat)
+        n_eigs, dim = self.model.n_eigs, self.model.training.ambient_dim
+        if not (len(shape) == 2 and 1 <= shape[0] <= n_eigs and shape[1] == dim):
+            raise ValueError(f'xhat must have shape (L, {dim}) with 1 <= L <= {n_eigs}; '
+                             f'got {shape}')
+
+    @property
+    def l_trunc(self) -> int:
+        return self.xhat.shape[0]
 
 
 def build_projector(model: CidmModel, l_trunc: int) -> NystromProjector:
     """Projector onto the manifold resolved by the first ``l_trunc`` modes."""
-    xhat = fourier_coefficients(model, model.training.points, l_trunc)
-    return NystromProjector(model=model, l_trunc=l_trunc, xhat=xhat)
+    return NystromProjector(model=model,
+                            xhat=fourier_coefficients(model, model.training.points, l_trunc))
 
 
 def project_many(projector: NystromProjector, x: np.ndarray, iterations: int = 2) -> np.ndarray:

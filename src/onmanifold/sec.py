@@ -16,6 +16,10 @@ Smoothest fields minimize ``c^T E c / c^T G c`` after a Sobolev (E+G)
 basis reduction; their pushforward arrows in input space come from the
 operator coefficients ``v_ij = sum_lk v^{lk} G_ijlk``.
 
+Fields are plain arrays: a :class:`SecFrame` keeps only what queries
+read, the energies ``etas`` (F,) and the operators ``ops`` (F, m_out,
+m_basis) of :func:`field_operator`, and reads every size from them.
+
 Nothing here is O(N^2): the frame only acts on the span of the first
 ``m_inner`` eigenfunctions, where one step of the fitted diffusion
 operator ``D^{-1} K`` is multiplication by the kernel eigenvalues.  The
@@ -37,8 +41,6 @@ from .nystrom import _one_point, eigenfunction_values, fourier_coefficients
 __all__ = [
     'SecBasisConfig',
     'SecFrame',
-    'OperatorRep',
-    'EigenField',
     'structure_constants',
     'metric_tensor',
     'dirichlet_energy_tensor',
@@ -89,40 +91,6 @@ class SecBasisConfig:
             raise ValueError('m_inner must be >= m_basis')
         if not 0.0 <= self.tau_frac < np.inf:
             raise ValueError(f'tau_frac must be finite and >= 0, got {self.tau_frac!r}')
-
-    def resolved_m_inner(self, n_eigs: int) -> int:
-        m_inner = self.m_inner if self.m_inner is not None else min(2 * self.m_basis ** 2, n_eigs)
-        if m_inner > n_eigs:
-            raise ValueError(f'm_inner={m_inner} exceeds the model n_eigs={n_eigs}')
-        return m_inner
-
-
-@dataclass(frozen=True)
-class EigenField:
-    """A minimal-Dirichlet-energy field: energy and frame coefficients."""
-
-    eta: float
-    coeffs: np.ndarray
-
-
-@dataclass(frozen=True)
-class OperatorRep:
-    """Matrix of operator coefficients v_ij = <phi_i, v(phi_j)>.
-
-    Rows index the output mode i (``m_out`` of them), columns the input
-    mode j < m_basis.  :func:`field_operator` fills every output mode up
-    to m_inner.
-    """
-
-    v_op: np.ndarray
-
-    @property
-    def m_out(self) -> int:
-        return self.v_op.shape[0]
-
-    @property
-    def m_basis(self) -> int:
-        return self.v_op.shape[1]
 
 
 def structure_constants(model: CidmModel, m_inner: int) -> np.ndarray:
@@ -199,13 +167,14 @@ def sobolev_basis(E: np.ndarray, G: np.ndarray, tau_frac: float) -> np.ndarray:
 
 
 def eigenfields(E: np.ndarray, G: np.ndarray, u_tilde: np.ndarray,
-                n_fields: int) -> list[EigenField]:
+                n_fields: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimal-energy fields of the pencil (E, G) in the Sobolev basis.
 
     Solves ``E~ c~ = eta G~ c~`` with ``E~ = U~^T E U~`` (symmetric
-    definite, Cholesky-reduced), returns the ``n_fields`` smallest-eta
-    fields with frame coefficients ``U~ c~``, G-normalized, eta ascending,
-    signs fixed so the largest-magnitude coefficient is positive.
+    definite, Cholesky-reduced) and returns ``(etas, coeffs)`` for the
+    ``n_fields`` smallest-eta fields: etas ascending, and one row of frame
+    coefficients ``U~ c~`` per field, G-normalized, signs fixed so the
+    largest-magnitude coefficient is positive.
     """
     Et = u_tilde.T @ E @ u_tilde
     Gt = u_tilde.T @ G @ u_tilde
@@ -223,18 +192,18 @@ def eigenfields(E: np.ndarray, G: np.ndarray, u_tilde: np.ndarray,
         except LinAlgError as exc:
             raise EigensolverFailure(f'generalized eigensolve failed: {exc}') from exc
     n_fields = min(n_fields, eta.shape[0])
-    fields = []
+    coeffs = np.empty((n_fields, u_tilde.shape[0]))
     for a in range(n_fields):
-        coeffs = u_tilde @ C[:, a]
-        sign = np.sign(coeffs[np.argmax(np.abs(coeffs))])
-        fields.append(EigenField(eta=float(eta[a]), coeffs=coeffs * (sign or 1.0)))
-    return fields
+        cv = u_tilde @ C[:, a]
+        coeffs[a] = cv * (np.sign(cv[np.argmax(np.abs(cv))]) or 1.0)
+    return eta[:n_fields], coeffs
 
 
 def field_operator(c: np.ndarray, xi: np.ndarray, coeffs: np.ndarray,
-                   m_basis: int) -> OperatorRep:
-    """Operator coefficients v_ij = sum_lk v^{lk} G_ijlk for every output
-    mode i < m_inner.
+                   m_basis: int) -> np.ndarray:
+    """Operator coefficients v_ij = <phi_i, v(phi_j)> = sum_lk v^{lk} G_ijlk,
+    as an (m_inner, m_basis) array: rows index every output mode i <
+    m_inner, columns the input modes j < m_basis.
 
     The output index i enters only through ``c_lsi``, so rows i < m_basis
     are the square truncation ``(G @ coeffs).reshape(m_basis, m_basis)``,
@@ -245,36 +214,45 @@ def field_operator(c: np.ndarray, xi: np.ndarray, coeffs: np.ndarray,
     m_inner = _check_c_xi(c, xi, m_basis)
     V = np.asarray(coeffs, dtype=np.float64).reshape(m_basis, m_basis)
     P = _plus_weighted(c, xi, m_basis, m_inner)
-    v_op = 0.5 * np.einsum('lk,jks,sli->ij', V, P, c[:m_inner, :m_basis, :m_inner],
+    return 0.5 * np.einsum('lk,jks,sli->ij', V, P, c[:m_inner, :m_basis, :m_inner],
                            optimize=True)
-    return OperatorRep(v_op=v_op)
 
 
 @dataclass(frozen=True)
 class SecFrame:
     """The minimal-energy fields of one fitted model, as queries read them.
 
-    ``fields`` carry full m_basis^2 frame coefficient vectors (zeros on
-    the pairs (i, 0), since ``grad(phi_0) = 0``) and ``ops`` their
-    operators over m_inner output modes (:func:`field_operator`), which
-    is what a tangent frame or a PGD step reads.  The tensors the fields
-    were solved from are not kept.
+    ``etas`` (F,) holds the fields' Dirichlet energies, ascending, and
+    ``ops`` (F, m_out, m_basis) their operators over m_out = m_inner
+    output modes (:func:`field_operator`), which is what a tangent frame
+    or a PGD step reads.  Every size is read from ``ops``; the tensors
+    and the frame coefficients the fields were solved from are not kept.
     """
 
-    config: SecBasisConfig
-    m_inner: int
-    fields: list[EigenField]
-    ops: list[OperatorRep]
+    etas: np.ndarray
+    ops: np.ndarray
+
+    def __post_init__(self):
+        etas = np.asarray(self.etas, dtype=np.float64)
+        ops = np.asarray(self.ops, dtype=np.float64)
+        if not (etas.ndim == 1 and ops.ndim == 3 and 1 <= etas.shape[0] == ops.shape[0]
+                and 1 <= ops.shape[2] <= ops.shape[1]):
+            raise ValueError(f'a SEC frame needs etas of shape (F,) and ops of shape '
+                             f'(F, m_out, m_basis) with F >= 1 and m_out >= m_basis >= 1; '
+                             f'got {etas.shape} and {ops.shape}')
+        object.__setattr__(self, 'etas', etas)
+        object.__setattr__(self, 'ops', ops)
 
     @property
     def m_basis(self) -> int:
-        return self.config.m_basis
+        """Input modes of the field operators."""
+        return self.ops.shape[2]
 
     @property
     def m_out(self) -> int:
         """Output modes of the field operators: the eigenfunction values a
         tangent frame reads."""
-        return self.ops[0].m_out
+        return self.ops.shape[1]
 
 
 def build_sec_frame(model: CidmModel, config: SecBasisConfig,
@@ -294,8 +272,9 @@ def build_sec_frame(model: CidmModel, config: SecBasisConfig,
     first ``m_inner`` eigenfunctions, where that step is ``diag(lambda)``:
     the screen is spectral (:func:`_arrow_screen`) and builds no kernel.
     """
-    m = config.m_basis
-    m_inner = config.resolved_m_inner(model.n_eigs)
+    m, m_inner = config.m_basis, config.m_inner or min(2 * config.m_basis ** 2, model.n_eigs)
+    if m_inner > model.n_eigs:
+        raise ValueError(f'm_inner={m_inner} exceeds the model n_eigs={model.n_eigs}')
     c = structure_constants(model, m_inner)
     xi = model.eig_xi[:m_inner]
     G = metric_tensor(c, xi, m)
@@ -305,25 +284,24 @@ def build_sec_frame(model: CidmModel, config: SecBasisConfig,
     G_r = G[np.ix_(frame_index, frame_index)]
     E_r = E[np.ix_(frame_index, frame_index)]
     u_tilde = sobolev_basis(E_r, G_r, config.tau_frac)
-    candidates = eigenfields(E_r, G_r, u_tilde, n_fields + CANDIDATE_SURPLUS)
+    etas, reduced = eigenfields(E_r, G_r, u_tilde, n_fields + CANDIDATE_SURPLUS)
 
     fhat = fourier_coefficients(model, model.training.points, m)
-    screened = []
-    for f in candidates:
+    screened = []           # (eta, op, mass, rough) per candidate
+    for eta, cr in zip(etas, reduced):
         coeffs = np.zeros(m * m)
-        coeffs[frame_index] = f.coeffs
+        coeffs[frame_index] = cr
         op = field_operator(c, xi, coeffs, m)
         mass, rough = _arrow_screen(model, _arrow_coeffs(op, fhat))
-        screened.append((EigenField(eta=f.eta, coeffs=coeffs), op, mass, rough))
+        screened.append((eta, op, mass, rough))
     max_mass = max(mass for _, _, mass, _ in screened)
     if max_mass <= 0:
         raise DegenerateFrameError('every candidate eigenfield has zero arrow mass')
     massive = [s for s in screened if s[2] >= ARROW_MASS_FLOOR * max_mass]
     smoothest = sorted(massive, key=lambda s: s[3])[:n_fields]
-    kept = sorted(smoothest, key=lambda s: s[0].eta)
-    fields = [fld for fld, _, _, _ in kept]
-    ops = [op for _, op, _, _ in kept]
-    return SecFrame(config=config, m_inner=m_inner, fields=fields, ops=ops)
+    kept = sorted(smoothest, key=lambda s: s[0])
+    return SecFrame(etas=np.array([eta for eta, _, _, _ in kept]),
+                    ops=np.stack([op for _, op, _, _ in kept]))
 
 
 def _arrow_screen(model: CidmModel, A: np.ndarray) -> tuple[float, float]:
@@ -344,24 +322,26 @@ def _arrow_screen(model: CidmModel, A: np.ndarray) -> tuple[float, float]:
     return mass, rough
 
 
-def _arrow_coeffs(op: OperatorRep, fhat) -> np.ndarray:
-    """The field's arrows in the eigenbasis, ``v_op @ fhat``: row i holds
+def _arrow_coeffs(op: np.ndarray, fhat) -> np.ndarray:
+    """The field's arrows in the eigenbasis, ``op @ fhat``: row i holds
     the coefficients of phi_i, so the arrow at x is the eigenfunction
     values there times this (:func:`pushforward`)."""
     fhat = np.asarray(fhat, dtype=np.float64)
-    if fhat.shape[0] < op.m_basis:
-        raise ValueError(f'fhat must cover at least {op.m_basis} modes')
-    return op.v_op @ fhat[:op.m_basis]
+    m_basis = op.shape[1]
+    if fhat.shape[0] < m_basis:
+        raise ValueError(f'fhat must cover at least {m_basis} modes')
+    return op @ fhat[:m_basis]
 
 
-def pushforward(model: CidmModel, op: OperatorRep, fhat: np.ndarray, x) -> np.ndarray:
-    """Arrow of the field at x: (DF(x) v_x)_k = sum_ij v_ij fhat[j, k] phi_i(x).
+def pushforward(model: CidmModel, op: np.ndarray, fhat: np.ndarray, x) -> np.ndarray:
+    """Arrow of the field with operator ``op`` (:func:`field_operator`) at x:
+    (DF(x) v_x)_k = sum_ij v_ij fhat[j, k] phi_i(x).
 
     ``fhat`` holds generalized Fourier coefficients of the embedding
     (rows are modes, columns ambient coordinates); rows beyond the
     operator's input range are ignored.
     """
-    return eigenfunction_values(model, x, op.m_out) @ _arrow_coeffs(op, fhat)
+    return eigenfunction_values(model, x, op.shape[0]) @ _arrow_coeffs(op, fhat)
 
 
 def tangent_frame_at(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
@@ -398,9 +378,10 @@ def _frame_arrows(frame: SecFrame, fhat: np.ndarray,
     """
     if dim < 1 or dim > np.shape(fhat)[-1]:
         raise ValueError('dim must be in [1, ambient dimension]')
-    if len(frame.fields) < dim:
-        raise ValueError(f'need at least {dim} eigenfields, have {len(frame.fields)}')
-    n_use = min(2 * dim, len(frame.fields))
+    n_fields = len(frame.etas)
+    if n_fields < dim:
+        raise ValueError(f'need at least {dim} eigenfields, have {n_fields}')
+    n_use = min(2 * dim, n_fields)
     m_basis, m_out = frame.m_basis, frame.m_out
     resolutions = sorted({m_basis, (m_basis + m_out) // 2, m_out})
     arrows = []

@@ -16,6 +16,8 @@ from onmanifold.repro import FIGURES
     (cidm, 'cidm_dissimilarity_sq'),
     (sec, 'frame_to_operator'),
     (bundle, 'dataset_digest'),
+    (sec, 'OperatorRep'),
+    (sec, 'EigenField'),
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(om, name)
@@ -33,8 +35,11 @@ def test_field_operator_has_no_m_out():
 
 
 def test_sec_frame_keeps_only_what_queries_read():
-    assert list(inspect.signature(om.SecFrame).parameters) == ['config', 'm_inner',
-                                                               'fields', 'ops']
+    assert list(inspect.signature(om.SecFrame).parameters) == ['etas', 'ops']
+
+
+def test_projector_derives_its_truncation():
+    assert list(inspect.signature(om.NystromProjector).parameters) == ['model', 'xhat']
 
 
 def test_repro_offers_exactly_the_figures(capsys):

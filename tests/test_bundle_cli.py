@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onmanifold as om
 from onmanifold import cidm, nystrom
@@ -42,13 +44,10 @@ class TestBundle:
         assert loaded.model.config == bundle.model.config
         assert loaded.model.data_diameter == bundle.model.data_diameter
         npt.assert_array_equal(loaded.xhat, bundle.xhat)
-        for a, b in zip(loaded.sec_frame.ops, bundle.sec_frame.ops, strict=True):
-            npt.assert_array_equal(a.v_op, b.v_op)
+        npt.assert_array_equal(loaded.sec_frame.ops, bundle.sec_frame.ops)
+        npt.assert_array_equal(loaded.sec_frame.etas, bundle.sec_frame.etas)
         npt.assert_array_equal(loaded.sec_fhat, bundle.sec_fhat)
         assert loaded.label_map.periodic == bundle.label_map.periodic
-        for a, b in zip(loaded.sec_frame.fields, bundle.sec_frame.fields):
-            assert a.eta == b.eta
-            npt.assert_array_equal(a.coeffs, b.coeffs)
 
     def test_load_save_is_byte_identical(self, small_bundle, tmp_path):
         path, _ = small_bundle
@@ -196,18 +195,74 @@ class TestBundle:
         with pytest.raises(ValueError, match='past its last declared array'):
             load_bundle(long)
 
-    def test_version_1_refused(self, small_bundle, tmp_path):
+    def test_version_2_refused(self, small_bundle, tmp_path):
+        path, _ = small_bundle
+        old = tmp_path / 'v2.bundle'
+        old.write_bytes(edit_manifest(path.read_bytes(),
+                                      lambda m: m.update(format_version=2)))
+        with pytest.raises(ValueError, match='unsupported bundle version 2 '):
+            load_bundle(old)
+
+    @pytest.mark.parametrize('length', [2 ** 62, 2 ** 64 - 1])
+    def test_huge_manifest_length_refused_before_allocating(self, small_bundle, tmp_path,
+                                                            length):
+        path, _ = small_bundle
+        raw = path.read_bytes()
+        bad = tmp_path / 'bad.bundle'
+        bad.write_bytes(raw[:8] + np.uint64(length).tobytes() + raw[16:])
+        with pytest.raises(ValueError, match=f'bundle truncated: the manifest needs {length} '
+                                             f'bytes, but only {len(raw) - 16} remain'):
+            load_bundle(bad)
+
+    def test_huge_array_shape_refused_before_allocating(self, small_bundle, tmp_path):
+        path, _ = small_bundle
+
+        def grow(manifest):
+            manifest['arrays'][0][1] = [2 ** 40]
+        bad = tmp_path / 'bad.bundle'
+        bad.write_bytes(edit_manifest(path.read_bytes(), grow))
+        with pytest.raises(ValueError, match=f"truncated: array 'points' needs {8 * 2 ** 40} "
+                                             'bytes, but only'):
+            load_bundle(bad)
+
+    @pytest.mark.parametrize('edit, named', [
+        (lambda m: m.pop('format_version'), "entry 'format_version' is missing"),
+        (lambda m: m.pop('cidm'), "entry 'cidm' is missing"),
+        (lambda m: m.pop('data_diameter'), "entry 'data_diameter' is missing"),
+        (lambda m: m.pop('arrays'), "entry 'arrays' is missing"),
+        (lambda m: m.pop('arrays_digest'), "entry 'arrays_digest' is missing"),
+        (lambda m: m.pop('semantics'), "entry 'semantics' is missing"),
+        (lambda m: m['semantics'].pop('periodic'), "entry 'semantics.periodic' is missing"),
+        (lambda m: m.update(format_version='3'), "entry 'format_version' is '3', of the wrong"),
+        (lambda m: m.update(data_diameter=None), "entry 'data_diameter' is None, of the wrong"),
+        (lambda m: m.update(cidm=[]), r"entry 'cidm' is \[\], of the wrong type"),
+        (lambda m: m['cidm'].pop('k_nn'), "entry 'cidm' is not a CidmConfig.*k_nn"),
+        (lambda m: m['semantics'].update(periodic=True), "'semantics.periodic' is True, of"),
+        (lambda m: m['arrays'][0].pop(), "entry 'arrays' holds"),
+        (lambda m: m['arrays'][0][1].append(-1), "entry 'arrays' holds"),
+        (lambda m: m.update(arrays=[a for a in m['arrays'] if a[0] != 'sec_fhat']),
+         r"section 'sec' lacks the arrays \['sec_fhat'\]"),
+        (lambda m: m.update(arrays=[a for a in m['arrays'] if a[0] != 'eig_xi']),
+         r"section 'model' lacks the arrays \['eig_xi'\]"),
+    ])
+    def test_bad_manifest_entry_named(self, small_bundle, tmp_path, edit, named):
+        path, _ = small_bundle
+        bad = tmp_path / 'bad.bundle'
+        bad.write_bytes(edit_manifest(path.read_bytes(), edit))
+        with pytest.raises(ValueError, match=named):
+            load_bundle(bad)
+
+    def test_manifest_holds_only_what_a_load_reads(self, small_bundle):
         path, _ = small_bundle
         raw = path.read_bytes()
         manifest_len = int(np.frombuffer(raw[8:16], dtype='<u8')[0])
         manifest = json.loads(raw[16:16 + manifest_len])
-        manifest['format_version'] = 1
-        blob = json.dumps(manifest, sort_keys=True, separators=(',', ':')).encode('utf-8')
-        old = tmp_path / 'v1.bundle'
-        old.write_bytes(raw[:8] + np.uint64(len(blob)).tobytes() + blob
-                        + raw[16 + manifest_len:])
-        with pytest.raises(ValueError, match='unsupported bundle version 1 '):
-            load_bundle(old)
+        assert sorted(manifest) == ['arrays', 'arrays_digest', 'cidm', 'data_diameter',
+                                    'format_version', 'semantics']
+        assert manifest['semantics'] == {'periodic': [True]}
+        assert [name for name, _ in manifest['arrays']] == [
+            'points', 'knn_scale', 'degree', 'eig_xi', 'eig_phi', 'xhat',
+            'sec_etas', 'sec_ops', 'sec_fhat', 'semantic_coeffs']
 
     def test_dm_variant_round_trip(self, tmp_path, circle300):
         cloud, _, _ = circle300
@@ -219,6 +274,69 @@ class TestBundle:
         npt.assert_array_equal(loaded.model.raw_degree, model.raw_degree)
         got = om.extend_eigenfunction(loaded.model, 1, cloud.points[7])
         assert got == pytest.approx(model.eig_phi[7, 1], rel=1e-8)
+
+
+@pytest.fixture(scope='module')
+def variant_fits():
+    """A small circle fitted with each kernel variant."""
+    cloud, params = om.generate(om.SynthSpec(kind='circle', n_points=80, noise_sigma=0.02,
+                                             seed=4))
+    return params, {variant: om.fit(cloud, om.CidmConfig(k_nn=6, n_eigs=16,
+                                                         kernel_variant=variant))
+                    for variant in ('cidm', 'cidm_dm_normalized')}
+
+
+@settings(max_examples=30, deadline=None)
+@given(variant=st.sampled_from(['cidm', 'cidm_dm_normalized']),
+       l_trunc=st.none() | st.integers(1, 16),
+       sec=st.none() | st.tuples(st.integers(2, 4), st.integers(1, 3)),
+       semantics=st.none() | st.integers(1, 16))
+def test_round_trip_is_exact(variant_fits, tmp_path_factory, variant, l_trunc, sec,
+                             semantics):
+    """Each section on or off: save, load and save again gives the same
+    bytes, and the loaded arrays are the saved ones."""
+    params, fits = variant_fits
+    model = fits[variant]
+    xhat = None if l_trunc is None else om.build_projector(model, l_trunc).xhat
+    frame = fhat = label_map = None
+    if sec is not None:
+        m_basis, n_fields = sec
+        frame = om.build_sec_frame(model, om.SecBasisConfig(m_basis=m_basis), n_fields)
+        fhat = om.fourier_coefficients(model, model.training.points, m_basis)
+    if semantics is not None:
+        label_map = om.semantic_map(model, params, [True], semantics)
+    bundle = ModelBundle(model=model, xhat=xhat, sec_frame=frame, sec_fhat=fhat,
+                         label_map=label_map)
+    path = tmp_path_factory.mktemp('prop') / 'model.bundle'
+    save_bundle(path, bundle)
+    loaded = load_bundle(path)
+    save_bundle(path.with_suffix('.copy'), loaded)
+    assert path.with_suffix('.copy').read_bytes() == path.read_bytes()
+    npt.assert_array_equal(loaded.model.eig_phi, model.eig_phi)
+    npt.assert_array_equal(loaded.model.raw_degree, model.raw_degree)
+    assert (loaded.xhat is None) == (xhat is None)
+    if xhat is not None:
+        npt.assert_array_equal(loaded.xhat, xhat)
+        assert loaded.projector().l_trunc == l_trunc
+    assert (loaded.sec_frame is None) == (frame is None)
+    if frame is not None:
+        npt.assert_array_equal(loaded.sec_frame.etas, frame.etas)
+        npt.assert_array_equal(loaded.sec_frame.ops, frame.ops)
+        npt.assert_array_equal(loaded.sec_fhat, fhat)
+    assert (loaded.label_map is None) == (label_map is None)
+    if label_map is not None:
+        npt.assert_array_equal(loaded.label_map.coeffs, label_map.coeffs)
+        assert loaded.label_map.periodic == label_map.periodic
+
+
+def edit_manifest(raw: bytes, edit) -> bytes:
+    """The bundle ``raw`` with ``edit`` applied to its manifest in place;
+    the arrays and their digest are left as they are."""
+    manifest_len = int(np.frombuffer(raw[8:16], dtype='<u8')[0])
+    manifest = json.loads(raw[16:16 + manifest_len])
+    edit(manifest)
+    blob = json.dumps(manifest, sort_keys=True, separators=(',', ':')).encode('utf-8')
+    return raw[:8] + np.uint64(len(blob)).tobytes() + blob + raw[16 + manifest_len:]
 
 
 def run_cli(*argv):
@@ -283,6 +401,20 @@ class TestCli:
         assert rows.shape == (200, 4)
         basis = rows[:, 2:]
         npt.assert_allclose(np.linalg.norm(basis, axis=1), 1.0, atol=1e-10)
+
+    def test_corrupted_bundle_is_a_usage_error(self, small_bundle, tmp_path, capsys):
+        path, _ = small_bundle
+        raw = path.read_bytes()
+        bad = tmp_path / 'bad.bundle'
+        bad.write_bytes(raw[:8] + np.uint64(2 ** 62).tobytes() + raw[16:])
+        queries = tmp_path / 'q.csv'
+        np.savetxt(queries, np.eye(2), delimiter=',')
+        capsys.readouterr()
+        assert run_cli('project', str(bad), str(queries), '--out',
+                       str(tmp_path / 'o.csv')) == 1
+        err = capsys.readouterr().err
+        assert err.startswith('error: bundle truncated: the manifest needs ')
+        assert err.count('\n') == 1
 
     def test_usage_error_exit_code(self, tmp_path, capsys):
         assert run_cli('project', str(tmp_path / 'nope.bundle'),

@@ -175,7 +175,7 @@ class TestFit:
         rng = np.random.default_rng(0)
         pts = np.vstack([rng.standard_normal((20, 2)),
                          rng.standard_normal((20, 2)) + 100.0])
-        with pytest.raises(om.DisconnectedGraphError):
+        with pytest.raises(om.DisconnectedGraphError, match='epsilon=1.0, k_nn=4'):
             om.fit(om.PointCloud(pts), om.CidmConfig(k_nn=4, n_eigs=6, shape='indicator'))
 
     def test_dm_normalized_variant_fits(self, circle300):
@@ -191,6 +191,16 @@ class TestFit:
         pts = om.PointCloud(np.random.default_rng(0).standard_normal((10, 2)))
         with pytest.raises(ValueError):
             om.fit(pts, om.CidmConfig(k_nn=3, n_eigs=11))
+
+    # 1e-160 squares to a subnormal that overflows the kernel's division
+    # (an error under the suite's RuntimeWarning filter); 1e-10 cuts every
+    # cross entry too
+    @pytest.mark.parametrize('epsilon', [1e-160, 1e-10])
+    def test_tiny_epsilon_disconnects_with_its_settings_named(self, epsilon):
+        pts = om.PointCloud(np.random.default_rng(0).standard_normal((30, 2)))
+        with pytest.raises(om.DisconnectedGraphError,
+                           match=f'epsilon={epsilon!r}, k_nn=5; a larger epsilon or k_nn'):
+            om.fit(pts, om.CidmConfig(k_nn=5, n_eigs=5, epsilon=epsilon))
 
     # inf squares to inf, 1e300 overflows when squared, 1e-200 squares to 0
     @pytest.mark.parametrize('epsilon', [np.inf, 1e300, 1e-200])

@@ -195,6 +195,12 @@ class TestProjector:
         with pytest.raises(ValueError):
             om.project(projector, np.array([1.0, 0.0]), 0)
 
+    @pytest.mark.parametrize('shape', [(0, 2), (41, 2), (10, 3), (10,), (1, 10, 2)])
+    def test_xhat_shape_checked(self, noisy_circle, shape):
+        _, _, model = noisy_circle          # 40 modes of a planar cloud
+        with pytest.raises(ValueError, match=r'xhat must have shape \(L, 2\) with 1 <= L <= 40'):
+            om.NystromProjector(model=model, xhat=np.zeros(shape))
+
 
 def central_difference(fn, x, h):
     g = np.zeros_like(x)

@@ -174,8 +174,7 @@ class TestDirichletTensor:
 
     def test_rotation_field_has_smallest_energy(self, circle_sec):
         frame, _ = circle_sec
-        etas = [f.eta for f in frame.fields]
-        assert abs(etas[0]) < 0.2 * etas[1]
+        assert abs(frame.etas[0]) < 0.2 * frame.etas[1]
 
 
 class TestSobolevBasis:
@@ -255,12 +254,12 @@ class TestEigenfields:
 
     def test_reduced_eigenpair_residual(self, reduced_problem):
         E_r, G_r, u_tilde = reduced_problem
-        fields = eigenfields(E_r, G_r, u_tilde, 4)
+        etas, coeffs = eigenfields(E_r, G_r, u_tilde, 4)
         Et = u_tilde.T @ E_r @ u_tilde
         Gt = u_tilde.T @ G_r @ u_tilde
-        for f in fields:
-            ct = u_tilde.T @ f.coeffs
-            resid = np.linalg.norm(Et @ ct - f.eta * (Gt @ ct))
+        for eta, cv in zip(etas, coeffs, strict=True):
+            ct = u_tilde.T @ cv
+            resid = np.linalg.norm(Et @ ct - eta * (Gt @ ct))
             # backward-error floor: eps * ||Et|| * ||ct|| covers eigenpairs
             # whose eta is an exact numerical zero
             floor = 1e-13 * np.linalg.norm(Et) * np.linalg.norm(ct)
@@ -268,21 +267,20 @@ class TestEigenfields:
 
     def test_g_orthonormal_family(self, reduced_problem):
         E_r, G_r, u_tilde = reduced_problem
-        fields = eigenfields(E_r, G_r, u_tilde, 4)
-        for a, fa in enumerate(fields):
-            for b, fb in enumerate(fields):
-                got = fa.coeffs @ G_r @ fb.coeffs
-                assert got == pytest.approx(1.0 if a == b else 0.0, abs=1e-6)
+        _, coeffs = eigenfields(E_r, G_r, u_tilde, 4)
+        npt.assert_allclose(coeffs @ G_r @ coeffs.T, np.eye(4), atol=1e-6)
 
     def test_eta_equals_rayleigh_quotient(self, reduced_problem):
         E_r, G_r, u_tilde = reduced_problem
-        for f in eigenfields(E_r, G_r, u_tilde, 4):
-            assert f.coeffs @ E_r @ f.coeffs == pytest.approx(f.eta, abs=1e-8)
+        etas, coeffs = eigenfields(E_r, G_r, u_tilde, 4)
+        for eta, cv in zip(etas, coeffs, strict=True):
+            assert cv @ E_r @ cv == pytest.approx(eta, abs=1e-8)
 
     def test_eta_sorted_ascending(self, reduced_problem):
         E_r, G_r, u_tilde = reduced_problem
-        etas = [f.eta for f in eigenfields(E_r, G_r, u_tilde, 6)]
-        assert etas == sorted(etas)
+        etas, coeffs = eigenfields(E_r, G_r, u_tilde, 6)
+        assert etas.shape == (6,) and coeffs.shape == (6, u_tilde.shape[0])
+        assert list(etas) == sorted(etas)
 
     def test_singular_gram_raises(self, circle_tensors):
         # an identity "basis" keeps the exactly-null grad(phi_0) frame
@@ -296,7 +294,8 @@ class TestOperators:
     def test_zero_coefficients_zero_operator(self, circle_tensors):
         c, xi, G, _ = circle_tensors
         op = field_operator(c, xi, np.zeros(G.shape[0]), 6)
-        npt.assert_array_equal(op.v_op, 0.0)
+        assert op.shape == (30, 6)
+        npt.assert_array_equal(op, 0.0)
 
     def test_unit_coefficient_selects_gram_column(self, circle_tensors):
         c, xi, G, _ = circle_tensors
@@ -304,16 +303,22 @@ class TestOperators:
         e = np.zeros(m * m)
         e[2 * m + 1] = 1.0
         op = field_operator(c, xi, e, m)
-        npt.assert_allclose(op.v_op[:m].ravel(), G[:, 2 * m + 1], atol=1e-14)
+        npt.assert_allclose(op[:m].ravel(), G[:, 2 * m + 1], atol=1e-14)
 
-    def test_field_operator_extends_square_truncation(self, circle_sec, circle_tensors):
-        frame, _ = circle_sec
+    def test_field_operator_extends_square_truncation(self, reduced_problem,
+                                                      circle_tensors):
+        # the first eigenfield of the circle_sec set-up; the frame keeps only
+        # its operator, so its coefficients are solved for again here
+        E_r, G_r, u_tilde = reduced_problem
         c, xi, G, _ = circle_tensors
-        coeffs = frame.fields[0].coeffs
-        square = (G @ coeffs).reshape(frame.m_basis, frame.m_basis)
-        extended = field_operator(c, xi, coeffs, frame.m_basis)
-        assert extended.m_out == frame.m_inner
-        npt.assert_allclose(extended.v_op[:frame.m_basis], square, atol=1e-10)
+        m = 6
+        coeffs = np.zeros(m * m)
+        coeffs[[i * m + j for i in range(m) for j in range(1, m)]] = \
+            eigenfields(E_r, G_r, u_tilde, 1)[1][0]
+        square = (G @ coeffs).reshape(m, m)
+        extended = field_operator(c, xi, coeffs, m)
+        assert extended.shape == (c.shape[0], m)
+        npt.assert_allclose(extended[:m], square, atol=1e-10)
 
     def test_operator_action_matches_pointwise_derivative(self):
         # apply the frame element phi_l grad(phi_k) to f: the reconstructed
@@ -329,7 +334,7 @@ class TestOperators:
         op = field_operator(c, lam, coeffs, m)
         f = phi[:, 3]
         fhat = (phi / n).T @ f
-        recon = phi[:, :24] @ (op.v_op @ fhat[:m])
+        recon = phi[:, :24] @ (op @ fhat[:m])
         ds = 2 * np.pi / n
         df = (np.roll(f, -1) - np.roll(f, 1)) / (2 * ds)
         dphik = (np.roll(phi[:, k_idx], -1) - np.roll(phi[:, k_idx], 1)) / (2 * ds)
@@ -342,9 +347,7 @@ class TestPushforward:
     def test_zero_operator_zero_arrow(self, circle_sec, circle300):
         _, _, model = circle300
         frame, fhat = circle_sec
-        from onmanifold.sec import OperatorRep
-        op = OperatorRep(v_op=np.zeros((6, 6)))
-        arrow = om.pushforward(model, op, fhat, np.array([1.0, 0.0]))
+        arrow = om.pushforward(model, np.zeros((6, 6)), fhat, np.array([1.0, 0.0]))
         npt.assert_array_equal(arrow, 0.0)
 
     def test_first_field_arrow_is_tangent(self, circle_sec, circle300):
@@ -381,11 +384,9 @@ class TestTangentFrame:
     def test_rank_deficiency_raises(self, circle_sec, circle300):
         # fields whose arrows vanish cannot span any tangent direction
         import dataclasses
-        from onmanifold.sec import OperatorRep
         _, _, model = circle300
         frame, fhat = circle_sec
-        dead = dataclasses.replace(
-            frame, ops=[OperatorRep(v_op=np.zeros_like(op.v_op)) for op in frame.ops])
+        dead = dataclasses.replace(frame, ops=np.zeros_like(frame.ops))
         with pytest.raises(om.RankDeficiencyError):
             om.tangent_frame_at(model, dead, fhat, np.array([1.0, 0.0]), 1)
 
@@ -396,8 +397,8 @@ class TestTangentFrame:
         frame, fhat = circle_sec
         from onmanifold.nystrom import eigenfunction_values
         x = np.array([1.0, 0.0])
-        vals = eigenfunction_values(model, x, frame.ops[0].m_out)
-        arrows = np.stack([vals @ (op.v_op @ fhat) for op in frame.ops[:2]])
+        vals = eigenfunction_values(model, x, frame.m_out)
+        arrows = np.stack([vals @ (op @ fhat) for op in frame.ops[:2]])
         sv = np.linalg.svd(arrows.T, compute_uv=False)
         assert sv[1] <= 0.2 * sv[0]
 
@@ -475,19 +476,34 @@ class TestSpectralScreen:
         assert len(screens) > n_fields
         for want, got in screens:
             npt.assert_allclose(got, want, rtol=1e-8)
-        assert len(explicit.ops) == len(spectral.ops)
-        for a, b in zip(explicit.ops, spectral.ops):
-            npt.assert_array_equal(a.v_op, b.v_op)
+        npt.assert_array_equal(explicit.ops, spectral.ops)
+        npt.assert_array_equal(explicit.etas, spectral.etas)
 
 
 class TestFramePipeline:
+    @pytest.mark.parametrize('etas, ops', [
+        ((2,), (3, 8, 4)),          # one eta too few
+        ((2, 1), (2, 8, 4)),
+        ((2,), (2, 8)),
+        ((2,), (2, 4, 8)),          # more input modes than output modes
+        ((0,), (0, 8, 4)),
+    ])
+    def test_inconsistent_arrays_refused(self, etas, ops):
+        with pytest.raises(ValueError, match='etas of shape'):
+            om.SecFrame(etas=np.zeros(etas), ops=np.zeros(ops))
+
+    def test_sizes_are_read_from_ops(self):
+        frame = om.SecFrame(etas=[0.0, 1.0], ops=np.zeros((2, 8, 4)))
+        assert (frame.m_out, frame.m_basis) == (8, 4)
+        assert frame.etas.dtype == np.float64
+
     def test_frame_invariants(self, circle_sec, circle_tensors):
         frame, _ = circle_sec
         _, _, G, _ = circle_tensors
-        assert all(a.eta <= b.eta for a, b in zip(frame.fields, frame.fields[1:]))
-        m = frame.m_basis
-        for f in frame.fields:      # phi_i grad(phi_0) = 0 is outside the frame
-            npt.assert_array_equal(f.coeffs.reshape(m, m)[:, 0], 0.0)
+        assert list(frame.etas) == sorted(frame.etas)
+        assert frame.ops.shape == (3, 30, 6) and (frame.m_out, frame.m_basis) == (30, 6)
+        # a vector field differentiates: it sends the constant phi_0 to 0
+        npt.assert_allclose(frame.ops[:, :, 0], 0.0, atol=1e-12 * np.abs(frame.ops).max())
         evG = eigh(G, eigvals_only=True)
         assert evG.min() >= -1e-4 * np.abs(evG).max()   # PSD up to truncation
 
@@ -515,7 +531,7 @@ class TestFramePipeline:
         for m_inner in (32, 48):
             frame = om.build_sec_frame(model, om.SecBasisConfig(m_basis=4, m_inner=m_inner),
                                        n_fields=2)
-            etas[m_inner] = [f.eta for f in frame.fields]
+            etas[m_inner] = frame.etas
         assert abs(etas[32][1] - etas[48][1]) <= 0.1 * abs(etas[48][1])
         scale = abs(etas[48][1])
         assert abs(etas[32][0] - etas[48][0]) <= 0.25 * scale
