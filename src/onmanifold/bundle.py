@@ -71,6 +71,19 @@ class ModelBundle:
     sec_fhat: np.ndarray | None = None        # embedding coefficients for arrows
     label_map: SemanticMap | None = None
 
+    def __post_init__(self):
+        n_eigs, pts = self.model.n_eigs, self.model.training.points.shape
+        coeffs = {'sec_fhat': self.sec_fhat,
+                  'semantic_coeffs': None if self.label_map is None else self.label_map.coeffs}
+        for name, arr in coeffs.items():
+            shape = np.shape(arr)
+            if arr is not None and not (len(shape) == 2 and 1 <= shape[0] <= n_eigs):
+                raise ValueError(f'{name} has shape {shape}, but eig_xi has shape ({n_eigs},): '
+                                 f'{name} needs between 1 and {n_eigs} rows, one per mode')
+        if self.sec_fhat is not None and np.shape(self.sec_fhat)[1] != pts[1]:
+            raise ValueError(f'sec_fhat has shape {np.shape(self.sec_fhat)}, but points has '
+                             f'shape {pts}: sec_fhat needs one column per ambient dimension')
+
     def projector(self) -> NystromProjector:
         if self.xhat is None:
             raise ValueError('bundle has no projector section; run build_projector first')

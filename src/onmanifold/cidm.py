@@ -191,12 +191,13 @@ class CidmModel:
     the pre-normalization CIDM degrees needed by out-of-sample kernel
     rows.
 
-    Construction (a fit, a bundle load, ``dataclasses.replace``) derives
-    what every out-of-sample row reads from these fields: the read-only
-    kernel eigenvalues ``_lambdas = 1 - eig_xi``, the count
-    ``_n_extendable`` of leading modes with ``|lambda| >= SMALL_LAMBDA``,
-    and the cutoff ``_cut`` (:func:`_kernel_cut`).  They are not stored in
-    a bundle.
+    Construction (a fit, a bundle load, ``dataclasses.replace``) refuses
+    arrays whose shapes disagree with ``points`` or with each other, with a
+    ValueError naming both arrays and their shapes.  It derives what every
+    out-of-sample row reads from these fields: the read-only kernel
+    eigenvalues ``_lambdas = 1 - eig_xi``, the count ``_n_extendable`` of
+    leading modes with ``|lambda| >= SMALL_LAMBDA``, and the cutoff
+    ``_cut`` (:func:`_kernel_cut`).  They are not stored in a bundle.
     """
 
     training: PointCloud
@@ -209,6 +210,18 @@ class CidmModel:
     raw_degree: np.ndarray | None = None
 
     def __post_init__(self):
+        pts = self.training.points.shape
+        for name in ('knn_scale', 'degree', 'raw_degree'):
+            arr = getattr(self, name)
+            if arr is not None and np.shape(arr) != pts[:1]:
+                raise ValueError(f'{name} has shape {np.shape(arr)}, but points has shape '
+                                 f'{pts}: {name} needs one entry per point')
+        xi, phi = np.shape(self.eig_xi), np.shape(self.eig_phi)
+        if not (len(xi) == 1 and xi[0] >= 1 and phi == (pts[0], xi[0])):
+            raise ValueError(f'eig_xi has shape {xi} and eig_phi has shape {phi}, but points '
+                             f'has shape {pts}: they need shapes (L,) and ({pts[0]}, L)')
+        if self.config.kernel_variant == 'cidm_dm_normalized' and self.raw_degree is None:
+            raise ValueError('the cidm_dm_normalized variant needs raw_degree')
         lam = 1.0 - self.eig_xi
         lam.flags.writeable = False
         small = np.abs(lam) < SMALL_LAMBDA
@@ -307,70 +320,78 @@ def _kernel_cut(n_points: int) -> float:
     return np.log(n_points) + KERNEL_TAIL
 
 
-def _kept(z: np.ndarray, shape: ShapeName, cut: float) -> np.ndarray:
-    """Mask of the kernel entries that are kept: z <= ``cut`` for the
-    exponential shape (the certified cutoff, :func:`_kernel_cut`), the
-    support z <= 1 of the indicator.
+def _kept(s: np.ndarray, shape: ShapeName, cut: float) -> np.ndarray:
+    """Mask of the kernel entries that are kept, from the negated exponent
+    ``s = -z`` (:func:`_cut_shape`): s >= -``cut`` for the exponential
+    shape (the certified cutoff, :func:`_kernel_cut`), the support s >= -1
+    of the indicator.
 
     On finite z >= 0, which is all a fit gets this far, the kept entries
     are exactly the nonzero ones: a kept exponential value is at least
     ``exp(-cut) > 0``.
     """
-    return z <= (cut if shape == 'exponential' else 1.0)
+    return s >= (-cut if shape == 'exponential' else -1.0)
 
 
-def _cut_shape(z: np.ndarray, shape: ShapeName, cut: float,
+def _cut_shape(s: np.ndarray, shape: ShapeName, cut: float,
                keep: np.ndarray | None = None) -> np.ndarray:
-    """Kernel values h(z) with the certified cutoff ``cut`` (:func:`_kernel_cut`).
+    """Kernel values h(z) with the certified cutoff ``cut`` (:func:`_kernel_cut`),
+    from the negated exponent ``s = -z``.
 
-    ``keep`` is the mask :func:`_kept` of ``z``, computed here when not
-    given; entries outside it are exactly 0.  Exponential entries are
-    clamped to the cut before the ``exp``, which keeps it off its slow
-    subnormal and underflow inputs (z above about 708); the kept entries
-    see the same input, so the values do not change.  The cut entries are
-    then zeroed by multiplying with the 0/1 mask, which does not branch on
-    the (random) cut pattern as a masked store does; a kept value is
-    finite, so times 1 it is exact, and a NaN stays NaN.  Overwrites ``z``
-    with the result for the exponential shape.
+    The fit gets s by dividing by -eps^2, and an out-of-sample row as the
+    min-shifted ``zmin - z``; both are -z bit for bit, and h(z) = exp(s),
+    so no pass is spent on a negation.  ``keep`` is the mask :func:`_kept`
+    of ``s``, computed here when not given; entries outside it are exactly
+    0.  Exponential entries are clamped to -``cut`` before the ``exp``,
+    which keeps it off its slow subnormal and underflow inputs (s below
+    about -708); the kept entries see the same input, so the values do not
+    change.  The cut entries are then zeroed by multiplying with the 0/1
+    mask, which does not branch on the (random) cut pattern as a masked
+    store does; a kept value is finite, so times 1 it is exact, and a NaN
+    stays NaN.  The indicator's values are the mask itself.  Overwrites
+    ``s`` with the result.
     """
     if keep is None:
-        keep = _kept(z, shape, cut)
+        keep = _kept(s, shape, cut)
     if shape != 'exponential':
-        return keep.astype(np.float64)
-    np.minimum(z, cut, out=z)
-    np.exp(np.negative(z, out=z), out=z)
-    np.multiply(z, keep, out=z)
-    return z
+        np.copyto(s, keep)
+        return s
+    np.maximum(s, -cut, out=s)
+    np.exp(s, out=s)
+    np.multiply(s, keep, out=s)
+    return s
 
 
 def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
     """CSR training kernel, its degree vector, and the raw CIDM degrees.
 
     Two passes over the row blocks.  The count pass computes each block's
-    z and counts the kept entries (:func:`_kept`) of each row into
-    ``indptr``.  ``data`` and ``indices`` are then allocated once, at their
-    exact size, and the fill pass recomputes each block and writes its kept
-    values and columns straight into their slices; so the kernel's entries
-    are held once, never in per-block pieces and a joined copy.  Every
-    degree is the sum of a dense kernel row, and the kept entries are the
-    nonzero ones, so the result is ``csr_array`` of the dense kernel, bit
-    for bit.  The index arrays are int32 while the entry count fits (int64
-    beyond), so a sparse product streams 12 bytes per entry rather than 16.
+    negated exponent -z and counts the kept entries (:func:`_kept`) of each
+    row into ``indptr``.  ``data`` and ``indices`` are then allocated once,
+    at their exact size, and the fill pass recomputes each block and writes
+    its kept values and columns straight into their slices; so the kernel's
+    entries are held once, never in per-block pieces and a joined copy.
+    Every degree is the sum of a dense kernel row, and the kept entries are
+    the nonzero ones, so the result is ``csr_array`` of the dense kernel,
+    bit for bit.  The index arrays are int32 while the entry count fits
+    (int64 beyond), so a sparse product streams 12 bytes per entry rather
+    than 16.
     """
     N = pts.shape[0]
     cut = _kernel_cut(N)
 
-    def block_z(a, b):
-        z = cdist(pts[a:b], pts, 'sqeuclidean')
-        z /= np.outer(scales[a:b], scales)
-        # a tiny epsilon overflows z to inf, and an infinite z is a cut entry
+    def block_s(a, b):
+        """The negated exponent -z of rows a..b (:func:`_cut_shape`)."""
+        s = cdist(pts[a:b], pts, 'sqeuclidean')
+        s /= np.outer(scales[a:b], scales)
+        # a tiny epsilon overflows s to -inf, and an infinite z is a cut entry
         with np.errstate(over='ignore'):
-            z /= config.epsilon ** 2
-        return z
+            s /= -(config.epsilon ** 2)
+        return s
 
     indptr = np.zeros(N + 1, dtype=np.int64)
     for a, b in _row_blocks(N):
-        indptr[a + 1:b + 1] = np.count_nonzero(_kept(block_z(a, b), config.shape, cut),
+        indptr[a + 1:b + 1] = np.count_nonzero(_kept(block_s(a, b), config.shape, cut),
                                                axis=1)
     np.cumsum(indptr, out=indptr)
     index_dtype = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
@@ -378,9 +399,9 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
     indices = np.empty(indptr[-1], dtype=index_dtype)
     raw_degree = np.empty(N)
     for a, b in _row_blocks(N):
-        z = block_z(a, b)
-        keep = _kept(z, config.shape, cut)
-        K = _cut_shape(z, config.shape, cut, keep)
+        s = block_s(a, b)
+        keep = _kept(s, config.shape, cut)
+        K = _cut_shape(s, config.shape, cut, keep)
         raw_degree[a:b] = K.sum(axis=1)
         lo, hi = indptr[a], indptr[b]
         kept = np.flatnonzero(keep)

@@ -17,10 +17,12 @@ from . import __version__
 from .bundle import ModelBundle, atomic_write, load_bundle, save_bundle
 from .cidm import CidmConfig, PointCloud, fit
 from .errors import GeometryError
-from .nystrom import build_projector, extend_function, fourier_coefficients, project_many
+from .nystrom import (build_projector, eigenfunction_values, extend_function,
+                      fourier_coefficients, project_many)
 from .ompgd import PgdConfig, PgdTrace, _pgd_from, sector_classifier
 from .repro import FIGURES, equispaced_circle  # noqa: F401 (tests import it from here)
-from .sec import SecBasisConfig, _arrow_coeffs, build_sec_frame, tangent_frame_at
+from .sec import (SecBasisConfig, _arrow_coeffs, _frame_arrows, _tangent_frame,
+                  build_sec_frame)
 from .synth import SynthSpec, generate
 
 
@@ -148,10 +150,12 @@ def _cmd_tangent(args) -> int:
     if bundle.sec_frame is None:
         raise UsageError('bundle has no SEC section; run sec-fields first')
     queries = PointCloud.from_csv(args.queries).points
+    frame = bundle.sec_frame
+    # tangent_frame_at for each query, with the frame's arrows derived once
+    arrows = _frame_arrows(frame, bundle.sec_fhat, args.dim)
     rows = []
     for x in queries:
-        T = tangent_frame_at(bundle.model, bundle.sec_frame, bundle.sec_fhat,
-                             x, args.dim)
+        T = _tangent_frame(arrows, eigenfunction_values(bundle.model, x, frame.m_out), args.dim)
         rows.append(np.concatenate([x, T.ravel(order='F')]))
     _write_csv(args.out, np.vstack(rows), args.force)
     return 0

@@ -18,9 +18,14 @@ at a training point has the same support as its fitted row.  Even after
 the shift, most of a row can lie far past the cut (z > 708 for 69 % of
 the entries of a row at a ``repro pgd-circle`` iterate), where numpy's
 ``exp`` takes its slow subnormal and underflow paths; ``cidm._cut_shape``
-clamps those entries to the cut first.  The row's arithmetic runs in
-place on one scratch array, with the operations and their order of the
-plain expression, so it gives the same bits.  A query that is not finite,
+clamps those entries to the cut first.  The row holds two (m, N) float
+arrays and one (m, N) mask: the distances, which become the scale
+products, and the squared distances, which become the weights.  Each step
+runs in place, with the operations and their order of the plain
+expression, so it gives the same bits.  A row returns only the weights
+and the query scales; the gradients, which also read the distances and
+delta^2 of their one query, recompute those with the same operations
+(``_grad_pieces``).  A query that is not finite,
 overflows when squared, or has the wrong dimension raises
 :class:`InvalidQueryError`, and so does a query of a function of one point
 that is not one n-vector (``_one_point``).
@@ -94,45 +99,55 @@ def _one_point(x) -> np.ndarray:
 def _kernel_rows(model: CidmModel, queries: np.ndarray):
     """Row-normalized out-of-sample kernel weights, the one kernel row.
 
-    Returns ``(weights, dists, scales, delta2)`` with shapes (m, N),
-    (m, N), (m,), (m, N).  The exponential shape is evaluated with the
-    minimum dissimilarity shifted out, which leaves the normalized
-    weights unchanged but keeps them finite arbitrarily far from the
-    training data; the certified cutoff then drops the shifted tail.
+    Returns ``(weights, scales)`` with shapes (m, N) and (m,).  The
+    exponential shape is evaluated with the minimum dissimilarity shifted
+    out, which leaves the normalized weights unchanged but keeps them
+    finite arbitrarily far from the training data; the certified cutoff
+    then drops the shifted tail.
 
-    Besides the three returned (m, N) arrays the row allocates one more,
-    the scratch ``z``: it holds the distances the kNN scales reorder, then
-    the scale products, then the weights, each operation writing in place.
-    An empty batch gives empty rows.
+    The row holds two (m, N) float arrays and one (m, N) mask.  ``d``
+    holds the distances, which the kNN scales reorder in place, and then
+    the scale products.  ``w`` holds the squared distances, then delta^2,
+    then the negated exponent ``s = zmin - z`` that ``cidm._cut_shape``
+    reads (``-z`` for the indicator), and finally the weights; the mask is
+    the kept entries of ``s``.  Each operation writes in place, with the
+    operations and their order of the plain expression, so the weights
+    have its bits.  An empty batch gives empty rows.
     """
     cfg = model.config
     pts = model.training.points
     if queries.shape[1] != pts.shape[1]:
         raise InvalidQueryError(f'query dimension {queries.shape[1]} does not match '
                                 f'the training dimension {pts.shape[1]}')
-    dists = cdist(queries, pts)
-    if not dists.max(initial=0.0) < MAX_DISTANCE:  # NaN, inf, or overflow
-        bad = int(np.argmin(dists.max(axis=1) < MAX_DISTANCE))
+    d = cdist(queries, pts)
+    if not d.max(initial=0.0) < MAX_DISTANCE:  # NaN, inf, or overflow
+        bad = int(np.argmin(d.max(axis=1) < MAX_DISTANCE))
         raise InvalidQueryError(f'query row {bad}: the query or its squared distances '
                                 'to the training points are not finite')
+    w = np.square(d)
     # exact-zero distances are skipped, so a training point's row is its fitted row
-    z = np.where(dists > 0.0, dists, np.inf)
-    scales = _knn_scales(z, cfg.k_nn, cfg.average_scales)
+    if not d.all():
+        d[d == 0.0] = np.inf
+    scales = _knn_scales(d, cfg.k_nn, cfg.average_scales)
     if np.isinf(scales).any():
         raise ValueError('fewer than k_nn distinct training points for a query')
-    delta2 = np.square(dists)
-    delta2 /= np.multiply(scales[:, None], model.knn_scale[None, :], out=z)
-    np.divide(delta2, cfg.epsilon ** 2, out=z)
+    w /= np.multiply(scales[:, None], model.knn_scale[None, :], out=d)
+    eps2 = cfg.epsilon ** 2
     if cfg.shape == 'exponential':
-        z -= z.min(axis=1, keepdims=True)
-    u = _cut_shape(z, cfg.shape, model._cut)
+        if eps2 != 1.0:
+            w /= eps2
+        # zmin - z is -(z - zmin) bit for bit
+        np.subtract(w.min(axis=1, keepdims=True), w, out=w)
+    else:
+        w /= -eps2
+    u = _cut_shape(w, cfg.shape, model._cut)
     if cfg.kernel_variant == 'cidm_dm_normalized':
         u /= model.raw_degree[None, :]
     norm = u.sum(axis=1, keepdims=True)
     if (norm == 0.0).any():
         raise GeometryError('query outside the support of the indicator kernel')
     u /= norm
-    return u, dists, scales, delta2
+    return u, scales
 
 
 def _mode_lambdas(model: CidmModel, n_modes: int) -> np.ndarray:
@@ -248,13 +263,16 @@ def project(projector: NystromProjector, x, iterations: int = 2) -> np.ndarray:
 
 
 def _grad_pieces(model: CidmModel, query: np.ndarray):
-    """Kernel row at one query plus the gradient of its kNN scale."""
+    """Kernel row at one query, its distances and delta^2 (recomputed, with
+    the operations of :func:`_kernel_rows`), its kNN scale and the gradient
+    of that scale."""
     cfg = model.config
     if cfg.shape != 'exponential':
         raise ValueError('gradients require the exponential shape')
-    weights, dists, scales, delta2 = _kernel_rows(model, query[None, :])
-    row = dists[0]
+    weights, scales = _kernel_rows(model, query[None, :])
     pts = model.training.points
+    row = cdist(query[None, :], pts)[0]
+    delta2 = np.square(row) / (scales[0] * model.knn_scale)
     pos = np.flatnonzero(row > 0.0)
     k = cfg.k_nn
     if pos.shape[0] < k + 1:
@@ -269,7 +287,7 @@ def _grad_pieces(model: CidmModel, query: np.ndarray):
             f'(gap {gap:.3e}); the kNN scale is not differentiable here')
     nbr = pos[:k] if cfg.average_scales else pos[k - 1:k]
     grad_scale = ((query[None, :] - pts[nbr]) / row[nbr][:, None]).mean(axis=0)
-    return weights[0], row, delta2[0], scales[0], grad_scale
+    return weights[0], row, delta2, scales[0], grad_scale
 
 
 def diffusion_map_jacobian(model: CidmModel, n_modes: int, x) -> np.ndarray:

@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import onmanifold as om
-from onmanifold import cidm, nystrom
+from onmanifold import cidm, cli, nystrom, sec
 from onmanifold.bundle import ModelBundle, _arrays_digest, load_bundle, save_bundle
 from onmanifold.cli import _report_pgd, _write_csv, main
 
@@ -339,6 +342,99 @@ def edit_manifest(raw: bytes, edit) -> bytes:
     return raw[:8] + np.uint64(len(blob)).tobytes() + blob + raw[16 + manifest_len:]
 
 
+def rewrite_arrays(raw: bytes, edit) -> bytes:
+    """The bundle ``raw`` with ``edit`` applied to its ``{name: array}``
+    dict; the manifest's shapes and digest are rewritten to match, so only
+    the checks of the arrays themselves can refuse it."""
+    manifest_len = int(np.frombuffer(raw[8:16], dtype='<u8')[0])
+    manifest = json.loads(raw[16:16 + manifest_len])
+    arrays, offset = {}, 16 + manifest_len
+    for name, shape in manifest['arrays']:
+        size = 8 * math.prod(shape)
+        arrays[name] = np.frombuffer(raw[offset:offset + size], dtype='<f8').reshape(shape)
+        offset += size
+    edit(arrays)
+    buffers = [np.ascontiguousarray(arr, dtype='<f8') for arr in arrays.values()]
+    manifest['arrays'] = [[name, list(arr.shape)] for name, arr in arrays.items()]
+    manifest['arrays_digest'] = _arrays_digest(buffers)
+    blob = json.dumps(manifest, sort_keys=True, separators=(',', ':')).encode('utf-8')
+    return raw[:8] + np.uint64(len(blob)).tobytes() + blob + b''.join(b.tobytes() for b in buffers)
+
+
+@pytest.fixture(scope='module')
+def circle100(tmp_path_factory):
+    """A fitted 100-point circle, its projector bundle and the points as a CSV."""
+    cloud, _ = om.generate(om.SynthSpec(kind='circle', n_points=100, seed=1))
+    model = om.fit(cloud, om.CidmConfig(k_nn=5, n_eigs=12))
+    root = tmp_path_factory.mktemp('circle100')
+    save_bundle(root / 'model.bundle',
+                ModelBundle(model=model, xhat=om.build_projector(model, 8).xhat))
+    np.savetxt(root / 'points.csv', cloud.points, delimiter=',')
+    return model, root / 'model.bundle', root / 'points.csv'
+
+
+class TestShapeChecks:
+    """Arrays whose shapes disagree are refused with both arrays named."""
+
+    def short_knn_scale(self, circle100, tmp_path):
+        _, path, _ = circle100
+        bad = tmp_path / 'short.bundle'
+        bad.write_bytes(rewrite_arrays(path.read_bytes(),
+                                       lambda a: a.update(knn_scale=a['knn_scale'][:99])))
+        return bad
+
+    def test_short_knn_scale_refused_on_load(self, circle100, tmp_path):
+        with pytest.raises(ValueError, match=re.escape(
+                'knn_scale has shape (99,), but points has shape (100, 2): '
+                'knn_scale needs one entry per point')):
+            load_bundle(self.short_knn_scale(circle100, tmp_path))
+
+    def test_short_knn_scale_is_a_usage_error(self, circle100, tmp_path, capsys):
+        _, _, points = circle100
+        bad = self.short_knn_scale(circle100, tmp_path)
+        capsys.readouterr()
+        assert run_cli('project', str(bad), str(points), '--out',
+                       str(tmp_path / 'o.csv')) == 1
+        err = capsys.readouterr().err
+        assert err.startswith('error: knn_scale has shape (99,), but points has shape (100, 2)')
+        assert err.count('\n') == 1
+
+    @pytest.mark.parametrize('name, edit, message', [
+        ('knn_scale', lambda m: m.knn_scale[:, None], 'knn_scale has shape (100, 1), but points'),
+        ('degree', lambda m: m.degree[:99], 'degree has shape (99,), but points'),
+        ('raw_degree', lambda m: m.degree[:98], 'raw_degree has shape (98,), but points'),
+        ('eig_xi', lambda m: m.eig_xi[:11],
+         'eig_xi has shape (11,) and eig_phi has shape (100, 12), but points has shape (100, 2)'),
+        ('eig_xi', lambda m: m.eig_xi[:0], 'eig_xi has shape (0,) and eig_phi'),
+        ('eig_phi', lambda m: m.eig_phi[:, :11],
+         'eig_xi has shape (12,) and eig_phi has shape (100, 11), but points'),
+        ('eig_phi', lambda m: m.eig_phi[:99], 'eig_phi has shape (99, 12)'),
+    ], ids=['knn_scale-2d', 'degree', 'raw_degree', 'eig_xi', 'eig_xi-empty',
+            'eig_phi-columns', 'eig_phi-rows'])
+    def test_model_arrays(self, circle100, name, edit, message):
+        model, _, _ = circle100
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(model, **{name: edit(model)})
+
+    def test_dm_normalized_model_needs_raw_degree(self, circle100):
+        model, _, _ = circle100
+        config = dataclasses.replace(model.config, kernel_variant='cidm_dm_normalized')
+        with pytest.raises(ValueError, match='cidm_dm_normalized variant needs raw_degree'):
+            dataclasses.replace(model, config=config)
+
+    @pytest.mark.parametrize('field, value, message', [
+        ('sec_fhat', np.zeros((13, 2)), 'sec_fhat has shape (13, 2), but eig_xi has shape (12,)'),
+        ('sec_fhat', np.zeros(2), 'sec_fhat has shape (2,), but eig_xi has shape (12,)'),
+        ('sec_fhat', np.zeros((6, 3)), 'sec_fhat has shape (6, 3), but points has shape (100, 2)'),
+        ('label_map', om.SemanticMap(np.zeros((13, 2)), (True,)),
+         'semantic_coeffs has shape (13, 2), but eig_xi has shape (12,)'),
+    ], ids=['sec_fhat-rows', 'sec_fhat-1d', 'sec_fhat-columns', 'semantic_coeffs-rows'])
+    def test_bundle_arrays(self, circle100, field, value, message):
+        model, _, _ = circle100
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModelBundle(model=model, **{field: value})
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -401,6 +497,33 @@ class TestCli:
         assert rows.shape == (200, 4)
         basis = rows[:, 2:]
         npt.assert_allclose(np.linalg.norm(basis, axis=1), 1.0, atol=1e-10)
+
+    def test_tangent_verb_derives_the_arrows_once(self, small_bundle, tmp_path, monkeypatch):
+        path, bundle = small_bundle
+        queries = tmp_path / 'q.csv'
+        noise = np.random.default_rng(4).normal(scale=0.05, size=(30, 2))
+        np.savetxt(queries, bundle.model.training.points[::10] + noise, delimiter=',')
+        calls = []
+        frame_arrows = sec._frame_arrows
+
+        def counted(*args):
+            calls.append(args)
+            return frame_arrows(*args)
+
+        monkeypatch.setattr(sec, '_frame_arrows', counted)
+        monkeypatch.setattr(cli, '_frame_arrows', counted)
+        out = tmp_path / 'tangents.csv'
+        assert run_cli('tangent', str(path), str(queries), '--dim', '1', '--out', str(out)) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # the file of one tangent_frame_at call per query
+        loaded = load_bundle(path)
+        rows = [np.concatenate([x, om.tangent_frame_at(loaded.model, loaded.sec_frame,
+                                                       loaded.sec_fhat, x, 1).ravel(order='F')])
+                for x in om.PointCloud.from_csv(queries).points]
+        ref = tmp_path / 'ref.csv'
+        _write_csv(ref, np.vstack(rows), force=False)
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_corrupted_bundle_is_a_usage_error(self, small_bundle, tmp_path, capsys):
         path, _ = small_bundle

@@ -57,7 +57,7 @@ class TestKnnScales:
         # fit uses the same scales; queries at the training points reproduce them
         model = om.fit(pts, om.CidmConfig(k_nn=k, n_eigs=2))
         npt.assert_array_equal(model.knn_scale, knn_scales(pts, k))
-        _, _, query_scales, _ = _kernel_rows(model, pts.points)
+        _, query_scales = _kernel_rows(model, pts.points)
         npt.assert_allclose(query_scales, expected, rtol=1e-10)
 
     def test_kth_neighbor_variant(self):
@@ -68,7 +68,7 @@ class TestKnnScales:
         npt.assert_allclose(kth, full[:, 3], rtol=1e-12)
         model = om.fit(pts, om.CidmConfig(k_nn=3, n_eigs=4, average_scales=False))
         npt.assert_array_equal(model.knn_scale, kth)
-        _, _, query_scales, _ = _kernel_rows(model, pts.points)
+        _, query_scales = _kernel_rows(model, pts.points)
         npt.assert_allclose(query_scales, full[:, 3], rtol=1e-12)
 
     def test_duplicate_points_raise(self):
@@ -258,7 +258,8 @@ class TestCertifiedCutoff:
         assert (z == cut).any() and (z > cut).any()
         ref = np.exp(-z)
         ref[z > cut] = 0.0
-        got = cidm._cut_shape(z.copy(), 'exponential', cut)
+        # the cut shape reads the negated exponent -z
+        got = cidm._cut_shape(np.negative(z), 'exponential', cut)
         npt.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize('n_points', [40, 4000])
@@ -271,7 +272,7 @@ class TestCertifiedCutoff:
              1e300, np.inf, np.nan],
             np.random.default_rng(n_points).uniform(0.0, 2.0 * cut, 5000),
         ])
-        got = cidm._cut_shape(z.copy(), 'exponential', cut)
+        got = cidm._cut_shape(np.negative(z), 'exponential', cut)
         ref = reference_cut_shape(z.copy(), 'exponential', n_points)
         npt.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 

@@ -1,9 +1,12 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onmanifold as om
 from onmanifold import nystrom
@@ -436,13 +439,84 @@ class TestBadQueries:
             calls[entry](np.full(shape, 0.5))
 
 
+#: Query coordinates: ordinary ones, ones too large to square, non-finite ones.
+COORDINATES = st.one_of(st.floats(-3.0, 3.0),
+                        st.sampled_from([np.nan, np.inf, -np.inf, 1e200, -1e200, 1e150, -1e153]))
+
+#: The errors a query's row may raise, with the start of their messages.
+NAMED_ROW_ERRORS = {
+    om.InvalidQueryError: ('query row ', 'query dimension '),
+    ValueError: ('fewer than k_nn distinct training points',),
+    om.GeometryError: ('query outside the support',),
+}
+
+
+@st.composite
+def query_batches(draw, n_train: int):
+    """A 1-D query or a batch of rows: coordinates from ``COORDINATES`` (of
+    the training dimension 2 or not), training points given by index, and
+    duplicates of earlier rows."""
+    dim = draw(st.sampled_from([2, 2, 2, 1, 3]))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(['coordinates', 'training', 'duplicate']))
+        if kind == 'training' and dim == 2:
+            rows.append(('training', draw(st.integers(0, n_train - 1))))
+        elif kind == 'duplicate' and rows:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+        else:
+            rows.append(('coordinates', draw(st.lists(COORDINATES, min_size=dim,
+                                                      max_size=dim))))
+    return rows, len(rows) == 1 and draw(st.booleans())
+
+
+class TestQueryProperties:
+    """Every query gives finite rows that sum to 1, or a named error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_finite_or_a_named_error(self, noisy_circle, data):
+        _, _, model = noisy_circle
+        pts = model.training.points
+        rows, single = data.draw(query_batches(pts.shape[0]))
+        q = np.array([pts[v] if kind == 'training' else v for kind, v in rows])
+        if single:
+            q = q[0]
+        try:
+            weights, scales = nystrom._kernel_rows(model, np.atleast_2d(q))
+        except tuple(NAMED_ROW_ERRORS) as exc:
+            prefixes = next(p for t, p in NAMED_ROW_ERRORS.items() if isinstance(exc, t))
+            assert str(exc).startswith(prefixes), str(exc)
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                om.eigenfunction_values(model, q, 10)
+            return
+        assert np.isfinite(weights).all() and np.isfinite(scales).all()
+        npt.assert_allclose(weights.sum(axis=1), 1.0, rtol=1e-12)
+        vals = om.eigenfunction_values(model, q, 10)
+        assert vals.shape == ((10,) if single else (len(rows), 10))
+        assert np.isfinite(vals).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(index=st.integers(0, 299), n_modes=st.integers(1, 40),
+           copies=st.integers(1, 3))
+    def test_training_point_gives_its_eig_phi_row(self, noisy_circle, index, n_modes, copies):
+        # probe: at most 8.9e-15 from eig_phi over all 300 points and 40 modes
+        _, _, model = noisy_circle
+        x = model.training.points[index]
+        want = model.eig_phi[index, :n_modes]
+        npt.assert_allclose(om.eigenfunction_values(model, x, n_modes), want,
+                            rtol=0, atol=1e-13)
+        batch = om.eigenfunction_values(model, np.tile(x, (copies, 1)), n_modes)
+        npt.assert_allclose(batch, np.tile(want, (copies, 1)), rtol=0, atol=1e-13)
+
+
 class TestPartitionOfUnity:
     def test_weights_sum_to_one(self, noisy_circle):
         _, _, model = noisy_circle
         from onmanifold.nystrom import _kernel_rows
         rng = np.random.default_rng(2)
         queries = np.vstack([rng.uniform(-3, 3, size=(20, 2)), model.training.points[:5]])
-        weights, _, _, _ = _kernel_rows(model, queries)
+        weights, _ = _kernel_rows(model, queries)
         npt.assert_allclose(weights.sum(axis=1), 1.0, rtol=1e-12)
 
     def test_idempotence_near_manifold(self, fig2):
@@ -497,10 +571,39 @@ class TestReferenceRows:
     def test_rows_are_bit_identical(self, case, request):
         model, queries = REFERENCE_ROW_CASES[case](request)
         got = nystrom._kernel_rows(model, queries)
-        ref = reference_kernel_rows(model, queries)
-        for name, a, b in zip(('weights', 'dists', 'scales', 'delta2'), got, ref):
+        ref_weights, ref_dists, ref_scales, ref_delta2 = reference_kernel_rows(model, queries)
+        for name, a, b in zip(('weights', 'scales'), got, (ref_weights, ref_scales)):
             assert a.shape == b.shape, name
             npt.assert_array_equal(a, b, err_msg=name)
+        if model.config.shape != 'exponential':
+            return                                  # gradients need the exponential
+        # the distances and delta^2 that the gradients read, at 25 of the queries
+        for i in np.linspace(0, queries.shape[0] - 1, 25).astype(int):
+            weights, row, delta2, scale, _ = nystrom._grad_pieces(model, queries[i])
+            npt.assert_array_equal(weights, ref_weights[i])
+            npt.assert_array_equal(row, ref_dists[i])
+            npt.assert_array_equal(delta2, ref_delta2[i])
+            assert scale == ref_scales[i]
+
+
+class TestRowMemory:
+    @pytest.mark.parametrize('case', ['fig2', 'indicator'])
+    def test_row_holds_two_float_arrays_and_one_mask(self, fig2, case):
+        # a (64, 1500) batch on the circle-project model, and a (64, 300) one
+        # on the indicator shape; the slack covers one ufunc casting buffer
+        # of np.getbufsize() float64s and the (m,) and (m, k) arrays of the
+        # scales
+        model = fig2['model'] if case == 'fig2' else _variant(shape='indicator', epsilon=2.0)[0]
+        theta = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, 64)
+        queries = 1.2 * np.column_stack([np.cos(theta), np.sin(theta)])
+        m, N = queries.shape[0], model.n_points
+        tracemalloc.start()
+        try:
+            nystrom._kernel_rows(model, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * m * N + m * N + 2 * 8 * np.getbufsize(), peak
 
 
 class TestEmptyBatch:
