@@ -11,21 +11,27 @@ training points at strictly positive distance.  Excluding exact-zero
 distances makes the out-of-sample kernel row at a training point equal
 to the fitted row, so the extension interpolates training values.
 
-``_kernel_rows`` owns the out-of-sample kernel row (scales, shape and the
+``_row_core`` owns the out-of-sample kernel row (scales, shape and the
 certified cutoff come from ``cidm``); extension, projection and gradients
-all go through it.  The cutoff is applied after the min-shift, so the row
+all go through it.  It returns the kept kernel values unnormalized, with
+their row sums.  ``_kernel_rows`` divides each row by its sum, for the
+eigenfunction values and the gradients.  A projection does not: each
+iteration is one row per query and one (m, N) @ (N, n) contraction
+(``_contract``) through operands the projector derived when it was made
+(``(phi_L / lambda_L) @ xhat`` when n < L), and the (m, n) result is
+divided by the sums.  The cutoff is applied after the min-shift, so the row
 at a training point has the same support as its fitted row.  Even after
 the shift, most of a row can lie far past the cut (z > 708 for 69 % of
 the entries of a row at a ``repro pgd-circle`` iterate), where numpy's
 ``exp`` takes its slow subnormal and underflow paths; ``cidm._cut_shape``
 clamps those entries to the cut first.  The row holds two (m, N) float
 arrays and one (m, N) mask: the distances, which become the scale
-products, and the squared distances, which become the weights.  Each step
-runs in place, with the operations and their order of the plain
-expression, so it gives the same bits.  A row returns only the weights
-and the query scales; the gradients, which also read the distances and
-delta^2 of their one query, recompute those with the same operations
-(``_grad_pieces``).  A query that is not finite,
+products, and the squared distances, which become the kernel values.
+Each step runs in place, with the operations and their order of the
+plain expression, so it gives the same bits.  A row returns only the
+kernel values, their sums and the query scales; the gradients, which also
+read the distances and delta^2 of their one query, recompute those with
+the same operations (``_grad_pieces``).  A query that is not finite,
 overflows when squared, or has the wrong dimension raises
 :class:`InvalidQueryError`, and so does a query of a function of one point
 that is not one n-vector (``_one_point``).
@@ -34,7 +40,9 @@ A row also reads what its model derived once, when it was made (fitted,
 loaded or replaced): the read-only kernel eigenvalues ``1 - xi``, the
 number of leading modes whose ``|lambda|`` clears ``SMALL_LAMBDA``, and
 the cutoff.  So :func:`_mode_lambdas` is a range check, one integer
-comparison and a slice.  None of these is stored in a bundle.
+comparison and a slice.  A projector likewise checks its modes and
+derives its read-only operands when it is made.  None of these is stored
+in a bundle.
 
 A row costs O(N) per query, so a caller that needs several quantities
 at one point asks :func:`eigenfunction_values` once, for the widest
@@ -96,10 +104,11 @@ def _one_point(x) -> np.ndarray:
     return q
 
 
-def _kernel_rows(model: CidmModel, queries: np.ndarray):
-    """Row-normalized out-of-sample kernel weights, the one kernel row.
+def _row_core(model: CidmModel, queries: np.ndarray):
+    """Unnormalized out-of-sample kernel rows, the one kernel row.
 
-    Returns ``(weights, scales)`` with shapes (m, N) and (m,).  The
+    Returns ``(rows, sums, scales)`` with shapes (m, N), (m, 1) and (m,):
+    the kept kernel values, their row sums and the query scales.  The
     exponential shape is evaluated with the minimum dissimilarity shifted
     out, which leaves the normalized weights unchanged but keeps them
     finite arbitrarily far from the training data; the certified cutoff
@@ -109,10 +118,10 @@ def _kernel_rows(model: CidmModel, queries: np.ndarray):
     holds the distances, which the kNN scales reorder in place, and then
     the scale products.  ``w`` holds the squared distances, then delta^2,
     then the negated exponent ``s = zmin - z`` that ``cidm._cut_shape``
-    reads (``-z`` for the indicator), and finally the weights; the mask is
-    the kept entries of ``s``.  Each operation writes in place, with the
-    operations and their order of the plain expression, so the weights
-    have its bits.  An empty batch gives empty rows.
+    reads (``-z`` for the indicator), and finally the kernel values; the
+    mask is the kept entries of ``s``.  Each operation writes in place,
+    with the operations and their order of the plain expression, so the
+    rows have its bits.  An empty batch gives empty rows.
     """
     cfg = model.config
     pts = model.training.points
@@ -143,10 +152,17 @@ def _kernel_rows(model: CidmModel, queries: np.ndarray):
     u = _cut_shape(w, cfg.shape, model._cut)
     if cfg.kernel_variant == 'cidm_dm_normalized':
         u /= model.raw_degree[None, :]
-    norm = u.sum(axis=1, keepdims=True)
-    if (norm == 0.0).any():
+    sums = u.sum(axis=1, keepdims=True)
+    if (sums == 0.0).any():
         raise GeometryError('query outside the support of the indicator kernel')
-    u /= norm
+    return u, sums, scales
+
+
+def _kernel_rows(model: CidmModel, queries: np.ndarray):
+    """Row-normalized out-of-sample kernel weights ``(weights, scales)``:
+    the rows of :func:`_row_core`, each divided in place by its sum."""
+    u, sums, scales = _row_core(model, queries)
+    u /= sums
     return u, scales
 
 
@@ -222,6 +238,14 @@ class NystromProjector:
     ``xhat[ell, s] = <coordinate s, phi_ell>``, an (L, n) array; the
     projection is ``x -> xhat.T @ (phi_0(x), ..., phi_{L-1}(x))``, the
     constant mode included so the data mean is representable.
+
+    Construction (``build_projector``, a bundle's ``projector()``,
+    ``dataclasses.replace``) checks that the L modes are extendable and
+    derives, once, the read-only operands ``_operands`` that
+    :func:`_contract` multiplies a kernel row through: the (N, n) matrix
+    ``(phi_L / lambda_L) @ xhat`` when n < L, and otherwise ``phi_L`` and
+    ``xhat / lambda_L``, so the row is always contracted to the narrower
+    width first.  They are not stored in a bundle.
     """
 
     model: CidmModel
@@ -233,6 +257,15 @@ class NystromProjector:
         if not (len(shape) == 2 and 1 <= shape[0] <= n_eigs and shape[1] == dim):
             raise ValueError(f'xhat must have shape (L, {dim}) with 1 <= L <= {n_eigs}; '
                              f'got {shape}')
+        lam = _mode_lambdas(self.model, shape[0])
+        phi = self.model.eig_phi[:, :shape[0]]
+        if dim < shape[0]:
+            operands = ((phi / lam[None, :]) @ self.xhat,)
+        else:
+            operands = (phi, self.xhat / lam[:, None])
+        for op in operands:
+            op.flags.writeable = False
+        object.__setattr__(self, '_operands', operands)
 
     @property
     def l_trunc(self) -> int:
@@ -245,31 +278,48 @@ def build_projector(model: CidmModel, l_trunc: int) -> NystromProjector:
                             xhat=fourier_coefficients(model, model.training.points, l_trunc))
 
 
+def _contract(projector: NystromProjector, rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """One projection of each query from its unnormalized kernel row
+    (:func:`_row_core`): ``rows`` is multiplied through the projector's
+    operands, and the (m, n) result is divided by the row ``sums``."""
+    out = rows
+    for op in projector._operands:
+        out = out @ op
+    out /= sums
+    return out
+
+
 def project_many(projector: NystromProjector, x: np.ndarray, iterations: int = 2) -> np.ndarray:
-    """Apply the Nystrom projection ``iterations`` times to each row of x."""
+    """Apply the Nystrom projection ``iterations`` times to each row of x.
+
+    Each iteration is one kernel row per query and one (m, N) @ (N, n)
+    contraction (:func:`_contract`)."""
     if iterations < 1:
         raise ValueError('iterations must be >= 1')
     queries, single = _as_queries(x)
     out = queries
     for _ in range(iterations):
-        phi_x = eigenfunction_values(projector.model, out, projector.l_trunc)
-        out = phi_x @ projector.xhat
+        rows, sums, _ = _row_core(projector.model, out)
+        out = _contract(projector, rows, sums)
     return out[0] if single else out
 
 
 def project(projector: NystromProjector, x, iterations: int = 2) -> np.ndarray:
     """Nystrom projection of a single point; see :func:`project_many`."""
-    return project_many(projector, np.asarray(x, dtype=np.float64), iterations)
+    return project_many(projector, _one_point(x), iterations)
 
 
 def _grad_pieces(model: CidmModel, query: np.ndarray):
-    """Kernel row at one query, its distances and delta^2 (recomputed, with
-    the operations of :func:`_kernel_rows`), its kNN scale and the gradient
-    of that scale."""
+    """Kernel weights at one query, its distances and delta^2 (recomputed,
+    with the operations of :func:`_row_core`), its kNN scale, the gradient
+    of that scale, and the unnormalized row and its sum, which
+    :func:`_contract` projects.  The weights are the row divided by its
+    sum, the bits of :func:`_kernel_rows`."""
     cfg = model.config
     if cfg.shape != 'exponential':
         raise ValueError('gradients require the exponential shape')
-    weights, scales = _kernel_rows(model, query[None, :])
+    rows, sums, scales = _row_core(model, query[None, :])
+    weights = rows / sums
     pts = model.training.points
     row = cdist(query[None, :], pts)[0]
     delta2 = np.square(row) / (scales[0] * model.knn_scale)
@@ -287,7 +337,7 @@ def _grad_pieces(model: CidmModel, query: np.ndarray):
             f'(gap {gap:.3e}); the kNN scale is not differentiable here')
     nbr = pos[:k] if cfg.average_scales else pos[k - 1:k]
     grad_scale = ((query[None, :] - pts[nbr]) / row[nbr][:, None]).mean(axis=0)
-    return weights[0], row, delta2, scales[0], grad_scale
+    return weights[0], row, delta2, scales[0], grad_scale, rows, sums
 
 
 def diffusion_map_jacobian(model: CidmModel, n_modes: int, x) -> np.ndarray:
@@ -299,15 +349,14 @@ def diffusion_map_jacobian(model: CidmModel, n_modes: int, x) -> np.ndarray:
     """
     lam = _mode_lambdas(model, n_modes)
     query = _one_point(x)
-    return _jacobian(model, lam, query, _grad_pieces(model, query))[0]
+    return _jacobian(model, lam, query, _grad_pieces(model, query))
 
 
 def _jacobian(model: CidmModel, lam: np.ndarray, query: np.ndarray, pieces):
     """:func:`diffusion_map_jacobian` for the modes of the kernel
     eigenvalues ``lam``, from the kernel row at ``query`` (``pieces``, as
-    :func:`_grad_pieces` returns it).  Also returns ``weights @ phi``, which
-    is ``lam`` times the Nystrom values of those modes at ``query``."""
-    weights, _, delta2, scale, grad_scale = pieces
+    :func:`_grad_pieces` returns it)."""
+    weights, _, delta2, scale, grad_scale = pieces[:5]
 
     pts = model.training.points
     eps2 = model.config.epsilon ** 2
@@ -319,8 +368,7 @@ def _jacobian(model: CidmModel, lam: np.ndarray, query: np.ndarray, pieces):
     U = centered * a[:, None]
     drift = np.outer(U.sum(axis=0), query) - U.T @ pts      # (L, n)
     s_coef = (weights * delta2) @ centered                  # (L,)
-    jac = -(2.0 * drift - np.outer(s_coef, grad_scale)) / (lam[:, None] * eps2 * scale)
-    return jac, phi_hat
+    return -(2.0 * drift - np.outer(s_coef, grad_scale)) / (lam[:, None] * eps2 * scale)
 
 
 def grad_eigenfunction(model: CidmModel, ell: int, x) -> np.ndarray:
@@ -336,13 +384,15 @@ def restricted_loss_gradient(projector: NystromProjector,
     """Gradient of loss(projection(x)): DPhi(x)^T xhat gradL(projection(x)).
 
     ``loss_grad_at`` maps an input-space point to the loss gradient there;
-    it is evaluated at the single-iteration projection of x, which is read
-    from the same kernel row as the Jacobian.
+    it is evaluated at the single-iteration projection of x, which is
+    contracted (:func:`_contract`) from the same kernel row as the
+    Jacobian, so it equals ``project(projector, x, 1)`` bit for bit.
     """
     model = projector.model
     lam = _mode_lambdas(model, projector.l_trunc)
     query = _one_point(x)
-    jac, phi_hat = _jacobian(model, lam, query, _grad_pieces(model, query))
-    target = (phi_hat / lam) @ projector.xhat
+    pieces = _grad_pieces(model, query)
+    jac = _jacobian(model, lam, query, pieces)
+    target = _contract(projector, *pieces[5:])[0]
     g = np.asarray(loss_grad_at(target), dtype=np.float64)
     return jac.T @ (projector.xhat @ g)

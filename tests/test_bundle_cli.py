@@ -615,13 +615,13 @@ class TestCli:
     def test_pgd_verb_projects_its_start_once(self, small_bundle, tmp_path, monkeypatch):
         path, _ = small_bundle
         rows = []
-        kernel_rows = nystrom._kernel_rows
+        row_core = nystrom._row_core
 
         def counting(model, queries):
             rows.append(queries.shape[0])
-            return kernel_rows(model, queries)
+            return row_core(model, queries)
 
-        monkeypatch.setattr(nystrom, '_kernel_rows', counting)
+        monkeypatch.setattr(nystrom, '_row_core', counting)
         out = tmp_path / 'trace.jsonl'
         code = run_cli('pgd', str(path), '--start', '0.87,0.5', '--boundary-offset', '40',
                        '--alpha', '0.15', '--max-steps', '4', '--out', str(out))

@@ -323,14 +323,15 @@ class TestRestrictedLossGradient:
         # and a separate single-iteration projection
         _, _, model = noisy_circle
         projector = om.build_projector(model, 15)
-        rows = nystrom._kernel_rows
+        rows = nystrom._row_core
         calls = []
 
         def counted(model, queries):
             calls.append(queries.shape[0])
             return rows(model, queries)
 
-        monkeypatch.setattr(nystrom, '_kernel_rows', counted)
+        # the row core serves the normalized rows and the projections alike
+        monkeypatch.setattr(nystrom, '_row_core', counted)
         rng = np.random.default_rng(101)
         for _ in range(100):
             theta, r = rng.uniform(0, 2 * np.pi), rng.uniform(0.8, 1.3)
@@ -420,7 +421,7 @@ class TestBadQueries:
     @pytest.mark.parametrize('entry', ['diffusion_map_jacobian', 'grad_eigenfunction',
                                        'restricted_loss_gradient', 'extend_eigenfunction',
                                        'tangent_frame_at', 'local_pca_tangent',
-                                       'semantic_labels'])
+                                       'semantic_labels', 'project'])
     def test_single_point_entries_name_the_shape(self, circle300, circle_sec, entry, shape):
         cloud, params, model = circle300
         frame, fhat = circle_sec
@@ -434,6 +435,7 @@ class TestBadQueries:
             'local_pca_tangent': lambda x: om.local_pca_tangent(cloud, x, 10, 1),
             'semantic_labels': lambda x: om.semantic_labels(
                 model, om.semantic_map(model, params, [True], 10), x),
+            'project': lambda x: om.project(om.build_projector(model, 10), x),
         }
         with pytest.raises(om.InvalidQueryError, match=re.escape(f'shape {shape}')):
             calls[entry](np.full(shape, 0.5))
@@ -535,10 +537,10 @@ class TestPartitionOfUnity:
         assert np.percentile(ratios, 90) <= 0.3
 
 
-def _variant(**kw):
-    """A small noisy circle fitted with one kernel setting changed, and
-    queries near it."""
-    cloud, _ = om.generate(om.SynthSpec(kind='circle', n_points=300, noise_sigma=0.05, seed=3))
+def _variant(kind='circle', **kw):
+    """A small noisy circle (of ``kind`` circle or circle4d) fitted with one
+    kernel setting changed, and queries near it."""
+    cloud, _ = om.generate(om.SynthSpec(kind=kind, n_points=300, noise_sigma=0.05, seed=3))
     model = om.fit(cloud, om.CidmConfig(k_nn=10, n_eigs=20, **kw))
     near = cloud.points + np.random.default_rng(8).normal(scale=0.02, size=cloud.points.shape)
     return model, near
@@ -579,7 +581,7 @@ class TestReferenceRows:
             return                                  # gradients need the exponential
         # the distances and delta^2 that the gradients read, at 25 of the queries
         for i in np.linspace(0, queries.shape[0] - 1, 25).astype(int):
-            weights, row, delta2, scale, _ = nystrom._grad_pieces(model, queries[i])
+            weights, row, delta2, scale = nystrom._grad_pieces(model, queries[i])[:4]
             npt.assert_array_equal(weights, ref_weights[i])
             npt.assert_array_equal(row, ref_dists[i])
             npt.assert_array_equal(delta2, ref_delta2[i])
@@ -667,3 +669,67 @@ class TestModelConstants:
         _, _, model = circle_full
         with pytest.raises(ValueError, match=r'n_modes must be in \[1, 200\]'):
             nystrom._mode_lambdas(model, 201)
+
+
+#: Case -> ``request -> (model, queries, l_trunc)`` for the projection
+#: formula; fig2 and the kernel variants have n < L and one operand, the
+#: last two n >= L and two.
+PROJECTION_CASES = {
+    'fig2-grid': lambda r: (*REFERENCE_ROW_CASES['fig2-grid'](r), 20),
+    'dm-normalized': lambda r: (*REFERENCE_ROW_CASES['dm-normalized'](r), 15),
+    'epsilon-1.3': lambda r: (*REFERENCE_ROW_CASES['epsilon-1.3'](r), 15),
+    'kth-scale': lambda r: (*REFERENCE_ROW_CASES['kth-scale'](r), 15),
+    'circle-L1': lambda r: (*_variant(), 1),
+    'circle4d-L3': lambda r: (*_variant(kind='circle4d'), 3),
+}
+
+
+class TestProjectorOperands:
+    """A projection is one row contracted through operands derived when the
+    projector is made, then divided by the row sums."""
+
+    @pytest.mark.parametrize('case', list(PROJECTION_CASES))
+    def test_project_many_is_the_plain_formula(self, case, request):
+        model, queries, l_trunc = PROJECTION_CASES[case](request)
+        projector = om.build_projector(model, l_trunc)
+        dim = queries.shape[1]
+        assert len(projector._operands) == (1 if dim < l_trunc else 2)
+        lam = 1.0 - model.eig_xi[:l_trunc]
+        want = queries
+        for iterations in (1, 2):
+            w = reference_kernel_rows(model, want)[0]
+            want = ((w @ model.eig_phi[:, :l_trunc]) / lam) @ projector.xhat
+            got = om.project_many(projector, queries, iterations)
+            npt.assert_allclose(got, want, rtol=0, atol=1e-14 * model.data_diameter)
+
+    def test_operands_are_read_only(self, fig2, noisy_circle):
+        _, _, model = noisy_circle
+        for projector in (fig2['projector'], om.build_projector(model, 1)):
+            for op in projector._operands:
+                assert not op.flags.writeable
+                with pytest.raises(ValueError, match='read-only'):
+                    op[0, 0] = 1.0
+
+    def test_small_mode_refused_when_made(self, circle_full):
+        _, _, model = circle_full
+        xi = model.eig_xi.copy()
+        xi[7] = 1.0 + 5e-11                               # |lambda| = 5e-11
+        doctored = dataclasses.replace(model, eig_xi=xi)
+        message = r'^mode 7 has \|lambda\| = 5\.00e-11 < 1e-10;'
+        with pytest.raises(om.SmallEigenvalueError, match=message):
+            om.build_projector(doctored, 10)
+        with pytest.raises(om.SmallEigenvalueError, match=message):
+            om.NystromProjector(model=doctored, xhat=np.zeros((8, 2)))
+        assert om.build_projector(doctored, 7).l_trunc == 7
+
+    def test_bundle_keeps_its_bytes(self, noisy_circle, tmp_path):
+        # the operands a loaded projector derives are not written back
+        _, _, model = noisy_circle
+        projector = om.build_projector(model, 15)
+        first, second = tmp_path / 'first.bundle', tmp_path / 'second.bundle'
+        om.save_bundle(first, om.ModelBundle(model=model, xhat=projector.xhat))
+        loaded = om.load_bundle(first)
+        for a, b in zip(loaded.projector()._operands, projector._operands):
+            npt.assert_array_equal(a, b)
+        om.save_bundle(second, loaded)
+        assert second.read_bytes() == first.read_bytes()

@@ -376,31 +376,38 @@ class TestOneRowPerIterate:
     @pytest.mark.parametrize('label_modes, m_out', [(None, 40), (40, 40), (40, 30)])
     def test_rows_per_attack(self, pgd_run, monkeypatch, label_modes, m_out):
         start, args, label_map = pgd_attack(pgd_run, label_modes, m_out)
-        widths = []
-        values = nystrom.eigenfunction_values
+        rows, widths = [], []
+        row_core, values = nystrom._row_core, nystrom.eigenfunction_values
 
-        def counted(model, x, n_modes):
+        def counted_rows(model, queries):
+            rows.append(queries.shape[0])
+            return row_core(model, queries)
+
+        def counted_values(model, x, n_modes):
             widths.append(n_modes)
             return values(model, x, n_modes)
 
-        # every caller resolves the row through one of these two names
-        monkeypatch.setattr(nystrom, 'eigenfunction_values', counted)
-        monkeypatch.setattr(sec, 'eigenfunction_values', counted)
+        # every row, projection or eigenfunction values, is made by the row
+        # core; the values are resolved through one of the last two names
+        monkeypatch.setattr(nystrom, '_row_core', counted_rows)
+        monkeypatch.setattr(nystrom, 'eigenfunction_values', counted_values)
+        monkeypatch.setattr(sec, 'eigenfunction_values', counted_values)
         trace = om_pgd(start, *args, label_map=label_map)
         steps = len(trace.steps)
         assert trace.status == 'misclassified' and steps >= 4
-        l_trunc = args[2].l_trunc
+        assert set(rows) == {1}
         if label_map is None:
             # two projection rows of the start and of every step, and the
             # tangent row at every x_on
-            assert len(widths) == 2 + 3 * steps
-            assert Counter(widths) == {l_trunc: 2 + 2 * steps, m_out: steps}
+            assert len(rows) == 2 + 3 * steps
+            assert Counter(widths) == {m_out: steps}
         else:
             # plus the row at x0; the row at each x_next serves its labels
             # and the next step's tangent frame, so it has both their modes
-            assert len(widths) == 3 + 3 * steps
-            assert Counter(widths) == {l_trunc: 2 + 2 * steps,
-                                       max(m_out, label_modes): 1 + steps}
+            assert len(rows) == 3 + 3 * steps
+            assert Counter(widths) == {max(m_out, label_modes): 1 + steps}
+        # the rest are projection rows
+        assert len(rows) - len(widths) == 2 + 2 * steps
 
     def test_carried_values_of_the_wrong_width_rejected(self, pgd_run):
         start, args, label_map = pgd_attack(pgd_run, 30)
