@@ -26,7 +26,7 @@ hold to machine precision on finite data.
 The kernel is built here only: ``_knn_scales`` owns the kNN scale of any
 distance rows, ``_kept`` which entries are kept, ``_cut_shape`` the kernel
 values, ``_kernel_csr`` the training kernel of the fit;
-``nystrom._kernel_rows`` owns the out-of-sample row.
+``nystrom._row_core`` owns the out-of-sample row.
 
 Certified cutoff
 ----------------

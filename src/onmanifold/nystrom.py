@@ -17,9 +17,9 @@ all go through it.  It returns the kept kernel values unnormalized, with
 their row sums.  ``_kernel_rows`` divides each row by its sum, for the
 eigenfunction values and the gradients.  A projection does not: each
 iteration is one row per query and one (m, N) @ (N, n) contraction
-(``_contract``) through operands the projector derived when it was made
-(``(phi_L / lambda_L) @ xhat`` when n < L), and the (m, n) result is
-divided by the sums.  The cutoff is applied after the min-shift, so the row
+(``_contract``) through the operand ``(phi_L / lambda_L) @ xhat`` that the
+projector derived when it was made, and the (m, n) result is divided by
+the sums.  The cutoff is applied after the min-shift, so the row
 at a training point has the same support as its fitted row.  Even after
 the shift, most of a row can lie far past the cut (z > 708 for 69 % of
 the entries of a row at a ``repro pgd-circle`` iterate), where numpy's
@@ -41,7 +41,7 @@ loaded or replaced): the read-only kernel eigenvalues ``1 - xi``, the
 number of leading modes whose ``|lambda|`` clears ``SMALL_LAMBDA``, and
 the cutoff.  So :func:`_mode_lambdas` is a range check, one integer
 comparison and a slice.  A projector likewise checks its modes and
-derives its read-only operands when it is made.  None of these is stored
+derives its read-only operand when it is made.  None of these is stored
 in a bundle.
 
 A row costs O(N) per query, so a caller that needs several quantities
@@ -241,11 +241,9 @@ class NystromProjector:
 
     Construction (``build_projector``, a bundle's ``projector()``,
     ``dataclasses.replace``) checks that the L modes are extendable and
-    derives, once, the read-only operands ``_operands`` that
-    :func:`_contract` multiplies a kernel row through: the (N, n) matrix
-    ``(phi_L / lambda_L) @ xhat`` when n < L, and otherwise ``phi_L`` and
-    ``xhat / lambda_L``, so the row is always contracted to the narrower
-    width first.  They are not stored in a bundle.
+    derives, once, the read-only (N, n) operand
+    ``_operand = (phi_L / lambda_L) @ xhat`` that :func:`_contract`
+    multiplies a kernel row through.  It is not stored in a bundle.
     """
 
     model: CidmModel
@@ -258,14 +256,9 @@ class NystromProjector:
             raise ValueError(f'xhat must have shape (L, {dim}) with 1 <= L <= {n_eigs}; '
                              f'got {shape}')
         lam = _mode_lambdas(self.model, shape[0])
-        phi = self.model.eig_phi[:, :shape[0]]
-        if dim < shape[0]:
-            operands = ((phi / lam[None, :]) @ self.xhat,)
-        else:
-            operands = (phi, self.xhat / lam[:, None])
-        for op in operands:
-            op.flags.writeable = False
-        object.__setattr__(self, '_operands', operands)
+        operand = (self.model.eig_phi[:, :shape[0]] / lam[None, :]) @ self.xhat
+        operand.flags.writeable = False
+        object.__setattr__(self, '_operand', operand)
 
     @property
     def l_trunc(self) -> int:
@@ -281,10 +274,8 @@ def build_projector(model: CidmModel, l_trunc: int) -> NystromProjector:
 def _contract(projector: NystromProjector, rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """One projection of each query from its unnormalized kernel row
     (:func:`_row_core`): ``rows`` is multiplied through the projector's
-    operands, and the (m, n) result is divided by the row ``sums``."""
-    out = rows
-    for op in projector._operands:
-        out = out @ op
+    operand, and the (m, n) result is divided by the row ``sums``."""
+    out = rows @ projector._operand
     out /= sums
     return out
 
@@ -310,16 +301,14 @@ def project(projector: NystromProjector, x, iterations: int = 2) -> np.ndarray:
 
 
 def _grad_pieces(model: CidmModel, query: np.ndarray):
-    """Kernel weights at one query, its distances and delta^2 (recomputed,
-    with the operations of :func:`_row_core`), its kNN scale, the gradient
-    of that scale, and the unnormalized row and its sum, which
-    :func:`_contract` projects.  The weights are the row divided by its
-    sum, the bits of :func:`_kernel_rows`."""
+    """Unnormalized kernel row at one query and its sum
+    (:func:`_row_core`), its distances and delta^2 (recomputed, with the
+    operations of :func:`_row_core`), its kNN scale and the gradient of
+    that scale."""
     cfg = model.config
     if cfg.shape != 'exponential':
         raise ValueError('gradients require the exponential shape')
     rows, sums, scales = _row_core(model, query[None, :])
-    weights = rows / sums
     pts = model.training.points
     row = cdist(query[None, :], pts)[0]
     delta2 = np.square(row) / (scales[0] * model.knn_scale)
@@ -337,7 +326,7 @@ def _grad_pieces(model: CidmModel, query: np.ndarray):
             f'(gap {gap:.3e}); the kNN scale is not differentiable here')
     nbr = pos[:k] if cfg.average_scales else pos[k - 1:k]
     grad_scale = ((query[None, :] - pts[nbr]) / row[nbr][:, None]).mean(axis=0)
-    return weights[0], row, delta2, scales[0], grad_scale, rows, sums
+    return rows, sums, row, delta2, scales[0], grad_scale
 
 
 def diffusion_map_jacobian(model: CidmModel, n_modes: int, x) -> np.ndarray:
@@ -355,8 +344,10 @@ def diffusion_map_jacobian(model: CidmModel, n_modes: int, x) -> np.ndarray:
 def _jacobian(model: CidmModel, lam: np.ndarray, query: np.ndarray, pieces):
     """:func:`diffusion_map_jacobian` for the modes of the kernel
     eigenvalues ``lam``, from the kernel row at ``query`` (``pieces``, as
-    :func:`_grad_pieces` returns it)."""
-    weights, _, delta2, scale, grad_scale = pieces[:5]
+    :func:`_grad_pieces` returns it).  The weights are the row divided by
+    its sum, the bits of :func:`_kernel_rows`."""
+    rows, sums, _, delta2, scale, grad_scale = pieces
+    weights = rows[0] / sums[0]
 
     pts = model.training.points
     eps2 = model.config.epsilon ** 2
@@ -393,6 +384,7 @@ def restricted_loss_gradient(projector: NystromProjector,
     query = _one_point(x)
     pieces = _grad_pieces(model, query)
     jac = _jacobian(model, lam, query, pieces)
-    target = _contract(projector, *pieces[5:])[0]
+    rows, sums = pieces[:2]
+    target = _contract(projector, rows, sums)[0]
     g = np.asarray(loss_grad_at(target), dtype=np.float64)
     return jac.T @ (projector.xhat @ g)

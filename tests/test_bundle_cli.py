@@ -554,6 +554,24 @@ class TestCli:
         assert err.startswith('error: ') and 'epsilon' in err
         assert err.count('\n') == 1
 
+    def test_fit_refuses_a_projector_over_a_small_mode(self, tmp_path, capsys):
+        # epsilon 100 on 60 circle points: |lambda| falls below 1e-10 within
+        # the 12 modes, but the first 3 are well clear of it
+        pts = tmp_path / 'pts.csv'
+        bundle = tmp_path / 'model.bundle'
+        run_cli('synth', '--kind', 'circle', '--n', '60', '--seed', '0', '--out', str(pts))
+        fit_args = ('fit', str(pts), '--k-nn', '5', '--n-eigs', '12', '--epsilon', '100',
+                    '--out', str(bundle))
+        capsys.readouterr()
+        assert run_cli(*fit_args, '--l-trunc', '12') == 2
+        err = capsys.readouterr().err
+        assert re.match(r'ERROR SmallEigenvalueError: mode \d+ has \|lambda\| = \S+ < 1e-10;',
+                        err)
+        assert err.count('\n') == 1
+        assert not bundle.exists()
+        assert run_cli(*fit_args, '--l-trunc', '3') == 0
+        assert load_bundle(bundle).xhat.shape == (3, 2)
+
     def test_threads_without_threadpoolctl_warns(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(sys.modules, 'threadpoolctl', None)    # import fails
         assert run_cli('--threads', '1', 'synth', '--kind', 'circle', '--n', '20',

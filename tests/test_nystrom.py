@@ -581,8 +581,8 @@ class TestReferenceRows:
             return                                  # gradients need the exponential
         # the distances and delta^2 that the gradients read, at 25 of the queries
         for i in np.linspace(0, queries.shape[0] - 1, 25).astype(int):
-            weights, row, delta2, scale = nystrom._grad_pieces(model, queries[i])[:4]
-            npt.assert_array_equal(weights, ref_weights[i])
+            rows, sums, row, delta2, scale, _ = nystrom._grad_pieces(model, queries[i])
+            npt.assert_array_equal(rows[0] / sums[0], ref_weights[i])
             npt.assert_array_equal(row, ref_dists[i])
             npt.assert_array_equal(delta2, ref_delta2[i])
             assert scale == ref_scales[i]
@@ -672,8 +672,7 @@ class TestModelConstants:
 
 
 #: Case -> ``request -> (model, queries, l_trunc)`` for the projection
-#: formula; fig2 and the kernel variants have n < L and one operand, the
-#: last two n >= L and two.
+#: formula; fig2 and the kernel variants have n < L, the last two n >= L.
 PROJECTION_CASES = {
     'fig2-grid': lambda r: (*REFERENCE_ROW_CASES['fig2-grid'](r), 20),
     'dm-normalized': lambda r: (*REFERENCE_ROW_CASES['dm-normalized'](r), 15),
@@ -685,15 +684,13 @@ PROJECTION_CASES = {
 
 
 class TestProjectorOperands:
-    """A projection is one row contracted through operands derived when the
-    projector is made, then divided by the row sums."""
+    """A projection is one row contracted through an operand derived when
+    the projector is made, then divided by the row sums."""
 
     @pytest.mark.parametrize('case', list(PROJECTION_CASES))
     def test_project_many_is_the_plain_formula(self, case, request):
         model, queries, l_trunc = PROJECTION_CASES[case](request)
         projector = om.build_projector(model, l_trunc)
-        dim = queries.shape[1]
-        assert len(projector._operands) == (1 if dim < l_trunc else 2)
         lam = 1.0 - model.eig_xi[:l_trunc]
         want = queries
         for iterations in (1, 2):
@@ -702,13 +699,12 @@ class TestProjectorOperands:
             got = om.project_many(projector, queries, iterations)
             npt.assert_allclose(got, want, rtol=0, atol=1e-14 * model.data_diameter)
 
-    def test_operands_are_read_only(self, fig2, noisy_circle):
+    def test_operand_is_read_only(self, fig2, noisy_circle):
         _, _, model = noisy_circle
         for projector in (fig2['projector'], om.build_projector(model, 1)):
-            for op in projector._operands:
-                assert not op.flags.writeable
-                with pytest.raises(ValueError, match='read-only'):
-                    op[0, 0] = 1.0
+            assert not projector._operand.flags.writeable
+            with pytest.raises(ValueError, match='read-only'):
+                projector._operand[0, 0] = 1.0
 
     def test_small_mode_refused_when_made(self, circle_full):
         _, _, model = circle_full
@@ -723,13 +719,12 @@ class TestProjectorOperands:
         assert om.build_projector(doctored, 7).l_trunc == 7
 
     def test_bundle_keeps_its_bytes(self, noisy_circle, tmp_path):
-        # the operands a loaded projector derives are not written back
+        # the operand a loaded projector derives is not written back
         _, _, model = noisy_circle
         projector = om.build_projector(model, 15)
         first, second = tmp_path / 'first.bundle', tmp_path / 'second.bundle'
         om.save_bundle(first, om.ModelBundle(model=model, xhat=projector.xhat))
         loaded = om.load_bundle(first)
-        for a, b in zip(loaded.projector()._operands, projector._operands):
-            npt.assert_array_equal(a, b)
+        npt.assert_array_equal(loaded.projector()._operand, projector._operand)
         om.save_bundle(second, loaded)
         assert second.read_bytes() == first.read_bytes()
