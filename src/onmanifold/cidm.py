@@ -24,8 +24,8 @@ constant mode ``phi_0 == 1`` and full-spectrum interpolation identities
 hold to machine precision on finite data.
 
 The kernel is built here only: ``_knn_scales`` owns the kNN scale of any
-distance rows, ``_kept`` which entries are kept, ``_cut_shape`` the kernel
-values, ``_kernel_csr`` the training kernel of the fit;
+rows of squared distances, ``_kept`` which entries are kept, ``_cut_shape``
+the kernel values, ``_kernel_csr`` the training kernel of the fit;
 ``nystrom._row_core`` owns the out-of-sample row.
 
 Certified cutoff
@@ -220,6 +220,8 @@ class CidmModel:
         if not (len(xi) == 1 and xi[0] >= 1 and phi == (pts[0], xi[0])):
             raise ValueError(f'eig_xi has shape {xi} and eig_phi has shape {phi}, but points '
                              f'has shape {pts}: they need shapes (L,) and ({pts[0]}, L)')
+        if not 0.0 < self.data_diameter < np.inf:
+            raise ValueError(f'data_diameter must be finite and > 0, got {self.data_diameter!r}')
         if self.config.kernel_variant == 'cidm_dm_normalized' and self.raw_degree is None:
             raise ValueError('the cidm_dm_normalized variant needs raw_degree')
         lam = 1.0 - self.eig_xi
@@ -279,31 +281,37 @@ def _row_blocks(n_points: int):
         yield a, min(a + step, n_points)
 
 
-def _knn_scales(dist: np.ndarray, k_nn: int, average: bool) -> np.ndarray:
-    """Mean (or, if not ``average``, largest) of the k smallest entries per row,
-    reduced in ascending order.  Excluded entries are inf; a row with fewer
-    than k finite entries gets scale inf.  Reorders ``dist`` in place; the
-    result is a new array, so ``dist`` may be reused afterwards."""
-    dist.partition(k_nn - 1, axis=1)
-    nearest = dist[:, :k_nn]
+def _knn_scales(d2: np.ndarray, k_nn: int, average: bool) -> np.ndarray:
+    """Mean (or, if not ``average``, largest) of the k smallest distances per
+    row, from the squared distances ``d2``, reduced in ascending order.
+
+    Only the k nearest squared distances get their square root; ``sqrt`` is
+    monotone and correctly rounded, so this gives the bits of partitioning
+    the distances themselves.  Excluded entries are inf; a row with fewer
+    than k finite entries gets scale inf.  Reorders ``d2`` in place; the
+    result is a new array, so ``d2`` may be reused afterwards."""
+    d2.partition(k_nn - 1, axis=1)
+    nearest = np.sqrt(d2[:, :k_nn])
     nearest.sort(axis=1)
-    return nearest.sum(axis=1) / k_nn if average else nearest[:, -1].copy()
+    return nearest.sum(axis=1) / k_nn if average else nearest[:, -1]
 
 
 def _training_scales(pts: np.ndarray, k_nn: int, average: bool):
     """kNN scales of the training points (self excluded) and the data
-    diameter, from one row block of distances at a time."""
+    diameter, from one row block of squared distances at a time; the
+    diameter is the square root of the largest one."""
     N = pts.shape[0]
     if not 1 <= k_nn <= N - 1:
         raise ValueError(f'k_nn must be in [1, {N - 1}], got {k_nn}')
     scales = np.empty(N)
-    diameter = 0.0
+    max_d2 = 0.0
     for a, b in _row_blocks(N):
-        dist = np.sqrt(cdist(pts[a:b], pts, 'sqeuclidean'))
-        diameter = max(diameter, float(dist.max()))
+        d2 = cdist(pts[a:b], pts, 'sqeuclidean')
+        max_d2 = max(max_d2, float(d2.max()))
         # only the self-distance is excluded: a coincident pair keeps its zero
-        dist[np.arange(b - a), np.arange(a, b)] = np.inf
-        scales[a:b] = _knn_scales(dist, k_nn, average)
+        d2[np.arange(b - a), np.arange(a, b)] = np.inf
+        scales[a:b] = _knn_scales(d2, k_nn, average)
+    diameter = float(np.sqrt(max_d2))
     if not diameter < MAX_DISTANCE:
         raise ValueError(f'training distances overflow when squared: the data diameter '
                          f'{diameter:.3e} is not below {MAX_DISTANCE:.3e}; rescale the points')

@@ -9,7 +9,11 @@ Out-of-sample evaluation of an eigenfunction with kernel eigenvalue
 where the query's kNN scale is the mean distance to its k nearest
 training points at strictly positive distance.  Excluding exact-zero
 distances makes the out-of-sample kernel row at a training point equal
-to the fitted row, so the extension interpolates training values.
+to the fitted row, so the extension interpolates training values.  Like
+the fit, a row starts from the squared distances (``cdist``
+``'sqeuclidean'``) and takes square roots only of the k nearest, for the
+scale; so the unnormalized row at a training point is its row of the
+fitted kernel, and its sum its ``degree``, bit for bit.
 
 ``_row_core`` owns the out-of-sample kernel row (scales, shape and the
 certified cutoff come from ``cidm``); extension, projection and gradients
@@ -25,13 +29,14 @@ the shift, most of a row can lie far past the cut (z > 708 for 69 % of
 the entries of a row at a ``repro pgd-circle`` iterate), where numpy's
 ``exp`` takes its slow subnormal and underflow paths; ``cidm._cut_shape``
 clamps those entries to the cut first.  The row holds two (m, N) float
-arrays and one (m, N) mask: the distances, which become the scale
-products, and the squared distances, which become the kernel values.
-Each step runs in place, with the operations and their order of the
-plain expression, so it gives the same bits.  A row returns only the
-kernel values, their sums and the query scales; the gradients, which also
-read the distances and delta^2 of their one query, recompute those with
-the same operations (``_grad_pieces``).  A query that is not finite,
+arrays and one (m, N) mask: the squared distances, which become the
+kernel values, and their copy, which the kNN scales partition and which
+then holds the scale products.  Each step runs in place, with the
+operations and their order of the plain expression, so it gives the same
+bits.  A row returns only the kernel values, their sums and the query
+scales; the gradients, which also read the distances and delta^2 of their
+one query, recompute those from the same squared distances
+(``_grad_pieces``).  A query that is not finite,
 overflows when squared, or has the wrong dimension raises
 :class:`InvalidQueryError`, and so does a query of a function of one point
 that is not one n-vector (``_one_point``).
@@ -61,7 +66,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .cidm import MAX_DISTANCE, SMALL_LAMBDA, CidmModel, _cut_shape, _knn_scales, inner
+from .cidm import SMALL_LAMBDA, CidmModel, _cut_shape, _knn_scales, inner
 from .errors import (GeometryError, InvalidQueryError, KnnBoundaryError,
                      SmallEigenvalueError)
 
@@ -114,33 +119,36 @@ def _row_core(model: CidmModel, queries: np.ndarray):
     finite arbitrarily far from the training data; the certified cutoff
     then drops the shifted tail.
 
-    The row holds two (m, N) float arrays and one (m, N) mask.  ``d``
-    holds the distances, which the kNN scales reorder in place, and then
-    the scale products.  ``w`` holds the squared distances, then delta^2,
-    then the negated exponent ``s = zmin - z`` that ``cidm._cut_shape``
-    reads (``-z`` for the indicator), and finally the kernel values; the
-    mask is the kept entries of ``s``.  Each operation writes in place,
-    with the operations and their order of the plain expression, so the
-    rows have its bits.  An empty batch gives empty rows.
+    The row holds two (m, N) float arrays and one (m, N) mask.  ``w``
+    holds the squared distances, then delta^2, then the negated exponent
+    ``s = zmin - z`` that ``cidm._cut_shape`` reads (``-z`` for the
+    indicator), and finally the kernel values; the mask is the kept
+    entries of ``s``.  ``d`` is a copy of the squared distances, with the
+    exact zeros excluded, that the kNN scales reorder in place, and then
+    holds the scale products.  These are the operations of the fit on the
+    same squared distances, so at a training point the row is its fitted
+    kernel row bit for bit.  Each operation writes in place, with the
+    operations and their order of the plain expression, so the rows have
+    its bits.  An empty batch gives empty rows.
     """
     cfg = model.config
     pts = model.training.points
     if queries.shape[1] != pts.shape[1]:
         raise InvalidQueryError(f'query dimension {queries.shape[1]} does not match '
                                 f'the training dimension {pts.shape[1]}')
-    d = cdist(queries, pts)
-    if not d.max(initial=0.0) < MAX_DISTANCE:  # NaN, inf, or overflow
-        bad = int(np.argmin(d.max(axis=1) < MAX_DISTANCE))
+    w = cdist(queries, pts, 'sqeuclidean')
+    if not w.max(initial=0.0) < np.inf:         # NaN, inf, or overflow
+        bad = int(np.argmin(w.max(axis=1) < np.inf))
         raise InvalidQueryError(f'query row {bad}: the query or its squared distances '
                                 'to the training points are not finite')
-    w = np.square(d)
+    d = w.copy()
     # exact-zero distances are skipped, so a training point's row is its fitted row
-    if not d.all():
+    if not w.min(initial=np.inf) > 0.0:
         d[d == 0.0] = np.inf
     scales = _knn_scales(d, cfg.k_nn, cfg.average_scales)
     if np.isinf(scales).any():
         raise ValueError('fewer than k_nn distinct training points for a query')
-    w /= np.multiply(scales[:, None], model.knn_scale[None, :], out=d)
+    w /= np.multiply.outer(scales, model.knn_scale, out=d)
     eps2 = cfg.epsilon ** 2
     if cfg.shape == 'exponential':
         if eps2 != 1.0:
@@ -302,16 +310,18 @@ def project(projector: NystromProjector, x, iterations: int = 2) -> np.ndarray:
 
 def _grad_pieces(model: CidmModel, query: np.ndarray):
     """Unnormalized kernel row at one query and its sum
-    (:func:`_row_core`), its distances and delta^2 (recomputed, with the
-    operations of :func:`_row_core`), its kNN scale and the gradient of
+    (:func:`_row_core`), its distances and delta^2 (recomputed from the
+    same squared distances, with the operations of :func:`_row_core`; the
+    distances are their square roots), its kNN scale and the gradient of
     that scale."""
     cfg = model.config
     if cfg.shape != 'exponential':
         raise ValueError('gradients require the exponential shape')
     rows, sums, scales = _row_core(model, query[None, :])
     pts = model.training.points
-    row = cdist(query[None, :], pts)[0]
-    delta2 = np.square(row) / (scales[0] * model.knn_scale)
+    row2 = cdist(query[None, :], pts, 'sqeuclidean')[0]
+    delta2 = row2 / (scales[0] * model.knn_scale)
+    row = np.sqrt(row2)
     pos = np.flatnonzero(row > 0.0)
     k = cfg.k_nn
     if pos.shape[0] < k + 1:

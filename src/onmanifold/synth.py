@@ -34,8 +34,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_points < 8:
             raise ValueError('n_points must be >= 8')
-        if self.noise_sigma < 0:
-            raise ValueError('noise_sigma must be >= 0')
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError(f'noise_sigma must be finite and >= 0, got {self.noise_sigma!r}')
         if self.kind not in ('circle', 'circle4d', 'torus', 'grid2d'):
             raise ValueError(f'unknown kind {self.kind!r}')
         if self.density_profile not in ('uniform', 'angle_skewed'):

@@ -5,8 +5,8 @@ from scipy.spatial.distance import pdist, squareform
 import onmanifold as om
 from scipy.spatial.distance import cdist
 
-from onmanifold.cidm import (DUPLICATE_SCALE_FRAC, KERNEL_TAIL, MAX_DISTANCE, CidmConfig,
-                             _knn_scales, shape_function)
+from onmanifold.cidm import (DUPLICATE_SCALE_FRAC, KERNEL_TAIL, CidmConfig, _knn_scales,
+                             shape_function)
 from onmanifold.errors import DuplicatePointError, GeometryError, InvalidQueryError
 from onmanifold.repro import (equispaced_circle, fig2_pipeline, fig3_pipeline,
                               pgd_circle_pipeline)
@@ -119,16 +119,17 @@ def reference_kernel_rows(model, queries: np.ndarray):
     if queries.shape[1] != pts.shape[1]:
         raise InvalidQueryError(f'query dimension {queries.shape[1]} does not match '
                                 f'the training dimension {pts.shape[1]}')
-    dists = cdist(queries, pts)
-    if not dists.max() < MAX_DISTANCE:             # NaN, inf, or overflow
-        bad = int(np.argmin(dists.max(axis=1) < MAX_DISTANCE))
+    d2 = cdist(queries, pts, 'sqeuclidean')
+    if not d2.max() < np.inf:                      # NaN, inf, or overflow
+        bad = int(np.argmin(d2.max(axis=1) < np.inf))
         raise InvalidQueryError(f'query row {bad}: the query or its squared distances '
                                 'to the training points are not finite')
     # exact-zero distances are skipped, so a training point's row is its fitted row
-    scales = _knn_scales(np.where(dists > 0.0, dists, np.inf), cfg.k_nn, cfg.average_scales)
+    scales = _knn_scales(np.where(d2 > 0.0, d2, np.inf), cfg.k_nn, cfg.average_scales)
     if np.isinf(scales).any():
         raise ValueError('fewer than k_nn distinct training points for a query')
-    delta2 = dists ** 2 / (scales[:, None] * model.knn_scale[None, :])
+    dists = np.sqrt(d2)
+    delta2 = d2 / (scales[:, None] * model.knn_scale[None, :])
     z = delta2 / cfg.epsilon ** 2
     if cfg.shape == 'exponential':
         z -= z.min(axis=1, keepdims=True)
@@ -155,11 +156,11 @@ def dense_training_scales(d2: np.ndarray, k_nn: int, average: bool):
     N = d2.shape[0]
     if not 1 <= k_nn <= N - 1:
         raise ValueError(f'k_nn must be in [1, {N - 1}], got {k_nn}')
-    dist = np.sqrt(d2)
-    diameter = float(dist.max())
+    diameter = float(np.sqrt(d2).max())
     # only the self-distance is excluded: a coincident pair keeps its zero
-    np.fill_diagonal(dist, np.inf)
-    scales = _knn_scales(dist, k_nn, average)
+    excluded = d2.copy()
+    np.fill_diagonal(excluded, np.inf)
+    scales = _knn_scales(excluded, k_nn, average)
     if np.any(scales <= DUPLICATE_SCALE_FRAC * max(diameter, np.finfo(float).tiny)):
         bad = int(np.argmin(scales))
         raise DuplicatePointError(

@@ -435,6 +435,32 @@ class TestShapeChecks:
             ModelBundle(model=model, **{field: value})
 
 
+class TestDiameterCheck:
+    """A model refuses a data diameter that is not finite and positive: the
+    KNN-boundary and PGD-stall thresholds are fractions of it."""
+
+    @pytest.mark.parametrize('diameter', [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_model_refuses_it(self, circle100, diameter):
+        model, _, _ = circle100
+        with pytest.raises(ValueError, match=r'^data_diameter must be finite and > 0, got '):
+            dataclasses.replace(model, data_diameter=diameter)
+
+    @pytest.mark.parametrize('diameter', [float('nan'), 0.0])
+    def test_bundle_manifest_is_a_usage_error(self, circle100, tmp_path, capsys, diameter):
+        # the digest covers the arrays, not the manifest
+        _, path, points = circle100
+        bad = tmp_path / 'bad.bundle'
+        bad.write_bytes(edit_manifest(path.read_bytes(),
+                                      lambda m: m.update(data_diameter=diameter)))
+        capsys.readouterr()
+        assert run_cli('project', str(bad), str(points), '--out',
+                       str(tmp_path / 'o.csv')) == 1
+        err = capsys.readouterr().err
+        assert err.startswith('error: data_diameter must be finite and > 0, got ')
+        assert err.count('\n') == 1
+        assert not (tmp_path / 'o.csv').exists()
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -552,6 +578,15 @@ class TestCli:
                        '--out', str(tmp_path / 'model.bundle')) == 1
         err = capsys.readouterr().err
         assert err.startswith('error: ') and 'epsilon' in err
+        assert err.count('\n') == 1
+
+    @pytest.mark.parametrize('sigma', ['nan', 'inf', '-inf'])
+    def test_non_finite_sigma_is_a_usage_error(self, tmp_path, capsys, sigma):
+        capsys.readouterr()
+        assert run_cli('synth', '--kind', 'circle', '--n', '50', f'--sigma={sigma}',
+                       '--out', str(tmp_path / 'pts.csv')) == 1
+        err = capsys.readouterr().err
+        assert err.startswith('error: noise_sigma must be finite and >= 0, got ')
         assert err.count('\n') == 1
 
     def test_fit_refuses_a_projector_over_a_small_mode(self, tmp_path, capsys):

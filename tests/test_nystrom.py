@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import onmanifold as om
-from onmanifold import nystrom
+from scipy.spatial.distance import cdist
+
+from onmanifold import cidm, nystrom
 from onmanifold.cidm import KERNEL_TAIL
 
 from conftest import reference_kernel_rows
@@ -728,3 +730,77 @@ class TestProjectorOperands:
         npt.assert_array_equal(loaded.projector()._operand, projector._operand)
         om.save_bundle(second, loaded)
         assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.fixture(scope='module')
+def torus600():
+    cloud, _ = om.generate(om.SynthSpec(kind='torus', n_points=600, seed=5))
+    return om.fit(cloud, om.CidmConfig(k_nn=24, n_eigs=20))
+
+
+#: Case -> ``request -> model`` (the ``cidm`` variant) for the training-row identity.
+FITTED_ROW_CASES = {
+    'fig2': lambda r: r.getfixturevalue('fig2')['model'],
+    'epsilon-1.3': lambda r: _variant(epsilon=1.3)[0],
+    'torus-600': lambda r: r.getfixturevalue('torus600'),
+    'kth-scale': lambda r: _variant(average_scales=False)[0],
+}
+
+
+def _sqrt_first_scales(dist: np.ndarray, k_nn: int, average: bool) -> np.ndarray:
+    """kNN scales partitioned on the distances themselves."""
+    dist = np.partition(dist, k_nn - 1, axis=1)[:, :k_nn]
+    dist.sort(axis=1)
+    return dist.sum(axis=1) / k_nn if average else dist[:, -1]
+
+
+class TestTrainingRowsAreFitted:
+    """Both the fit and a row build from squared distances, so the row at a
+    training point is its fitted kernel row, bit for bit."""
+
+    @pytest.mark.parametrize('case', list(FITTED_ROW_CASES))
+    def test_row_is_the_fitted_kernel_row(self, case, request):
+        model = FITTED_ROW_CASES[case](request)
+        pts = model.training.points
+        kernel = cidm._kernel_csr(pts, model.knn_scale, model.config)[0].toarray()
+        rows, sums, scales = nystrom._row_core(model, pts)
+        npt.assert_array_equal(rows, kernel)
+        npt.assert_array_equal(sums[:, 0], model.degree)
+        npt.assert_array_equal(scales, model.knn_scale)
+
+    def test_training_points_in_a_batch(self, fig2):
+        model = fig2['model']
+        pts = model.training.points
+        index = np.arange(0, model.n_points, 97)
+        batch = np.vstack([fig2['grid'][:40], pts[index], 1.3 * pts[:5], pts[index[::-1]]])
+        rows, sums, _ = nystrom._row_core(model, batch)
+        alone, alone_sums, _ = nystrom._row_core(model, pts[index])
+        kernel = cidm._kernel_csr(pts, model.knn_scale, model.config)[0].toarray()
+        k = index.shape[0]
+        for got, got_sums in ((rows[40:40 + k], sums[40:40 + k]),
+                              (rows[-k:][::-1], sums[-k:][::-1]),
+                              (alone, alone_sums)):
+            npt.assert_array_equal(got, kernel[index])
+            npt.assert_array_equal(got_sums[:, 0], model.degree[index])
+
+    @pytest.mark.parametrize('average', [True, False])
+    @pytest.mark.parametrize('seed', range(4))
+    def test_scales_keep_their_bits(self, seed, average):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 6))
+        pts = rng.normal(size=(int(rng.integers(30, 300)), dim)) * 10.0 ** rng.uniform(-4, 4)
+        queries = np.vstack([rng.normal(size=(20, dim)) * pts.std(), pts[:5]])
+        k_nn = int(rng.integers(1, 16))
+        d2 = cdist(queries, pts, 'sqeuclidean')
+        d2[d2 == 0.0] = np.inf
+        want = _sqrt_first_scales(np.sqrt(d2), k_nn, average)
+        npt.assert_array_equal(want, _sqrt_first_scales(
+            np.where(np.isinf(d2), np.inf, cdist(queries, pts)), k_nn, average))
+        npt.assert_array_equal(cidm._knn_scales(d2, k_nn, average), want)
+        # the fit's scales (self excluded) and its diameter
+        dist = cdist(pts, pts)
+        diameter = dist.max()
+        np.fill_diagonal(dist, np.inf)
+        scales, got_diameter = cidm._training_scales(pts, k_nn, average)
+        npt.assert_array_equal(scales, _sqrt_first_scales(dist, k_nn, average))
+        assert got_diameter == diameter

@@ -143,3 +143,8 @@ class TestSpecValidation:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SynthSpec(**kwargs)
+
+    @pytest.mark.parametrize('sigma', [np.nan, np.inf, -np.inf])
+    def test_non_finite_noise_sigma_named(self, sigma):
+        with pytest.raises(ValueError, match='^noise_sigma must be finite and >= 0'):
+            SynthSpec(kind='circle', n_points=100, noise_sigma=sigma)
