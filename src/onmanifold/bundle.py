@@ -1,6 +1,6 @@
 """Model persistence: JSON manifest plus a little-endian float64 blob.
 
-File layout (format version 3)::
+File layout (format version 4)::
 
     bytes 0..7    magic b'OMFB0001'
     bytes 8..15   uint64 LE manifest length in bytes
@@ -39,7 +39,7 @@ from .sec import SecFrame
 __all__ = ['ModelBundle', 'save_bundle', 'load_bundle']
 
 MAGIC = b'OMFB0001'
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: The arrays of each section.  A section is in a bundle when its arrays
 #: are, and ``model`` always is; ``raw_degree`` comes with models of the

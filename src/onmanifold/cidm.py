@@ -2,10 +2,10 @@
 
 Builds the self-tuning kernel
 
-    K_ij = h( delta(x_i, x_j)^2 / epsilon^2 ),
+    K_ij = exp( -delta(x_i, x_j)^2 / epsilon^2 ),
     delta(x, y)^2 = d(x, y)^2 / (scale(x) * scale(y)),
 
-where ``scale`` is the (averaged) distance to the k nearest neighbors,
+where ``scale`` is the mean distance to the k nearest neighbors,
 and extracts the spectrum of the normalized graph Laplacian
 ``L = I - D^{-1} K`` through the symmetric conjugate
 ``K_sym = D^{-1/2} K D^{-1/2}``.  Eigenvectors are returned in the
@@ -30,13 +30,12 @@ the kernel values, ``_kernel_csr`` the training kernel of the fit;
 
 Certified cutoff
 ----------------
-With the exponential shape, entries with ``z = delta^2 / eps^2 >
-ln N + KERNEL_TAIL`` are set to exactly 0, in the training kernel and in
-the (min-shifted) out-of-sample rows alike.  Every row holds an entry
-``h(0) = 1``, and at most N entries of a row are dropped, each below
+Entries with ``z = delta^2 / eps^2 > ln N + KERNEL_TAIL`` are set to
+exactly 0, in the training kernel and in the (min-shifted) out-of-sample
+rows alike.  Every row holds an entry ``exp(0) = 1``, and at most N
+entries of a row are dropped, each below
 ``exp(-(ln N + KERNEL_TAIL)) = e^{-32} / N``; so the dropped mass of a row
-is below ``e^{-32} ~ 1.3e-14`` of its sum.  The indicator shape is exactly
-sparse already and is left as it is.  The cutoff is written once, in
+is below ``e^{-32} ~ 1.3e-14`` of its sum.  The cutoff is written once, in
 ``_kernel_cut``: a fit computes it once for its training kernel, and a
 model once, when it is made, for its out-of-sample rows (with its kernel
 eigenvalues ``1 - xi``; see :class:`CidmModel`).  Neither is stored in a
@@ -76,10 +75,8 @@ __all__ = [
     'knn_scales',
     'fit',
     'inner',
-    'shape_function',
 ]
 
-ShapeName = Literal['exponential', 'indicator']
 KernelVariant = Literal['cidm', 'cidm_dm_normalized']
 
 #: An eigenvalue of L within this distance of 0 counts as a harmonic
@@ -143,19 +140,23 @@ class PointCloud:
 class CidmConfig:
     """Kernel and eigensolver settings for a CIDM fit.
 
-    ``average_scales`` selects the kNN rescaling variant: the mean of the
-    distances to the k nearest neighbors (default, less sensitive) versus
-    the distance to the k-th neighbor alone.
+    The kernel is exp(-delta^2 / epsilon^2), with the kNN scale the mean of
+    the distances to the ``k_nn`` nearest neighbors.  ``k_nn`` and
+    ``n_eigs`` must be integers (a numpy integer is stored as an ``int``,
+    a ``bool`` is refused).
     """
 
     k_nn: int
     n_eigs: int
     epsilon: float = 1.0
-    shape: ShapeName = 'exponential'
     kernel_variant: KernelVariant = 'cidm'
-    average_scales: bool = True
 
     def __post_init__(self):
+        for name in ('k_nn', 'n_eigs'):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f'{name} must be an integer, got {value!r}')
+            object.__setattr__(self, name, int(value))
         if self.k_nn < 1:
             raise ValueError('k_nn must be >= 1')
         if self.n_eigs < 1:
@@ -165,18 +166,8 @@ class CidmConfig:
         if not (self.epsilon > 0 and 0.0 < eps2 < np.inf):
             raise ValueError(f'epsilon must be positive with a finite, nonzero square, '
                              f'got {self.epsilon!r}')
-        if self.shape not in ('exponential', 'indicator'):
-            raise ValueError(f'unknown shape {self.shape!r}')
         if self.kernel_variant not in ('cidm', 'cidm_dm_normalized'):
             raise ValueError(f'unknown kernel_variant {self.kernel_variant!r}')
-
-
-def shape_function(z: np.ndarray, shape: ShapeName) -> np.ndarray:
-    """Kernel shape h(z): exp(-z) or the indicator of [0, 1]."""
-    z = np.asarray(z)
-    if shape == 'exponential':
-        return np.exp(-z)
-    return (z <= 1.0).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -222,6 +213,9 @@ class CidmModel:
                              f'has shape {pts}: they need shapes (L,) and ({pts[0]}, L)')
         if not 0.0 < self.data_diameter < np.inf:
             raise ValueError(f'data_diameter must be finite and > 0, got {self.data_diameter!r}')
+        if not 1 <= self.config.k_nn <= pts[0] - 1:
+            raise ValueError(f'k_nn must be in [1, {pts[0] - 1}] for N={pts[0]} training '
+                             f'points, got {self.config.k_nn}')
         if self.config.kernel_variant == 'cidm_dm_normalized' and self.raw_degree is None:
             raise ValueError('the cidm_dm_normalized variant needs raw_degree')
         lam = 1.0 - self.eig_xi
@@ -258,19 +252,19 @@ def inner(model: CidmModel, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.tensordot(wf, g, axes=(0, 0))
 
 
-def knn_scales(points: PointCloud, k_nn: int, average: bool = True) -> np.ndarray:
+def knn_scales(points: PointCloud, k_nn: int) -> np.ndarray:
     """Per-point kNN distance scale.
 
     Entry i is the mean of the Euclidean distances from ``x_i`` to its
-    ``k_nn`` nearest distinct-index neighbors (or the k-th distance alone
-    when ``average=False``); these are the scales :func:`fit` uses.
+    ``k_nn`` nearest distinct-index neighbors; these are the scales
+    :func:`fit` uses.
 
     Raises
     ------
     DuplicatePointError
         If any scale is <= 1e-12 times the maximum pairwise distance.
     """
-    return _training_scales(points.points, k_nn, average)[0]
+    return _training_scales(points.points, k_nn)[0]
 
 
 def _row_blocks(n_points: int):
@@ -281,9 +275,9 @@ def _row_blocks(n_points: int):
         yield a, min(a + step, n_points)
 
 
-def _knn_scales(d2: np.ndarray, k_nn: int, average: bool) -> np.ndarray:
-    """Mean (or, if not ``average``, largest) of the k smallest distances per
-    row, from the squared distances ``d2``, reduced in ascending order.
+def _knn_scales(d2: np.ndarray, k_nn: int) -> np.ndarray:
+    """Mean of the k smallest distances per row, from the squared
+    distances ``d2``, summed in ascending order.
 
     Only the k nearest squared distances get their square root; ``sqrt`` is
     monotone and correctly rounded, so this gives the bits of partitioning
@@ -293,10 +287,10 @@ def _knn_scales(d2: np.ndarray, k_nn: int, average: bool) -> np.ndarray:
     d2.partition(k_nn - 1, axis=1)
     nearest = np.sqrt(d2[:, :k_nn])
     nearest.sort(axis=1)
-    return nearest.sum(axis=1) / k_nn if average else nearest[:, -1]
+    return nearest.sum(axis=1) / k_nn
 
 
-def _training_scales(pts: np.ndarray, k_nn: int, average: bool):
+def _training_scales(pts: np.ndarray, k_nn: int):
     """kNN scales of the training points (self excluded) and the data
     diameter, from one row block of squared distances at a time; the
     diameter is the square root of the largest one."""
@@ -310,7 +304,7 @@ def _training_scales(pts: np.ndarray, k_nn: int, average: bool):
         max_d2 = max(max_d2, float(d2.max()))
         # only the self-distance is excluded: a coincident pair keeps its zero
         d2[np.arange(b - a), np.arange(a, b)] = np.inf
-        scales[a:b] = _knn_scales(d2, k_nn, average)
+        scales[a:b] = _knn_scales(d2, k_nn)
     diameter = float(np.sqrt(max_d2))
     if not diameter < MAX_DISTANCE:
         raise ValueError(f'training distances overflow when squared: the data diameter '
@@ -328,42 +322,36 @@ def _kernel_cut(n_points: int) -> float:
     return np.log(n_points) + KERNEL_TAIL
 
 
-def _kept(s: np.ndarray, shape: ShapeName, cut: float) -> np.ndarray:
+def _kept(s: np.ndarray, cut: float) -> np.ndarray:
     """Mask of the kernel entries that are kept, from the negated exponent
-    ``s = -z`` (:func:`_cut_shape`): s >= -``cut`` for the exponential
-    shape (the certified cutoff, :func:`_kernel_cut`), the support s >= -1
-    of the indicator.
+    ``s = -z`` (:func:`_cut_shape`): s >= -``cut``, the certified cutoff
+    (:func:`_kernel_cut`).
 
     On finite z >= 0, which is all a fit gets this far, the kept entries
-    are exactly the nonzero ones: a kept exponential value is at least
+    are exactly the nonzero ones: a kept value is at least
     ``exp(-cut) > 0``.
     """
-    return s >= (-cut if shape == 'exponential' else -1.0)
+    return s >= -cut
 
 
-def _cut_shape(s: np.ndarray, shape: ShapeName, cut: float,
-               keep: np.ndarray | None = None) -> np.ndarray:
-    """Kernel values h(z) with the certified cutoff ``cut`` (:func:`_kernel_cut`),
-    from the negated exponent ``s = -z``.
+def _cut_shape(s: np.ndarray, cut: float, keep: np.ndarray | None = None) -> np.ndarray:
+    """Kernel values exp(-z) with the certified cutoff ``cut``
+    (:func:`_kernel_cut`), from the negated exponent ``s = -z``.
 
     The fit gets s by dividing by -eps^2, and an out-of-sample row as the
-    min-shifted ``zmin - z``; both are -z bit for bit, and h(z) = exp(s),
+    min-shifted ``zmin - z``; both are -z bit for bit, and exp(-z) = exp(s),
     so no pass is spent on a negation.  ``keep`` is the mask :func:`_kept`
     of ``s``, computed here when not given; entries outside it are exactly
-    0.  Exponential entries are clamped to -``cut`` before the ``exp``,
-    which keeps it off its slow subnormal and underflow inputs (s below
-    about -708); the kept entries see the same input, so the values do not
-    change.  The cut entries are then zeroed by multiplying with the 0/1
-    mask, which does not branch on the (random) cut pattern as a masked
-    store does; a kept value is finite, so times 1 it is exact, and a NaN
-    stays NaN.  The indicator's values are the mask itself.  Overwrites
-    ``s`` with the result.
+    0.  Entries are clamped to -``cut`` before the ``exp``, which keeps it
+    off its slow subnormal and underflow inputs (s below about -708); the
+    kept entries see the same input, so the values do not change.  The cut
+    entries are then zeroed by multiplying with the 0/1 mask, which does
+    not branch on the (random) cut pattern as a masked store does; a kept
+    value is finite, so times 1 it is exact, and a NaN stays NaN.
+    Overwrites ``s`` with the result.
     """
     if keep is None:
-        keep = _kept(s, shape, cut)
-    if shape != 'exponential':
-        np.copyto(s, keep)
-        return s
+        keep = _kept(s, cut)
     np.maximum(s, -cut, out=s)
     np.exp(s, out=s)
     np.multiply(s, keep, out=s)
@@ -399,8 +387,7 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
 
     indptr = np.zeros(N + 1, dtype=np.int64)
     for a, b in _row_blocks(N):
-        indptr[a + 1:b + 1] = np.count_nonzero(_kept(block_s(a, b), config.shape, cut),
-                                               axis=1)
+        indptr[a + 1:b + 1] = np.count_nonzero(_kept(block_s(a, b), cut), axis=1)
     np.cumsum(indptr, out=indptr)
     index_dtype = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
     data = np.empty(indptr[-1])
@@ -408,8 +395,8 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
     raw_degree = np.empty(N)
     for a, b in _row_blocks(N):
         s = block_s(a, b)
-        keep = _kept(s, config.shape, cut)
-        K = _cut_shape(s, config.shape, cut, keep)
+        keep = _kept(s, cut)
+        K = _cut_shape(s, cut, keep)
         raw_degree[a:b] = K.sum(axis=1)
         lo, hi = indptr[a], indptr[b]
         kept = np.flatnonzero(keep)
@@ -494,8 +481,8 @@ def fit(points: PointCloud, config: CidmConfig) -> CidmModel:
     """
     if isinstance(points, np.ndarray):
         points = PointCloud(points)
-    scales, diameter = _training_scales(points.points, config.k_nn, config.average_scales)
-    # each row keeps its own entry h(0) = 1, so every degree is positive
+    scales, diameter = _training_scales(points.points, config.k_nn)
+    # each row keeps its own entry exp(0) = 1, so every degree is positive
     K, degree, raw_degree = _kernel_csr(points.points, scales, config)
     _divide_entries(K, degree, root=True)           # K_sym, in place of K
     if not _uses_arpack(points.n_points, config.n_eigs):

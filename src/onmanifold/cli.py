@@ -96,8 +96,7 @@ def _cmd_synth(args) -> int:
 def _cmd_fit(args) -> int:
     cloud = PointCloud.from_csv(args.data)
     config = CidmConfig(k_nn=args.k_nn, n_eigs=args.n_eigs, epsilon=args.epsilon,
-                        shape=args.shape, kernel_variant=args.variant,
-                        average_scales=not args.per_point_scales)
+                        kernel_variant=args.variant)
     _guard_overwrite(args.out, args.force)
     model = fit(cloud, config)
     xhat = build_projector(model, args.l_trunc).xhat if args.l_trunc else None
@@ -234,12 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--k-nn', type=int, required=True)
     p.add_argument('--n-eigs', type=int, required=True)
     p.add_argument('--epsilon', type=float, default=1.0)
-    p.add_argument('--shape', choices=['exponential', 'indicator'],
-                   default='exponential')
     p.add_argument('--variant', choices=['cidm', 'cidm_dm_normalized'],
                    default='cidm')
-    p.add_argument('--per-point-scales', action='store_true',
-                   help='use the k-th neighbor distance instead of the kNN mean')
     p.add_argument('--l-trunc', type=int, default=0,
                    help='also store a projector with this truncation')
     p.add_argument('--out', required=True)

@@ -4,7 +4,7 @@ Out-of-sample evaluation of an eigenfunction with kernel eigenvalue
 ``lambda`` uses the row-normalized kernel,
 
     phi(x) = (1/lambda) * sum_j w_j(x) phi_j,
-    w_j(x) = h(delta(x, x_j)^2 / eps^2) / sum_m h(delta(x, x_m)^2 / eps^2),
+    w_j(x) = exp(-delta(x, x_j)^2 / eps^2) / sum_m exp(-delta(x, x_m)^2 / eps^2),
 
 where the query's kNN scale is the mean distance to its k nearest
 training points at strictly positive distance.  Excluding exact-zero
@@ -15,7 +15,7 @@ the fit, a row starts from the squared distances (``cdist``
 scale; so the unnormalized row at a training point is its row of the
 fitted kernel, and its sum its ``degree``, bit for bit.
 
-``_row_core`` owns the out-of-sample kernel row (scales, shape and the
+``_row_core`` owns the out-of-sample kernel row (scales, kernel values and the
 certified cutoff come from ``cidm``); extension, projection and gradients
 all go through it.  It returns the kept kernel values unnormalized, with
 their row sums.  ``_kernel_rows`` divides each row by its sum, for the
@@ -67,8 +67,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .cidm import SMALL_LAMBDA, CidmModel, _cut_shape, _knn_scales, inner
-from .errors import (GeometryError, InvalidQueryError, KnnBoundaryError,
-                     SmallEigenvalueError)
+from .errors import InvalidQueryError, KnnBoundaryError, SmallEigenvalueError
 
 __all__ = [
     'NystromProjector',
@@ -114,15 +113,17 @@ def _row_core(model: CidmModel, queries: np.ndarray):
 
     Returns ``(rows, sums, scales)`` with shapes (m, N), (m, 1) and (m,):
     the kept kernel values, their row sums and the query scales.  The
-    exponential shape is evaluated with the minimum dissimilarity shifted
-    out, which leaves the normalized weights unchanged but keeps them
-    finite arbitrarily far from the training data; the certified cutoff
-    then drops the shifted tail.
+    kernel is evaluated with the minimum dissimilarity shifted out, which
+    leaves the normalized weights unchanged but keeps them finite
+    arbitrarily far from the training data; the certified cutoff then
+    drops the shifted tail.  So every row keeps an entry exp(0) = 1, and
+    every sum is at least 1 (above 0 after the ``cidm_dm_normalized``
+    division by the positive ``raw_degree``).
 
     The row holds two (m, N) float arrays and one (m, N) mask.  ``w``
     holds the squared distances, then delta^2, then the negated exponent
-    ``s = zmin - z`` that ``cidm._cut_shape`` reads (``-z`` for the
-    indicator), and finally the kernel values; the mask is the kept
+    ``s = zmin - z`` that ``cidm._cut_shape`` reads, and
+    finally the kernel values; the mask is the kept
     entries of ``s``.  ``d`` is a copy of the squared distances, with the
     exact zeros excluded, that the kNN scales reorder in place, and then
     holds the scale products.  These are the operations of the fit on the
@@ -145,25 +146,19 @@ def _row_core(model: CidmModel, queries: np.ndarray):
     # exact-zero distances are skipped, so a training point's row is its fitted row
     if not w.min(initial=np.inf) > 0.0:
         d[d == 0.0] = np.inf
-    scales = _knn_scales(d, cfg.k_nn, cfg.average_scales)
+    scales = _knn_scales(d, cfg.k_nn)
     if np.isinf(scales).any():
         raise ValueError('fewer than k_nn distinct training points for a query')
     w /= np.multiply.outer(scales, model.knn_scale, out=d)
     eps2 = cfg.epsilon ** 2
-    if cfg.shape == 'exponential':
-        if eps2 != 1.0:
-            w /= eps2
-        # zmin - z is -(z - zmin) bit for bit
-        np.subtract(w.min(axis=1, keepdims=True), w, out=w)
-    else:
-        w /= -eps2
-    u = _cut_shape(w, cfg.shape, model._cut)
+    if eps2 != 1.0:
+        w /= eps2
+    # zmin - z is -(z - zmin) bit for bit
+    np.subtract(w.min(axis=1, keepdims=True), w, out=w)
+    u = _cut_shape(w, model._cut)
     if cfg.kernel_variant == 'cidm_dm_normalized':
         u /= model.raw_degree[None, :]
-    sums = u.sum(axis=1, keepdims=True)
-    if (sums == 0.0).any():
-        raise GeometryError('query outside the support of the indicator kernel')
-    return u, sums, scales
+    return u, u.sum(axis=1, keepdims=True), scales
 
 
 def _kernel_rows(model: CidmModel, queries: np.ndarray):
@@ -314,16 +309,13 @@ def _grad_pieces(model: CidmModel, query: np.ndarray):
     same squared distances, with the operations of :func:`_row_core`; the
     distances are their square roots), its kNN scale and the gradient of
     that scale."""
-    cfg = model.config
-    if cfg.shape != 'exponential':
-        raise ValueError('gradients require the exponential shape')
     rows, sums, scales = _row_core(model, query[None, :])
     pts = model.training.points
     row2 = cdist(query[None, :], pts, 'sqeuclidean')[0]
     delta2 = row2 / (scales[0] * model.knn_scale)
     row = np.sqrt(row2)
     pos = np.flatnonzero(row > 0.0)
-    k = cfg.k_nn
+    k = model.config.k_nn
     if pos.shape[0] < k + 1:
         raise ValueError('need at least k_nn + 1 distinct training points')
     # the k + 1 nearest, ordered by distance with ties resolved by index
@@ -334,7 +326,7 @@ def _grad_pieces(model: CidmModel, query: np.ndarray):
         raise KnnBoundaryError(
             f'query is equidistant from its {k}-th and {k + 1}-th neighbors '
             f'(gap {gap:.3e}); the kNN scale is not differentiable here')
-    nbr = pos[:k] if cfg.average_scales else pos[k - 1:k]
+    nbr = pos[:k]
     grad_scale = ((query[None, :] - pts[nbr]) / row[nbr][:, None]).mean(axis=0)
     return rows, sums, row, delta2, scales[0], grad_scale
 

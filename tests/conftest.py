@@ -5,9 +5,8 @@ from scipy.spatial.distance import pdist, squareform
 import onmanifold as om
 from scipy.spatial.distance import cdist
 
-from onmanifold.cidm import (DUPLICATE_SCALE_FRAC, KERNEL_TAIL, CidmConfig, _knn_scales,
-                             shape_function)
-from onmanifold.errors import DuplicatePointError, GeometryError, InvalidQueryError
+from onmanifold.cidm import DUPLICATE_SCALE_FRAC, KERNEL_TAIL, CidmConfig, _knn_scales
+from onmanifold.errors import DuplicatePointError, InvalidQueryError
 from onmanifold.repro import (equispaced_circle, fig2_pipeline, fig3_pipeline,
                               pgd_circle_pipeline)
 
@@ -101,9 +100,7 @@ def semantic_model():
 # ``nystrom._kernel_rows`` must reproduce bit for bit.
 
 
-def reference_cut_shape(z: np.ndarray, shape, n_points: int) -> np.ndarray:
-    if shape != 'exponential':
-        return shape_function(z, shape)
+def reference_cut_shape(z: np.ndarray, n_points: int) -> np.ndarray:
     cut = np.log(n_points) + KERNEL_TAIL
     far = z > cut
     np.minimum(z, cut, out=z)
@@ -125,21 +122,17 @@ def reference_kernel_rows(model, queries: np.ndarray):
         raise InvalidQueryError(f'query row {bad}: the query or its squared distances '
                                 'to the training points are not finite')
     # exact-zero distances are skipped, so a training point's row is its fitted row
-    scales = _knn_scales(np.where(d2 > 0.0, d2, np.inf), cfg.k_nn, cfg.average_scales)
+    scales = _knn_scales(np.where(d2 > 0.0, d2, np.inf), cfg.k_nn)
     if np.isinf(scales).any():
         raise ValueError('fewer than k_nn distinct training points for a query')
     dists = np.sqrt(d2)
     delta2 = d2 / (scales[:, None] * model.knn_scale[None, :])
     z = delta2 / cfg.epsilon ** 2
-    if cfg.shape == 'exponential':
-        z -= z.min(axis=1, keepdims=True)
-    u = reference_cut_shape(z, cfg.shape, model.n_points)
+    z -= z.min(axis=1, keepdims=True)
+    u = reference_cut_shape(z, model.n_points)
     if cfg.kernel_variant == 'cidm_dm_normalized':
         u = u / model.raw_degree[None, :]
-    norm = u.sum(axis=1, keepdims=True)
-    if (norm == 0.0).any():
-        raise GeometryError('query outside the support of the indicator kernel')
-    return u / norm, dists, scales, delta2
+    return u / u.sum(axis=1, keepdims=True), dists, scales, delta2
 
 
 # ---------------------------------------------------- naive dense kernel
@@ -151,7 +144,7 @@ def dense_squared_distances(pts: np.ndarray) -> np.ndarray:
     return squareform(pdist(pts, 'sqeuclidean'))
 
 
-def dense_training_scales(d2: np.ndarray, k_nn: int, average: bool):
+def dense_training_scales(d2: np.ndarray, k_nn: int):
     """kNN scales of the training points (self excluded) and the data diameter."""
     N = d2.shape[0]
     if not 1 <= k_nn <= N - 1:
@@ -160,7 +153,7 @@ def dense_training_scales(d2: np.ndarray, k_nn: int, average: bool):
     # only the self-distance is excluded: a coincident pair keeps its zero
     excluded = d2.copy()
     np.fill_diagonal(excluded, np.inf)
-    scales = _knn_scales(excluded, k_nn, average)
+    scales = _knn_scales(excluded, k_nn)
     if np.any(scales <= DUPLICATE_SCALE_FRAC * max(diameter, np.finfo(float).tiny)):
         bad = int(np.argmin(scales))
         raise DuplicatePointError(
@@ -173,7 +166,7 @@ def dense_kernel_matrix(d2: np.ndarray, scales: np.ndarray, config: CidmConfig):
     """Symmetric kernel matrix, its degree vector, and the raw CIDM degrees."""
     z = d2 / np.outer(scales, scales)
     z /= config.epsilon ** 2
-    K = reference_cut_shape(z, config.shape, d2.shape[0])
+    K = reference_cut_shape(z, d2.shape[0])
     raw_degree = K.sum(axis=1)
     if config.kernel_variant == 'cidm_dm_normalized':
         K /= np.outer(raw_degree, raw_degree)

@@ -1,6 +1,7 @@
 """The public surface keeps only what the CLI, the PGD loop and the
 acceptance suite use."""
 
+import dataclasses
 import inspect
 
 import pytest
@@ -18,6 +19,7 @@ from onmanifold.repro import FIGURES
     (bundle, 'dataset_digest'),
     (sec, 'OperatorRep'),
     (sec, 'EigenField'),
+    (cidm, 'shape_function'),
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(om, name)
@@ -40,6 +42,20 @@ def test_sec_frame_keeps_only_what_queries_read():
 
 def test_projector_derives_its_truncation():
     assert list(inspect.signature(om.NystromProjector).parameters) == ['model', 'xhat']
+
+
+def test_cidm_config_has_one_kernel():
+    assert [f.name for f in dataclasses.fields(om.CidmConfig)] == [
+        'k_nn', 'n_eigs', 'epsilon', 'kernel_variant']
+
+
+@pytest.mark.parametrize('flag', [['--shape', 'indicator'], ['--per-point-scales']])
+def test_fit_has_no_kernel_shape_or_scale_flags(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(['fit', str(tmp_path / 'pts.csv'), '--k-nn', '5', '--n-eigs', '4',
+              '--out', str(tmp_path / 'model.bundle'), *flag])
+    assert info.value.code == 1
+    assert f'unrecognized arguments: {" ".join(flag)}' in capsys.readouterr().err
 
 
 def test_repro_offers_exactly_the_figures(capsys):

@@ -198,12 +198,15 @@ class TestBundle:
         with pytest.raises(ValueError, match='past its last declared array'):
             load_bundle(long)
 
-    def test_version_2_refused(self, small_bundle, tmp_path):
+    @pytest.mark.parametrize('version', [2, 3])
+    def test_old_version_refused(self, small_bundle, tmp_path, version):
+        # format 3 still held the kernel settings 'shape' and 'average_scales'
         path, _ = small_bundle
-        old = tmp_path / 'v2.bundle'
+        old = tmp_path / f'v{version}.bundle'
         old.write_bytes(edit_manifest(path.read_bytes(),
-                                      lambda m: m.update(format_version=2)))
-        with pytest.raises(ValueError, match='unsupported bundle version 2 '):
+                                      lambda m: m.update(format_version=version)))
+        with pytest.raises(ValueError, match=re.escape(
+                f'unsupported bundle version {version} (this build reads version 4)')):
             load_bundle(old)
 
     @pytest.mark.parametrize('length', [2 ** 62, 2 ** 64 - 1])
@@ -262,6 +265,7 @@ class TestBundle:
         manifest = json.loads(raw[16:16 + manifest_len])
         assert sorted(manifest) == ['arrays', 'arrays_digest', 'cidm', 'data_diameter',
                                     'format_version', 'semantics']
+        assert sorted(manifest['cidm']) == ['epsilon', 'k_nn', 'kernel_variant', 'n_eigs']
         assert manifest['semantics'] == {'periodic': [True]}
         assert [name for name, _ in manifest['arrays']] == [
             'points', 'knn_scale', 'degree', 'eig_xi', 'eig_phi', 'xhat',
@@ -458,6 +462,38 @@ class TestDiameterCheck:
         err = capsys.readouterr().err
         assert err.startswith('error: data_diameter must be finite and > 0, got ')
         assert err.count('\n') == 1
+        assert not (tmp_path / 'o.csv').exists()
+
+
+class TestKnnCheck:
+    """A model refuses a k_nn that is not an integer in [1, N - 1], also when
+    a bundle's manifest holds it: a query's kNN scale partitions at k_nn."""
+
+    @pytest.mark.parametrize('k_nn', [100, 1000])
+    def test_model_refuses_it(self, circle100, k_nn):
+        model, _, _ = circle100
+        config = dataclasses.replace(model.config, k_nn=k_nn)
+        with pytest.raises(ValueError, match=re.escape(
+                f'k_nn must be in [1, 99] for N=100 training points, got {k_nn}')):
+            dataclasses.replace(model, config=config)
+
+    @pytest.mark.parametrize('k_nn, message', [
+        (5.5, 'k_nn must be an integer, got 5.5'),
+        (True, 'k_nn must be an integer, got True'),
+        (1000, 'k_nn must be in [1, 99] for N=100 training points, got 1000'),
+    ], ids=['float', 'bool', 'too-large'])
+    def test_bundle_manifest_is_a_usage_error(self, circle100, tmp_path, capsys, k_nn,
+                                              message):
+        # the digest covers the arrays, not the manifest
+        _, path, points = circle100
+        bad = tmp_path / 'bad.bundle'
+        bad.write_bytes(edit_manifest(path.read_bytes(),
+                                      lambda m: m['cidm'].update(k_nn=k_nn)))
+        capsys.readouterr()
+        assert run_cli('project', str(bad), str(points), '--out',
+                       str(tmp_path / 'o.csv')) == 1
+        err = capsys.readouterr().err
+        assert err == f'error: {message}\n'
         assert not (tmp_path / 'o.csv').exists()
 
 

@@ -12,7 +12,7 @@ from scipy.sparse.linalg import eigsh
 
 import onmanifold as om
 from onmanifold import cidm
-from onmanifold.cidm import KERNEL_TAIL, knn_scales, shape_function
+from onmanifold.cidm import KERNEL_TAIL, knn_scales
 from onmanifold.cli import _write_csv
 from onmanifold.nystrom import _kernel_rows
 
@@ -60,17 +60,6 @@ class TestKnnScales:
         _, query_scales = _kernel_rows(model, pts.points)
         npt.assert_allclose(query_scales, expected, rtol=1e-10)
 
-    def test_kth_neighbor_variant(self):
-        rng = np.random.default_rng(1)
-        pts = om.PointCloud(rng.standard_normal((12, 2)))
-        kth = knn_scales(pts, 3, average=False)
-        full = np.sort(np.linalg.norm(pts.points[:, None] - pts.points[None], axis=2), axis=1)
-        npt.assert_allclose(kth, full[:, 3], rtol=1e-12)
-        model = om.fit(pts, om.CidmConfig(k_nn=3, n_eigs=4, average_scales=False))
-        npt.assert_array_equal(model.knn_scale, kth)
-        _, query_scales = _kernel_rows(model, pts.points)
-        npt.assert_allclose(query_scales, full[:, 3], rtol=1e-12)
-
     def test_duplicate_points_raise(self):
         pts = om.PointCloud(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(om.DuplicatePointError):
@@ -113,7 +102,7 @@ class TestFit:
 
     def test_degree_positivity(self, noisy_circle):
         _, _, model = noisy_circle
-        assert np.all(model.degree >= shape_function(np.zeros(1), 'exponential')[0])
+        assert np.all(model.degree >= 1.0)
 
     def test_permutation_equivariance(self):
         # a generic blob avoids the circle's near-degenerate eigenpairs,
@@ -171,12 +160,13 @@ class TestFit:
         assert np.sum(np.abs(1.0 - lam) <= 1e-8) > 1
 
     def test_disconnected_graph_raises(self):
-        # two far clusters under the indicator shape have zero cross weights
+        # the certified cutoff drops every cross weight between two clusters
+        # 100 apart, at the default epsilon
         rng = np.random.default_rng(0)
         pts = np.vstack([rng.standard_normal((20, 2)),
                          rng.standard_normal((20, 2)) + 100.0])
         with pytest.raises(om.DisconnectedGraphError, match='epsilon=1.0, k_nn=4'):
-            om.fit(om.PointCloud(pts), om.CidmConfig(k_nn=4, n_eigs=6, shape='indicator'))
+            om.fit(om.PointCloud(pts), om.CidmConfig(k_nn=4, n_eigs=6))
 
     def test_dm_normalized_variant_fits(self, circle300):
         cloud, _, base = circle300
@@ -208,6 +198,23 @@ class TestFit:
         with pytest.raises(ValueError, match='epsilon'):
             om.CidmConfig(k_nn=3, n_eigs=4, epsilon=epsilon)
 
+    @pytest.mark.parametrize('field, value', [
+        ('k_nn', 5.5), ('k_nn', True), ('k_nn', '5'), ('n_eigs', 4.0), ('n_eigs', False),
+    ])
+    def test_sizes_must_be_integers(self, field, value):
+        sizes = {'k_nn': 5, 'n_eigs': 4, field: value}
+        with pytest.raises(ValueError, match=f'^{field} must be an integer, got {value!r}$'):
+            om.CidmConfig(**sizes)
+
+    def test_numpy_integer_sizes_are_stored_as_ints(self, tmp_path):
+        cfg = om.CidmConfig(k_nn=np.int64(5), n_eigs=np.int32(4))
+        assert type(cfg.k_nn) is int and type(cfg.n_eigs) is int
+        assert cfg == om.CidmConfig(k_nn=5, n_eigs=4)
+        # the bundle manifest is JSON, which has no numpy integers
+        pts = om.PointCloud(np.random.default_rng(0).standard_normal((30, 2)))
+        om.save_bundle(tmp_path / 'm.bundle', om.ModelBundle(model=om.fit(pts, cfg)))
+        assert om.load_bundle(tmp_path / 'm.bundle').model.config == cfg
+
 
 def small_torus():
     cloud, _ = om.generate(om.SynthSpec(kind='torus', n_points=1000, seed=1))
@@ -229,7 +236,8 @@ class TestCertifiedCutoff:
         d2 = dense_squared_distances(cloud.points)
         scales = knn_scales(cloud, cfg.k_nn)
         K, _, _ = dense_kernel_matrix(d2, scales, cfg)
-        uncut = shape_function(d2 / np.outer(scales, scales) / cfg.epsilon ** 2, cfg.shape)
+        z = d2 / np.outer(scales, scales) / cfg.epsilon ** 2
+        uncut = np.exp(-z)
         kept = K != 0.0
         assert not kept.all()                      # the cutoff does drop entries
         npt.assert_array_equal(K[kept], uncut[kept])
@@ -259,7 +267,7 @@ class TestCertifiedCutoff:
         ref = np.exp(-z)
         ref[z > cut] = 0.0
         # the cut shape reads the negated exponent -z
-        got = cidm._cut_shape(np.negative(z), 'exponential', cut)
+        got = cidm._cut_shape(np.negative(z), cut)
         npt.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize('n_points', [40, 4000])
@@ -272,8 +280,8 @@ class TestCertifiedCutoff:
              1e300, np.inf, np.nan],
             np.random.default_rng(n_points).uniform(0.0, 2.0 * cut, 5000),
         ])
-        got = cidm._cut_shape(np.negative(z), 'exponential', cut)
-        ref = reference_cut_shape(z.copy(), 'exponential', n_points)
+        got = cidm._cut_shape(np.negative(z), cut)
+        ref = reference_cut_shape(z.copy(), n_points)
         npt.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
     @staticmethod
@@ -328,9 +336,9 @@ def row_block_cases():
         # 43-row blocks: the last of the 35 blocks holds 38 rows
         'fig2': (fig2, fig2_cfg),
         'fig2-dm': (fig2, replace(fig2_cfg, kernel_variant='cidm_dm_normalized')),
-        'fig2-indicator': (fig2, replace(fig2_cfg, shape='indicator', epsilon=2.0)),
-        'fig2-kth-scale': (fig2, replace(fig2_cfg, average_scales=False)),
         'fig2-epsilon': (fig2, replace(fig2_cfg, epsilon=0.7)),
+        # a wide kernel: 32 % dense, against 15 % for fig2
+        'fig2-wide': (fig2, replace(fig2_cfg, epsilon=2.0)),
         # blocks of 218 and 82 rows
         'ragged': (om.PointCloud(rng.standard_normal((300, 3))), om.CidmConfig(k_nn=7, n_eigs=20)),
         # 40 rows in a single block
@@ -346,7 +354,7 @@ class TestRowBlockKernel:
     def case(self, request):
         cloud, cfg = row_block_cases()[request.param]
         d2 = dense_squared_distances(cloud.points)
-        scales, diameter = dense_training_scales(d2, cfg.k_nn, cfg.average_scales)
+        scales, diameter = dense_training_scales(d2, cfg.k_nn)
         K, degree, raw_degree = dense_kernel_matrix(d2, scales, cfg)
         K /= np.sqrt(np.outer(degree, degree))
         ref = dict(K_sym=csr_array(K), knn_scale=scales, data_diameter=diameter,
@@ -382,7 +390,7 @@ class TestRowBlockKernel:
         for name in ('knn_scale', 'degree', 'raw_degree'):
             npt.assert_array_equal(getattr(model, name), ref[name], err_msg=name)
         assert model.data_diameter == ref['data_diameter']
-        npt.assert_array_equal(knn_scales(cloud, cfg.k_nn, cfg.average_scales), ref['knn_scale'])
+        npt.assert_array_equal(knn_scales(cloud, cfg.k_nn), ref['knn_scale'])
 
     def test_single_row_blocks(self, monkeypatch):
         cloud, cfg = row_block_cases()['one-block']

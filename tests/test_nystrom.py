@@ -260,12 +260,6 @@ class TestGradients:
         with pytest.raises(om.KnnBoundaryError):
             om.grad_eigenfunction(model, 1, np.array([0.0, 0.0]))
 
-    def test_indicator_shape_rejected(self):
-        cloud, _ = om.generate(om.SynthSpec(kind='circle', n_points=64, seed=0))
-        model = om.fit(cloud, om.CidmConfig(k_nn=4, n_eigs=6, shape='indicator',
-                                            epsilon=4.0))
-        with pytest.raises(ValueError):
-            om.grad_eigenfunction(model, 1, np.array([1.1, 0.0]))
 
 
 class TestRestrictedLossGradient:
@@ -368,13 +362,6 @@ class TestKernelVariants:
         fd = central_difference(lambda q: om.extend_eigenfunction(model, 2, q), x, h)
         assert np.linalg.norm(got - fd) <= 1e-4 * np.linalg.norm(fd)
 
-    def test_indicator_kernel_outside_support_raises(self):
-        cloud, _ = om.generate(om.SynthSpec(kind='circle', n_points=64, seed=0))
-        model = om.fit(cloud, om.CidmConfig(k_nn=4, n_eigs=6, shape='indicator',
-                                            epsilon=2.0))
-        with pytest.raises(om.GeometryError):
-            om.extend_eigenfunction(model, 1, np.array([50.0, 0.0]))
-
 
 class TestBadQueries:
     @pytest.mark.filterwarnings('error')
@@ -451,7 +438,6 @@ COORDINATES = st.one_of(st.floats(-3.0, 3.0),
 NAMED_ROW_ERRORS = {
     om.InvalidQueryError: ('query row ', 'query dimension '),
     ValueError: ('fewer than k_nn distinct training points',),
-    om.GeometryError: ('query outside the support',),
 }
 
 
@@ -562,9 +548,7 @@ REFERENCE_ROW_CASES = {
     'scale-1e3': lambda r: (r.getfixturevalue('fig2')['model'],
                             1e3 * r.getfixturevalue('fig2')['grid']),
     'dm-normalized': lambda r: _variant(kernel_variant='cidm_dm_normalized'),
-    'indicator': lambda r: _variant(shape='indicator', epsilon=2.0),
     'epsilon-1.3': lambda r: _variant(epsilon=1.3),
-    'kth-scale': lambda r: _variant(average_scales=False),
 }
 
 
@@ -579,8 +563,6 @@ class TestReferenceRows:
         for name, a, b in zip(('weights', 'scales'), got, (ref_weights, ref_scales)):
             assert a.shape == b.shape, name
             npt.assert_array_equal(a, b, err_msg=name)
-        if model.config.shape != 'exponential':
-            return                                  # gradients need the exponential
         # the distances and delta^2 that the gradients read, at 25 of the queries
         for i in np.linspace(0, queries.shape[0] - 1, 25).astype(int):
             rows, sums, row, delta2, scale, _ = nystrom._grad_pieces(model, queries[i])
@@ -591,13 +573,11 @@ class TestReferenceRows:
 
 
 class TestRowMemory:
-    @pytest.mark.parametrize('case', ['fig2', 'indicator'])
-    def test_row_holds_two_float_arrays_and_one_mask(self, fig2, case):
-        # a (64, 1500) batch on the circle-project model, and a (64, 300) one
-        # on the indicator shape; the slack covers one ufunc casting buffer
-        # of np.getbufsize() float64s and the (m,) and (m, k) arrays of the
-        # scales
-        model = fig2['model'] if case == 'fig2' else _variant(shape='indicator', epsilon=2.0)[0]
+    def test_row_holds_two_float_arrays_and_one_mask(self, fig2):
+        # a (64, 1500) batch on the circle-project model; the slack covers
+        # one ufunc casting buffer of np.getbufsize() float64s and the (m,)
+        # and (m, k) arrays of the scales
+        model = fig2['model']
         theta = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, 64)
         queries = 1.2 * np.column_stack([np.cos(theta), np.sin(theta)])
         m, N = queries.shape[0], model.n_points
@@ -679,7 +659,6 @@ PROJECTION_CASES = {
     'fig2-grid': lambda r: (*REFERENCE_ROW_CASES['fig2-grid'](r), 20),
     'dm-normalized': lambda r: (*REFERENCE_ROW_CASES['dm-normalized'](r), 15),
     'epsilon-1.3': lambda r: (*REFERENCE_ROW_CASES['epsilon-1.3'](r), 15),
-    'kth-scale': lambda r: (*REFERENCE_ROW_CASES['kth-scale'](r), 15),
     'circle-L1': lambda r: (*_variant(), 1),
     'circle4d-L3': lambda r: (*_variant(kind='circle4d'), 3),
 }
@@ -743,15 +722,14 @@ FITTED_ROW_CASES = {
     'fig2': lambda r: r.getfixturevalue('fig2')['model'],
     'epsilon-1.3': lambda r: _variant(epsilon=1.3)[0],
     'torus-600': lambda r: r.getfixturevalue('torus600'),
-    'kth-scale': lambda r: _variant(average_scales=False)[0],
 }
 
 
-def _sqrt_first_scales(dist: np.ndarray, k_nn: int, average: bool) -> np.ndarray:
+def _sqrt_first_scales(dist: np.ndarray, k_nn: int) -> np.ndarray:
     """kNN scales partitioned on the distances themselves."""
     dist = np.partition(dist, k_nn - 1, axis=1)[:, :k_nn]
     dist.sort(axis=1)
-    return dist.sum(axis=1) / k_nn if average else dist[:, -1]
+    return dist.sum(axis=1) / k_nn
 
 
 class TestTrainingRowsAreFitted:
@@ -783,9 +761,8 @@ class TestTrainingRowsAreFitted:
             npt.assert_array_equal(got, kernel[index])
             npt.assert_array_equal(got_sums[:, 0], model.degree[index])
 
-    @pytest.mark.parametrize('average', [True, False])
     @pytest.mark.parametrize('seed', range(4))
-    def test_scales_keep_their_bits(self, seed, average):
+    def test_scales_keep_their_bits(self, seed):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(1, 6))
         pts = rng.normal(size=(int(rng.integers(30, 300)), dim)) * 10.0 ** rng.uniform(-4, 4)
@@ -793,14 +770,14 @@ class TestTrainingRowsAreFitted:
         k_nn = int(rng.integers(1, 16))
         d2 = cdist(queries, pts, 'sqeuclidean')
         d2[d2 == 0.0] = np.inf
-        want = _sqrt_first_scales(np.sqrt(d2), k_nn, average)
+        want = _sqrt_first_scales(np.sqrt(d2), k_nn)
         npt.assert_array_equal(want, _sqrt_first_scales(
-            np.where(np.isinf(d2), np.inf, cdist(queries, pts)), k_nn, average))
-        npt.assert_array_equal(cidm._knn_scales(d2, k_nn, average), want)
+            np.where(np.isinf(d2), np.inf, cdist(queries, pts)), k_nn))
+        npt.assert_array_equal(cidm._knn_scales(d2, k_nn), want)
         # the fit's scales (self excluded) and its diameter
         dist = cdist(pts, pts)
         diameter = dist.max()
         np.fill_diagonal(dist, np.inf)
-        scales, got_diameter = cidm._training_scales(pts, k_nn, average)
-        npt.assert_array_equal(scales, _sqrt_first_scales(dist, k_nn, average))
+        scales, got_diameter = cidm._training_scales(pts, k_nn)
+        npt.assert_array_equal(scales, _sqrt_first_scales(dist, k_nn))
         assert got_diameter == diameter
