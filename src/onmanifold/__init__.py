@@ -12,7 +12,7 @@ from .nystrom import (NystromProjector, extend_eigenfunction, eigenfunction_valu
                       diffusion_map_jacobian, restricted_loss_gradient)
 from .sec import (SecBasisConfig, SecFrame, structure_constants, metric_tensor,
                   dirichlet_energy_tensor, sobolev_basis, eigenfields, field_operator,
-                  build_sec_frame, pushforward, tangent_frame_at, local_pca_tangent)
+                  build_sec_frame, field_arrows, tangent_frame_at, local_pca_tangent)
 from .ompgd import (ClassifierOracle, SectorClassifier, sector_classifier,
                     SemanticMap, semantic_map, semantic_labels, PgdConfig,
                     PgdStep, PgdTrace, om_pgd_step, om_pgd)

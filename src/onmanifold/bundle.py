@@ -16,7 +16,8 @@ manifest holds only ``format_version``, ``cidm``, ``data_diameter``,
 ``ValueError`` on any other version, on a missing or mistyped entry or a
 partial section, on a size beyond the bytes left in the file (checked
 before allocating), on bytes past the last array, and on a digest
-mismatch.  Saves are atomic and canonical, so re-saving a loaded bundle
+mismatch, and on a manifest ``k_nn`` that does not give the stored kNN
+scales.  Saves are atomic and canonical, so re-saving a loaded bundle
 is byte-identical.
 """
 
@@ -30,8 +31,9 @@ import secrets
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from .cidm import CidmConfig, CidmModel, PointCloud
+from .cidm import CidmConfig, CidmModel, PointCloud, _knn_scales
 from .nystrom import NystromProjector
 from .ompgd import SemanticMap
 from .sec import SecFrame
@@ -199,6 +201,19 @@ def _check_manifest(manifest) -> dict:
     return manifest
 
 
+def _check_knn_scales(model: CidmModel) -> None:
+    """A ValueError naming ``k_nn`` unless the manifest's k_nn gives the
+    stored kNN scales of training points 0, N//2 and N-1 bit for bit, with
+    the operations of the fit; the digest covers only the arrays."""
+    pts, k = model.training.points, model.config.k_nn
+    idx = np.array([0, pts.shape[0] // 2, pts.shape[0] - 1])
+    d2 = cdist(pts[idx], pts, 'sqeuclidean')
+    d2[np.arange(3), idx] = np.inf
+    if not np.array_equal(_knn_scales(d2, k), model.knn_scale[idx]):
+        raise ValueError(f'bundle manifest k_nn={k} does not reproduce the stored '
+                         'knn_scale: the manifest and the arrays come from different fits')
+
+
 def load_bundle(path) -> ModelBundle:
     """Read a bundle written by :func:`save_bundle` and check its digest.
 
@@ -208,7 +223,8 @@ def load_bundle(path) -> ModelBundle:
         If the file is not a bundle, has another format version, has a
         manifest that lacks or mistypes an entry or declares part of a
         section, does not end exactly after its last array, or its arrays
-        do not match the digest.
+        do not match the digest, or its ``k_nn`` does not give its stored
+        kNN scales.
     """
     with open(path, 'rb') as fh:
         magic = fh.read(8)
@@ -240,6 +256,7 @@ def load_bundle(path) -> ModelBundle:
         data_diameter=manifest['data_diameter'],
         raw_degree=data.get('raw_degree'),
     )
+    _check_knn_scales(model)
     sec_frame = None
     if 'sec_ops' in data:
         sec_frame = SecFrame(etas=data['sec_etas'], ops=data['sec_ops'])

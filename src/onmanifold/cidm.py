@@ -24,15 +24,17 @@ constant mode ``phi_0 == 1`` and full-spectrum interpolation identities
 hold to machine precision on finite data.
 
 The kernel is built here only: ``_knn_scales`` owns the kNN scale of any
-rows of squared distances, ``_kept`` which entries are kept, ``_cut_shape``
-the kernel values, ``_kernel_csr`` the training kernel of the fit;
-``nystrom._row_core`` owns the out-of-sample row.
+rows of squared distances, ``_shifted_exponent`` their exponent, ``_kept``
+which entries are kept, ``_cut_shape`` the kernel values, ``_kernel_csr``
+the training kernel of the fit; ``nystrom._row_core`` owns the
+out-of-sample row, which it builds from the same functions.
 
 Certified cutoff
 ----------------
-Entries with ``z = delta^2 / eps^2 > ln N + KERNEL_TAIL`` are set to
-exactly 0, in the training kernel and in the (min-shifted) out-of-sample
-rows alike.  Every row holds an entry ``exp(0) = 1``, and at most N
+Entries with ``z - zmin > ln N + KERNEL_TAIL`` (``z = delta^2 / eps^2``,
+``zmin`` the row's smallest z) are set to exactly 0, in the training
+kernel and in the out-of-sample rows alike.  Every row holds an entry
+``exp(0) = 1``, and at most N
 entries of a row are dropped, each below
 ``exp(-(ln N + KERNEL_TAIL)) = e^{-32} / N``; so the dropped mass of a row
 is below ``e^{-32} ~ 1.3e-14`` of its sum.  The cutoff is written once, in
@@ -66,7 +68,8 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import eigsh, ArpackNoConvergence
 from scipy.spatial.distance import cdist
 
-from .errors import DisconnectedGraphError, DuplicatePointError, EigensolverFailure
+from .errors import (DisconnectedGraphError, DuplicatePointError, EigensolverFailure,
+                     InvalidQueryError)
 
 __all__ = [
     'PointCloud',
@@ -322,25 +325,43 @@ def _kernel_cut(n_points: int) -> float:
     return np.log(n_points) + KERNEL_TAIL
 
 
+def _shifted_exponent(d2: np.ndarray, row_scales: np.ndarray, col_scales: np.ndarray,
+                      epsilon: float, scratch: np.ndarray) -> np.ndarray:
+    """The negated exponent ``s = zmin - z`` of each row, with
+    ``z = d2 / (row_scale * col_scale) / epsilon^2`` and ``zmin`` the row's
+    smallest z, in place of ``d2``; ``scratch`` (shaped like ``d2``) takes
+    the scale products.  A fit row's zmin is its self entry 0, so there s
+    is -z bit for bit; the shift keeps a row finite far from the data.  A
+    row with no finite z raises :class:`InvalidQueryError` naming it."""
+    d2 /= np.multiply.outer(row_scales, col_scales, out=scratch)
+    eps2 = epsilon ** 2
+    if eps2 != 1.0:
+        with np.errstate(over='ignore'):        # an infinite z is a cut entry
+            d2 /= eps2
+    zmin = d2.min(axis=1, keepdims=True)
+    if not zmin.max(initial=-np.inf) < np.inf:         # inf or NaN
+        bad = int(np.argmin(zmin[:, 0] < np.inf))
+        raise InvalidQueryError(f'query row {bad}: its smallest kernel exponent '
+                                f'delta^2/epsilon^2 is not finite at epsilon={epsilon!r}')
+    np.subtract(zmin, d2, out=d2)
+    return d2
+
+
 def _kept(s: np.ndarray, cut: float) -> np.ndarray:
     """Mask of the kernel entries that are kept, from the negated exponent
-    ``s = -z`` (:func:`_cut_shape`): s >= -``cut``, the certified cutoff
+    ``s`` (:func:`_shifted_exponent`): s >= -``cut``, the certified cutoff
     (:func:`_kernel_cut`).
 
-    On finite z >= 0, which is all a fit gets this far, the kept entries
-    are exactly the nonzero ones: a kept value is at least
-    ``exp(-cut) > 0``.
+    The kept entries are exactly the nonzero ones: a kept value is at
+    least ``exp(-cut) > 0``.
     """
     return s >= -cut
 
 
 def _cut_shape(s: np.ndarray, cut: float, keep: np.ndarray | None = None) -> np.ndarray:
-    """Kernel values exp(-z) with the certified cutoff ``cut``
-    (:func:`_kernel_cut`), from the negated exponent ``s = -z``.
-
-    The fit gets s by dividing by -eps^2, and an out-of-sample row as the
-    min-shifted ``zmin - z``; both are -z bit for bit, and exp(-z) = exp(s),
-    so no pass is spent on a negation.  ``keep`` is the mask :func:`_kept`
+    """Kernel values exp(s) with the certified cutoff ``cut``
+    (:func:`_kernel_cut`), from the negated exponent ``s``
+    (:func:`_shifted_exponent`).  ``keep`` is the mask :func:`_kept`
     of ``s``, computed here when not given; entries outside it are exactly
     0.  Entries are clamped to -``cut`` before the ``exp``, which keeps it
     off its slow subnormal and underflow inputs (s below about -708); the
@@ -362,7 +383,7 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
     """CSR training kernel, its degree vector, and the raw CIDM degrees.
 
     Two passes over the row blocks.  The count pass computes each block's
-    negated exponent -z and counts the kept entries (:func:`_kept`) of each
+    exponent (:func:`_shifted_exponent`) and counts the kept entries of each
     row into ``indptr``.  ``data`` and ``indices`` are then allocated once,
     at their exact size, and the fill pass recomputes each block and writes
     its kept values and columns straight into their slices; so the kernel's
@@ -375,26 +396,22 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
     """
     N = pts.shape[0]
     cut = _kernel_cut(N)
-
-    def block_s(a, b):
-        """The negated exponent -z of rows a..b (:func:`_cut_shape`)."""
-        s = cdist(pts[a:b], pts, 'sqeuclidean')
-        s /= np.outer(scales[a:b], scales)
-        # a tiny epsilon overflows s to -inf, and an infinite z is a cut entry
-        with np.errstate(over='ignore'):
-            s /= -(config.epsilon ** 2)
-        return s
+    blocks = list(_row_blocks(N))
+    scratch = np.empty((blocks[0][1], N))       # the first block is the largest
 
     indptr = np.zeros(N + 1, dtype=np.int64)
-    for a, b in _row_blocks(N):
-        indptr[a + 1:b + 1] = np.count_nonzero(_kept(block_s(a, b), cut), axis=1)
+    for a, b in blocks:
+        s = _shifted_exponent(cdist(pts[a:b], pts, 'sqeuclidean'), scales[a:b], scales,
+                              config.epsilon, scratch[:b - a])
+        indptr[a + 1:b + 1] = np.count_nonzero(_kept(s, cut), axis=1)
     np.cumsum(indptr, out=indptr)
     index_dtype = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=index_dtype)
     raw_degree = np.empty(N)
-    for a, b in _row_blocks(N):
-        s = block_s(a, b)
+    for a, b in blocks:
+        s = _shifted_exponent(cdist(pts[a:b], pts, 'sqeuclidean'), scales[a:b], scales,
+                              config.epsilon, scratch[:b - a])
         keep = _kept(s, cut)
         K = _cut_shape(s, cut, keep)
         raw_degree[a:b] = K.sum(axis=1)
@@ -408,7 +425,7 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
     if config.kernel_variant == 'cidm_dm_normalized':
         _divide_entries(K, raw_degree, root=False)
         degree = np.empty(N)
-        for a, b in _row_blocks(N):
+        for a, b in blocks:
             degree[a:b] = K[a:b].toarray().sum(axis=1)
         return K, degree, raw_degree
     return K, raw_degree, None

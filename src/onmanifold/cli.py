@@ -17,12 +17,10 @@ from . import __version__
 from .bundle import ModelBundle, atomic_write, load_bundle, save_bundle
 from .cidm import CidmConfig, PointCloud, fit
 from .errors import GeometryError
-from .nystrom import (build_projector, eigenfunction_values, extend_function,
-                      fourier_coefficients, project_many)
-from .ompgd import PgdConfig, PgdTrace, _pgd_from, sector_classifier
+from .nystrom import build_projector, extend_function, fourier_coefficients, project_many
+from .ompgd import PgdConfig, PgdTrace, om_pgd, sector_classifier
 from .repro import FIGURES, equispaced_circle  # noqa: F401 (tests import it from here)
-from .sec import (SecBasisConfig, _arrow_coeffs, _frame_arrows, _tangent_frame,
-                  build_sec_frame)
+from .sec import SecBasisConfig, build_sec_frame, field_arrows, tangent_frame_at
 from .synth import SynthSpec, generate
 
 
@@ -138,9 +136,8 @@ def _cmd_sec_fields(args) -> int:
     for i, eta in enumerate(frame.etas):
         print(f'field {i}: eta={eta:.6e}')
     if args.arrows_out:
-        arrows = model.eig_phi[:, :frame.m_out] @ _arrow_coeffs(frame.ops[0], fhat)
-        _write_csv(args.arrows_out,
-                   np.hstack([model.training.points, arrows]), args.force)
+        _write_csv(args.arrows_out, np.hstack([model.training.points,
+                                               field_arrows(model, frame, fhat)]), args.force)
     return 0
 
 
@@ -149,14 +146,10 @@ def _cmd_tangent(args) -> int:
     if bundle.sec_frame is None:
         raise UsageError('bundle has no SEC section; run sec-fields first')
     queries = PointCloud.from_csv(args.queries).points
-    frame = bundle.sec_frame
-    # tangent_frame_at for each query, with the frame's arrows derived once
-    arrows = _frame_arrows(frame, bundle.sec_fhat, args.dim)
-    rows = []
-    for x in queries:
-        T = _tangent_frame(arrows, eigenfunction_values(bundle.model, x, frame.m_out), args.dim)
-        rows.append(np.concatenate([x, T.ravel(order='F')]))
-    _write_csv(args.out, np.vstack(rows), args.force)
+    T = tangent_frame_at(bundle.model, bundle.sec_frame, bundle.sec_fhat, queries, args.dim)
+    # each basis column-major after its query
+    _write_csv(args.out, np.hstack([queries, T.transpose(0, 2, 1).reshape(len(queries), -1)]),
+               args.force)
     return 0
 
 
@@ -180,11 +173,8 @@ def _cmd_pgd(args) -> int:
                        tangent_dim=args.tangent_dim,
                        normalize_gradient=args.normalize,
                        project_iters=args.project_iters)
-    # the start is projected once: for the true label and as the loop's x0
-    x0 = project_many(projector, start, config.project_iters)
-    true_label = args.true_label if args.true_label is not None else oracle.predict(x0)
-    trace = _pgd_from(start, x0, true_label, oracle, projector, bundle.sec_frame,
-                      bundle.sec_fhat, config, bundle.label_map)
+    trace = om_pgd(start, args.true_label, oracle, projector, bundle.sec_frame,
+                   bundle.sec_fhat, config, bundle.label_map)
     return _report_pgd('pgd', args.out, trace, args.force)
 
 

@@ -15,29 +15,24 @@ the fit, a row starts from the squared distances (``cdist``
 scale; so the unnormalized row at a training point is its row of the
 fitted kernel, and its sum its ``degree``, bit for bit.
 
-``_row_core`` owns the out-of-sample kernel row (scales, kernel values and the
-certified cutoff come from ``cidm``); extension, projection and gradients
-all go through it.  It returns the kept kernel values unnormalized, with
-their row sums.  ``_kernel_rows`` divides each row by its sum, for the
+``_row_core`` owns the out-of-sample kernel row (scales, the min-shifted
+exponent, kernel values and the certified cutoff come from ``cidm``, the
+functions of the fit); extension, projection and gradients all go
+through it.  It returns the kept kernel values unnormalized, with their
+row sums.  ``_kernel_rows`` divides each row by its sum, for the
 eigenfunction values and the gradients.  A projection does not: each
 iteration is one row per query and one (m, N) @ (N, n) contraction
 (``_contract``) through the operand ``(phi_L / lambda_L) @ xhat`` that the
 projector derived when it was made, and the (m, n) result is divided by
-the sums.  The cutoff is applied after the min-shift, so the row
-at a training point has the same support as its fitted row.  Even after
-the shift, most of a row can lie far past the cut (z > 708 for 69 % of
-the entries of a row at a ``repro pgd-circle`` iterate), where numpy's
-``exp`` takes its slow subnormal and underflow paths; ``cidm._cut_shape``
-clamps those entries to the cut first.  The row holds two (m, N) float
-arrays and one (m, N) mask: the squared distances, which become the
-kernel values, and their copy, which the kNN scales partition and which
-then holds the scale products.  Each step runs in place, with the
-operations and their order of the plain expression, so it gives the same
-bits.  A row returns only the kernel values, their sums and the query
-scales; the gradients, which also read the distances and delta^2 of their
-one query, recompute those from the same squared distances
-(``_grad_pieces``).  A query that is not finite,
-overflows when squared, or has the wrong dimension raises
+the sums.  Even after the shift, most of a row can lie far past the cut
+(z > 708 for 69 % of the entries of a row at a ``repro pgd-circle``
+iterate), where numpy's ``exp`` takes its slow subnormal and underflow
+paths; ``cidm._cut_shape`` clamps those entries to the cut first.  A row
+returns only the kernel values, their sums and the query scales; the
+gradients, which also read the distances and delta^2 of their one query,
+recompute those from the same squared distances (``_grad_pieces``).  A
+query that is not finite, overflows when squared, has the wrong
+dimension, or lies so far out that every exponent overflows raises
 :class:`InvalidQueryError`, and so does a query of a function of one point
 that is not one n-vector (``_one_point``).
 
@@ -66,7 +61,8 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .cidm import SMALL_LAMBDA, CidmModel, _cut_shape, _knn_scales, inner
+from .cidm import (SMALL_LAMBDA, CidmModel, _cut_shape, _knn_scales, _shifted_exponent,
+                   inner)
 from .errors import InvalidQueryError, KnnBoundaryError, SmallEigenvalueError
 
 __all__ = [
@@ -113,24 +109,18 @@ def _row_core(model: CidmModel, queries: np.ndarray):
 
     Returns ``(rows, sums, scales)`` with shapes (m, N), (m, 1) and (m,):
     the kept kernel values, their row sums and the query scales.  The
-    kernel is evaluated with the minimum dissimilarity shifted out, which
-    leaves the normalized weights unchanged but keeps them finite
-    arbitrarily far from the training data; the certified cutoff then
-    drops the shifted tail.  So every row keeps an entry exp(0) = 1, and
-    every sum is at least 1 (above 0 after the ``cidm_dm_normalized``
-    division by the positive ``raw_degree``).
+    exponent is min-shifted (``cidm._shifted_exponent``), so every row
+    keeps an entry exp(0) = 1, and every sum is at least 1 (above 0 after
+    the ``cidm_dm_normalized`` division by the positive ``raw_degree``).
 
     The row holds two (m, N) float arrays and one (m, N) mask.  ``w``
-    holds the squared distances, then delta^2, then the negated exponent
-    ``s = zmin - z`` that ``cidm._cut_shape`` reads, and
-    finally the kernel values; the mask is the kept
-    entries of ``s``.  ``d`` is a copy of the squared distances, with the
-    exact zeros excluded, that the kNN scales reorder in place, and then
-    holds the scale products.  These are the operations of the fit on the
-    same squared distances, so at a training point the row is its fitted
-    kernel row bit for bit.  Each operation writes in place, with the
-    operations and their order of the plain expression, so the rows have
-    its bits.  An empty batch gives empty rows.
+    holds the squared distances, then their exponent, and finally the
+    kernel values; the mask is the kept entries of the exponent.  ``d`` is
+    a copy of the squared distances, with the exact zeros excluded, that
+    the kNN scales reorder in place, and then holds the scale products.
+    These are the fit's operations on the same squared distances, so at a
+    training point the row is its fitted kernel row bit for bit.  An empty
+    batch gives empty rows.
     """
     cfg = model.config
     pts = model.training.points
@@ -149,13 +139,7 @@ def _row_core(model: CidmModel, queries: np.ndarray):
     scales = _knn_scales(d, cfg.k_nn)
     if np.isinf(scales).any():
         raise ValueError('fewer than k_nn distinct training points for a query')
-    w /= np.multiply.outer(scales, model.knn_scale, out=d)
-    eps2 = cfg.epsilon ** 2
-    if eps2 != 1.0:
-        w /= eps2
-    # zmin - z is -(z - zmin) bit for bit
-    np.subtract(w.min(axis=1, keepdims=True), w, out=w)
-    u = _cut_shape(w, model._cut)
+    u = _cut_shape(_shifted_exponent(w, scales, model.knn_scale, cfg.epsilon, d), model._cut)
     if cfg.kernel_variant == 'cidm_dm_normalized':
         u /= model.raw_degree[None, :]
     return u, u.sum(axis=1, keepdims=True), scales

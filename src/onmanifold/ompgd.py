@@ -119,7 +119,16 @@ class SectorClassifier:
         z, _ = self._logits(np.asarray(x, dtype=np.float64))
         return int(np.argmax(z))
 
+    def _check_label(self, target_label) -> None:
+        # numpy would wrap a negative index, and refuse a large one unnamed
+        if not (isinstance(target_label, (int, np.integer))
+                and 0 <= target_label < self.n_classes):
+            raise ValueError(f'target_label {target_label!r} is not a class label in '
+                             f'[0, {self.n_classes})')
+
     def loss(self, x: np.ndarray, target_label: int) -> float:
+        """Softmax loss at x; refuses a label as :meth:`loss_grad` does."""
+        self._check_label(target_label)
         z, _ = self._logits(np.asarray(x, dtype=np.float64))
         z = z - z.max()
         return float(np.log(np.exp(z).sum()) - z[target_label])
@@ -130,8 +139,10 @@ class SectorClassifier:
         Raises
         ------
         ValueError
-            At the origin, where the angle, and so the gradient, is undefined.
+            If ``target_label`` is not an integer in [0, n_classes), or at
+            the origin, where the angle, and so the gradient, is undefined.
         """
+        self._check_label(target_label)
         x = np.asarray(x, dtype=np.float64)
         r2 = x[0] ** 2 + x[1] ** 2
         if r2 == 0.0:
@@ -390,29 +401,23 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
     )
 
 
-def om_pgd(start: np.ndarray, true_label: int, oracle: ClassifierOracle,
+def om_pgd(start: np.ndarray, true_label: int | None, oracle: ClassifierOracle,
            projector: NystromProjector, frame: SecFrame, fhat: np.ndarray,
            config: PgdConfig, label_map: SemanticMap | None = None) -> PgdTrace:
     """Iterate :func:`om_pgd_step` until misclassification, stall, or max_steps.
 
     The start point may be off-manifold; it is projected before step 1.
-    Each step gets the eigenfunction values its predecessor computed at
-    its ``x_on``, so an iterate's Nystrom row is computed once.  Stalls
-    terminate the trace with status ``'stalled'`` rather than propagating.
+    A ``true_label`` of None means the oracle's label of that projection.
+    The frame's arrow coefficients are fixed for the attack, so they are
+    computed once, and each step gets the eigenfunction values its
+    predecessor computed at its ``x_on``, so an iterate's Nystrom row is
+    computed once.  Stalls terminate the trace with status ``'stalled'``
+    rather than propagating.
     """
     start = np.asarray(start, dtype=np.float64)
     x0 = project_many(projector, start, config.project_iters)
-    return _pgd_from(start, x0, true_label, oracle, projector, frame, fhat,
-                     config, label_map)
-
-
-def _pgd_from(start: np.ndarray, x0: np.ndarray, true_label: int,
-              oracle: ClassifierOracle, projector: NystromProjector, frame: SecFrame,
-              fhat: np.ndarray, config: PgdConfig,
-              label_map: SemanticMap | None) -> PgdTrace:
-    """The loop of :func:`om_pgd`, from ``x0``, the projection of ``start``
-    that the caller has already computed.  The frame's arrow coefficients
-    are fixed for the attack, so they are computed here once."""
+    if true_label is None:
+        true_label = int(oracle.predict(x0))
     arrows = _frame_arrows(frame, fhat, config.tangent_dim)
     x_on, x_on_values = x0, None
     steps: list[PgdStep] = []

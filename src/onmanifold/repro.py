@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 from .cidm import CidmConfig, PointCloud, fit
 from .nystrom import build_projector, extend_function, fourier_coefficients, project_many
 from .ompgd import PgdConfig, om_pgd, sector_classifier, semantic_map
-from .sec import SecBasisConfig, _arrow_coeffs, build_sec_frame, local_pca_tangent
+from .sec import SecBasisConfig, build_sec_frame, field_arrows, local_pca_tangent
 from .synth import SynthSpec, fig1_target_function, generate, periodic_flags
 
 FIG1 = dict(n=400, sigma=0.05, seed=21, k_nn=10, n_eigs=40, l_trunc=20)
@@ -90,8 +90,7 @@ def fig3_pipeline(kind4d: bool):
     frame = build_sec_frame(model, SecBasisConfig(m_basis=p['m_basis'],
                                                   m_inner=p['m_inner']),
                             n_fields=p['n_fields'])
-    fhat = fourier_coefficients(model, cloud.points, p['m_basis'])
-    arrows = model.eig_phi[:, :frame.m_out] @ _arrow_coeffs(frame.ops[0], fhat)
+    arrows = field_arrows(model, frame, fourier_coefficients(model, cloud.points, p['m_basis']))
     theta = np.radians(params[:, 0])
     if kind4d:
         tangents = np.column_stack([-np.sin(theta), np.cos(theta),

@@ -14,7 +14,9 @@ Laplacian eigenvalues, two closed-form tensors drive everything:
 Index pairs are flattened row-major: ``(i, j) -> i * m_basis + j``.
 Smoothest fields minimize ``c^T E c / c^T G c`` after a Sobolev (E+G)
 basis reduction; their pushforward arrows in input space come from the
-operator coefficients ``v_ij = sum_lk v^{lk} G_ijlk``.
+operator coefficients ``v_ij = sum_lk v^{lk} G_ijlk``, as
+``(DF(x) v_x)_k = sum_ij v_ij fhat[j, k] phi_i(x)`` (:func:`field_arrows`)
+with ``fhat`` the generalized Fourier coefficients of the embedding.
 
 Fields are plain arrays: a :class:`SecFrame` keeps only what queries
 read, the energies ``etas`` (F,) and the operators ``ops`` (F, m_out,
@@ -34,7 +36,7 @@ from scipy.linalg import LinAlgError, eigh
 from scipy.spatial import cKDTree
 
 from .cidm import CidmModel, PointCloud
-from .errors import (DegenerateFrameError, EigensolverFailure,
+from .errors import (DegenerateFrameError, EigensolverFailure, InvalidQueryError,
                      RankDeficiencyError, SingularGramError)
 from .nystrom import _one_point, eigenfunction_values, fourier_coefficients
 
@@ -48,7 +50,7 @@ __all__ = [
     'eigenfields',
     'field_operator',
     'build_sec_frame',
-    'pushforward',
+    'field_arrows',
     'tangent_frame_at',
     'local_pca_tangent',
 ]
@@ -272,6 +274,8 @@ def build_sec_frame(model: CidmModel, config: SecBasisConfig,
     first ``m_inner`` eigenfunctions, where that step is ``diag(lambda)``:
     the screen is spectral (:func:`_arrow_screen`) and builds no kernel.
     """
+    if n_fields < 1:
+        raise ValueError(f'n_fields must be >= 1, got {n_fields}')
     m, m_inner = config.m_basis, config.m_inner or min(2 * config.m_basis ** 2, model.n_eigs)
     if m_inner > model.n_eigs:
         raise ValueError(f'm_inner={m_inner} exceeds the model n_eigs={model.n_eigs}')
@@ -325,7 +329,7 @@ def _arrow_screen(model: CidmModel, A: np.ndarray) -> tuple[float, float]:
 def _arrow_coeffs(op: np.ndarray, fhat) -> np.ndarray:
     """The field's arrows in the eigenbasis, ``op @ fhat``: row i holds
     the coefficients of phi_i, so the arrow at x is the eigenfunction
-    values there times this (:func:`pushforward`)."""
+    values there times this."""
     fhat = np.asarray(fhat, dtype=np.float64)
     m_basis = op.shape[1]
     if fhat.shape[0] < m_basis:
@@ -333,39 +337,49 @@ def _arrow_coeffs(op: np.ndarray, fhat) -> np.ndarray:
     return op @ fhat[:m_basis]
 
 
-def pushforward(model: CidmModel, op: np.ndarray, fhat: np.ndarray, x) -> np.ndarray:
-    """Arrow of the field with operator ``op`` (:func:`field_operator`) at x:
-    (DF(x) v_x)_k = sum_ij v_ij fhat[j, k] phi_i(x).
-
-    ``fhat`` holds generalized Fourier coefficients of the embedding
-    (rows are modes, columns ambient coordinates); rows beyond the
-    operator's input range are ignored.
-    """
-    return eigenfunction_values(model, x, op.shape[0]) @ _arrow_coeffs(op, fhat)
+def field_arrows(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
+                 field: int = 0) -> np.ndarray:
+    """Pushforward arrows (N, n) of field ``field`` of ``frame`` at the
+    training points, where the eigenfunction values are ``eig_phi``.  Rows
+    of ``fhat`` past the operators' input modes are ignored."""
+    if not 0 <= field < len(frame.etas):
+        raise ValueError(f'field must be in [0, {len(frame.etas)}), got {field}')
+    return model.eig_phi[:, :frame.m_out] @ _arrow_coeffs(frame.ops[field], fhat)
 
 
 def tangent_frame_at(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
                      x, dim: int) -> np.ndarray:
-    """Orthonormal tangent basis at x from the smoothest eigenfields.
+    """Orthonormal tangent basis from the smoothest eigenfields: (n, dim)
+    at one n-vector x, or (m, n, dim) at each row of an (m, n) stack.
 
     Stacks pushforward arrows of the first ``min(2 * dim, available)``
     fields, takes the SVD, and returns the ``dim`` leading left singular
     vectors.  Each field contributes its arrow at three output-mode
     truncations (rows of the extended operator are truncation-independent,
     so these are free); the tangent direction is common to all of them
-    while reconstruction noise is not, which steadies the SVD.  The one
-    O(N) step is the kernel row at x; the PGD loop builds the frame from
-    a row it has already computed at x instead, and from the arrows it
-    computed once for the attack (:func:`_frame_arrows`).
+    while reconstruction noise is not, which steadies the SVD.  The arrows
+    are derived once per call (:func:`_frame_arrows`), and each point gets
+    its own one-point kernel row, so a basis has the same bits alone or in
+    a stack; the PGD loop reuses a row it has already computed instead.
 
     Raises
     ------
+    InvalidQueryError
+        If x is neither an n-vector nor an (m, n) stack.
     RankDeficiencyError
         If fewer than ``dim`` singular values clear the rank threshold:
-        the supplied fields do not span the tangent space at x.
+        the supplied fields do not span the tangent space at a point.
     """
-    vals = eigenfunction_values(model, _one_point(x), frame.m_out)
-    return _tangent_frame(_frame_arrows(frame, fhat, dim), vals, dim)
+    q = np.asarray(x, dtype=np.float64)
+    if q.ndim not in (1, 2):
+        raise InvalidQueryError(f'tangent_frame_at needs an n-vector or an (m, n) stack; '
+                                f'got an array of shape {q.shape}')
+    arrows = _frame_arrows(frame, fhat, dim)
+    points = np.atleast_2d(q)
+    out = np.empty(points.shape + (dim,))
+    for basis, point in zip(out, points):
+        basis[...] = _tangent_frame(arrows, eigenfunction_values(model, point, frame.m_out), dim)
+    return out[0] if q.ndim == 1 else out
 
 
 def _frame_arrows(frame: SecFrame, fhat: np.ndarray,

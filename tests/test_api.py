@@ -1,13 +1,15 @@
 """The public surface keeps only what the CLI, the PGD loop and the
 acceptance suite use."""
 
+import ast
 import dataclasses
 import inspect
+import pathlib
 
 import pytest
 
 import onmanifold as om
-from onmanifold import bundle, cidm, errors, sec
+from onmanifold import bundle, cidm, errors, nystrom, ompgd, sec
 from onmanifold.cli import main
 from onmanifold.repro import FIGURES
 
@@ -20,11 +22,23 @@ from onmanifold.repro import FIGURES
     (sec, 'OperatorRep'),
     (sec, 'EigenField'),
     (cidm, 'shape_function'),
+    (sec, 'pushforward'),
+    (ompgd, '_pgd_from'),
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(om, name)
     assert not hasattr(module, name)
     assert name not in module.__all__
+
+
+@pytest.mark.parametrize('front_end', ['cli', 'repro'])
+def test_front_ends_import_no_private_name(front_end):
+    tree = ast.parse(pathlib.Path(om.__file__).with_name(f'{front_end}.py').read_text())
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names
+               if alias.name.startswith('_') and not alias.name.startswith('__')]
+    assert private == []
 
 
 def test_pgd_config_has_no_l_trunc():

@@ -497,6 +497,25 @@ class TestKnnCheck:
         assert not (tmp_path / 'o.csv').exists()
 
 
+    @pytest.mark.parametrize('k_nn', [4, 6])
+    def test_manifest_k_nn_must_give_the_stored_scales(self, circle100, tmp_path, capsys,
+                                                        k_nn):
+        # a valid k_nn other than the fitted 5: the digest covers only the arrays
+        _, path, points = circle100
+        bad = tmp_path / 'bad.bundle'
+        bad.write_bytes(edit_manifest(path.read_bytes(),
+                                      lambda m: m['cidm'].update(k_nn=k_nn)))
+        message = (f'bundle manifest k_nn={k_nn} does not reproduce the stored knn_scale: '
+                   'the manifest and the arrays come from different fits')
+        with pytest.raises(ValueError, match=f'^{re.escape(message)}$'):
+            load_bundle(bad)
+        capsys.readouterr()
+        assert run_cli('project', str(bad), str(points), '--out',
+                       str(tmp_path / 'o.csv')) == 1
+        assert capsys.readouterr().err == f'error: {message}\n'
+        assert not (tmp_path / 'o.csv').exists()
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -573,7 +592,6 @@ class TestCli:
             return frame_arrows(*args)
 
         monkeypatch.setattr(sec, '_frame_arrows', counted)
-        monkeypatch.setattr(cli, '_frame_arrows', counted)
         out = tmp_path / 'tangents.csv'
         assert run_cli('tangent', str(path), str(queries), '--dim', '1', '--out', str(out)) == 0
         assert len(calls) == 1
@@ -731,6 +749,44 @@ class TestCli:
         ref = tmp_path / 'ref.jsonl'
         assert _report_pgd('pgd', ref, trace, force=False) == code
         assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize('label', [7, -1])
+    def test_pgd_true_label_out_of_range(self, small_bundle, tmp_path, capsys, label):
+        # 7 was an IndexError traceback, and -1 wrapped to the last class
+        path, _ = small_bundle
+        out = tmp_path / 'trace.jsonl'
+        capsys.readouterr()
+        code = run_cli('pgd', str(path), '--start-index', '3', '--alpha', '0.2',
+                       '--true-label', str(label), '--out', str(out))
+        assert code == 1
+        assert capsys.readouterr().err == (f'error: target_label {label} is not a class '
+                                           'label in [0, 4)\n')
+        assert not out.exists()
+
+    def test_sec_fields_refuses_zero_fields(self, circle100, tmp_path, capsys):
+        _, path, _ = circle100
+        copy = tmp_path / 'model.bundle'
+        copy.write_bytes(path.read_bytes())
+        arrows = tmp_path / 'arrows.csv'
+        capsys.readouterr()
+        assert run_cli('sec-fields', str(copy), '--m-basis', '4', '--n-fields', '0',
+                       '--arrows-out', str(arrows)) == 1
+        assert capsys.readouterr().err == 'error: n_fields must be >= 1, got 0\n'
+        assert copy.read_bytes() == path.read_bytes()
+        assert not arrows.exists()
+
+    def test_sec_fields_arrows_are_field_arrows(self, circle100, tmp_path):
+        model, path, _ = circle100
+        copy = tmp_path / 'model.bundle'
+        copy.write_bytes(path.read_bytes())
+        arrows = tmp_path / 'arrows.csv'
+        assert run_cli('sec-fields', str(copy), '--m-basis', '4', '--n-fields', '2',
+                       '--arrows-out', str(arrows)) == 0
+        bundle = load_bundle(copy)
+        ref = tmp_path / 'ref.csv'
+        _write_csv(ref, np.hstack([model.training.points, om.field_arrows(
+            bundle.model, bundle.sec_frame, bundle.sec_fhat)]), force=False)
+        assert arrows.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize('index', [-1, 5000])
     def test_pgd_start_index_out_of_range(self, tmp_path, capsys, index):

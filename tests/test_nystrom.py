@@ -406,11 +406,33 @@ class TestBadQueries:
         assert isinstance(info.value, om.GeometryError)
         assert isinstance(info.value, ValueError)
 
-    @pytest.mark.parametrize('shape', [(), (1, 2), (2, 2), (1, 1, 2)])
-    @pytest.mark.parametrize('entry', ['diffusion_map_jacobian', 'grad_eigenfunction',
-                                       'restricted_loss_gradient', 'extend_eigenfunction',
-                                       'tangent_frame_at', 'local_pca_tangent',
-                                       'semantic_labels', 'project'])
+    @pytest.mark.filterwarnings('error')
+    @pytest.mark.parametrize('entry', ['eigenfunction_values', 'project_many'])
+    def test_tiny_epsilon_far_query_named(self, noisy_circle, entry):
+        # epsilon^2 = 1e-300 is finite, but every exponent of a far query
+        # overflows; inf - inf made the row NaN
+        _, _, model = noisy_circle
+        tiny = dataclasses.replace(model, config=dataclasses.replace(model.config,
+                                                                     epsilon=1e-150))
+        batch = np.array([[1.0, 0.0], [1e8, 0.0]])
+        match = re.escape('query row 1: its smallest kernel exponent delta^2/epsilon^2 '
+                          'is not finite at epsilon=1e-150')
+        with pytest.raises(om.InvalidQueryError, match=match):
+            if entry == 'eigenfunction_values':
+                om.eigenfunction_values(tiny, batch, 3)
+            else:
+                om.project_many(om.build_projector(tiny, 15), batch)
+        # the query near the data keeps a finite row
+        assert np.isfinite(om.eigenfunction_values(tiny, batch[0], 3)).all()
+
+    # tangent_frame_at also takes an (m, n) stack, so only its other shapes
+    @pytest.mark.parametrize('entry, shape', [
+        pytest.param(entry, shape, id=f'{entry}-shape{i}')
+        for entry in ['diffusion_map_jacobian', 'grad_eigenfunction',
+                      'restricted_loss_gradient', 'extend_eigenfunction',
+                      'tangent_frame_at', 'local_pca_tangent', 'semantic_labels', 'project']
+        for i, shape in enumerate([(), (1, 2), (2, 2), (1, 1, 2)])
+        if not (entry == 'tangent_frame_at' and len(shape) == 2)])
     def test_single_point_entries_name_the_shape(self, circle300, circle_sec, entry, shape):
         cloud, params, model = circle300
         frame, fhat = circle_sec

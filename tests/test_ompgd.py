@@ -77,6 +77,17 @@ class TestSectorClassifier:
             assert oracle.loss(x, label) == ref.loss(x, label)
             assert oracle.predict(x) == ref.predict(x)
 
+    @pytest.mark.parametrize('label', [4, 7, -1, 1.0])
+    def test_label_outside_the_classes_named(self, label):
+        # numpy would wrap -1 to the last class and refuse 7 unnamed
+        oracle = om.sector_classifier(4)
+        x = np.array([0.6, 0.8])
+        message = re.escape(f'target_label {label!r} is not a class label in [0, 4)')
+        with pytest.raises(ValueError, match=message):
+            oracle.loss_grad(x, label)
+        with pytest.raises(ValueError, match=message):
+            oracle.loss(x, label)
+
     def test_loss_grad_at_origin_rejected(self):
         oracle = om.sector_classifier(4)
         with pytest.raises(ValueError, match='undefined at the origin'):
@@ -234,6 +245,22 @@ class TestOmPgd:
         for step in trace.steps:
             residual = np.linalg.norm(om.project(projector, step.x_next, 1) - step.x_next)
             assert residual <= 0.02 * model.data_diameter
+
+    def test_no_label_means_the_oracles_label_of_the_projected_start(self, pgd_run):
+        start, (_, oracle, *rest), label_map = pgd_attack(pgd_run, 40)
+        x0 = om.project_many(rest[0], start, rest[-1].project_iters)
+        label = oracle.predict(x0)
+        given = om_pgd(start, label, oracle, *rest, label_map=label_map)
+        derived = om_pgd(start, None, oracle, *rest, label_map=label_map)
+        assert derived.true_label == label and type(derived.true_label) is int
+        assert derived.status == given.status and len(derived.steps) >= 4
+        npt.assert_array_equal(derived.x0, given.x0)
+        assert derived.to_records() == given.to_records()
+
+    def test_label_outside_the_classes_named(self, pgd_run):
+        start, (_, *args), label_map = pgd_attack(pgd_run, None)
+        with pytest.raises(ValueError, match=re.escape('target_label 7 is not a class label')):
+            om_pgd(start, 7, *args)
 
     def test_never_misclassifying_oracle_hits_max_steps(self, pgd_run):
         projector, model = pgd_run['projector'], pgd_run['model']

@@ -4,7 +4,7 @@ import pytest
 from scipy.linalg import eigh
 
 import onmanifold as om
-from onmanifold import sec
+from onmanifold import nystrom, sec
 from conftest import dense_kernel_matrix, dense_squared_distances
 from onmanifold.sec import (dirichlet_energy_tensor, eigenfields, field_operator,
                             local_pca_tangent, metric_tensor, sobolev_basis,
@@ -343,19 +343,39 @@ class TestOperators:
         assert rms <= 0.05 * np.sqrt(np.mean(direct ** 2))
 
 
-class TestPushforward:
-    def test_zero_operator_zero_arrow(self, circle_sec, circle300):
+class TestFieldArrows:
+    """The arrows of one field at the training points, from ``eig_phi``."""
+
+    def test_zero_operator_zero_arrows(self, circle_sec, circle300):
         _, _, model = circle300
-        frame, fhat = circle_sec
-        arrow = om.pushforward(model, np.zeros((6, 6)), fhat, np.array([1.0, 0.0]))
-        npt.assert_array_equal(arrow, 0.0)
+        _, fhat = circle_sec
+        zero = om.SecFrame(etas=np.zeros(1), ops=np.zeros((1, 6, 6)))
+        arrows = om.field_arrows(model, zero, fhat)
+        assert arrows.shape == (300, 2)
+        npt.assert_array_equal(arrows, 0.0)
 
     def test_first_field_arrow_is_tangent(self, circle_sec, circle300):
-        _, _, model = circle300
+        cloud, _, model = circle300
         frame, fhat = circle_sec
-        arrow = om.pushforward(model, frame.ops[0], fhat, np.array([1.0, 0.0]))
+        # training point 0 is (1, 0), where the tangent is the y axis
+        npt.assert_array_equal(cloud.points[0], [1.0, 0.0])
+        arrow = om.field_arrows(model, frame, fhat)[0]
         angle = np.degrees(np.arccos(abs(arrow[1]) / np.linalg.norm(arrow)))
         assert angle <= 15.0
+
+    def test_each_field_is_its_operator(self, circle_sec, circle300):
+        _, _, model = circle300
+        frame, fhat = circle_sec
+        for f, op in enumerate(frame.ops):
+            npt.assert_array_equal(om.field_arrows(model, frame, fhat, f),
+                                   model.eig_phi[:, :frame.m_out] @ (op @ fhat[:frame.m_basis]))
+
+    @pytest.mark.parametrize('field', [-1, 3])
+    def test_field_out_of_range_named(self, circle_sec, circle300, field):
+        _, _, model = circle300
+        frame, fhat = circle_sec
+        with pytest.raises(ValueError, match=rf'field must be in \[0, 3\), got {field}'):
+            om.field_arrows(model, frame, fhat, field)
 
     def test_4d_arrows_align_with_isometric_tangent(self, fig3_4d):
         arrows, tangents = fig3_4d['arrows'], fig3_4d['tangents']
@@ -401,6 +421,35 @@ class TestTangentFrame:
         arrows = np.stack([vals @ (op @ fhat) for op in frame.ops[:2]])
         sv = np.linalg.svd(arrows.T, compute_uv=False)
         assert sv[1] <= 0.2 * sv[0]
+
+    def test_stack_is_one_call_per_point(self, circle_sec, circle300, monkeypatch):
+        cloud, _, model = circle300
+        frame, fhat = circle_sec
+        pts = cloud.points[::37] * 1.02
+        alone = np.stack([om.tangent_frame_at(model, frame, fhat, x, 1) for x in pts])
+        arrows, rows = [], []
+        frame_arrows, row_core = sec._frame_arrows, nystrom._row_core
+        monkeypatch.setattr(sec, '_frame_arrows',
+                            lambda *a: arrows.append(1) or frame_arrows(*a))
+        monkeypatch.setattr(nystrom, '_row_core',
+                            lambda m, q: rows.append(q.shape[0]) or row_core(m, q))
+        stacked = om.tangent_frame_at(model, frame, fhat, pts, 1)
+        assert stacked.shape == (len(pts), 2, 1)
+        npt.assert_array_equal(stacked, alone)
+        # the arrows once per call, and one one-point row per point
+        assert arrows == [1] and rows == [1] * len(pts)
+
+    def test_empty_stack(self, circle_sec, circle300):
+        _, _, model = circle300
+        frame, fhat = circle_sec
+        assert om.tangent_frame_at(model, frame, fhat, np.empty((0, 2)), 1).shape == (0, 2, 1)
+
+    def test_torus_stack_is_one_call_per_point(self, torus_assets):
+        cloud, params, model, frame, fhat = torus_assets
+        pts = cloud.points[::400] + 0.01
+        npt.assert_array_equal(om.tangent_frame_at(model, frame, fhat, pts, 2),
+                               np.stack([om.tangent_frame_at(model, frame, fhat, x, 2)
+                                         for x in pts]))
 
     def test_torus_planes(self, torus_assets):
         cloud, params, model, frame, fhat = torus_assets
@@ -491,6 +540,12 @@ class TestFramePipeline:
     def test_inconsistent_arrays_refused(self, etas, ops):
         with pytest.raises(ValueError, match='etas of shape'):
             om.SecFrame(etas=np.zeros(etas), ops=np.zeros(ops))
+
+    @pytest.mark.parametrize('n_fields', [0, -1])
+    def test_no_fields_refused(self, circle300, n_fields):
+        _, _, model = circle300
+        with pytest.raises(ValueError, match=f'^n_fields must be >= 1, got {n_fields}$'):
+            om.build_sec_frame(model, om.SecBasisConfig(m_basis=6, m_inner=30), n_fields)
 
     def test_sizes_are_read_from_ops(self):
         frame = om.SecFrame(etas=[0.0, 1.0], ops=np.zeros((2, 8, 4)))
