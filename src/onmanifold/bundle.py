@@ -31,9 +31,8 @@ import secrets
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .cidm import CidmConfig, CidmModel, PointCloud, _knn_scales
+from .cidm import CidmConfig, CidmModel, PointCloud, _training_row_scales
 from .nystrom import NystromProjector
 from .ompgd import SemanticMap
 from .sec import SecFrame
@@ -203,15 +202,18 @@ def _check_manifest(manifest) -> dict:
 
 def _check_knn_scales(model: CidmModel) -> None:
     """A ValueError naming ``k_nn`` unless the manifest's k_nn gives the
-    stored kNN scales of training points 0, N//2 and N-1 bit for bit, with
-    the operations of the fit; the digest covers only the arrays."""
-    pts, k = model.training.points, model.config.k_nn
-    idx = np.array([0, pts.shape[0] // 2, pts.shape[0] - 1])
-    d2 = cdist(pts[idx], pts, 'sqeuclidean')
-    d2[np.arange(3), idx] = np.inf
-    if not np.array_equal(_knn_scales(d2, k), model.knn_scale[idx]):
-        raise ValueError(f'bundle manifest k_nn={k} does not reproduce the stored '
-                         'knn_scale: the manifest and the arrays come from different fits')
+    stored kNN scales of training points 0, N//2 and N-1, with the
+    operations of the fit; the digest covers only the arrays.  The match is
+    to a relative 1e-12, since another scipy build or an FMA may round a
+    squared distance differently, where a k one off moves a scale far more.
+    A k that gives the same scales at these points (k = 1 and 2 on an
+    evenly spaced circle) is not told apart."""
+    N = model.training.n_points
+    rows = np.array([0, N // 2, N - 1])
+    scales = _training_row_scales(model.training.points, rows, model.config.k_nn)[0]
+    if not np.allclose(scales, model.knn_scale[rows], rtol=1e-12, atol=0.0):
+        raise ValueError(f'bundle manifest k_nn={model.config.k_nn} does not reproduce the '
+                         'stored knn_scale: the manifest and the arrays come from different fits')
 
 
 def load_bundle(path) -> ModelBundle:

@@ -24,7 +24,8 @@ constant mode ``phi_0 == 1`` and full-spectrum interpolation identities
 hold to machine precision on finite data.
 
 The kernel is built here only: ``_knn_scales`` owns the kNN scale of any
-rows of squared distances, ``_shifted_exponent`` their exponent, ``_kept``
+rows of squared distances, ``_negated_exponent`` their exponent
+(min-shifted by ``_shifted_exponent`` for an out-of-sample row), ``_kept``
 which entries are kept, ``_cut_shape`` the kernel values, ``_kernel_csr``
 the training kernel of the fit; ``nystrom._row_core`` owns the
 out-of-sample row, which it builds from the same functions.
@@ -293,6 +294,16 @@ def _knn_scales(d2: np.ndarray, k_nn: int) -> np.ndarray:
     return nearest.sum(axis=1) / k_nn
 
 
+def _training_row_scales(pts: np.ndarray, rows: np.ndarray, k_nn: int):
+    """kNN scales of the training points ``rows`` (self excluded), and the
+    largest squared distance from them to any training point."""
+    d2 = cdist(pts[rows], pts, 'sqeuclidean')
+    max_d2 = float(d2.max())
+    # only the self-distance is excluded: a coincident pair keeps its zero
+    d2[np.arange(len(rows)), rows] = np.inf
+    return _knn_scales(d2, k_nn), max_d2
+
+
 def _training_scales(pts: np.ndarray, k_nn: int):
     """kNN scales of the training points (self excluded) and the data
     diameter, from one row block of squared distances at a time; the
@@ -303,11 +314,8 @@ def _training_scales(pts: np.ndarray, k_nn: int):
     scales = np.empty(N)
     max_d2 = 0.0
     for a, b in _row_blocks(N):
-        d2 = cdist(pts[a:b], pts, 'sqeuclidean')
-        max_d2 = max(max_d2, float(d2.max()))
-        # only the self-distance is excluded: a coincident pair keeps its zero
-        d2[np.arange(b - a), np.arange(a, b)] = np.inf
-        scales[a:b] = _knn_scales(d2, k_nn)
+        scales[a:b], block_max = _training_row_scales(pts, np.arange(a, b), k_nn)
+        max_d2 = max(max_d2, block_max)
     diameter = float(np.sqrt(max_d2))
     if not diameter < MAX_DISTANCE:
         raise ValueError(f'training distances overflow when squared: the data diameter '
@@ -325,31 +333,38 @@ def _kernel_cut(n_points: int) -> float:
     return np.log(n_points) + KERNEL_TAIL
 
 
-def _shifted_exponent(d2: np.ndarray, row_scales: np.ndarray, col_scales: np.ndarray,
+def _negated_exponent(d2: np.ndarray, row_scales: np.ndarray, col_scales: np.ndarray,
                       epsilon: float, scratch: np.ndarray) -> np.ndarray:
-    """The negated exponent ``s = zmin - z`` of each row, with
-    ``z = d2 / (row_scale * col_scale) / epsilon^2`` and ``zmin`` the row's
-    smallest z, in place of ``d2``; ``scratch`` (shaped like ``d2``) takes
-    the scale products.  A fit row's zmin is its self entry 0, so there s
-    is -z bit for bit; the shift keeps a row finite far from the data.  A
-    row with no finite z raises :class:`InvalidQueryError` naming it."""
-    d2 /= np.multiply.outer(row_scales, col_scales, out=scratch)
+    """``s = -z`` in place of ``d2``, with z = d2 / (row_scale * col_scale) /
+    epsilon^2 and the scale products in ``scratch``.  ``x / (-a * b)`` is
+    ``-(x / (a * b))`` bit for bit, so the negation costs no pass."""
+    d2 /= np.multiply.outer(-row_scales, col_scales, out=scratch)
     eps2 = epsilon ** 2
     if eps2 != 1.0:
         with np.errstate(over='ignore'):        # an infinite z is a cut entry
             d2 /= eps2
-    zmin = d2.min(axis=1, keepdims=True)
-    if not zmin.max(initial=-np.inf) < np.inf:         # inf or NaN
-        bad = int(np.argmin(zmin[:, 0] < np.inf))
+    return d2
+
+
+def _shifted_exponent(d2: np.ndarray, row_scales: np.ndarray, col_scales: np.ndarray,
+                      epsilon: float, scratch: np.ndarray) -> np.ndarray:
+    """:func:`_negated_exponent` shifted by each row's largest entry,
+    ``s = zmin - z``, which keeps a row finite far from the data; a training
+    point's zmin is its self entry 0, so its row has the fit's bits.  A row
+    with no finite z raises :class:`InvalidQueryError` naming it."""
+    s = _negated_exponent(d2, row_scales, col_scales, epsilon, scratch)
+    smax = s.max(axis=1, keepdims=True)
+    if not smax.min(initial=np.inf) > -np.inf:          # -inf or NaN
+        bad = int(np.argmin(smax[:, 0] > -np.inf))
         raise InvalidQueryError(f'query row {bad}: its smallest kernel exponent '
                                 f'delta^2/epsilon^2 is not finite at epsilon={epsilon!r}')
-    np.subtract(zmin, d2, out=d2)
-    return d2
+    s -= smax                                   # -z + zmin is zmin - z bit for bit
+    return s
 
 
 def _kept(s: np.ndarray, cut: float) -> np.ndarray:
     """Mask of the kernel entries that are kept, from the negated exponent
-    ``s`` (:func:`_shifted_exponent`): s >= -``cut``, the certified cutoff
+    ``s`` (:func:`_negated_exponent`): s >= -``cut``, the certified cutoff
     (:func:`_kernel_cut`).
 
     The kept entries are exactly the nonzero ones: a kept value is at
@@ -361,7 +376,7 @@ def _kept(s: np.ndarray, cut: float) -> np.ndarray:
 def _cut_shape(s: np.ndarray, cut: float, keep: np.ndarray | None = None) -> np.ndarray:
     """Kernel values exp(s) with the certified cutoff ``cut``
     (:func:`_kernel_cut`), from the negated exponent ``s``
-    (:func:`_shifted_exponent`).  ``keep`` is the mask :func:`_kept`
+    (:func:`_negated_exponent`).  ``keep`` is the mask :func:`_kept`
     of ``s``, computed here when not given; entries outside it are exactly
     0.  Entries are clamped to -``cut`` before the ``exp``, which keeps it
     off its slow subnormal and underflow inputs (s below about -708); the
@@ -383,7 +398,7 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
     """CSR training kernel, its degree vector, and the raw CIDM degrees.
 
     Two passes over the row blocks.  The count pass computes each block's
-    exponent (:func:`_shifted_exponent`) and counts the kept entries of each
+    exponent (:func:`_negated_exponent`) and counts the kept entries of each
     row into ``indptr``.  ``data`` and ``indices`` are then allocated once,
     at their exact size, and the fill pass recomputes each block and writes
     its kept values and columns straight into their slices; so the kernel's
@@ -401,7 +416,7 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
 
     indptr = np.zeros(N + 1, dtype=np.int64)
     for a, b in blocks:
-        s = _shifted_exponent(cdist(pts[a:b], pts, 'sqeuclidean'), scales[a:b], scales,
+        s = _negated_exponent(cdist(pts[a:b], pts, 'sqeuclidean'), scales[a:b], scales,
                               config.epsilon, scratch[:b - a])
         indptr[a + 1:b + 1] = np.count_nonzero(_kept(s, cut), axis=1)
     np.cumsum(indptr, out=indptr)
@@ -410,7 +425,7 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
     indices = np.empty(indptr[-1], dtype=index_dtype)
     raw_degree = np.empty(N)
     for a, b in blocks:
-        s = _shifted_exponent(cdist(pts[a:b], pts, 'sqeuclidean'), scales[a:b], scales,
+        s = _negated_exponent(cdist(pts[a:b], pts, 'sqeuclidean'), scales[a:b], scales,
                               config.epsilon, scratch[:b - a])
         keep = _kept(s, cut)
         K = _cut_shape(s, cut, keep)

@@ -337,14 +337,11 @@ def _arrow_coeffs(op: np.ndarray, fhat) -> np.ndarray:
     return op @ fhat[:m_basis]
 
 
-def field_arrows(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
-                 field: int = 0) -> np.ndarray:
-    """Pushforward arrows (N, n) of field ``field`` of ``frame`` at the
-    training points, where the eigenfunction values are ``eig_phi``.  Rows
-    of ``fhat`` past the operators' input modes are ignored."""
-    if not 0 <= field < len(frame.etas):
-        raise ValueError(f'field must be in [0, {len(frame.etas)}), got {field}')
-    return model.eig_phi[:, :frame.m_out] @ _arrow_coeffs(frame.ops[field], fhat)
+def field_arrows(model: CidmModel, frame: SecFrame, fhat: np.ndarray) -> np.ndarray:
+    """Pushforward arrows (N, n) of the smoothest field (field 0) at the
+    training points, from ``eig_phi``; rows of ``fhat`` past the operators'
+    input modes are ignored."""
+    return model.eig_phi[:, :frame.m_out] @ _arrow_coeffs(frame.ops[0], fhat)
 
 
 def tangent_frame_at(model: CidmModel, frame: SecFrame, fhat: np.ndarray,

@@ -515,6 +515,14 @@ class TestKnnCheck:
         assert capsys.readouterr().err == f'error: {message}\n'
         assert not (tmp_path / 'o.csv').exists()
 
+    def test_stored_scales_an_ulp_off_still_load(self, circle100, tmp_path):
+        # another scipy build, or an FMA, may round a squared distance differently
+        model = circle100[0]
+        nudged = np.nextafter(model.knn_scale, np.inf)
+        path = tmp_path / 'nudged.bundle'
+        save_bundle(path, ModelBundle(model=dataclasses.replace(model, knn_scale=nudged)))
+        npt.assert_array_equal(load_bundle(path).model.knn_scale, nudged)
+
 
 def run_cli(*argv):
     return main(list(argv))
