@@ -140,6 +140,17 @@ class PointCloud:
         return cls(pts)
 
 
+def _store_integers(config, *names: str) -> None:
+    """Refuse each named field of a frozen config whose value is not an
+    integer (a ``bool`` included), naming it, and store a numpy integer
+    as an ``int``."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f'{name} must be an integer, got {value!r}')
+        object.__setattr__(config, name, int(value))
+
+
 @dataclass(frozen=True)
 class CidmConfig:
     """Kernel and eigensolver settings for a CIDM fit.
@@ -156,11 +167,7 @@ class CidmConfig:
     kernel_variant: KernelVariant = 'cidm'
 
     def __post_init__(self):
-        for name in ('k_nn', 'n_eigs'):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f'{name} must be an integer, got {value!r}')
-            object.__setattr__(self, name, int(value))
+        _store_integers(self, 'k_nn', 'n_eigs')
         if self.k_nn < 1:
             raise ValueError('k_nn must be >= 1')
         if self.n_eigs < 1:

@@ -25,11 +25,21 @@ from .synth import SynthSpec, generate
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1, and any argument
+    that parses as a number or a comma list of numbers read as a value:
+    argparse would take ``-inf``, ``-1e-3`` or ``-0.5,0.8`` for an option."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f'{self.prog}: error: {message}\n')
+
+    def _parse_optional(self, arg_string):
+        try:
+            for value in arg_string.split(','):
+                float(value)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def _write_csv(path, array, force: bool) -> None:
@@ -170,9 +180,7 @@ def _cmd_pgd(args) -> int:
         raise UsageError('provide --start or --start-index')
     oracle = sector_classifier(args.classes, boundary_offset=args.boundary_offset)
     config = PgdConfig(alpha=args.alpha, max_steps=args.max_steps,
-                       tangent_dim=args.tangent_dim,
-                       normalize_gradient=args.normalize,
-                       project_iters=args.project_iters)
+                       tangent_dim=args.tangent_dim)
     trace = om_pgd(start, args.true_label, oracle, projector, bundle.sec_frame,
                    bundle.sec_fhat, config, bundle.label_map)
     return _report_pgd('pgd', args.out, trace, args.force)
@@ -278,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--alpha', type=float, required=True)
     p.add_argument('--max-steps', type=int, default=20)
     p.add_argument('--tangent-dim', type=int, default=1)
-    p.add_argument('--normalize', action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument('--project-iters', type=int, default=2)
     p.add_argument('--out', required=True)
     p.add_argument('--force', action='store_true')
     p.set_defaults(func=_cmd_pgd)

@@ -69,7 +69,6 @@ __all__ = [
     'NystromProjector',
     'extend_eigenfunction',
     'eigenfunction_values',
-    'diffusion_map',
     'fourier_coefficients',
     'extend_function',
     'build_projector',
@@ -180,17 +179,6 @@ def extend_eigenfunction(model: CidmModel, ell: int, x) -> float:
     if not 0 <= ell < model.n_eigs:
         raise ValueError(f'ell must be in [0, {model.n_eigs})')
     return float(eigenfunction_values(model, _one_point(x), ell + 1)[ell])
-
-
-def diffusion_map(model: CidmModel, l_trunc: int, x) -> np.ndarray:
-    """Diffusion map Phi(x) = (phi_1(x), ..., phi_L(x)), constant mode skipped.
-
-    Requires ``l_trunc <= n_eigs - 1`` since mode 0 is excluded.
-    """
-    if not 1 <= l_trunc <= model.n_eigs - 1:
-        raise ValueError(f'l_trunc must be in [1, {model.n_eigs - 1}] '
-                         '(the constant mode is skipped)')
-    return eigenfunction_values(model, x, l_trunc + 1)[..., 1:]
 
 
 def fourier_coefficients(model: CidmModel, values: np.ndarray, l_trunc: int) -> np.ndarray:

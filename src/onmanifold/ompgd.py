@@ -33,7 +33,7 @@ import numpy as np
 # rows are looked up as nystrom.eigenfunction_values at call time, as
 # nystrom's own callers look them up, so one patch of it sees every row
 from . import nystrom
-from .cidm import CidmModel
+from .cidm import CidmModel, _store_integers
 from .errors import StalledError
 from .nystrom import NystromProjector, fourier_coefficients, project_many
 # the step builds its frame with _frame_arrows and _tangent_frame;
@@ -63,6 +63,9 @@ STALL_GRAD_RTOL = 1e-9
 #: as no motion.
 STALL_MOVE_RTOL = 1e-9
 
+#: Sharpness of the sector classifier's logits ``SECTOR_KAPPA * cos(...)``.
+SECTOR_KAPPA = 8.0
+
 
 class ClassifierOracle(Protocol):
     """Pluggable classifier: deterministic labels and input-space loss gradients."""
@@ -77,7 +80,7 @@ class SectorClassifier:
     """Angular-sector classifier on the plane with a smooth softmax loss.
 
     Sector ``c`` covers ``[offset + c*w, offset + (c+1)*w)`` degrees,
-    ``w = 360 / n_classes``; logits are ``kappa * cos(theta - center_c)``
+    ``w = 360 / n_classes``; logits are ``SECTOR_KAPPA * cos(theta - c_c)``
     so ``predict`` returns the sector whose center is nearest.  Boundary
     positions are exact, which makes PGD termination assertions easy.
     The centers in radians, which every logit reads, are derived once
@@ -86,9 +89,14 @@ class SectorClassifier:
 
     n_classes: int
     boundary_offset_deg: float = 0.0
-    kappa: float = 8.0
 
     def __post_init__(self):
+        _store_integers(self, 'n_classes')
+        if self.n_classes < 2:
+            raise ValueError(f'n_classes must be >= 2, got {self.n_classes}')
+        if not math.isfinite(self.boundary_offset_deg):
+            raise ValueError(f'boundary_offset_deg must be finite, '
+                             f'got {self.boundary_offset_deg!r}')
         centers = np.radians(self.center_angles_deg)
         centers.flags.writeable = False
         object.__setattr__(self, '_centers_rad', centers)
@@ -113,7 +121,7 @@ class SectorClassifier:
 
     def _logits(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         theta = np.arctan2(x[1], x[0])
-        return self.kappa * np.cos(theta - self._centers_rad), theta
+        return SECTOR_KAPPA * np.cos(theta - self._centers_rad), theta
 
     def predict(self, x: np.ndarray) -> int:
         z, _ = self._logits(np.asarray(x, dtype=np.float64))
@@ -152,15 +160,13 @@ class SectorClassifier:
         p = np.exp(z - z.max())
         p /= p.sum()
         p[target_label] -= 1.0
-        dloss_dtheta = float(p @ (-self.kappa * np.sin(theta - self._centers_rad)))
+        dloss_dtheta = float(p @ (-SECTOR_KAPPA * np.sin(theta - self._centers_rad)))
         grad_theta = np.array([-x[1], x[0]]) / r2
         return dloss_dtheta * grad_theta
 
 
 def sector_classifier(n_classes: int, boundary_offset: float = 0.0) -> SectorClassifier:
     """Desk-scale stand-in for an image classifier, with known boundaries."""
-    if n_classes < 2:
-        raise ValueError('n_classes must be >= 2')
     return SectorClassifier(n_classes=n_classes, boundary_offset_deg=boundary_offset)
 
 
@@ -235,26 +241,24 @@ def _decode_labels(label_map: SemanticMap, vals: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PgdConfig:
-    """Step size, iteration budget, and projection settings for the PGD loop.
+    """Step size, iteration budget and tangent dimension of the PGD loop.
 
-    The projection truncation is the one the projector was built with.
+    A step moves ``alpha`` along the tangent part of the unit gradient and
+    projects back with two Nystrom iterations of the projector.
     """
 
     alpha: float
     max_steps: int
     tangent_dim: int = 1
-    normalize_gradient: bool = True
-    project_iters: int = 2
 
     def __post_init__(self):
         if not 0 <= self.alpha < math.inf:
             raise ValueError(f'alpha must be finite and >= 0, got {self.alpha}')
+        _store_integers(self, 'max_steps', 'tangent_dim')
         if self.max_steps < 1:
             raise ValueError('max_steps must be >= 1')
         if self.tangent_dim < 1:
             raise ValueError('tangent_dim must be >= 1')
-        if self.project_iters < 1:
-            raise ValueError('project_iters must be >= 1')
 
 
 @dataclass(frozen=True)
@@ -370,7 +374,7 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
                          f'({raw_norm})')
     if raw_norm == 0.0:
         raise StalledError('loss gradient vanished at the current iterate')
-    g = g_raw / raw_norm if config.normalize_gradient else g_raw
+    g = g_raw / raw_norm
     if x_on_values is None:
         x_on_values = nystrom.eigenfunction_values(model, x_on, width)
     if arrows is None:
@@ -380,7 +384,7 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
     if _norm(g_tan) <= STALL_GRAD_RTOL * _norm(g):
         raise StalledError('gradient is orthogonal to the tangent frame')
     x_stepped = x_on + config.alpha * g_tan
-    x_next = project_many(projector, x_stepped, config.project_iters)
+    x_next = project_many(projector, x_stepped)
     if _norm(x_next - x_on) < STALL_MOVE_RTOL * model.data_diameter:
         raise StalledError('projected step did not move the iterate')
     label_pred = int(oracle.predict(x_next))
@@ -415,7 +419,7 @@ def om_pgd(start: np.ndarray, true_label: int | None, oracle: ClassifierOracle,
     rather than propagating.
     """
     start = np.asarray(start, dtype=np.float64)
-    x0 = project_many(projector, start, config.project_iters)
+    x0 = project_many(projector, start)
     if true_label is None:
         true_label = int(oracle.predict(x0))
     arrows = _frame_arrows(frame, fhat, config.tangent_dim)

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh
 from scipy.spatial import cKDTree
 
-from .cidm import CidmModel, PointCloud
+from .cidm import CidmModel, PointCloud, _store_integers
 from .errors import (DegenerateFrameError, EigensolverFailure, InvalidQueryError,
                      RankDeficiencyError, SingularGramError)
 from .nystrom import _one_point, eigenfunction_values, fourier_coefficients
@@ -87,6 +87,7 @@ class SecBasisConfig:
     tau_frac: float = 1e-3
 
     def __post_init__(self):
+        _store_integers(self, 'm_basis', *(() if self.m_inner is None else ('m_inner',)))
         if self.m_basis < 2:
             raise ValueError('m_basis must be >= 2')
         if self.m_inner is not None and self.m_inner < self.m_basis:
@@ -262,17 +263,15 @@ def build_sec_frame(model: CidmModel, config: SecBasisConfig,
     """Assemble tensors, Sobolev basis, and the ``n_fields`` best eigenfields.
 
     Candidates from the generalized eigensolve are screened on their
-    pushforward arrows over the training points (eigenvector values make
-    this free).  Two failure modes of the truncated tensors are caught
-    here: frame combinations representing the zero field can survive the
-    Sobolev threshold with spuriously small energy (near-zero arrow mass),
-    and truncation noise can hand low Rayleigh quotients to rough
-    mixtures.  Candidates below the mass floor are dropped, the remainder
+    pushforward arrows, read from their eigen-coefficients (:func:`_arrow_screen`).
+    Two failure modes of the truncated tensors are caught here: frame
+    combinations representing the zero field can survive the Sobolev
+    threshold with spuriously small energy (near-zero arrow mass), and
+    truncation noise can hand low Rayleigh quotients to rough mixtures.
+    Candidates below the mass floor are dropped, the remainder
     are ranked by the roughness of their arrow field under one step of
     the fitted diffusion operator, and the ``n_fields`` smoothest are
-    returned in ascending-eta order.  The arrows lie in the span of the
-    first ``m_inner`` eigenfunctions, where that step is ``diag(lambda)``:
-    the screen is spectral (:func:`_arrow_screen`) and builds no kernel.
+    returned in ascending-eta order; for equal eta, in roughness order.
     """
     if n_fields < 1:
         raise ValueError(f'n_fields must be >= 1, got {n_fields}')
@@ -291,38 +290,34 @@ def build_sec_frame(model: CidmModel, config: SecBasisConfig,
     etas, reduced = eigenfields(E_r, G_r, u_tilde, n_fields + CANDIDATE_SURPLUS)
 
     fhat = fourier_coefficients(model, model.training.points, m)
-    screened = []           # (eta, op, mass, rough) per candidate
-    for eta, cr in zip(etas, reduced):
+    ops = np.empty((len(etas), m_inner, m))
+    for op, cr in zip(ops, reduced):
         coeffs = np.zeros(m * m)
         coeffs[frame_index] = cr
-        op = field_operator(c, xi, coeffs, m)
-        mass, rough = _arrow_screen(model, _arrow_coeffs(op, fhat))
-        screened.append((eta, op, mass, rough))
-    max_mass = max(mass for _, _, mass, _ in screened)
-    if max_mass <= 0:
+        op[...] = field_operator(c, xi, coeffs, m)
+    mass, rough = _arrow_screen(ops @ fhat, xi)
+    if not mass.max() > 0:
         raise DegenerateFrameError('every candidate eigenfield has zero arrow mass')
-    massive = [s for s in screened if s[2] >= ARROW_MASS_FLOOR * max_mass]
-    smoothest = sorted(massive, key=lambda s: s[3])[:n_fields]
-    kept = sorted(smoothest, key=lambda s: s[0])
-    return SecFrame(etas=np.array([eta for eta, _, _, _ in kept]),
-                    ops=np.stack([op for _, op, _, _ in kept]))
+    massive = np.flatnonzero(mass >= ARROW_MASS_FLOOR * mass.max())
+    smoothest = massive[np.argsort(rough[massive], kind='stable')[:n_fields]]
+    kept = smoothest[np.argsort(etas[smoothest], kind='stable')]
+    return SecFrame(etas=etas[kept], ops=ops[kept])
 
 
-def _arrow_screen(model: CidmModel, A: np.ndarray) -> tuple[float, float]:
-    """Mass and roughness of the arrow field ``phi @ A`` on the training points.
+def _arrow_screen(A: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mass and roughness of each candidate's arrow field ``phi @ A[f]``
+    over the training points, from its eigen-coefficients A (F, m_inner, n).
 
     The mass is the mean squared arrow; the roughness is the mean squared
     change of the arrows under one step of the fitted ``D^{-1} K``,
-    relative to the mass.  On the span of the first ``len(A)``
+    relative to the mass.  On the span of the first ``m_inner``
     eigenfunctions that step is ``diag(lambda)``, so the change is
-    ``phi @ (xi * A)`` with ``xi = 1 - lambda``.
+    ``phi @ (xi * A)`` with ``xi = 1 - lambda``; and ``eig_phi`` is
+    orthonormal under ``inner_weights``, so both means are sums of squared
+    coefficients, and no (N, .) array is built.
     """
-    m_inner = A.shape[0]
-    phi = model.eig_phi[:, :m_inner]
-    w = model.inner_weights
-    mass = float(w @ ((phi @ A) ** 2).sum(axis=1))
-    resid = phi @ (model.eig_xi[:m_inner, None] * A)
-    rough = float(w @ (resid ** 2).sum(axis=1)) / max(mass, np.finfo(float).tiny)
+    mass = (A ** 2).sum(axis=(1, 2))
+    rough = ((xi[:, None] * A) ** 2).sum(axis=(1, 2)) / np.maximum(mass, np.finfo(float).tiny)
     return mass, rough
 
 

@@ -24,6 +24,7 @@ from onmanifold.repro import FIGURES
     (cidm, 'shape_function'),
     (sec, 'pushforward'),
     (ompgd, '_pgd_from'),
+    (nystrom, 'diffusion_map'),
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(om, name)
@@ -41,13 +42,66 @@ def test_front_ends_import_no_private_name(front_end):
     assert private == []
 
 
-def test_pgd_config_has_no_l_trunc():
-    with pytest.raises(TypeError):
-        om.PgdConfig(alpha=0.1, max_steps=1, l_trunc=10)
+#: What ``import onmanifold`` offers: the error classes, the types a caller
+#: receives or implements, and the functions the CLI, the PGD loop and the
+#: acceptance suite call.
+EXPORTS = {
+    'GeometryError', 'InvalidQueryError', 'DuplicatePointError', 'EigensolverFailure',
+    'DisconnectedGraphError', 'SmallEigenvalueError', 'KnnBoundaryError',
+    'DegenerateFrameError', 'SingularGramError', 'RankDeficiencyError', 'StalledError',
+    'PointCloud', 'CidmConfig', 'CidmModel', 'knn_scales', 'fit',
+    'NystromProjector', 'extend_eigenfunction', 'eigenfunction_values',
+    'fourier_coefficients', 'extend_function', 'build_projector', 'project',
+    'project_many', 'grad_eigenfunction', 'restricted_loss_gradient',
+    'SecBasisConfig', 'SecFrame', 'structure_constants', 'metric_tensor',
+    'dirichlet_energy_tensor', 'build_sec_frame', 'field_arrows', 'tangent_frame_at',
+    'local_pca_tangent',
+    'ClassifierOracle', 'SectorClassifier', 'sector_classifier', 'SemanticMap',
+    'semantic_map', 'semantic_labels', 'PgdConfig', 'PgdStep', 'PgdTrace', 'om_pgd',
+    'SynthSpec', 'generate', 'fig1_target_function', 'periodic_flags',
+    'ModelBundle', 'save_bundle', 'load_bundle',
+}
+
+
+def test_package_exports_exactly_the_expected_names():
+    exported = {name for name, value in vars(om).items()
+                if not name.startswith('_') and not inspect.ismodule(value)}
+    assert len(EXPORTS) == 52
+    assert exported == EXPORTS
+
+
+@pytest.mark.parametrize('module, name', [
+    (cidm, 'inner'), (nystrom, 'diffusion_map_jacobian'), (sec, 'sobolev_basis'),
+    (sec, 'eigenfields'), (sec, 'field_operator'), (ompgd, 'om_pgd_step'),
+])
+def test_helpers_stay_in_their_modules(module, name):
+    assert not hasattr(om, name)
+    assert name in module.__all__
+
+
+def test_pgd_config_has_exactly_three_settings():
+    assert [f.name for f in dataclasses.fields(om.PgdConfig)] == [
+        'alpha', 'max_steps', 'tangent_dim']
+
+
+def test_sector_classifier_has_two_settings():
+    assert [f.name for f in dataclasses.fields(om.SectorClassifier)] == [
+        'n_classes', 'boundary_offset_deg']
+    assert ompgd.SECTOR_KAPPA == 8.0
+
+
+@pytest.mark.parametrize('flag', [['--normalize'], ['--no-normalize'],
+                                  ['--project-iters', '2']])
+def test_pgd_has_no_normalize_or_project_iters_flags(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(['pgd', str(tmp_path / 'model.bundle'), '--start-index', '0', '--alpha', '0.1',
+              '--out', str(tmp_path / 'trace.jsonl'), *flag])
+    assert info.value.code == 1
+    assert f'unrecognized arguments: {" ".join(flag)}' in capsys.readouterr().err
 
 
 def test_field_operator_has_no_m_out():
-    assert 'm_out' not in inspect.signature(om.field_operator).parameters
+    assert 'm_out' not in inspect.signature(sec.field_operator).parameters
 
 
 def test_sec_frame_keeps_only_what_queries_read():

@@ -642,14 +642,38 @@ class TestCli:
         assert err.startswith('error: ') and 'epsilon' in err
         assert err.count('\n') == 1
 
-    @pytest.mark.parametrize('sigma', ['nan', 'inf', '-inf'])
-    def test_non_finite_sigma_is_a_usage_error(self, tmp_path, capsys, sigma):
+    @pytest.mark.parametrize('sigma', ['nan', 'inf', '-inf', '-1e-3', '-1_0'])
+    @pytest.mark.parametrize('joined', [True, False], ids=['joined', 'spaced'])
+    def test_bad_sigma_is_a_usage_error(self, tmp_path, capsys, sigma, joined):
+        # argparse alone reads a spaced -inf or -1e-3 as an option: "expected
+        # one argument"
         capsys.readouterr()
-        assert run_cli('synth', '--kind', 'circle', '--n', '50', f'--sigma={sigma}',
+        value = [f'--sigma={sigma}'] if joined else ['--sigma', sigma]
+        assert run_cli('synth', '--kind', 'circle', '--n', '50', *value,
                        '--out', str(tmp_path / 'pts.csv')) == 1
         err = capsys.readouterr().err
         assert err.startswith('error: noise_sigma must be finite and >= 0, got ')
         assert err.count('\n') == 1
+
+    @pytest.mark.parametrize('value', ['-x', '--seed', '-0.5,x'])
+    def test_a_non_number_is_still_an_option(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as info:
+            run_cli('synth', '--kind', 'circle', '--n', '50', '--sigma', value,
+                    '--out', str(tmp_path / 'pts.csv'))
+        assert info.value.code == 1
+        assert 'argument --sigma: expected one argument' in capsys.readouterr().err
+
+    def test_pgd_start_in_the_left_half_plane(self, small_bundle, tmp_path, capsys):
+        path, _ = small_bundle
+        traces = []
+        for start in (['--start', '-0.5,0.8'], ['--start=-0.5,0.8']):
+            out = tmp_path / f'trace{len(traces)}.jsonl'
+            assert run_cli('pgd', str(path), *start, '--alpha', '0.2', '--max-steps', '4',
+                           '--out', str(out)) in (0, 2)
+            traces.append(out.read_bytes())
+        assert traces[0] == traces[1]
+        first = json.loads(traces[0].splitlines()[0])
+        assert first['x_on'][0] < 0.0
 
     def test_fit_refuses_a_projector_over_a_small_mode(self, tmp_path, capsys):
         # epsilon 100 on 60 circle points: |lambda| falls below 1e-10 within
@@ -748,7 +772,7 @@ class TestCli:
         start = np.array([0.87, 0.5])
         oracle = om.sector_classifier(4, boundary_offset=40.0)
         config = om.PgdConfig(alpha=0.15, max_steps=4)
-        label = oracle.predict(om.project_many(projector, start, config.project_iters))
+        label = oracle.predict(om.project_many(projector, start))
         rows.clear()
         trace = om.om_pgd(start, label, oracle, projector, bundle.sec_frame,
                           bundle.sec_fhat, config, label_map=bundle.label_map)

@@ -92,7 +92,7 @@ class TestFit:
 
     def test_orthonormal_under_model_inner_product(self, circle300):
         _, _, model = circle300
-        gram = om.inner(model, model.eig_phi, model.eig_phi)
+        gram = cidm.inner(model, model.eig_phi, model.eig_phi)
         npt.assert_allclose(gram, np.eye(model.n_eigs), atol=1e-10)
 
     def test_spectral_range(self, noisy_circle):

@@ -60,6 +60,26 @@ class TestSectorClassifier:
         with pytest.raises(ValueError):
             om.sector_classifier(1)
 
+    @pytest.mark.parametrize('kwargs, message', [
+        (dict(n_classes=0), 'n_classes must be >= 2, got 0'),
+        (dict(n_classes=-3), 'n_classes must be >= 2, got -3'),
+        (dict(n_classes=2.5), 'n_classes must be an integer, got 2.5'),
+        (dict(n_classes=True), 'n_classes must be an integer, got True'),
+        (dict(n_classes=4, boundary_offset_deg=float('nan')),
+         'boundary_offset_deg must be finite, got nan'),
+        (dict(n_classes=4, boundary_offset_deg=-float('inf')),
+         'boundary_offset_deg must be finite, got -inf'),
+    ])
+    def test_bad_settings_named_by_the_type(self, kwargs, message):
+        # 0 was a ZeroDivisionError, 2.5 built 3 sectors, -3 an empty argmax
+        with pytest.raises(ValueError, match=f'^{re.escape(message)}$'):
+            om.SectorClassifier(**kwargs)
+
+    def test_numpy_integer_classes_stored_as_int(self):
+        oracle = om.SectorClassifier(np.int64(4), boundary_offset_deg=40.0)
+        assert type(oracle.n_classes) is int
+        assert oracle == om.sector_classifier(4, boundary_offset=40.0)
+
     @pytest.mark.parametrize('n_classes, offset', [(4, 40.0), (3, 0.0), (7, 333.3)])
     def test_matches_the_classifier_with_per_call_centres(self, n_classes, offset):
         # the centres in radians are derived once; every output keeps its bits
@@ -104,6 +124,20 @@ class TestPgdConfig:
 
     def test_largest_finite_alpha_accepted(self):
         assert om.PgdConfig(alpha=np.finfo(float).max, max_steps=3).alpha > 0
+
+    @pytest.mark.parametrize('field, value', [
+        ('max_steps', 2.5), ('max_steps', True), ('tangent_dim', 1.5), ('tangent_dim', '1'),
+    ])
+    def test_sizes_must_be_integers(self, field, value):
+        sizes = {'max_steps': 3, 'tangent_dim': 1, field: value}
+        with pytest.raises(ValueError,
+                           match=f'^{field} must be an integer, got {re.escape(repr(value))}$'):
+            om.PgdConfig(alpha=0.1, **sizes)
+
+    def test_numpy_integer_sizes_stored_as_ints(self):
+        config = om.PgdConfig(alpha=0.1, max_steps=np.int64(3), tangent_dim=np.int32(1))
+        assert type(config.max_steps) is int and type(config.tangent_dim) is int
+        assert config == om.PgdConfig(alpha=0.1, max_steps=3, tangent_dim=1)
 
 
 class TestSemanticLabels:
@@ -204,12 +238,14 @@ class TestOmPgdStep:
         assert 1.0 <= abs(moved) <= 3.0
 
     def test_projection_contracts_gradient(self, pgd_run):
+        # the step projects the unit gradient onto an orthonormal frame
         projector, oracle = pgd_run['projector'], pgd_run['oracle']
         frame, fhat = pgd_circle_frame(pgd_run)
         x_on = om.project(projector, np.array([0.3, 0.95]), 2)
         step = om_pgd_step(x_on, 0, oracle, projector, frame, fhat,
-                           om.PgdConfig(alpha=0.01, max_steps=3, normalize_gradient=False))
-        assert np.linalg.norm(step.g_tan) <= np.linalg.norm(step.g_raw) + 1e-15
+                           om.PgdConfig(alpha=0.01, max_steps=3))
+        assert 0.0 < np.linalg.norm(step.g_tan) <= 1.0 + 1e-15
+        npt.assert_allclose(step.x_stepped - step.x_on, 0.01 * step.g_tan, rtol=0, atol=1e-15)
 
     def test_tangent_projection_is_exact_linear_algebra(self, pgd_run):
         projector, oracle = pgd_run['projector'], pgd_run['oracle']
@@ -248,7 +284,7 @@ class TestOmPgd:
 
     def test_no_label_means_the_oracles_label_of_the_projected_start(self, pgd_run):
         start, (_, oracle, *rest), label_map = pgd_attack(pgd_run, 40)
-        x0 = om.project_many(rest[0], start, rest[-1].project_iters)
+        x0 = om.project_many(rest[0], start)
         label = oracle.predict(x0)
         given = om_pgd(start, label, oracle, *rest, label_map=label_map)
         derived = om_pgd(start, None, oracle, *rest, label_map=label_map)
@@ -380,8 +416,8 @@ class TestOneRowPerIterate:
                                                                m_out):
         start, args, label_map = pgd_attack(pgd_run, label_modes, m_out)
         trace = om_pgd(start, *args, label_map=label_map)
-        true_label, projector, config = args[0], args[2], args[5]
-        x_on = om.project_many(projector, start, config.project_iters)
+        true_label, projector = args[0], args[2]
+        x_on = om.project_many(projector, start)
         npt.assert_array_equal(trace.x0, x_on)
         status = 'max_steps'
         for i, carried in enumerate(trace.steps):
@@ -491,13 +527,10 @@ class TestOracleGradientChecked:
                    om.PgdConfig(alpha=0.05, max_steps=3))
 
     @settings(max_examples=80, deadline=None)
-    @given(grad=st.lists(st.floats(width=64), min_size=1, max_size=3),
-           normalize=st.booleans())
-    def test_any_gradient_gives_finite_fields_or_a_named_error(self, circle_step, grad,
-                                                               normalize):
+    @given(grad=st.lists(st.floats(width=64), min_size=1, max_size=3))
+    def test_any_gradient_gives_finite_fields_or_a_named_error(self, circle_step, grad):
         x_on, projector, frame, fhat = circle_step
-        config = om.PgdConfig(alpha=np.radians(2.0), max_steps=3,
-                              normalize_gradient=normalize)
+        config = om.PgdConfig(alpha=np.radians(2.0), max_steps=3)
         with warnings.catch_warnings():
             warnings.simplefilter('error')
             try:

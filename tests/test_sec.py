@@ -499,21 +499,40 @@ class TestSpectralScreen:
         spectral_screen = sec._arrow_screen
         screens = []
 
-        def explicit_screen(model, A):
-            arrows = model.eig_phi[:, :A.shape[0]] @ A
-            mass = float(w @ (arrows ** 2).sum(axis=1))
+        def explicit_screen(A, xi):
+            # each candidate's arrows on the training points, and their
+            # change under one step of the explicit smoother
+            arrows = model.eig_phi[:, :A.shape[1]] @ A
+            mass = np.einsum('i,fik->f', w, arrows ** 2)
             resid = arrows - smoother @ arrows
-            rough = float(w @ (resid ** 2).sum(axis=1)) / mass
-            screens.append(((mass, rough), spectral_screen(model, A)))
+            rough = np.einsum('i,fik->f', w, resid ** 2) / mass
+            screens.append(((mass, rough), spectral_screen(A, xi)))
             return mass, rough
 
         monkeypatch.setattr(sec, '_arrow_screen', explicit_screen)
         explicit = om.build_sec_frame(model, config, n_fields)
-        assert len(screens) > n_fields
-        for want, got in screens:
-            npt.assert_allclose(got, want, rtol=1e-8)
+        assert len(screens) == 1 and len(screens[0][0][0]) > n_fields
+        (want_mass, want_rough), (got_mass, got_rough) = screens[0]
+        npt.assert_allclose(got_mass, want_mass, rtol=1e-8)
+        npt.assert_allclose(got_rough, want_rough, rtol=1e-8)
         npt.assert_array_equal(explicit.ops, spectral.ops)
         npt.assert_array_equal(explicit.etas, spectral.etas)
+
+
+class TestSecBasisConfig:
+    @pytest.mark.parametrize('field, value', [
+        ('m_basis', 4.5), ('m_basis', True), ('m_inner', 10.5), ('m_inner', False),
+    ])
+    def test_sizes_must_be_integers(self, field, value):
+        sizes = {'m_basis': 4, 'm_inner': 10, field: value}
+        with pytest.raises(ValueError, match=f'^{field} must be an integer, got {value!r}$'):
+            om.SecBasisConfig(**sizes)
+
+    def test_numpy_integer_sizes_stored_as_ints(self):
+        config = om.SecBasisConfig(m_basis=np.int64(4), m_inner=np.int32(10))
+        assert type(config.m_basis) is int and type(config.m_inner) is int
+        assert config == om.SecBasisConfig(m_basis=4, m_inner=10)
+        assert om.SecBasisConfig(m_basis=np.int64(4)).m_inner is None
 
 
 class TestFramePipeline:
