@@ -35,7 +35,7 @@ import numpy as np
 from .cidm import CidmConfig, CidmModel, PointCloud, _training_row_scales
 from .nystrom import NystromProjector
 from .ompgd import SemanticMap
-from .sec import SecFrame
+from .sec import SecFrame, _check_section
 
 __all__ = ['ModelBundle', 'save_bundle', 'load_bundle']
 
@@ -64,7 +64,13 @@ def _arrays_digest(buffers) -> str:
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """A fitted model plus whatever downstream artifacts have been attached."""
+    """A fitted model plus whatever downstream artifacts have been attached.
+
+    Construction refuses a SEC frame without its ``sec_fhat`` or the
+    converse, and a pair that fails the SEC-section rule
+    (``sec._check_section``); and semantic coefficients that do not hold
+    one row per mode for 1 to ``n_eigs`` modes.
+    """
 
     model: CidmModel
     xhat: np.ndarray | None = None            # projector coefficients, (l_trunc, n)
@@ -73,17 +79,14 @@ class ModelBundle:
     label_map: SemanticMap | None = None
 
     def __post_init__(self):
-        n_eigs, pts = self.model.n_eigs, self.model.training.points.shape
-        coeffs = {'sec_fhat': self.sec_fhat,
-                  'semantic_coeffs': None if self.label_map is None else self.label_map.coeffs}
-        for name, arr in coeffs.items():
-            shape = np.shape(arr)
-            if arr is not None and not (len(shape) == 2 and 1 <= shape[0] <= n_eigs):
-                raise ValueError(f'{name} has shape {shape}, but eig_xi has shape ({n_eigs},): '
-                                 f'{name} needs between 1 and {n_eigs} rows, one per mode')
-        if self.sec_fhat is not None and np.shape(self.sec_fhat)[1] != pts[1]:
-            raise ValueError(f'sec_fhat has shape {np.shape(self.sec_fhat)}, but points has '
-                             f'shape {pts}: sec_fhat needs one column per ambient dimension')
+        if self.sec_frame is not None or self.sec_fhat is not None:
+            _check_section(self.model, self.sec_frame, self.sec_fhat, prefix='sec_')
+        if self.label_map is not None:
+            shape, n_eigs = np.shape(self.label_map.coeffs), self.model.n_eigs
+            if not (len(shape) == 2 and 1 <= shape[0] <= n_eigs):
+                raise ValueError(f'semantic_coeffs has shape {shape}, but eig_xi has shape '
+                                 f'({n_eigs},): semantic_coeffs needs between 1 and {n_eigs} '
+                                 'rows, one per mode')
 
     def projector(self) -> NystromProjector:
         if self.xhat is None:
@@ -98,8 +101,6 @@ def _manifest_and_arrays(bundle: ModelBundle):
               'degree': model.degree, 'eig_xi': model.eig_xi, 'eig_phi': model.eig_phi,
               'raw_degree': model.raw_degree, 'xhat': bundle.xhat}
     if frame is not None:
-        if bundle.sec_fhat is None:
-            raise ValueError('a SEC section requires sec_fhat')
         arrays.update(sec_etas=frame.etas, sec_ops=frame.ops, sec_fhat=bundle.sec_fhat)
     if label_map is not None:
         arrays['semantic_coeffs'] = label_map.coeffs

@@ -70,7 +70,7 @@ from scipy.sparse.linalg import eigsh, ArpackNoConvergence
 from scipy.spatial.distance import cdist
 
 from .errors import (DisconnectedGraphError, DuplicatePointError, EigensolverFailure,
-                     InvalidQueryError)
+                     InvalidQueryError, _choice, _size)
 
 __all__ = [
     'PointCloud',
@@ -140,17 +140,6 @@ class PointCloud:
         return cls(pts)
 
 
-def _store_integers(config, *names: str) -> None:
-    """Refuse each named field of a frozen config whose value is not an
-    integer (a ``bool`` included), naming it, and store a numpy integer
-    as an ``int``."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f'{name} must be an integer, got {value!r}')
-        object.__setattr__(config, name, int(value))
-
-
 @dataclass(frozen=True)
 class CidmConfig:
     """Kernel and eigensolver settings for a CIDM fit.
@@ -167,18 +156,14 @@ class CidmConfig:
     kernel_variant: KernelVariant = 'cidm'
 
     def __post_init__(self):
-        _store_integers(self, 'k_nn', 'n_eigs')
-        if self.k_nn < 1:
-            raise ValueError('k_nn must be >= 1')
-        if self.n_eigs < 1:
-            raise ValueError('n_eigs must be >= 1')
+        for name in ('k_nn', 'n_eigs'):
+            object.__setattr__(self, name, _size(name, getattr(self, name), 1))
         # a float product rounds to inf or 0 where ``**`` raises OverflowError
         eps2 = float(self.epsilon) * float(self.epsilon)
         if not (self.epsilon > 0 and 0.0 < eps2 < np.inf):
             raise ValueError(f'epsilon must be positive with a finite, nonzero square, '
                              f'got {self.epsilon!r}')
-        if self.kernel_variant not in ('cidm', 'cidm_dm_normalized'):
-            raise ValueError(f'unknown kernel_variant {self.kernel_variant!r}')
+        _choice('kernel_variant', self.kernel_variant, KernelVariant)
 
 
 @dataclass(frozen=True)
@@ -224,9 +209,7 @@ class CidmModel:
                              f'has shape {pts}: they need shapes (L,) and ({pts[0]}, L)')
         if not 0.0 < self.data_diameter < np.inf:
             raise ValueError(f'data_diameter must be finite and > 0, got {self.data_diameter!r}')
-        if not 1 <= self.config.k_nn <= pts[0] - 1:
-            raise ValueError(f'k_nn must be in [1, {pts[0] - 1}] for N={pts[0]} training '
-                             f'points, got {self.config.k_nn}')
+        _size('k_nn', self.config.k_nn, 1, pts[0] - 1)
         if self.config.kernel_variant == 'cidm_dm_normalized' and self.raw_degree is None:
             raise ValueError('the cidm_dm_normalized variant needs raw_degree')
         lam = 1.0 - self.eig_xi
@@ -316,8 +299,7 @@ def _training_scales(pts: np.ndarray, k_nn: int):
     diameter, from one row block of squared distances at a time; the
     diameter is the square root of the largest one."""
     N = pts.shape[0]
-    if not 1 <= k_nn <= N - 1:
-        raise ValueError(f'k_nn must be in [1, {N - 1}], got {k_nn}')
+    k_nn = _size('k_nn', k_nn, 1, N - 1)
     scales = np.empty(N)
     max_d2 = 0.0
     for a, b in _row_blocks(N):
@@ -477,8 +459,7 @@ def _top_eigenpairs(K_sym, n_eigs: int):
     holds; ARPACK always runs on the CSR form.
     """
     N = K_sym.shape[0]
-    if n_eigs > N:
-        raise ValueError(f'n_eigs={n_eigs} exceeds the number of points {N}')
+    n_eigs = _size('n_eigs', n_eigs, 1, N)
     try:
         if _uses_arpack(N, n_eigs):
             # deterministic Lanczos start so repeated fits are bit-identical

@@ -10,18 +10,19 @@ import argparse
 import json
 import os
 import sys
+from typing import get_args
 
 import numpy as np
 
 from . import __version__
 from .bundle import ModelBundle, atomic_write, load_bundle, save_bundle
-from .cidm import CidmConfig, PointCloud, fit
+from .cidm import CidmConfig, KernelVariant, PointCloud, fit
 from .errors import GeometryError
 from .nystrom import build_projector, extend_function, fourier_coefficients, project_many
 from .ompgd import PgdConfig, PgdTrace, om_pgd, sector_classifier
 from .repro import FIGURES, equispaced_circle  # noqa: F401 (tests import it from here)
 from .sec import SecBasisConfig, build_sec_frame, field_arrows, tangent_frame_at
-from .synth import SynthSpec, generate
+from .synth import DensityProfile, Kind, NoiseProfile, SynthSpec, generate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -213,13 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest='verb', required=True)
 
     p = sub.add_parser('synth', help='generate a synthetic manifold sample')
-    p.add_argument('--kind', required=True,
-                   choices=['circle', 'circle4d', 'torus', 'grid2d'])
+    p.add_argument('--kind', required=True, choices=get_args(Kind))
     p.add_argument('--n', type=int, required=True)
     p.add_argument('--sigma', type=float, default=0.0)
-    p.add_argument('--density', choices=['uniform', 'angle_skewed'], default='uniform')
-    p.add_argument('--noise-profile', choices=['constant', 'angle_varying'],
-                   default='constant')
+    p.add_argument('--density', choices=get_args(DensityProfile), default='uniform')
+    p.add_argument('--noise-profile', choices=get_args(NoiseProfile), default='constant')
     p.add_argument('--seed', type=int, default=0)
     p.add_argument('--out', required=True)
     p.add_argument('--params-out')
@@ -231,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--k-nn', type=int, required=True)
     p.add_argument('--n-eigs', type=int, required=True)
     p.add_argument('--epsilon', type=float, default=1.0)
-    p.add_argument('--variant', choices=['cidm', 'cidm_dm_normalized'],
-                   default='cidm')
+    p.add_argument('--variant', choices=get_args(KernelVariant), default='cidm')
     p.add_argument('--l-trunc', type=int, default=0,
                    help='also store a projector with this truncation')
     p.add_argument('--out', required=True)

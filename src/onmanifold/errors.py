@@ -1,9 +1,16 @@
-"""Exception hierarchy shared by all onmanifold modules.
+"""Exception hierarchy shared by all onmanifold modules, and the rules
+for the sizes and choices they take.
 
 Every numerical failure raised by this package derives from
 :class:`GeometryError`, so callers (and the CLI) can distinguish usage
-mistakes (plain ``ValueError``) from genuine numerical breakdowns.
+mistakes (plain ``ValueError``) from genuine numerical breakdowns.  Every
+count, index and truncation a config or a public function takes passes
+:func:`_size`, and every named choice passes :func:`_choice`.
 """
+
+from typing import get_args
+
+import numpy as np
 
 __all__ = [
     'GeometryError',
@@ -63,3 +70,25 @@ class RankDeficiencyError(GeometryError):
 
 class StalledError(GeometryError):
     """A PGD step produced no usable motion (gradient normal to the manifold)."""
+
+
+def _size(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an ``int`` once it is an integer (a ``bool`` is not) in
+    [lo, hi], or at least ``lo`` when ``hi`` is None; else a ValueError
+    naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f'{name} must be an integer, got {value!r}')
+    if hi is None:
+        if value < lo:
+            raise ValueError(f'{name} must be >= {lo}, got {value}')
+    elif not lo <= value <= hi:
+        raise ValueError(f'{name} must be in [{lo}, {hi}], got {value}')
+    return int(value)
+
+
+def _choice(name: str, value, choices) -> None:
+    """A ValueError naming ``name`` unless ``value`` is one of the ``Literal``
+    type ``choices``."""
+    if value not in get_args(choices):
+        raise ValueError(f'unknown {name} {value!r}; choose from '
+                         f'{", ".join(get_args(choices))}')

@@ -33,13 +33,14 @@ gradients, which also read the distances and delta^2 of their one query,
 recompute those from the same squared distances (``_grad_pieces``).  A
 query that is not finite, overflows when squared, has the wrong
 dimension, or lies so far out that every exponent overflows raises
-:class:`InvalidQueryError`, and so does a query of a function of one point
-that is not one n-vector (``_one_point``).
+:class:`InvalidQueryError`, and so does a query that is neither one
+n-vector nor, where an entry takes a stack, an (m, n) array of them
+(:func:`_queries`, the query rule of every entry).
 
 A row also reads what its model derived once, when it was made (fitted,
 loaded or replaced): the read-only kernel eigenvalues ``1 - xi``, the
 number of leading modes whose ``|lambda|`` clears ``SMALL_LAMBDA``, and
-the cutoff.  So :func:`_mode_lambdas` is a range check, one integer
+the cutoff.  So :func:`_mode_lambdas` is the size rule, one integer
 comparison and a slice.  A projector likewise checks its modes and
 derives its read-only operand when it is made.  None of these is stored
 in a bundle.
@@ -63,7 +64,7 @@ from scipy.spatial.distance import cdist
 
 from .cidm import (SMALL_LAMBDA, CidmModel, _cut_shape, _knn_scales, _shifted_exponent,
                    inner)
-from .errors import InvalidQueryError, KnnBoundaryError, SmallEigenvalueError
+from .errors import InvalidQueryError, KnnBoundaryError, SmallEigenvalueError, _size
 
 __all__ = [
     'NystromProjector',
@@ -84,22 +85,14 @@ __all__ = [
 KNN_GAP_FRAC = 1e-9
 
 
-def _as_queries(x) -> tuple[np.ndarray, bool]:
+def _queries(x, stack: bool = True) -> np.ndarray:
+    """The query rule: ``x`` as a float array that is one n-vector or, if
+    ``stack``, an (m, n) stack of them; any other shape raises
+    :class:`InvalidQueryError` naming it."""
     q = np.asarray(x, dtype=np.float64)
-    if q.ndim == 1:
-        return q[None, :], True
-    if q.ndim == 2:
-        return q, False
-    raise ValueError('query must be an n-vector or an (m, n) array')
-
-
-def _one_point(x) -> np.ndarray:
-    """The query of a single-point function as an n-vector; any other shape
-    raises :class:`InvalidQueryError` naming it."""
-    q = np.asarray(x, dtype=np.float64)
-    if q.ndim != 1:
-        raise InvalidQueryError(f'a single-point query must be an n-vector; '
-                                f'got an array of shape {q.shape}')
+    if not (q.ndim == 1 or (stack and q.ndim == 2)):
+        shapes = 'an n-vector or an (m, n) stack' if stack else 'an n-vector'
+        raise InvalidQueryError(f'a query must be {shapes}; got an array of shape {q.shape}')
     return q
 
 
@@ -155,8 +148,7 @@ def _kernel_rows(model: CidmModel, queries: np.ndarray):
 def _mode_lambdas(model: CidmModel, n_modes: int) -> np.ndarray:
     """Kernel eigenvalues of modes 0..n_modes-1, checked to be extendable: a
     read-only view of the ones the model derived when it was made."""
-    if not 1 <= n_modes <= model.n_eigs:
-        raise ValueError(f'n_modes must be in [1, {model.n_eigs}]')
+    n_modes = _size('n_modes', n_modes, 1, model.n_eigs)
     if n_modes > model._n_extendable:
         bad = model._n_extendable
         raise SmallEigenvalueError(
@@ -168,17 +160,16 @@ def _mode_lambdas(model: CidmModel, n_modes: int) -> np.ndarray:
 def eigenfunction_values(model: CidmModel, x, n_modes: int) -> np.ndarray:
     """Nystrom values of modes 0..n_modes-1 at one or many queries."""
     lam = _mode_lambdas(model, n_modes)
-    queries, single = _as_queries(x)
-    weights = _kernel_rows(model, queries)[0]
+    q = _queries(x)
+    weights = _kernel_rows(model, np.atleast_2d(q))[0]
     vals = (weights @ model.eig_phi[:, :n_modes]) / lam[None, :]
-    return vals[0] if single else vals
+    return vals[0] if q.ndim == 1 else vals
 
 
 def extend_eigenfunction(model: CidmModel, ell: int, x) -> float:
     """Nystrom extension of eigenfunction ``ell`` at a single point."""
-    if not 0 <= ell < model.n_eigs:
-        raise ValueError(f'ell must be in [0, {model.n_eigs})')
-    return float(eigenfunction_values(model, _one_point(x), ell + 1)[ell])
+    ell = _size('ell', ell, 0, model.n_eigs - 1)
+    return float(eigenfunction_values(model, _queries(x, stack=False), ell + 1)[ell])
 
 
 def fourier_coefficients(model: CidmModel, values: np.ndarray, l_trunc: int) -> np.ndarray:
@@ -189,8 +180,7 @@ def fourier_coefficients(model: CidmModel, values: np.ndarray, l_trunc: int) -> 
         vals = vals[:, None]
     if vals.shape[0] != model.n_points:
         raise ValueError('values must have one row per training point')
-    if not 1 <= l_trunc <= model.n_eigs:
-        raise ValueError(f'l_trunc must be in [1, {model.n_eigs}]')
+    l_trunc = _size('l_trunc', l_trunc, 1, model.n_eigs)
     coeffs = inner(model, model.eig_phi[:, :l_trunc], vals)
     return coeffs[:, 0] if squeeze else coeffs
 
@@ -260,19 +250,18 @@ def project_many(projector: NystromProjector, x: np.ndarray, iterations: int = 2
 
     Each iteration is one kernel row per query and one (m, N) @ (N, n)
     contraction (:func:`_contract`)."""
-    if iterations < 1:
-        raise ValueError('iterations must be >= 1')
-    queries, single = _as_queries(x)
-    out = queries
+    iterations = _size('iterations', iterations, 1)
+    q = _queries(x)
+    out = np.atleast_2d(q)
     for _ in range(iterations):
         rows, sums, _ = _row_core(projector.model, out)
         out = _contract(projector, rows, sums)
-    return out[0] if single else out
+    return out[0] if q.ndim == 1 else out
 
 
 def project(projector: NystromProjector, x, iterations: int = 2) -> np.ndarray:
     """Nystrom projection of a single point; see :func:`project_many`."""
-    return project_many(projector, _one_point(x), iterations)
+    return project_many(projector, _queries(x, stack=False), iterations)
 
 
 def _grad_pieces(model: CidmModel, query: np.ndarray):
@@ -311,7 +300,7 @@ def diffusion_map_jacobian(model: CidmModel, n_modes: int, x) -> np.ndarray:
     variation contribute.  Mode 0 yields an exactly zero row.
     """
     lam = _mode_lambdas(model, n_modes)
-    query = _one_point(x)
+    query = _queries(x, stack=False)
     return _jacobian(model, lam, query, _grad_pieces(model, query))
 
 
@@ -338,8 +327,7 @@ def _jacobian(model: CidmModel, lam: np.ndarray, query: np.ndarray, pieces):
 
 def grad_eigenfunction(model: CidmModel, ell: int, x) -> np.ndarray:
     """Analytic gradient of the Nystrom extension of eigenfunction ``ell``."""
-    if not 0 <= ell < model.n_eigs:
-        raise ValueError(f'ell must be in [0, {model.n_eigs})')
+    ell = _size('ell', ell, 0, model.n_eigs - 1)
     return diffusion_map_jacobian(model, ell + 1, x)[ell]
 
 
@@ -355,7 +343,7 @@ def restricted_loss_gradient(projector: NystromProjector,
     """
     model = projector.model
     lam = _mode_lambdas(model, projector.l_trunc)
-    query = _one_point(x)
+    query = _queries(x, stack=False)
     pieces = _grad_pieces(model, query)
     jac = _jacobian(model, lam, query, pieces)
     rows, sums = pieces[:2]

@@ -33,8 +33,8 @@ import numpy as np
 # rows are looked up as nystrom.eigenfunction_values at call time, as
 # nystrom's own callers look them up, so one patch of it sees every row
 from . import nystrom
-from .cidm import CidmModel, _store_integers
-from .errors import StalledError
+from .cidm import CidmModel
+from .errors import StalledError, _size
 from .nystrom import NystromProjector, fourier_coefficients, project_many
 # the step builds its frame with _frame_arrows and _tangent_frame;
 # tangent_frame_at stays importable from here because perfbench/tracing.py
@@ -91,9 +91,7 @@ class SectorClassifier:
     boundary_offset_deg: float = 0.0
 
     def __post_init__(self):
-        _store_integers(self, 'n_classes')
-        if self.n_classes < 2:
-            raise ValueError(f'n_classes must be >= 2, got {self.n_classes}')
+        object.__setattr__(self, 'n_classes', _size('n_classes', self.n_classes, 2))
         if not math.isfinite(self.boundary_offset_deg):
             raise ValueError(f'boundary_offset_deg must be finite, '
                              f'got {self.boundary_offset_deg!r}')
@@ -127,16 +125,10 @@ class SectorClassifier:
         z, _ = self._logits(np.asarray(x, dtype=np.float64))
         return int(np.argmax(z))
 
-    def _check_label(self, target_label) -> None:
-        # numpy would wrap a negative index, and refuse a large one unnamed
-        if not (isinstance(target_label, (int, np.integer))
-                and 0 <= target_label < self.n_classes):
-            raise ValueError(f'target_label {target_label!r} is not a class label in '
-                             f'[0, {self.n_classes})')
-
     def loss(self, x: np.ndarray, target_label: int) -> float:
         """Softmax loss at x; refuses a label as :meth:`loss_grad` does."""
-        self._check_label(target_label)
+        # numpy would wrap a negative index, and refuse a large one unnamed
+        target_label = _size('target_label', target_label, 0, self.n_classes - 1)
         z, _ = self._logits(np.asarray(x, dtype=np.float64))
         z = z - z.max()
         return float(np.log(np.exp(z).sum()) - z[target_label])
@@ -150,7 +142,7 @@ class SectorClassifier:
             If ``target_label`` is not an integer in [0, n_classes), or at
             the origin, where the angle, and so the gradient, is undefined.
         """
-        self._check_label(target_label)
+        target_label = _size('target_label', target_label, 0, self.n_classes - 1)
         x = np.asarray(x, dtype=np.float64)
         r2 = x[0] ** 2 + x[1] ** 2
         if r2 == 0.0:
@@ -219,7 +211,8 @@ def semantic_labels(model: CidmModel, label_map: SemanticMap, x) -> np.ndarray:
     InvalidQueryError
         If x is not a single point (a 1-D array).
     """
-    vals = nystrom.eigenfunction_values(model, nystrom._one_point(x), label_map.n_modes)
+    vals = nystrom.eigenfunction_values(model, nystrom._queries(x, stack=False),
+                                        label_map.n_modes)
     return _decode_labels(label_map, vals)
 
 
@@ -254,11 +247,8 @@ class PgdConfig:
     def __post_init__(self):
         if not 0 <= self.alpha < math.inf:
             raise ValueError(f'alpha must be finite and >= 0, got {self.alpha}')
-        _store_integers(self, 'max_steps', 'tangent_dim')
-        if self.max_steps < 1:
-            raise ValueError('max_steps must be >= 1')
-        if self.tangent_dim < 1:
-            raise ValueError('tangent_dim must be >= 1')
+        for name in ('max_steps', 'tangent_dim'):
+            object.__setattr__(self, name, _size(name, getattr(self, name), 1))
 
 
 @dataclass(frozen=True)
@@ -340,14 +330,16 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
     map, the step computes the row at ``x_next`` once, reads the semantic
     labels from it and returns it as ``x_next_values``.  The frame's
     arrow coefficients are ``arrows`` if given (what
-    ``sec._frame_arrows(frame, fhat, config.tangent_dim)`` returns, which
-    :func:`om_pgd` computes once per attack), else computed here.
-    Carrying either changes no output bit.
+    ``sec._frame_arrows(model, frame, fhat, config.tangent_dim)`` returns,
+    which :func:`om_pgd` computes once per attack), else computed here,
+    after ``frame`` and ``fhat`` pass the SEC-section rule; a step handed
+    ``arrows`` does not read ``fhat``.  Carrying either changes no output bit.
 
     Raises
     ------
     ValueError
-        If ``x_on_values`` does not hold one value per mode of the row
+        If ``frame`` and ``fhat`` fail the SEC-section rule (without
+        ``arrows``), if ``x_on_values`` does not hold one value per mode of the row
         (``frame.m_out``, or the larger of it and the label map's modes),
         or if the oracle's ``loss_grad`` does not return one value per
         coordinate of ``x_on`` or returns a gradient whose norm is not
@@ -360,6 +352,8 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
     """
     model = projector.model
     x_on = np.asarray(x_on, dtype=np.float64)
+    if arrows is None:
+        arrows = _frame_arrows(model, frame, fhat, config.tangent_dim)
     width = _row_width(frame, label_map)
     if x_on_values is not None and np.shape(x_on_values) != (width,):
         raise ValueError(f'x_on_values must have shape ({width},), '
@@ -377,8 +371,6 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
     g = g_raw / raw_norm
     if x_on_values is None:
         x_on_values = nystrom.eigenfunction_values(model, x_on, width)
-    if arrows is None:
-        arrows = _frame_arrows(frame, fhat, config.tangent_dim)
     T = _tangent_frame(arrows, x_on_values, config.tangent_dim)
     g_tan = T @ (T.T @ g)
     if _norm(g_tan) <= STALL_GRAD_RTOL * _norm(g):
@@ -422,7 +414,7 @@ def om_pgd(start: np.ndarray, true_label: int | None, oracle: ClassifierOracle,
     x0 = project_many(projector, start)
     if true_label is None:
         true_label = int(oracle.predict(x0))
-    arrows = _frame_arrows(frame, fhat, config.tangent_dim)
+    arrows = _frame_arrows(projector.model, frame, fhat, config.tangent_dim)
     x_on, x_on_values = x0, None
     steps: list[PgdStep] = []
     status: Status = 'max_steps'

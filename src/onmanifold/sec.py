@@ -35,10 +35,10 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh
 from scipy.spatial import cKDTree
 
-from .cidm import CidmModel, PointCloud, _store_integers
-from .errors import (DegenerateFrameError, EigensolverFailure, InvalidQueryError,
-                     RankDeficiencyError, SingularGramError)
-from .nystrom import _one_point, eigenfunction_values, fourier_coefficients
+from .cidm import CidmModel, PointCloud
+from .errors import (DegenerateFrameError, EigensolverFailure, RankDeficiencyError,
+                     SingularGramError, _size)
+from .nystrom import _queries, eigenfunction_values, fourier_coefficients
 
 __all__ = [
     'SecBasisConfig',
@@ -87,11 +87,9 @@ class SecBasisConfig:
     tau_frac: float = 1e-3
 
     def __post_init__(self):
-        _store_integers(self, 'm_basis', *(() if self.m_inner is None else ('m_inner',)))
-        if self.m_basis < 2:
-            raise ValueError('m_basis must be >= 2')
-        if self.m_inner is not None and self.m_inner < self.m_basis:
-            raise ValueError('m_inner must be >= m_basis')
+        object.__setattr__(self, 'm_basis', _size('m_basis', self.m_basis, 2))
+        if self.m_inner is not None:
+            object.__setattr__(self, 'm_inner', _size('m_inner', self.m_inner, self.m_basis))
         if not 0.0 <= self.tau_frac < np.inf:
             raise ValueError(f'tau_frac must be finite and >= 0, got {self.tau_frac!r}')
 
@@ -102,8 +100,7 @@ def structure_constants(model: CidmModel, m_inner: int) -> np.ndarray:
     One BLAS product per i fills the rows j >= i; the rows j < i are
     mirrored from them, so c is exactly symmetric in (i, j).
     """
-    if not 1 <= m_inner <= model.n_eigs:
-        raise ValueError(f'm_inner must be in [1, {model.n_eigs}]')
+    m_inner = _size('m_inner', m_inner, 1, model.n_eigs)
     phi = model.eig_phi[:, :m_inner]
     w = model.inner_weights[:, None]
     c = np.empty((m_inner, m_inner, m_inner))
@@ -117,8 +114,7 @@ def _check_c_xi(c: np.ndarray, xi: np.ndarray, m_basis: int) -> int:
     if c.ndim != 3 or len({c.shape[0], c.shape[1], c.shape[2]}) != 1:
         raise ValueError('c must be a cubic 3-tensor')
     m_inner = c.shape[0]
-    if m_basis > m_inner:
-        raise ValueError(f'm_basis={m_basis} exceeds the structure-constant range {m_inner}')
+    _size('m_basis', m_basis, 1, m_inner)
     if xi.shape[0] < m_inner:
         raise ValueError('xi must cover every summation mode of c')
     return m_inner
@@ -179,6 +175,7 @@ def eigenfields(E: np.ndarray, G: np.ndarray, u_tilde: np.ndarray,
     coefficients ``U~ c~`` per field, G-normalized, signs fixed so the
     largest-magnitude coefficient is positive.
     """
+    n_fields = _size('n_fields', n_fields, 1)
     Et = u_tilde.T @ E @ u_tilde
     Gt = u_tilde.T @ G @ u_tilde
     gev = eigh(Gt, eigvals_only=True)
@@ -273,11 +270,8 @@ def build_sec_frame(model: CidmModel, config: SecBasisConfig,
     the fitted diffusion operator, and the ``n_fields`` smoothest are
     returned in ascending-eta order; for equal eta, in roughness order.
     """
-    if n_fields < 1:
-        raise ValueError(f'n_fields must be >= 1, got {n_fields}')
+    n_fields = _size('n_fields', n_fields, 1)
     m, m_inner = config.m_basis, config.m_inner or min(2 * config.m_basis ** 2, model.n_eigs)
-    if m_inner > model.n_eigs:
-        raise ValueError(f'm_inner={m_inner} exceeds the model n_eigs={model.n_eigs}')
     c = structure_constants(model, m_inner)
     xi = model.eig_xi[:m_inner]
     G = metric_tensor(c, xi, m)
@@ -321,22 +315,40 @@ def _arrow_screen(A: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return mass, rough
 
 
-def _arrow_coeffs(op: np.ndarray, fhat) -> np.ndarray:
-    """The field's arrows in the eigenbasis, ``op @ fhat``: row i holds
-    the coefficients of phi_i, so the arrow at x is the eigenfunction
-    values there times this."""
+def _check_section(model: CidmModel, frame: SecFrame | None, fhat,
+                   prefix: str = '') -> np.ndarray:
+    """The SEC-section rule: ``fhat`` as a float array, once there are both a
+    frame and an ``fhat``, ``fhat`` has between ``frame.m_basis`` and
+    ``model.n_eigs`` rows and one column per ambient dimension, and the
+    frame reads at most ``model.n_eigs`` modes; else a ValueError naming
+    what is wrong, with the arguments named ``{prefix}frame`` and
+    ``{prefix}fhat``."""
+    name = f'{prefix}fhat'
+    if frame is None or fhat is None:
+        missing = f'{prefix}frame' if frame is None else name
+        raise ValueError(f'a SEC section needs both a frame and its {name}; '
+                         f'{missing} is missing')
     fhat = np.asarray(fhat, dtype=np.float64)
-    m_basis = op.shape[1]
-    if fhat.shape[0] < m_basis:
-        raise ValueError(f'fhat must cover at least {m_basis} modes')
-    return op @ fhat[:m_basis]
+    n_eigs, pts = model.n_eigs, model.training.points.shape
+    if not (fhat.ndim == 2 and frame.m_basis <= fhat.shape[0] <= n_eigs):
+        raise ValueError(f'{name} has shape {fhat.shape}, but eig_xi has shape ({n_eigs},) '
+                         f'and the frame has m_basis={frame.m_basis}: {name} needs between '
+                         f'{frame.m_basis} and {n_eigs} rows, one per mode')
+    if fhat.shape[1] != pts[1]:
+        raise ValueError(f'{name} has shape {fhat.shape}, but points has shape {pts}: '
+                         f'{name} needs one column per ambient dimension')
+    if frame.m_out > n_eigs:
+        raise ValueError(f'the SEC frame has m_out={frame.m_out} output modes, but eig_xi '
+                         f'has shape ({n_eigs},): a frame reads at most {n_eigs} modes')
+    return fhat
 
 
 def field_arrows(model: CidmModel, frame: SecFrame, fhat: np.ndarray) -> np.ndarray:
     """Pushforward arrows (N, n) of the smoothest field (field 0) at the
     training points, from ``eig_phi``; rows of ``fhat`` past the operators'
     input modes are ignored."""
-    return model.eig_phi[:, :frame.m_out] @ _arrow_coeffs(frame.ops[0], fhat)
+    fhat = _check_section(model, frame, fhat)
+    return model.eig_phi[:, :frame.m_out] @ (frame.ops[0] @ fhat[:frame.m_basis])
 
 
 def tangent_frame_at(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
@@ -358,15 +370,15 @@ def tangent_frame_at(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
     ------
     InvalidQueryError
         If x is neither an n-vector nor an (m, n) stack.
+    ValueError
+        If ``frame`` and ``fhat`` fail the SEC-section rule
+        (:func:`_check_section`), or ``dim`` is not a size in [1, n].
     RankDeficiencyError
         If fewer than ``dim`` singular values clear the rank threshold:
         the supplied fields do not span the tangent space at a point.
     """
-    q = np.asarray(x, dtype=np.float64)
-    if q.ndim not in (1, 2):
-        raise InvalidQueryError(f'tangent_frame_at needs an n-vector or an (m, n) stack; '
-                                f'got an array of shape {q.shape}')
-    arrows = _frame_arrows(frame, fhat, dim)
+    q = _queries(x)
+    arrows = _frame_arrows(model, frame, fhat, dim)
     points = np.atleast_2d(q)
     out = np.empty(points.shape + (dim,))
     for basis, point in zip(out, points):
@@ -374,16 +386,19 @@ def tangent_frame_at(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
     return out[0] if q.ndim == 1 else out
 
 
-def _frame_arrows(frame: SecFrame, fhat: np.ndarray,
+def _frame_arrows(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
                   dim: int) -> tuple[tuple[int, np.ndarray], ...]:
     """What a tangent frame of dimension ``dim`` reads of ``frame`` and
-    ``fhat``, at any x: for each field it uses, the arrow coefficients
-    (:func:`_arrow_coeffs`) cut to each of the three output-mode
-    truncations, as ``(modes, coefficients)`` pairs.  They are fixed once
-    the frame and ``fhat`` are, so the PGD loop computes them once per attack.
+    ``fhat``, at any x, once they pass the SEC-section rule
+    (:func:`_check_section`): for each field it uses, the arrow
+    coefficients ``op @ fhat`` (row i holds the coefficients of phi_i, so
+    the arrow at x is the eigenfunction values there times this) cut to
+    each of the three output-mode truncations, as ``(modes, coefficients)``
+    pairs.  They are fixed once the frame and ``fhat`` are, so the PGD loop
+    computes them once per attack.
     """
-    if dim < 1 or dim > np.shape(fhat)[-1]:
-        raise ValueError('dim must be in [1, ambient dimension]')
+    fhat = _check_section(model, frame, fhat)
+    dim = _size('dim', dim, 1, fhat.shape[1])
     n_fields = len(frame.etas)
     if n_fields < dim:
         raise ValueError(f'need at least {dim} eigenfields, have {n_fields}')
@@ -392,7 +407,7 @@ def _frame_arrows(frame: SecFrame, fhat: np.ndarray,
     resolutions = sorted({m_basis, (m_basis + m_out) // 2, m_out})
     arrows = []
     for op in frame.ops[:n_use]:
-        w = _arrow_coeffs(op, fhat)
+        w = op @ fhat[:m_basis]
         arrows.extend((mo, w[:mo]) for mo in resolutions)
     return tuple(arrows)
 
@@ -414,11 +429,9 @@ def _tangent_frame(arrows: tuple[tuple[int, np.ndarray], ...], vals: np.ndarray,
 def local_pca_tangent(points: PointCloud, x, k: int, dim: int) -> np.ndarray:
     """Baseline: top principal directions of the k nearest training points."""
     pts = points.points
-    if not 1 <= k <= pts.shape[0]:
-        raise ValueError(f'k must be in [1, {pts.shape[0]}]')
-    if not 1 <= dim <= min(k, pts.shape[1]):
-        raise ValueError('dim must be <= min(k, ambient dimension)')
-    _, idx = cKDTree(pts).query(_one_point(x), k=k)
+    k = _size('k', k, 1, pts.shape[0])
+    dim = _size('dim', dim, 1, min(k, pts.shape[1]))
+    _, idx = cKDTree(pts).query(_queries(x, stack=False), k=k)
     nbrs = pts[np.atleast_1d(idx)]
     centered = nbrs - nbrs.mean(axis=0)
     _, _, Vt = np.linalg.svd(centered, full_matrices=False)

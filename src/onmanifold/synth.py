@@ -11,10 +11,11 @@ from typing import Literal
 import numpy as np
 
 from .cidm import PointCloud
+from .errors import _choice, _size
 
 __all__ = ['SynthSpec', 'generate', 'fig1_target_function', 'periodic_flags']
 
-Kind = Literal['circle', 'circle4d', 'torus', 'grid2d']
+Kind = Literal['circle', 'circle4d', 'torus']
 DensityProfile = Literal['uniform', 'angle_skewed']
 NoiseProfile = Literal['constant', 'angle_varying']
 
@@ -32,22 +33,20 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_points < 8:
-            raise ValueError('n_points must be >= 8')
+        object.__setattr__(self, 'n_points', _size('n_points', self.n_points, 8))
+        object.__setattr__(self, 'seed', _size('seed', self.seed, 0))
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError(f'noise_sigma must be finite and >= 0, got {self.noise_sigma!r}')
-        if self.kind not in ('circle', 'circle4d', 'torus', 'grid2d'):
-            raise ValueError(f'unknown kind {self.kind!r}')
-        if self.density_profile not in ('uniform', 'angle_skewed'):
-            raise ValueError(f'unknown density_profile {self.density_profile!r}')
-        if self.noise_profile not in ('constant', 'angle_varying'):
-            raise ValueError(f'unknown noise_profile {self.noise_profile!r}')
+        _choice('kind', self.kind, Kind)
+        _choice('density_profile', self.density_profile, DensityProfile)
+        _choice('noise_profile', self.noise_profile, NoiseProfile)
 
 
 def periodic_flags(kind: Kind) -> list[bool]:
-    """Which intrinsic parameters of a generator are periodic angles."""
-    return {'circle': [True], 'circle4d': [True],
-            'torus': [True, True], 'grid2d': [False, False]}[kind]
+    """Which intrinsic parameters of a generator are periodic angles: all
+    of them, one for a circle and two for the torus."""
+    _choice('kind', kind, Kind)
+    return [True, True] if kind == 'torus' else [True]
 
 
 def _draw_angles(rng: np.random.Generator, n: int, profile: DensityProfile) -> np.ndarray:
@@ -74,18 +73,9 @@ def generate(spec: SynthSpec) -> tuple[PointCloud, np.ndarray]:
     circle    radial noise: ((1+eta) cos, (1+eta) sin), eta ~ N(0, sigma(theta)^2)
     circle4d  isometric image (cos, sin, cos, sin)/sqrt(2) plus isotropic noise
     torus     (u, v) chart with R=2, r=0.7, plus isotropic noise
-    grid2d    regular lattice on [-2, 2]^2 (noise and density profiles ignored);
-              intrinsic parameters are the plane coordinates themselves
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n_points
-    if spec.kind == 'grid2d':
-        side = max(int(round(np.sqrt(n))), 2)
-        axis = np.linspace(-2.0, 2.0, side)
-        gx, gy = np.meshgrid(axis, axis, indexing='ij')
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        return PointCloud(pts), pts.copy()
-
     theta = _draw_angles(rng, n, spec.density_profile)
     sig = _sigma_of(theta, spec.noise_sigma, spec.noise_profile)
     if spec.kind == 'circle':

@@ -435,8 +435,10 @@ class TestShapeChecks:
     ], ids=['sec_fhat-rows', 'sec_fhat-1d', 'sec_fhat-columns', 'semantic_coeffs-rows'])
     def test_bundle_arrays(self, circle100, field, value, message):
         model, _, _ = circle100
+        # an fhat is checked against its frame, and refused without one
+        frame = om.SecFrame(np.zeros(1), np.zeros((1, 8, 4))) if field == 'sec_fhat' else None
         with pytest.raises(ValueError, match=re.escape(message)):
-            ModelBundle(model=model, **{field: value})
+            ModelBundle(model=model, sec_frame=frame, **{field: value})
 
 
 class TestDiameterCheck:
@@ -474,13 +476,13 @@ class TestKnnCheck:
         model, _, _ = circle100
         config = dataclasses.replace(model.config, k_nn=k_nn)
         with pytest.raises(ValueError, match=re.escape(
-                f'k_nn must be in [1, 99] for N=100 training points, got {k_nn}')):
+                f'k_nn must be in [1, 99], got {k_nn}')):
             dataclasses.replace(model, config=config)
 
     @pytest.mark.parametrize('k_nn, message', [
         (5.5, 'k_nn must be an integer, got 5.5'),
         (True, 'k_nn must be an integer, got True'),
-        (1000, 'k_nn must be in [1, 99] for N=100 training points, got 1000'),
+        (1000, 'k_nn must be in [1, 99], got 1000'),
     ], ids=['float', 'bool', 'too-large'])
     def test_bundle_manifest_is_a_usage_error(self, circle100, tmp_path, capsys, k_nn,
                                               message):
@@ -791,8 +793,7 @@ class TestCli:
         code = run_cli('pgd', str(path), '--start-index', '3', '--alpha', '0.2',
                        '--true-label', str(label), '--out', str(out))
         assert code == 1
-        assert capsys.readouterr().err == (f'error: target_label {label} is not a class '
-                                           'label in [0, 4)\n')
+        assert capsys.readouterr().err == f'error: target_label must be in [0, 3], got {label}\n'
         assert not out.exists()
 
     def test_sec_fields_refuses_zero_fields(self, circle100, tmp_path, capsys):

@@ -88,18 +88,8 @@ class TestTorus:
         npt.assert_allclose(tube, 0.7, atol=1e-12)
 
 
-class TestGrid2d:
-    def test_regular_lattice(self):
-        cloud, params = generate(SynthSpec(kind='grid2d', n_points=25, seed=0))
-        assert cloud.n_points == 25
-        npt.assert_array_equal(cloud.points, params)
-        assert cloud.points.min() == -2.0 and cloud.points.max() == 2.0
-        xs = np.unique(cloud.points[:, 0])
-        npt.assert_allclose(np.diff(xs), np.diff(xs)[0])
-
-
 class TestDeterminism:
-    @pytest.mark.parametrize('kind', ['circle', 'circle4d', 'torus', 'grid2d'])
+    @pytest.mark.parametrize('kind', ['circle', 'circle4d', 'torus'])
     def test_same_seed_same_bytes(self, kind):
         spec = SynthSpec(kind=kind, n_points=64, noise_sigma=0.05, seed=123)
         a_pts, a_par = generate(spec)
@@ -148,3 +138,21 @@ class TestSpecValidation:
     def test_non_finite_noise_sigma_named(self, sigma):
         with pytest.raises(ValueError, match='^noise_sigma must be finite and >= 0'):
             SynthSpec(kind='circle', n_points=100, noise_sigma=sigma)
+
+    def test_grid2d_kind_refused_by_name(self):
+        with pytest.raises(ValueError, match="^unknown kind 'grid2d'; "
+                                             "choose from circle, circle4d, torus$"):
+            SynthSpec(kind='grid2d', n_points=25)
+
+    @pytest.mark.parametrize('kind', ['grid2d', 'klein_bottle'])
+    def test_periodic_flags_names_an_unknown_kind(self, kind):
+        # a dict lookup raised a KeyError
+        with pytest.raises(ValueError, match=f"^unknown kind '{kind}'"):
+            om.periodic_flags(kind)
+
+    @pytest.mark.parametrize('kind, flags', [('circle', [True]), ('circle4d', [True]),
+                                             ('torus', [True, True])])
+    def test_periodic_flags(self, kind, flags):
+        assert om.periodic_flags(kind) == flags
+        _, params = generate(SynthSpec(kind=kind, n_points=8))
+        assert params.shape[1] == len(flags)
