@@ -48,16 +48,23 @@ exact zeros (14 % dense on the N=4000, k=24 torus).
 
 Until the eigensolve no N x N array is formed: the scales and the kernel
 are computed from row blocks of B = max(1, ``_BLOCK_ENTRIES`` // N)
-training rows.  The kernel takes two passes over the blocks: a count pass
-that counts each row's kept entries, and a fill pass that writes them
-into CSR arrays allocated once, at their exact size.  So the fit holds
-O(B N) scratch plus the nnz kept entries, once.  Each entry and each
-degree (the sum of a dense kernel row) is computed with the same
-operations in the same order as on the full matrix, so the CSR kernel
-equals ``csr_array`` of the dense one bit for bit.  ARPACK runs on the
-CSR form of ``K_sym``, with int32 index arrays while the entry count
-fits; only small or full-spectrum fits hand dense ``eigh`` its
-``toarray()``.
+training rows.  The kernel is symmetric bit for bit (K_ij and K_ji come
+from the same squared distance and the same scale product), so it is held
+once, as a :class:`_HalfKernel`: its strict upper triangle in CSR form and
+its diagonal.  It takes two passes over the blocks: a count pass that
+counts the kept entries right of the diagonal, from the distances to the
+columns from the block's first row on (half of the distance work), and a
+fill pass that computes full block rows, for the degrees, and writes the
+kept entries right of the diagonal into CSR arrays allocated once, at
+their exact size.  So the fit holds O(B N) scratch plus (nnz + N) / 2 of
+the nnz kept entries.  Each entry and each degree (the sum of a dense
+kernel row) is computed with the same operations in the same order as on
+the full matrix, so the half kernel is the upper triangle and diagonal of
+``csr_array`` of the dense one, bit for bit.  ARPACK runs on the half
+kernel of ``K_sym``, whose product gives each entry the bits of the full
+CSR product (:meth:`_HalfKernel._matvec`), with int32 index arrays while
+the entry count fits; only small or full-spectrum fits hand dense
+``eigh`` its ``toarray()``.
 """
 
 from dataclasses import dataclass
@@ -66,7 +73,8 @@ from typing import Literal
 import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse import csr_array
-from scipy.sparse.linalg import eigsh, ArpackNoConvergence
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+from scipy.sparse.linalg import LinearOperator, eigsh, ArpackNoConvergence
 from scipy.spatial.distance import cdist
 
 from .errors import (DisconnectedGraphError, DuplicatePointError, EigensolverFailure,
@@ -383,68 +391,141 @@ def _cut_shape(s: np.ndarray, cut: float, keep: np.ndarray | None = None) -> np.
     return s
 
 
+class _HalfKernel(LinearOperator):
+    """A symmetric N x N kernel held once: ``upper``, its strict upper
+    triangle (CSR), and ``diag``, its diagonal.
+
+    Its product with x is ``csr_array`` of the full matrix times x, bit for
+    bit (:meth:`_matvec`).  ``toarray`` gives the dense matrix.
+    """
+
+    def __init__(self, upper: csr_array, diag: np.ndarray):
+        super().__init__(np.float64, upper.shape)
+        self.upper, self.diag = upper, diag
+        # row panels of at most _BLOCK_ENTRIES stored entries (and at least one row)
+        indptr, bounds = upper.indptr, [0]
+        while bounds[-1] < upper.shape[0]:
+            a = bounds[-1]
+            b = int(np.searchsorted(indptr, int(indptr[a]) + _BLOCK_ENTRIES, side='right')) - 1
+            bounds.append(max(b, a + 1))
+        self._panels = list(zip(bounds[:-1], bounds[1:]))
+
+    def _matvec(self, x):
+        """``K @ x``, one row panel [a, b) of ``upper`` at a time: the panel's
+        transpose scatters into y, then rows a..b-1 add their diagonal
+        product and gather their upper entries.  So each y_i adds the
+        products of its row in ascending column order, starting from 0, as
+        the full CSR product does, and the second read of a panel comes from
+        cache.
+
+        The in-place kernels are scipy's private ``_sparsetools``: the public
+        ``@`` starts each product from a new zero vector, so the lower and
+        upper partial sums would be added afterwards and round differently.
+        ``tests/test_cidm.py`` checks the bits against the full product.
+        """
+        x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
+        N = x.shape[0]
+        S, diag = self.upper, self.diag
+        y = np.zeros(N)
+        for a, b in self._panels:
+            indptr = S.indptr[a:b + 1]
+            csc_matvec(N, b - a, indptr, S.indices, S.data, x[a:b], y)
+            y[a:b] += diag[a:b] * x[a:b]
+            csr_matvec(b - a, N, indptr, S.indices, S.data, x, y[a:b])
+        return y
+
+    def toarray(self) -> np.ndarray:
+        """The dense N x N matrix.  The two triangles do not overlap, so each
+        lower entry is 0 plus its mirror, exactly; only one N x N array is
+        allocated."""
+        K = self.upper.toarray()
+        for a, b in _row_blocks(K.shape[0]):
+            K[a:b] += K[:, a:b].T
+        np.fill_diagonal(K, self.diag)
+        return K
+
+
 def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
-    """CSR training kernel, its degree vector, and the raw CIDM degrees.
+    """Training kernel as a :class:`_HalfKernel`, its degree vector, and the
+    raw CIDM degrees.
 
     Two passes over the row blocks.  The count pass computes each block's
-    exponent (:func:`_negated_exponent`) and counts the kept entries of each
-    row into ``indptr``.  ``data`` and ``indices`` are then allocated once,
-    at their exact size, and the fill pass recomputes each block and writes
-    its kept values and columns straight into their slices; so the kernel's
+    exponent (:func:`_negated_exponent`) to the columns from the block's
+    first row on, and counts the kept entries right of the diagonal into
+    ``indptr``.  ``data`` and ``indices`` are then allocated once, at their
+    exact size, and the fill pass computes each full block row, for the
+    raw degree, and writes its diagonal and its kept values and columns
+    right of the diagonal straight into their slices; so the kernel's
     entries are held once, never in per-block pieces and a joined copy.
     Every degree is the sum of a dense kernel row, and the kept entries are
-    the nonzero ones, so the result is ``csr_array`` of the dense kernel,
-    bit for bit.  The index arrays are int32 while the entry count fits
-    (int64 beyond), so a sparse product streams 12 bytes per entry rather
-    than 16.
+    the nonzero ones, so the result is the upper triangle and diagonal of
+    ``csr_array`` of the dense kernel, bit for bit.  The index arrays are
+    int32 while the entry count fits (int64 beyond), so a sparse product
+    streams 12 bytes per entry rather than 16.  The
+    ``cidm_dm_normalized`` degrees are the row sums of the divided kernel,
+    from a third pass that recomputes each dense block row.
     """
     N = pts.shape[0]
     cut = _kernel_cut(N)
     blocks = list(_row_blocks(N))
     scratch = np.empty((blocks[0][1], N))       # the first block is the largest
 
+    def exponents(upper: bool):
+        """Each block's bounds and exponent: to the columns from the block's
+        first row on if ``upper``, else to every column."""
+        for a, b in blocks:
+            c = a if upper else 0
+            yield a, b, _negated_exponent(cdist(pts[a:b], pts[c:], 'sqeuclidean'), scales[a:b],
+                                          scales[c:], config.epsilon, scratch[:b - a, :N - c])
+
     indptr = np.zeros(N + 1, dtype=np.int64)
-    for a, b in blocks:
-        s = _negated_exponent(cdist(pts[a:b], pts, 'sqeuclidean'), scales[a:b], scales,
-                              config.epsilon, scratch[:b - a])
-        indptr[a + 1:b + 1] = np.count_nonzero(_kept(s, cut), axis=1)
+    for a, b, s in exponents(upper=True):
+        indptr[a + 1:b + 1] = np.count_nonzero(np.triu(_kept(s, cut), 1), axis=1)
     np.cumsum(indptr, out=indptr)
     index_dtype = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=index_dtype)
+    diag = np.empty(N)
     raw_degree = np.empty(N)
-    for a, b in blocks:
-        s = _negated_exponent(cdist(pts[a:b], pts, 'sqeuclidean'), scales[a:b], scales,
-                              config.epsilon, scratch[:b - a])
+    for a, b, s in exponents(upper=False):
         keep = _kept(s, cut)
         K = _cut_shape(s, cut, keep)
         raw_degree[a:b] = K.sum(axis=1)
+        diag[a:b] = np.diagonal(K, a)
         lo, hi = indptr[a], indptr[b]
-        kept = np.flatnonzero(keep)
+        kept = np.flatnonzero(np.triu(keep, a + 1))
         data[lo:hi] = K.ravel()[kept]
         # column = flat index in the block minus the start of its row
         kept -= np.repeat(np.arange(0, (b - a) * N, N), np.diff(indptr[a:b + 1]))
         indices[lo:hi] = kept
-    K = csr_array((data, indices, indptr.astype(index_dtype)), shape=(N, N))
+    K = _HalfKernel(csr_array((data, indices, indptr.astype(index_dtype)), shape=(N, N)), diag)
     if config.kernel_variant == 'cidm_dm_normalized':
         _divide_entries(K, raw_degree, root=False)
         degree = np.empty(N)
-        for a, b in blocks:
-            degree[a:b] = K[a:b].toarray().sum(axis=1)
+        for a, b, s in exponents(upper=False):
+            block = _cut_shape(s, cut)
+            block /= np.multiply.outer(raw_degree[a:b], raw_degree, out=scratch[:b - a])
+            degree[a:b] = block.sum(axis=1)
         return K, degree, raw_degree
     return K, raw_degree, None
 
 
-def _divide_entries(K: csr_array, d: np.ndarray, root: bool) -> None:
+def _divide_entries(K: _HalfKernel, d: np.ndarray, root: bool) -> None:
     """``K_ij /= d_i d_j`` (``sqrt(d_i d_j)`` if ``root``) on the stored
-    entries, in place, one row block at a time."""
-    indptr = K.indptr
-    for a, b in _row_blocks(K.shape[0]):
+    entries of the half kernel, in place, one row block of its upper
+    triangle at a time, and then on its diagonal."""
+    S = K.upper
+    indptr = S.indptr
+    for a, b in _row_blocks(S.shape[0]):
         lo, hi = indptr[a], indptr[b]
-        den = np.repeat(d[a:b], np.diff(indptr[a:b + 1])) * d[K.indices[lo:hi]]
+        den = np.repeat(d[a:b], np.diff(indptr[a:b + 1])) * d[S.indices[lo:hi]]
         if root:
             np.sqrt(den, out=den)
-        K.data[lo:hi] /= den
+        S.data[lo:hi] /= den
+    den = d * d
+    if root:
+        np.sqrt(den, out=den)
+    K.diag /= den
 
 
 def _uses_arpack(n_points: int, n_eigs: int) -> bool:
@@ -455,8 +536,9 @@ def _uses_arpack(n_points: int, n_eigs: int) -> bool:
 def _top_eigenpairs(K_sym, n_eigs: int):
     """Largest ``n_eigs`` eigenpairs of a symmetric matrix, descending.
 
-    ``K_sym`` is a dense array, or its CSR form where :func:`_uses_arpack`
-    holds; ARPACK always runs on the CSR form.
+    ``K_sym`` is a dense array, or a :class:`_HalfKernel` where
+    :func:`_uses_arpack` holds; ARPACK runs on the half kernel's product,
+    which has the bits of the full CSR product.
     """
     N = K_sym.shape[0]
     n_eigs = _size('n_eigs', n_eigs, 1, N)
@@ -464,7 +546,7 @@ def _top_eigenpairs(K_sym, n_eigs: int):
         if _uses_arpack(N, n_eigs):
             # deterministic Lanczos start so repeated fits are bit-identical
             v0 = np.full(N, 1.0 / np.sqrt(N))
-            lam, V = eigsh(csr_array(K_sym), k=n_eigs, which='LA', v0=v0)
+            lam, V = eigsh(K_sym, k=n_eigs, which='LA', v0=v0)
         else:
             lam, V = eigh(K_sym, subset_by_index=[N - n_eigs, N - 1])
     except (np.linalg.LinAlgError, ArpackNoConvergence) as exc:

@@ -31,11 +31,11 @@ paths; ``cidm._cut_shape`` clamps those entries to the cut first.  A row
 returns only the kernel values, their sums and the query scales; the
 gradients, which also read the distances and delta^2 of their one query,
 recompute those from the same squared distances (``_grad_pieces``).  A
-query that is not finite, overflows when squared, has the wrong
-dimension, or lies so far out that every exponent overflows raises
-:class:`InvalidQueryError`, and so does a query that is neither one
-n-vector nor, where an entry takes a stack, an (m, n) array of them
-(:func:`_queries`, the query rule of every entry).
+query that is neither one n-vector nor, where an entry takes a stack, an
+(m, n) array of them, or whose n is not the training dimension, raises
+:class:`InvalidQueryError` (:func:`_queries`, the query rule of every
+entry); so does a row whose query is not finite, overflows when squared,
+or lies so far out that every exponent overflows.
 
 A row also reads what its model derived once, when it was made (fitted,
 loaded or replaced): the read-only kernel eigenvalues ``1 - xi``, the
@@ -85,19 +85,24 @@ __all__ = [
 KNN_GAP_FRAC = 1e-9
 
 
-def _queries(x, stack: bool = True) -> np.ndarray:
+def _queries(x, dim: int, stack: bool = True) -> np.ndarray:
     """The query rule: ``x`` as a float array that is one n-vector or, if
-    ``stack``, an (m, n) stack of them; any other shape raises
-    :class:`InvalidQueryError` naming it."""
+    ``stack``, an (m, n) stack of them, with n the training dimension
+    ``dim``; any other shape raises :class:`InvalidQueryError` naming it,
+    and any other n names both dimensions."""
     q = np.asarray(x, dtype=np.float64)
     if not (q.ndim == 1 or (stack and q.ndim == 2)):
         shapes = 'an n-vector or an (m, n) stack' if stack else 'an n-vector'
         raise InvalidQueryError(f'a query must be {shapes}; got an array of shape {q.shape}')
+    if q.shape[-1] != dim:
+        raise InvalidQueryError(f'query dimension {q.shape[-1]} does not match '
+                                f'the training dimension {dim}')
     return q
 
 
 def _row_core(model: CidmModel, queries: np.ndarray):
-    """Unnormalized out-of-sample kernel rows, the one kernel row.
+    """Unnormalized out-of-sample kernel rows, the one kernel row, of an
+    (m, n) stack of ``queries`` that passed the query rule (:func:`_queries`).
 
     Returns ``(rows, sums, scales)`` with shapes (m, N), (m, 1) and (m,):
     the kept kernel values, their row sums and the query scales.  The
@@ -116,9 +121,6 @@ def _row_core(model: CidmModel, queries: np.ndarray):
     """
     cfg = model.config
     pts = model.training.points
-    if queries.shape[1] != pts.shape[1]:
-        raise InvalidQueryError(f'query dimension {queries.shape[1]} does not match '
-                                f'the training dimension {pts.shape[1]}')
     w = cdist(queries, pts, 'sqeuclidean')
     if not w.max(initial=0.0) < np.inf:         # NaN, inf, or overflow
         bad = int(np.argmin(w.max(axis=1) < np.inf))
@@ -160,7 +162,7 @@ def _mode_lambdas(model: CidmModel, n_modes: int) -> np.ndarray:
 def eigenfunction_values(model: CidmModel, x, n_modes: int) -> np.ndarray:
     """Nystrom values of modes 0..n_modes-1 at one or many queries."""
     lam = _mode_lambdas(model, n_modes)
-    q = _queries(x)
+    q = _queries(x, model.training.ambient_dim)
     weights = _kernel_rows(model, np.atleast_2d(q))[0]
     vals = (weights @ model.eig_phi[:, :n_modes]) / lam[None, :]
     return vals[0] if q.ndim == 1 else vals
@@ -169,7 +171,8 @@ def eigenfunction_values(model: CidmModel, x, n_modes: int) -> np.ndarray:
 def extend_eigenfunction(model: CidmModel, ell: int, x) -> float:
     """Nystrom extension of eigenfunction ``ell`` at a single point."""
     ell = _size('ell', ell, 0, model.n_eigs - 1)
-    return float(eigenfunction_values(model, _queries(x, stack=False), ell + 1)[ell])
+    return float(eigenfunction_values(model, _queries(x, model.training.ambient_dim, stack=False),
+                                      ell + 1)[ell])
 
 
 def fourier_coefficients(model: CidmModel, values: np.ndarray, l_trunc: int) -> np.ndarray:
@@ -191,7 +194,8 @@ def extend_function(model: CidmModel, coeffs: np.ndarray, x) -> np.ndarray:
     squeeze = coeffs.ndim == 1
     if squeeze:
         coeffs = coeffs[:, None]
-    phi_x = eigenfunction_values(model, x, coeffs.shape[0])
+    n_modes = _size('len(coeffs)', coeffs.shape[0], 1, model.n_eigs)
+    phi_x = eigenfunction_values(model, x, n_modes)
     out = phi_x @ coeffs
     return out[..., 0] if squeeze else out
 
@@ -251,7 +255,7 @@ def project_many(projector: NystromProjector, x: np.ndarray, iterations: int = 2
     Each iteration is one kernel row per query and one (m, N) @ (N, n)
     contraction (:func:`_contract`)."""
     iterations = _size('iterations', iterations, 1)
-    q = _queries(x)
+    q = _queries(x, projector.model.training.ambient_dim)
     out = np.atleast_2d(q)
     for _ in range(iterations):
         rows, sums, _ = _row_core(projector.model, out)
@@ -261,7 +265,9 @@ def project_many(projector: NystromProjector, x: np.ndarray, iterations: int = 2
 
 def project(projector: NystromProjector, x, iterations: int = 2) -> np.ndarray:
     """Nystrom projection of a single point; see :func:`project_many`."""
-    return project_many(projector, _queries(x, stack=False), iterations)
+    return project_many(projector,
+                        _queries(x, projector.model.training.ambient_dim, stack=False),
+                        iterations)
 
 
 def _grad_pieces(model: CidmModel, query: np.ndarray):
@@ -300,7 +306,7 @@ def diffusion_map_jacobian(model: CidmModel, n_modes: int, x) -> np.ndarray:
     variation contribute.  Mode 0 yields an exactly zero row.
     """
     lam = _mode_lambdas(model, n_modes)
-    query = _queries(x, stack=False)
+    query = _queries(x, model.training.ambient_dim, stack=False)
     return _jacobian(model, lam, query, _grad_pieces(model, query))
 
 
@@ -343,7 +349,7 @@ def restricted_loss_gradient(projector: NystromProjector,
     """
     model = projector.model
     lam = _mode_lambdas(model, projector.l_trunc)
-    query = _queries(x, stack=False)
+    query = _queries(x, model.training.ambient_dim, stack=False)
     pieces = _grad_pieces(model, query)
     jac = _jacobian(model, lam, query, pieces)
     rows, sums = pieces[:2]

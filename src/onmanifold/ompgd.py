@@ -209,10 +209,13 @@ def semantic_labels(model: CidmModel, label_map: SemanticMap, x) -> np.ndarray:
     Raises
     ------
     InvalidQueryError
-        If x is not a single point (a 1-D array).
+        If x is not a single point (a 1-D array) of the training dimension.
+    ValueError
+        If ``label_map.n_modes`` is past the model's ``n_eigs``.
     """
-    vals = nystrom.eigenfunction_values(model, nystrom._queries(x, stack=False),
-                                        label_map.n_modes)
+    n_modes = _size('label_map.n_modes', label_map.n_modes, 1, model.n_eigs)
+    q = nystrom._queries(x, model.training.ambient_dim, stack=False)
+    vals = nystrom.eigenfunction_values(model, q, n_modes)
     return _decode_labels(label_map, vals)
 
 

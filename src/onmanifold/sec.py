@@ -377,7 +377,7 @@ def tangent_frame_at(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
         If fewer than ``dim`` singular values clear the rank threshold:
         the supplied fields do not span the tangent space at a point.
     """
-    q = _queries(x)
+    q = _queries(x, model.training.ambient_dim)
     arrows = _frame_arrows(model, frame, fhat, dim)
     points = np.atleast_2d(q)
     out = np.empty(points.shape + (dim,))
@@ -431,7 +431,7 @@ def local_pca_tangent(points: PointCloud, x, k: int, dim: int) -> np.ndarray:
     pts = points.points
     k = _size('k', k, 1, pts.shape[0])
     dim = _size('dim', dim, 1, min(k, pts.shape[1]))
-    _, idx = cKDTree(pts).query(_queries(x, stack=False), k=k)
+    _, idx = cKDTree(pts).query(_queries(x, pts.shape[1], stack=False), k=k)
     nbrs = pts[np.atleast_1d(idx)]
     centered = nbrs - nbrs.mean(axis=0)
     _, _, Vt = np.linalg.svd(centered, full_matrices=False)

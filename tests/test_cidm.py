@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, triu
 from scipy.sparse.linalg import eigsh
 
 import onmanifold as om
@@ -306,8 +306,9 @@ class TestCertifiedCutoff:
         cloud, cfg = small_torus()
         K_sym = self.symmetric_kernel(cloud, cfg)
         calls = self.spy_on_arpack(monkeypatch)
-        lam, V = cidm._top_eigenpairs(K_sym, cfg.n_eigs)
-        assert len(calls) == 1 and isinstance(calls[0][0], csr_array)
+        half = cidm._HalfKernel(csr_array(np.triu(K_sym, 1)), np.diag(K_sym).copy())
+        lam, V = cidm._top_eigenpairs(half, cfg.n_eigs)
+        assert len(calls) == 1 and calls[0][0] is half
         N = cloud.n_points
         ref = eigh(K_sym, eigvals_only=True, subset_by_index=[N - cfg.n_eigs, N - 1])
         npt.assert_allclose(lam, ref[::-1], rtol=0, atol=1e-12)
@@ -322,10 +323,17 @@ class TestCertifiedCutoff:
         finally:
             tracemalloc.stop()
         (op, held), = calls
-        assert isinstance(op, csr_array)
-        # the fig2 kernel is 15 % dense: its CSR form is well under half of
-        # the N^2 doubles that a dense K_sym alone would hold
-        assert held < 0.5 * model.n_points ** 2 * 8
+        assert isinstance(op, cidm._HalfKernel)
+        # the fig2 kernel is 15 % dense: its full CSR form is 0.23 of the N^2
+        # doubles that a dense K_sym alone would hold, and its half form (the
+        # upper triangle and the diagonal) is 0.11; beyond the half form, the
+        # fit holds a few N-vectors
+        N = model.n_points
+        upper = op.upper
+        half_bytes = (upper.data.nbytes + upper.indices.nbytes + upper.indptr.nbytes
+                      + op.diag.nbytes)
+        assert held < half_bytes + 16 * N * 8
+        assert held < 0.15 * N ** 2 * 8
 
 
 def row_block_cases():
@@ -348,7 +356,9 @@ def row_block_cases():
 
 
 class TestRowBlockKernel:
-    """The row-block CSR kernel is ``csr_array`` of the dense kernel, bit for bit."""
+    """The row-block half kernel is the upper triangle and the diagonal of
+    ``csr_array`` of the dense kernel, bit for bit, and so are its product
+    and its dense form."""
 
     @pytest.fixture(scope='class', params=list(row_block_cases()))
     def case(self, request):
@@ -365,24 +375,44 @@ class TestRowBlockKernel:
         cloud, cfg, ref = case
         K, degree, raw_degree = cidm._kernel_csr(cloud.points, ref['knn_scale'], cfg)
         cidm._divide_entries(K, degree, root=True)
+        upper = triu(ref['K_sym'], 1, format='csr')
         for name in ('indptr', 'indices', 'data'):
-            npt.assert_array_equal(getattr(K, name), getattr(ref['K_sym'], name), err_msg=name)
+            npt.assert_array_equal(getattr(K.upper, name), getattr(upper, name), err_msg=name)
+        npt.assert_array_equal(K.diag, ref['K_sym'].diagonal())
+        # the fit holds (nnz + N) / 2 of the nnz kernel entries
+        assert 2 * K.upper.nnz + cloud.n_points == ref['K_sym'].nnz
+        npt.assert_array_equal(K.toarray(), ref['K_sym'].toarray())
         npt.assert_array_equal(degree, ref['degree'])
         npt.assert_array_equal(raw_degree, ref['raw_degree'])
+
+    @pytest.mark.parametrize('panel_entries', ['default', 1])
+    def test_half_kernel_product_is_bit_identical(self, case, panel_entries, monkeypatch):
+        cloud, cfg, ref = case
+        K, degree, _ = cidm._kernel_csr(cloud.points, ref['knn_scale'], cfg)
+        cidm._divide_entries(K, degree, root=True)
+        if panel_entries == 1:
+            monkeypatch.setattr(cidm, '_BLOCK_ENTRIES', 1)
+            K = cidm._HalfKernel(K.upper, K.diag)
+            # a panel is one row, or rows that hold at most one stored entry
+            indptr = K.upper.indptr
+            assert all(b - a == 1 or indptr[b] - indptr[a] <= 1 for a, b in K._panels)
+            assert K._panels[-1][1] == cloud.n_points
+        for x in np.random.default_rng(5).standard_normal((4, cloud.n_points)):
+            npt.assert_array_equal(K.matvec(x), ref['K_sym'] @ x)
 
     def test_csr_kernel_has_int32_indices(self, case):
         cloud, cfg, ref = case
         K = cidm._kernel_csr(cloud.points, ref['knn_scale'], cfg)[0]
-        assert K.indices.dtype == np.int32
-        assert K.indptr.dtype == np.int32
+        assert K.upper.indices.dtype == np.int32
+        assert K.upper.indptr.dtype == np.int32
 
     def test_fit_hands_arpack_an_int32_csr(self, fig2, monkeypatch):
         model = fig2['model']
         calls = TestCertifiedCutoff.spy_on_arpack(monkeypatch)
         om.fit(model.training, model.config)
         (op, _), = calls
-        assert isinstance(op, csr_array)
-        assert op.indices.dtype == np.int32 and op.indptr.dtype == np.int32
+        assert isinstance(op, cidm._HalfKernel) and isinstance(op.upper, csr_array)
+        assert op.upper.indices.dtype == np.int32 and op.upper.indptr.dtype == np.int32
 
     def test_fitted_model_is_bit_identical(self, case):
         cloud, cfg, ref = case
@@ -412,8 +442,9 @@ class TestRowBlockKernel:
         assert peak < model.n_points ** 2 * 8
 
     def test_kernel_csr_holds_one_copy(self, fig2):
-        # the kept entries are written once into arrays of their exact size:
-        # beyond the CSR, the build holds a few row blocks at a time
+        # the kept entries right of the diagonal and the diagonal, (nnz + N) / 2
+        # of the nnz kernel entries, are written once into arrays of their
+        # exact size: beyond them, the build holds a few row blocks at a time
         model = fig2['model']
         tracemalloc.start()
         try:
@@ -421,8 +452,9 @@ class TestRowBlockKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        csr_bytes = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
-        assert peak <= csr_bytes + 6 * cidm._BLOCK_ENTRIES * 8
+        half_bytes = (K.upper.data.nbytes + K.upper.indices.nbytes + K.upper.indptr.nbytes
+                      + K.diag.nbytes)
+        assert peak <= half_bytes + 6 * cidm._BLOCK_ENTRIES * 8
 
 
 class TestPointCloud:

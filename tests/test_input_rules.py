@@ -2,10 +2,12 @@
 
 * Sizes (``errors._size``): every count, index or truncation a config or a
   public function takes is an integer, not a ``bool``, in its range, or a
-  ValueError names it.
+  ValueError names it; a count read off an argument's shape names that
+  argument.
 * Queries (``nystrom._queries``): every entry that takes query points
   refuses any shape but an n-vector (or, where it takes a stack, an (m, n)
-  array) with an InvalidQueryError naming the shape.
+  array) with an InvalidQueryError naming the shape, and any n but the
+  training dimension with one naming both dimensions.
 * SEC sections (``sec._check_section``): a frame and its ``fhat`` come
   together and agree with the model, or a ValueError names what is wrong.
 
@@ -119,6 +121,26 @@ def test_size_rule(parts, case, value):
         call(parts, value)
 
 
+#: id -> (name in the message, call of the size): the counts an entry reads
+#: off an argument's shape, which are integers, so only their range is checked.
+SHAPE_SIZES = {
+    'extend_function-coeffs': (
+        'len(coeffs)', lambda p, v: om.extend_function(p['model'], np.ones(v), [1.0, 0.0])),
+    'semantic_labels-label_map': (
+        'label_map.n_modes', lambda p, v: om.semantic_labels(
+            p['model'], om.SemanticMap(np.ones((v, 2)), (True,)), [1.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize('bad', [0, 41])
+@pytest.mark.parametrize('case', list(SHAPE_SIZES))
+def test_shape_size_rule(parts, case, bad):
+    name, call = SHAPE_SIZES[case]
+    message = re.escape(f'{name} must be in [1, 40], got {bad}')
+    with pytest.raises(ValueError, match=f'^{message}$'):
+        call(parts, bad)
+
+
 #: id -> call of the query x.
 QUERIES = {
     'eigenfunction_values': lambda p, x: om.eigenfunction_values(p['model'], x, 3),
@@ -142,6 +164,13 @@ QUERIES = {
 def test_query_rule(parts, entry, shape):
     with pytest.raises(om.InvalidQueryError, match=re.escape(f'got an array of shape {shape}')):
         QUERIES[entry](parts, np.full(shape, 0.5))
+
+
+@pytest.mark.parametrize('entry', list(QUERIES))
+def test_query_dimension_rule(parts, entry):
+    message = 'query dimension 3 does not match the training dimension 2'
+    with pytest.raises(om.InvalidQueryError, match=f'^{message}$'):
+        QUERIES[entry](parts, np.full(3, 0.5))
 
 
 #: id -> (frame, fhat, message) from the parts; the message names the

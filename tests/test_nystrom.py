@@ -515,7 +515,9 @@ class TestQueryProperties:
         if single:
             q = q[0]
         try:
-            weights, scales = nystrom._kernel_rows(model, np.atleast_2d(q))
+            # the query rule of every entry, then the row
+            queries = np.atleast_2d(nystrom._queries(q, pts.shape[1]))
+            weights, scales = nystrom._kernel_rows(model, queries)
         except tuple(NAMED_ROW_ERRORS) as exc:
             prefixes = next(p for t, p in NAMED_ROW_ERRORS.items() if isinstance(exc, t))
             assert str(exc).startswith(prefixes), str(exc)
@@ -774,6 +776,14 @@ def _sqrt_first_scales(dist: np.ndarray, k_nn: int) -> np.ndarray:
     return dist.sum(axis=1) / k_nn
 
 
+def _fitted_kernel(model) -> np.ndarray:
+    """The fitted kernel, dense, rebuilt from its half form: the upper
+    triangle, its transpose and the diagonal do not overlap, so their sum
+    is exact."""
+    K = cidm._kernel_csr(model.training.points, model.knn_scale, model.config)[0]
+    return K.upper.toarray() + K.upper.T.toarray() + np.diag(K.diag)
+
+
 class TestTrainingRowsAreFitted:
     """Both the fit and a row build from squared distances, so the row at a
     training point is its fitted kernel row, bit for bit."""
@@ -782,7 +792,7 @@ class TestTrainingRowsAreFitted:
     def test_row_is_the_fitted_kernel_row(self, case, request):
         model = FITTED_ROW_CASES[case](request)
         pts = model.training.points
-        kernel = cidm._kernel_csr(pts, model.knn_scale, model.config)[0].toarray()
+        kernel = _fitted_kernel(model)
         rows, sums, scales = nystrom._row_core(model, pts)
         npt.assert_array_equal(rows, kernel)
         npt.assert_array_equal(sums[:, 0], model.degree)
@@ -795,7 +805,7 @@ class TestTrainingRowsAreFitted:
         batch = np.vstack([fig2['grid'][:40], pts[index], 1.3 * pts[:5], pts[index[::-1]]])
         rows, sums, _ = nystrom._row_core(model, batch)
         alone, alone_sums, _ = nystrom._row_core(model, pts[index])
-        kernel = cidm._kernel_csr(pts, model.knn_scale, model.config)[0].toarray()
+        kernel = _fitted_kernel(model)
         k = index.shape[0]
         for got, got_sums in ((rows[40:40 + k], sums[40:40 + k]),
                               (rows[-k:][::-1], sums[-k:][::-1]),
