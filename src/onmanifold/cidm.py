@@ -56,11 +56,13 @@ counts the kept entries right of the diagonal, from the distances to the
 columns from the block's first row on (half of the distance work), and a
 fill pass that computes full block rows, for the degrees, and writes the
 kept entries right of the diagonal into CSR arrays allocated once, at
-their exact size.  So the fit holds O(B N) scratch plus (nnz + N) / 2 of
-the nnz kept entries.  Each entry and each degree (the sum of a dense
-kernel row) is computed with the same operations in the same order as on
-the full matrix, so the half kernel is the upper triangle and diagonal of
-``csr_array`` of the dense one, bit for bit.  ARPACK runs on the half
+their exact size.  Each pass clears its block's own keep mask in place on
+and below the diagonal, so no triangular copy of a block is made.  So the
+fit holds O(B N) scratch plus (nnz + N) / 2 of the nnz kept entries.  Each
+entry and each degree (the sum of a dense kernel row) is computed with the
+same operations in the same order as on the full matrix, so the half
+kernel is the upper triangle and diagonal of ``csr_array`` of the dense
+one, bit for bit.  ARPACK runs on the half
 kernel of ``K_sym``, whose product gives each entry the bits of the full
 CSR product (:meth:`_HalfKernel._matvec`), with int32 index arrays while
 the entry count fits; only small or full-spectrum fits hand dense
@@ -451,12 +453,17 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
 
     Two passes over the row blocks.  The count pass computes each block's
     exponent (:func:`_negated_exponent`) to the columns from the block's
-    first row on, and counts the kept entries right of the diagonal into
+    first row on, clears the keep mask (:func:`_kept`) in place on and
+    below the diagonal of the block's square, and counts the rest into
     ``indptr``.  ``data`` and ``indices`` are then allocated once, at their
     exact size, and the fill pass computes each full block row, for the
     raw degree, and writes its diagonal and its kept values and columns
-    right of the diagonal straight into their slices; so the kernel's
-    entries are held once, never in per-block pieces and a joined copy.
+    right of the diagonal straight into their slices: once the kernel
+    values, the row sum and the diagonal have read the mask, it is cleared
+    in the same way, and the kept entries are found in the columns from
+    the block's first row on.  So the kernel's entries are held once,
+    never in per-block pieces and a joined copy, which would double the
+    build's peak.
     Every degree is the sum of a dense kernel row, and the kept entries are
     the nonzero ones, so the result is the upper triangle and diagonal of
     ``csr_array`` of the dense kernel, bit for bit.  The index arrays are
@@ -478,9 +485,14 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
             yield a, b, _negated_exponent(cdist(pts[a:b], pts[c:], 'sqeuclidean'), scales[a:b],
                                           scales[c:], config.epsilon, scratch[:b - a, :N - c])
 
+    # the entries right of the diagonal in a block's square: its first n x n
+    # corner serves a last block of n rows
+    right = ~np.tri(blocks[0][1], dtype=bool)
     indptr = np.zeros(N + 1, dtype=np.int64)
     for a, b, s in exponents(upper=True):
-        indptr[a + 1:b + 1] = np.count_nonzero(np.triu(_kept(s, cut), 1), axis=1)
+        keep = _kept(s, cut)
+        keep[:, :b - a] &= right[:b - a, :b - a]
+        indptr[a + 1:b + 1] = np.count_nonzero(keep, axis=1)
     np.cumsum(indptr, out=indptr)
     index_dtype = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
     data = np.empty(indptr[-1])
@@ -492,11 +504,18 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
         K = _cut_shape(s, cut, keep)
         raw_degree[a:b] = K.sum(axis=1)
         diag[a:b] = np.diagonal(K, a)
+        # the mask has been read: clear it on and below the square's diagonal,
+        # and read it from column a on
+        keep[:, a:b] &= right[:b - a, :b - a]
         lo, hi = indptr[a], indptr[b]
-        kept = np.flatnonzero(np.triu(keep, a + 1))
+        counts = np.diff(indptr[a:b + 1])
+        # entry (r, c) has flat index r (N - a) + c - a in the columns from a
+        # on, and r N + c in the block: add a (r + 1)
+        kept = np.flatnonzero(keep[:, a:])
+        kept += np.repeat(a * np.arange(1, b - a + 1), counts)
         data[lo:hi] = K.ravel()[kept]
-        # column = flat index in the block minus the start of its row
-        kept -= np.repeat(np.arange(0, (b - a) * N, N), np.diff(indptr[a:b + 1]))
+        # column: flat index in the block minus the start of its row
+        kept -= np.repeat(np.arange(0, (b - a) * N, N), counts)
         indices[lo:hi] = kept
     K = _HalfKernel(csr_array((data, indices, indptr.astype(index_dtype)), shape=(N, N)), diag)
     if config.kernel_variant == 'cidm_dm_normalized':

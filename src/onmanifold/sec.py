@@ -26,7 +26,8 @@ Nothing here is O(N^2): the frame only acts on the span of the first
 ``m_inner`` eigenfunctions, where one step of the fitted diffusion
 operator ``D^{-1} K`` is multiplication by the kernel eigenvalues.  The
 roughness screen of :func:`build_sec_frame` uses that instead of the
-training kernel, and ``c`` costs one BLAS product per mode.
+training kernel.  ``c`` costs one BLAS product per frame mode i <
+m_basis: the tensors read c_ijs only with i or j below m_basis.
 """
 
 from dataclasses import dataclass
@@ -95,16 +96,27 @@ class SecBasisConfig:
 
 
 def structure_constants(model: CidmModel, m_inner: int) -> np.ndarray:
-    """Triple products c_ijs = <phi_i phi_j, phi_s> up to mode m_inner.
+    """Triple products c_ijs = <phi_i phi_j, phi_s> up to mode m_inner,
+    exactly symmetric in (i, j): every row of :func:`_structure_constants`."""
+    return _structure_constants(model, m_inner, m_inner)
 
-    One BLAS product per i fills the rows j >= i; the rows j < i are
-    mirrored from them, so c is exactly symmetric in (i, j).
+
+def _structure_constants(model: CidmModel, m_inner: int, m_basis: int) -> np.ndarray:
+    """The (m_inner, m_inner, m_inner) array c of :func:`structure_constants`
+    with the entries c_ijs and c_jis for i < ``m_basis`` filled: one BLAS
+    product per i fills c[i, j >= i], and c[j > i, i] is mirrored from it.
+
+    The frame tensors and :func:`field_operator` read c_ijs only with i or
+    j below m_basis, so the entries with both at or above it are left
+    unwritten; m_basis = m_inner fills the whole array.  The size rules of
+    ``m_inner`` and ``m_basis`` run before any row is filled.
     """
     m_inner = _size('m_inner', m_inner, 1, model.n_eigs)
+    m_basis = _size('m_basis', m_basis, 1, m_inner)
     phi = model.eig_phi[:, :m_inner]
     w = model.inner_weights[:, None]
     c = np.empty((m_inner, m_inner, m_inner))
-    for i in range(m_inner):
+    for i in range(m_basis):
         c[i, i:] = ((phi[:, i:i + 1] * phi[:, i:]) * w).T @ phi
         c[i + 1:, i] = c[i, i + 1:]
     return c
@@ -205,17 +217,43 @@ def field_operator(c: np.ndarray, xi: np.ndarray, coeffs: np.ndarray,
     as an (m_inner, m_basis) array: rows index every output mode i <
     m_inner, columns the input modes j < m_basis.
 
-    The output index i enters only through ``c_lsi``, so rows i < m_basis
-    are the square truncation ``(G @ coeffs).reshape(m_basis, m_basis)``,
-    and the further rows resolve the field's action on the embedding more
-    sharply.
+    The output index i enters only through ``c_sli = c_lsi`` with l <
+    m_basis, so rows i < m_basis are the square truncation
+    ``(G @ coeffs).reshape(m_basis, m_basis)``, and the further rows
+    resolve the field's action on the embedding more sharply.  This is the
+    one-field case of :func:`_field_operators`.
+    """
+    return _field_operators(c, xi, np.asarray(coeffs, dtype=np.float64).reshape(1, -1),
+                            m_basis)[0]
+
+
+def _field_operators(c: np.ndarray, xi: np.ndarray, coeffs: np.ndarray,
+                     m_basis: int) -> np.ndarray:
+    """:func:`field_operator` of each row of ``coeffs`` (F, m_basis**2), as
+    an (F, m_inner, m_basis) array.
+
+    Each operator is ``0.5 * einsum('lk,jks,sli->ij', V, P, c)`` with
+    ``P = (xi_j + xi_k - xi_s) c_jks``, on the path einsum plans for it:
+    first T_jls = sum_k P_jks V_lk, then the sum over (l, s).  Both steps
+    are matrix products whose fixed operands, P as (j s, k) and c as
+    (l s, i), are laid out once for all F fields; each field then takes its
+    own two products, so its operator has the same bits alone or among
+    others (one product over all fields is a wider GEMM, which can sum in
+    another order).
     """
     xi = np.asarray(xi, dtype=np.float64)
     m_inner = _check_c_xi(c, xi, m_basis)
-    V = np.asarray(coeffs, dtype=np.float64).reshape(m_basis, m_basis)
-    P = _plus_weighted(c, xi, m_basis, m_inner)
-    return 0.5 * np.einsum('lk,jks,sli->ij', V, P, c[:m_inner, :m_basis, :m_inner],
-                           optimize=True)
+    m = m_basis
+    V = coeffs.reshape(coeffs.shape[0], m, m)
+    P = _plus_weighted(c, xi, m, m_inner)
+    P_k = np.ascontiguousarray(P.transpose(0, 2, 1)).reshape(m * m_inner, m)
+    c_ls = np.ascontiguousarray(c[:m_inner, :m, :m_inner].transpose(1, 0, 2))
+    c_ls = c_ls.reshape(m * m_inner, m_inner)
+    ops = np.empty((V.shape[0], m_inner, m))
+    for op, v in zip(ops, V):
+        T = (P_k @ v.T).reshape(m, m_inner, m).transpose(0, 2, 1).reshape(m, m * m_inner)
+        op[...] = 0.5 * (T @ c_ls).T
+    return ops
 
 
 @dataclass(frozen=True)
@@ -259,6 +297,10 @@ def build_sec_frame(model: CidmModel, config: SecBasisConfig,
                     n_fields: int) -> SecFrame:
     """Assemble tensors, Sobolev basis, and the ``n_fields`` best eigenfields.
 
+    The structure constants are filled only for the frame modes i <
+    m_basis (:func:`_structure_constants`), after the size rules of
+    ``m_inner`` and ``m_basis``, and every candidate's operator comes from
+    one set of prepared operands (:func:`_field_operators`).
     Candidates from the generalized eigensolve are screened on their
     pushforward arrows, read from their eigen-coefficients (:func:`_arrow_screen`).
     Two failure modes of the truncated tensors are caught here: frame
@@ -272,7 +314,7 @@ def build_sec_frame(model: CidmModel, config: SecBasisConfig,
     """
     n_fields = _size('n_fields', n_fields, 1)
     m, m_inner = config.m_basis, config.m_inner or min(2 * config.m_basis ** 2, model.n_eigs)
-    c = structure_constants(model, m_inner)
+    c = _structure_constants(model, m_inner, m)
     xi = model.eig_xi[:m_inner]
     G = metric_tensor(c, xi, m)
     E = dirichlet_energy_tensor(c, xi, m)
@@ -284,11 +326,9 @@ def build_sec_frame(model: CidmModel, config: SecBasisConfig,
     etas, reduced = eigenfields(E_r, G_r, u_tilde, n_fields + CANDIDATE_SURPLUS)
 
     fhat = fourier_coefficients(model, model.training.points, m)
-    ops = np.empty((len(etas), m_inner, m))
-    for op, cr in zip(ops, reduced):
-        coeffs = np.zeros(m * m)
-        coeffs[frame_index] = cr
-        op[...] = field_operator(c, xi, coeffs, m)
+    coeffs = np.zeros((len(etas), m * m))
+    coeffs[:, frame_index] = reduced
+    ops = _field_operators(c, xi, coeffs, m)
     mass, rough = _arrow_screen(ops @ fhat, xi)
     if not mass.max() > 0:
         raise DegenerateFrameError('every candidate eigenfield has zero arrow mass')

@@ -339,6 +339,9 @@ class TestCertifiedCutoff:
 def row_block_cases():
     fig2 = om.generate(om.SynthSpec(kind='circle', n_points=1500, noise_sigma=0.1, seed=7))[0]
     fig2_cfg = om.CidmConfig(k_nn=24, n_eigs=40)
+    fig3 = om.generate(om.SynthSpec(kind='circle', n_points=800, noise_sigma=0.05, seed=7,
+                                    density_profile='angle_skewed',
+                                    noise_profile='angle_varying'))[0]
     rng = np.random.default_rng(11)
     return {
         # 43-row blocks: the last of the 35 blocks holds 38 rows
@@ -347,6 +350,10 @@ def row_block_cases():
         'fig2-epsilon': (fig2, replace(fig2_cfg, epsilon=0.7)),
         # a wide kernel: 32 % dense, against 15 % for fig2
         'fig2-wide': (fig2, replace(fig2_cfg, epsilon=2.0)),
+        # the eigh-sized dense kernel of repro fig3: 68 % of the entries are
+        # kept, so every block is more than half full; 81-row blocks, the last
+        # of the 10 holding 71 rows
+        'fig3': (fig3, om.CidmConfig(k_nn=80, n_eigs=48, epsilon=1.3)),
         # blocks of 218 and 82 rows
         'ragged': (om.PointCloud(rng.standard_normal((300, 3))), om.CidmConfig(k_nn=7, n_eigs=20)),
         # 40 rows in a single block

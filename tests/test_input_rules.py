@@ -85,6 +85,9 @@ SIZES = {
         'n_fields', lambda p, v: om.build_sec_frame(p['model'], om.SecBasisConfig(6, 30), v), 0),
     'build_sec_frame-m_inner': (
         'm_inner', lambda p, v: om.build_sec_frame(p['model'], om.SecBasisConfig(6, v), 2), 41),
+    # an m_basis past the default m_inner = min(2 * m_basis**2, n_eigs) = 40
+    'build_sec_frame-m_basis': (
+        'm_basis', lambda p, v: om.build_sec_frame(p['model'], om.SecBasisConfig(v), 2), 41),
     'tangent_frame_at-dim': (
         'dim', lambda p, v: om.tangent_frame_at(p['model'], p['frame'], p['fhat'],
                                                 [1.0, 0.0], v), 3),
@@ -119,6 +122,16 @@ def test_size_rule(parts, case, value):
         message = re.escape(f'{name} must be an integer, got {value!r}')
     with pytest.raises(ValueError, match=f'^{message}$'):
         call(parts, value)
+
+
+@pytest.mark.parametrize('name, config', [('m_inner', om.SecBasisConfig(6, 41)),
+                                          ('m_basis', om.SecBasisConfig(41))])
+def test_sec_sizes_are_checked_before_a_row_is_filled(parts, monkeypatch, name, config):
+    # the structure constants read the inner weights once, before their first row
+    monkeypatch.setattr(om.CidmModel, 'inner_weights',
+                        property(lambda model: pytest.fail('a row of c was filled')))
+    with pytest.raises(ValueError, match=rf'^{name} must be in \[1, 40\], got 41$'):
+        om.build_sec_frame(parts['model'], config, 2)
 
 
 #: id -> (name in the message, call of the size): the counts an entry reads

@@ -11,6 +11,7 @@ from onmanifold.sec import (dirichlet_energy_tensor, eigenfields, field_operator
                             structure_constants)
 
 from conftest import principal_angles_deg, torus_tangent_basis
+from onmanifold.repro import FIG3_2D
 
 
 def naive_metric_tensor(c, xi, m):
@@ -91,6 +92,18 @@ class TestStructureConstants:
         phi = model.eig_phi[:, :m_inner]
         naive = np.einsum('ai,aj,as->ijs', phi * model.inner_weights[:, None], phi, phi)
         npt.assert_allclose(c, naive, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize('case', ['circle300', 'torus_assets'])
+    def test_frame_rows_have_the_bits_of_the_full_cube(self, case, request):
+        # a frame of m_basis=6 fills c_ijs and c_jis for i < 6 only, with the
+        # bits of the full cube, which structure_constants still returns
+        model = request.getfixturevalue(case)[2]
+        full = structure_constants(model, 30)
+        assert full.shape == (30, 30, 30) and np.isfinite(full).all()
+        npt.assert_array_equal(full, full.swapaxes(0, 1))
+        rows = sec._structure_constants(model, 30, 6)
+        npt.assert_array_equal(rows[:6], full[:6])
+        npt.assert_array_equal(rows[:, :6], full[:, :6])
 
     def test_circle_triple_products_match_fourier_identities(self, circle300):
         # with phi_1, phi_2 the first harmonic pair and phi_3, phi_4 the
@@ -533,6 +546,61 @@ class TestSecBasisConfig:
         assert type(config.m_basis) is int and type(config.m_inner) is int
         assert config == om.SecBasisConfig(m_basis=4, m_inner=10)
         assert om.SecBasisConfig(m_basis=np.int64(4)).m_inner is None
+
+
+@pytest.fixture(params=['circle_sec', 'fig3_2d', 'torus_assets'])
+def built_frame(request):
+    """A session model, the frame settings and field count of its session
+    frame, and that frame."""
+    if request.param == 'circle_sec':
+        model = request.getfixturevalue('circle300')[2]
+        return model, om.SecBasisConfig(6, 30), 3, request.getfixturevalue('circle_sec')[0]
+    if request.param == 'fig3_2d':
+        out, p = request.getfixturevalue('fig3_2d'), FIG3_2D
+        return (out['model'], om.SecBasisConfig(p['m_basis'], p['m_inner']), p['n_fields'],
+                out['frame'])
+    _, _, model, frame, _ = request.getfixturevalue('torus_assets')
+    return model, om.SecBasisConfig(13, 72), 4, frame
+
+
+class TestFrameReadsFrameRows:
+    """``build_sec_frame`` fills the structure constants only for the rows
+    i < m_basis and their mirrors, the only entries its tensors read."""
+
+    @staticmethod
+    def rebuild(built_frame, monkeypatch, constants):
+        """The frame built again, with ``constants(model, m_inner, m_basis)``
+        in place of the structure constants."""
+        model, config, n_fields, _ = built_frame
+        monkeypatch.setattr(sec, '_structure_constants', constants)
+        return om.build_sec_frame(model, config, n_fields)
+
+    def test_every_row_filled_gives_the_same_frame(self, built_frame, monkeypatch):
+        fill = sec._structure_constants
+        frame = self.rebuild(built_frame, monkeypatch,
+                             lambda model, m_inner, m_basis: fill(model, m_inner, m_inner))
+        npt.assert_array_equal(frame.etas, built_frame[3].etas)
+        npt.assert_array_equal(frame.ops, built_frame[3].ops)
+
+    def test_unread_block_is_not_read(self, built_frame, monkeypatch):
+        fill = sec._structure_constants
+
+        def poisoned(model, m_inner, m_basis):
+            c = fill(model, m_inner, m_basis)
+            c[m_basis:, m_basis:] = np.nan
+            return c
+
+        frame = self.rebuild(built_frame, monkeypatch, poisoned)
+        assert np.isfinite(frame.etas).all() and np.isfinite(frame.ops).all()
+        npt.assert_array_equal(frame.etas, built_frame[3].etas)
+        npt.assert_array_equal(frame.ops, built_frame[3].ops)
+
+    def test_stacked_operators_are_one_field_operators(self, circle_tensors):
+        c, xi, G, _ = circle_tensors
+        coeffs = np.random.default_rng(3).standard_normal((5, G.shape[0]))
+        ops = sec._field_operators(c, xi, coeffs, 6)
+        for op, row in zip(ops, coeffs):
+            npt.assert_array_equal(op, field_operator(c, xi, row, 6))
 
 
 class TestFramePipeline:
