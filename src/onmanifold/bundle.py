@@ -83,7 +83,7 @@ class ModelBundle:
             _check_section(self.model, self.sec_frame, self.sec_fhat, prefix='sec_')
         if self.label_map is not None:
             shape, n_eigs = np.shape(self.label_map.coeffs), self.model.n_eigs
-            if not (len(shape) == 2 and 1 <= shape[0] <= n_eigs):
+            if not 1 <= shape[0] <= n_eigs:                 # 2-D: SemanticMap checks it
                 raise ValueError(f'semantic_coeffs has shape {shape}, but eig_xi has shape '
                                  f'({n_eigs},): semantic_coeffs needs between 1 and {n_eigs} '
                                  'rows, one per mode')
@@ -255,7 +255,7 @@ def load_bundle(path) -> ModelBundle:
         knn_scale=data['knn_scale'],
         degree=data['degree'],
         eig_xi=data['eig_xi'],
-        eig_phi=np.asfortranarray(data['eig_phi']),     # the layout fit gives it
+        eig_phi=data['eig_phi'],
         data_diameter=manifest['data_diameter'],
         raw_degree=data.get('raw_degree'),
     )

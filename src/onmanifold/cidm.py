@@ -65,8 +65,8 @@ kernel is the upper triangle and diagonal of ``csr_array`` of the dense
 one, bit for bit.  ARPACK runs on the half
 kernel of ``K_sym``, whose product gives each entry the bits of the full
 CSR product (:meth:`_HalfKernel._matvec`), with int32 index arrays while
-the entry count fits; only small or full-spectrum fits hand dense
-``eigh`` its ``toarray()``.
+the entry count fits; small or full-spectrum fits hand dense ``eigh`` only
+the lower triangle it reads (:meth:`_HalfKernel.dense_lower`).
 """
 
 from dataclasses import dataclass
@@ -195,6 +195,8 @@ class CidmModel:
     eigenvalues ``_lambdas = 1 - eig_xi``, the count ``_n_extendable`` of
     leading modes with ``|lambda| >= SMALL_LAMBDA``, and the cutoff
     ``_cut`` (:func:`_kernel_cut`).  They are not stored in a bundle.
+    ``eig_phi`` is held in Fortran order, as the eigensolvers give it, so a
+    copy in another layout gives the same bits in every product with it.
     """
 
     training: PointCloud
@@ -222,6 +224,7 @@ class CidmModel:
         _size('k_nn', self.config.k_nn, 1, pts[0] - 1)
         if self.config.kernel_variant == 'cidm_dm_normalized' and self.raw_degree is None:
             raise ValueError('the cidm_dm_normalized variant needs raw_degree')
+        object.__setattr__(self, 'eig_phi', np.asfortranarray(self.eig_phi))
         lam = 1.0 - self.eig_xi
         lam.flags.writeable = False
         small = np.abs(lam) < SMALL_LAMBDA
@@ -397,8 +400,8 @@ class _HalfKernel(LinearOperator):
     """A symmetric N x N kernel held once: ``upper``, its strict upper
     triangle (CSR), and ``diag``, its diagonal.
 
-    Its product with x is ``csr_array`` of the full matrix times x, bit for
-    bit (:meth:`_matvec`).  ``toarray`` gives the dense matrix.
+    ARPACK reads its product, that of ``csr_array`` of the full matrix bit
+    for bit (:meth:`_matvec`); ``eigh`` reads :meth:`dense_lower`.
     """
 
     def __init__(self, upper: csr_array, diag: np.ndarray):
@@ -424,6 +427,12 @@ class _HalfKernel(LinearOperator):
         ``@`` starts each product from a new zero vector, so the lower and
         upper partial sums would be added afterwards and round differently.
         ``tests/test_cidm.py`` checks the bits against the full product.
+
+        Why panels: one product over all rows has the same bits and made
+        ``eigsh`` 0.95-0.99x as long on the N=4000 torus, but on an N=20000
+        torus (a 54 MiB half kernel) took 1.08-1.21x as long per product
+        (14.3 against 11.8 ms; 12/12 rounds slower in each of two probes).
+        One BLAS thread, 2-core x86_64.
         """
         x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
         N = x.shape[0]
@@ -436,13 +445,10 @@ class _HalfKernel(LinearOperator):
             csr_matvec(b - a, N, indptr, S.indices, S.data, x, y[a:b])
         return y
 
-    def toarray(self) -> np.ndarray:
-        """The dense N x N matrix.  The two triangles do not overlap, so each
-        lower entry is 0 plus its mirror, exactly; only one N x N array is
-        allocated."""
-        K = self.upper.toarray()
-        for a, b in _row_blocks(K.shape[0]):
-            K[a:b] += K[:, a:b].T
+    def dense_lower(self) -> np.ndarray:
+        """The dense lower triangle and diagonal (0 above), in Fortran order:
+        all ``eigh(..., lower=True)`` reads, so it gives the full matrix's bits."""
+        K = self.upper.T.toarray()
         np.fill_diagonal(K, self.diag)
         return K
 
@@ -547,6 +553,15 @@ def _divide_entries(K: _HalfKernel, d: np.ndarray, root: bool) -> None:
     K.diag /= den
 
 
+def _sign_gauge(columns: np.ndarray) -> np.ndarray:
+    """``columns`` with each column's largest-magnitude entry (the first on
+    ties) made positive; a zero column is kept as it is."""
+    anchor = np.argmax(np.abs(columns), axis=0)
+    signs = np.sign(columns[anchor, np.arange(columns.shape[1])])
+    signs[signs == 0] = 1.0
+    return columns * signs
+
+
 def _uses_arpack(n_points: int, n_eigs: int) -> bool:
     """A few pairs of a large kernel go to ARPACK, the rest to dense ``eigh``."""
     return n_eigs <= n_points // 4 and n_points > 800
@@ -555,19 +570,19 @@ def _uses_arpack(n_points: int, n_eigs: int) -> bool:
 def _top_eigenpairs(K_sym, n_eigs: int):
     """Largest ``n_eigs`` eigenpairs of a symmetric matrix, descending.
 
-    ``K_sym`` is a dense array, or a :class:`_HalfKernel` where
-    :func:`_uses_arpack` holds; ARPACK runs on the half kernel's product,
-    which has the bits of the full CSR product.
+    ``K_sym`` is a :class:`_HalfKernel`, which goes to ARPACK (its product
+    has the bits of the full CSR product), or a dense lower triangle
+    (:meth:`_HalfKernel.dense_lower`), which goes to ``eigh`` with
+    ``lower=True``; :func:`fit` chooses which (:func:`_uses_arpack`).
     """
     N = K_sym.shape[0]
-    n_eigs = _size('n_eigs', n_eigs, 1, N)
     try:
-        if _uses_arpack(N, n_eigs):
+        if isinstance(K_sym, _HalfKernel):
             # deterministic Lanczos start so repeated fits are bit-identical
             v0 = np.full(N, 1.0 / np.sqrt(N))
             lam, V = eigsh(K_sym, k=n_eigs, which='LA', v0=v0)
         else:
-            lam, V = eigh(K_sym, subset_by_index=[N - n_eigs, N - 1])
+            lam, V = eigh(K_sym, lower=True, subset_by_index=[N - n_eigs, N - 1])
     except (np.linalg.LinAlgError, ArpackNoConvergence) as exc:
         raise EigensolverFailure(f'eigensolver failed for {n_eigs} pairs: {exc}') from exc
     if lam.shape[0] < n_eigs:
@@ -584,7 +599,8 @@ def fit(points: PointCloud, config: CidmConfig) -> CidmModel:
     points:
         Training cloud, one point per row.
     config:
-        Kernel settings; ``config.n_eigs`` eigenpairs are extracted.
+        Kernel settings; ``config.n_eigs`` eigenpairs are extracted, at
+        most one per point (refused before the kernel is built).
 
     Returns
     -------
@@ -602,13 +618,14 @@ def fit(points: PointCloud, config: CidmConfig) -> CidmModel:
     """
     if isinstance(points, np.ndarray):
         points = PointCloud(points)
+    n_eigs = _size('n_eigs', config.n_eigs, 1, points.n_points)
     scales, diameter = _training_scales(points.points, config.k_nn)
     # each row keeps its own entry exp(0) = 1, so every degree is positive
     K, degree, raw_degree = _kernel_csr(points.points, scales, config)
     _divide_entries(K, degree, root=True)           # K_sym, in place of K
-    if not _uses_arpack(points.n_points, config.n_eigs):
-        K = K.toarray()
-    lam, V = _top_eigenpairs(K, config.n_eigs)
+    if not _uses_arpack(points.n_points, n_eigs):
+        K = K.dense_lower()                         # the half kernel is freed here
+    lam, V = _top_eigenpairs(K, n_eigs)
 
     xi = 1.0 - lam
     n_zero = int(np.sum(np.abs(xi) <= ZERO_EIGENVALUE_TOL))
@@ -621,11 +638,7 @@ def fit(points: PointCloud, config: CidmConfig) -> CidmModel:
     # phi = D^{-1/2} v, rescaled to unit norm under the degree-weighted
     # inner product; the orthonormal V makes the factor sqrt(sum(D)) global.
     phi = np.sqrt(degree.sum()) * (V / np.sqrt(degree)[:, None])
-    # sign gauge: largest-magnitude entry positive (first index on ties)
-    anchor = np.argmax(np.abs(phi), axis=0)
-    signs = np.sign(phi[anchor, np.arange(phi.shape[1])])
-    signs[signs == 0] = 1.0
-    phi = phi * signs
+    phi = _sign_gauge(phi)
     # the Markov property D^{-1} K 1 = 1 is exact; pin the harmonic pair
     # and keep roundoff inside the Perron bounds
     xi = np.clip(xi, 0.0, 2.0)

@@ -7,6 +7,7 @@ line names the error type).
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -76,15 +77,18 @@ class UsageError(Exception):
 
 
 def _cap_threads(n: int | None):
+    """A context that caps BLAS threads at ``n`` (at least 1), none if None."""
     if n is None:
-        return None
+        return contextlib.nullcontext()
+    if n < 1:
+        raise UsageError(f'--threads must be at least 1, got {n}')
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
         print(f'warning: --threads {n} was not applied because threadpoolctl is not '
               'installed; set OPENBLAS_NUM_THREADS and OMP_NUM_THREADS before '
               'starting to cap BLAS threads', file=sys.stderr)
-        return None
+        return contextlib.nullcontext()
     return threadpool_limits(limits=n)
 
 
@@ -297,20 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    limiter = _cap_threads(args.threads)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _cap_threads(args.threads):
+            return args.func(args)
     except (UsageError, OSError, ValueError) as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 1
     except GeometryError as exc:
         print(f'ERROR {type(exc).__name__}: {exc}', file=sys.stderr)
         return 2
-    finally:
-        if limiter is not None:
-            limiter.unregister()
 
 
 if __name__ == '__main__':

@@ -178,14 +178,10 @@ def extend_eigenfunction(model: CidmModel, ell: int, x) -> float:
 def fourier_coefficients(model: CidmModel, values: np.ndarray, l_trunc: int) -> np.ndarray:
     """Generalized Fourier coefficients <values[:, s], phi_ell> for ell < l_trunc."""
     vals = np.asarray(values, dtype=np.float64)
-    squeeze = vals.ndim == 1
-    if squeeze:
-        vals = vals[:, None]
     if vals.shape[0] != model.n_points:
         raise ValueError('values must have one row per training point')
     l_trunc = _size('l_trunc', l_trunc, 1, model.n_eigs)
-    coeffs = inner(model, model.eig_phi[:, :l_trunc], vals)
-    return coeffs[:, 0] if squeeze else coeffs
+    return inner(model, model.eig_phi[:, :l_trunc], vals)
 
 
 def extend_function(model: CidmModel, coeffs: np.ndarray, x) -> np.ndarray:

@@ -168,11 +168,18 @@ class SemanticMap:
 
     Periodic parameters are stored as (cos, sin) column pairs so the
     0/360 seam never appears in the extended functions; they decode back
-    to degrees via atan2.
+    to degrees via atan2.  ``coeffs`` must be 2-D with those columns.
     """
 
     coeffs: np.ndarray
     periodic: tuple[bool, ...]
+
+    def __post_init__(self):
+        shape, width = np.shape(self.coeffs), sum(2 if p else 1 for p in self.periodic)
+        if not (len(shape) == 2 and shape[1] == width):
+            raise ValueError(f'semantic_coeffs has shape {shape}, but periodic is '
+                             f'{list(self.periodic)}: semantic_coeffs needs {width} columns, '
+                             'two per periodic parameter and one per plain one')
 
     @property
     def n_params(self) -> int:
@@ -287,19 +294,11 @@ class PgdTrace:
 
     def to_records(self) -> list[dict]:
         """JSON-friendly per-step records."""
-        recs = []
-        for s in self.steps:
-            recs.append({
-                'step': s.index,
-                'x_on': s.x_on.tolist(),
-                'g_raw': s.g_raw.tolist(),
-                'g_tan': s.g_tan.tolist(),
-                'x_stepped': s.x_stepped.tolist(),
-                'x_next': s.x_next.tolist(),
-                'label_pred': s.label_pred,
-                'semantics': None if s.semantics is None else s.semantics.tolist(),
-            })
-        return recs
+        arrays = ('x_on', 'g_raw', 'g_tan', 'x_stepped', 'x_next')
+        return [{'step': s.index, **{name: getattr(s, name).tolist() for name in arrays},
+                 'label_pred': s.label_pred,
+                 'semantics': None if s.semantics is None else s.semantics.tolist()}
+                for s in self.steps]
 
 
 def _row_width(frame: SecFrame, label_map: SemanticMap | None) -> int:

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh
 from scipy.spatial import cKDTree
 
-from .cidm import CidmModel, PointCloud
+from .cidm import CidmModel, PointCloud, _sign_gauge
 from .errors import (DegenerateFrameError, EigensolverFailure, RankDeficiencyError,
                      SingularGramError, _size)
 from .nystrom import _queries, eigenfunction_values, fourier_coefficients
@@ -122,14 +122,16 @@ def _structure_constants(model: CidmModel, m_inner: int, m_basis: int) -> np.nda
     return c
 
 
-def _check_c_xi(c: np.ndarray, xi: np.ndarray, m_basis: int) -> int:
+def _check_c_xi(c: np.ndarray, xi, m_basis: int) -> tuple[np.ndarray, int]:
+    """``xi`` as a float array, and the summation size m_inner of ``c``."""
     if c.ndim != 3 or len({c.shape[0], c.shape[1], c.shape[2]}) != 1:
         raise ValueError('c must be a cubic 3-tensor')
     m_inner = c.shape[0]
     _size('m_basis', m_basis, 1, m_inner)
+    xi = np.asarray(xi, dtype=np.float64)
     if xi.shape[0] < m_inner:
         raise ValueError('xi must cover every summation mode of c')
-    return m_inner
+    return xi, m_inner
 
 
 def _plus_weighted(c: np.ndarray, xi: np.ndarray, m: int, m_inner: int) -> np.ndarray:
@@ -139,8 +141,7 @@ def _plus_weighted(c: np.ndarray, xi: np.ndarray, m: int, m_inner: int) -> np.nd
 
 def metric_tensor(c: np.ndarray, xi: np.ndarray, m_basis: int) -> np.ndarray:
     """Frame Gram matrix G, reshaped to (m_basis^2, m_basis^2)."""
-    xi = np.asarray(xi, dtype=np.float64)
-    m_inner = _check_c_xi(c, xi, m_basis)
+    xi, m_inner = _check_c_xi(c, xi, m_basis)
     P = _plus_weighted(c, xi, m_basis, m_inner)
     G4 = 0.5 * np.einsum('iks,jls->ijkl', c[:m_basis, :m_basis, :m_inner], P, optimize=True)
     G = G4.reshape(m_basis ** 2, m_basis ** 2)
@@ -149,8 +150,7 @@ def metric_tensor(c: np.ndarray, xi: np.ndarray, m_basis: int) -> np.ndarray:
 
 def dirichlet_energy_tensor(c: np.ndarray, xi: np.ndarray, m_basis: int) -> np.ndarray:
     """Dirichlet energy matrix E (curl term plus divergence term)."""
-    xi = np.asarray(xi, dtype=np.float64)
-    m_inner = _check_c_xi(c, xi, m_basis)
+    xi, m_inner = _check_c_xi(c, xi, m_basis)
     P = _plus_weighted(c, xi, m_basis, m_inner)
     B = (xi[:m_basis, None, None] - xi[None, :m_basis, None]
          - xi[None, None, :m_inner]) * c[:m_basis, :m_basis, :m_inner]
@@ -204,11 +204,8 @@ def eigenfields(E: np.ndarray, G: np.ndarray, u_tilde: np.ndarray,
         except LinAlgError as exc:
             raise EigensolverFailure(f'generalized eigensolve failed: {exc}') from exc
     n_fields = min(n_fields, eta.shape[0])
-    coeffs = np.empty((n_fields, u_tilde.shape[0]))
-    for a in range(n_fields):
-        cv = u_tilde @ C[:, a]
-        coeffs[a] = cv * (np.sign(cv[np.argmax(np.abs(cv))]) or 1.0)
-    return eta[:n_fields], coeffs
+    fields = np.column_stack([u_tilde @ C[:, a] for a in range(n_fields)])
+    return eta[:n_fields], _sign_gauge(fields).T
 
 
 def field_operator(c: np.ndarray, xi: np.ndarray, coeffs: np.ndarray,
@@ -241,8 +238,7 @@ def _field_operators(c: np.ndarray, xi: np.ndarray, coeffs: np.ndarray,
     others (one product over all fields is a wider GEMM, which can sum in
     another order).
     """
-    xi = np.asarray(xi, dtype=np.float64)
-    m_inner = _check_c_xi(c, xi, m_basis)
+    xi, m_inner = _check_c_xi(c, xi, m_basis)
     m = m_basis
     V = coeffs.reshape(coeffs.shape[0], m, m)
     P = _plus_weighted(c, xi, m, m_inner)
@@ -475,8 +471,4 @@ def local_pca_tangent(points: PointCloud, x, k: int, dim: int) -> np.ndarray:
     nbrs = pts[np.atleast_1d(idx)]
     centered = nbrs - nbrs.mean(axis=0)
     _, _, Vt = np.linalg.svd(centered, full_matrices=False)
-    basis = Vt[:dim].T
-    anchor = np.argmax(np.abs(basis), axis=0)
-    signs = np.sign(basis[anchor, np.arange(dim)])
-    signs[signs == 0] = 1.0
-    return basis * signs
+    return _sign_gauge(Vt[:dim].T)

@@ -258,6 +258,24 @@ class TestBundle:
         with pytest.raises(ValueError, match=named):
             load_bundle(bad)
 
+    def test_periodic_flags_must_match_semantic_coeffs(self, small_bundle, tmp_path, capsys):
+        # two periodic flags need four columns; the bundle holds two
+        path, _ = small_bundle
+        bad = tmp_path / 'bad.bundle'
+        bad.write_bytes(edit_manifest(path.read_bytes(),
+                                      lambda m: m['semantics'].update(periodic=[True, True])))
+        message = ('semantic_coeffs has shape (20, 2), but periodic is [True, True]: '
+                   'semantic_coeffs needs 4 columns')
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_bundle(bad)
+        capsys.readouterr()
+        out = tmp_path / 'trace.jsonl'
+        assert run_cli('pgd', str(bad), '--start-index', '3', '--alpha', '0.2',
+                       '--out', str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f'error: {message}') and err.count('\n') == 1
+        assert not out.exists()
+
     def test_manifest_holds_only_what_a_load_reads(self, small_bundle):
         path, _ = small_bundle
         raw = path.read_bytes()
@@ -439,6 +457,38 @@ class TestShapeChecks:
         frame = om.SecFrame(np.zeros(1), np.zeros((1, 8, 4))) if field == 'sec_fhat' else None
         with pytest.raises(ValueError, match=re.escape(message)):
             ModelBundle(model=model, sec_frame=frame, **{field: value})
+
+
+    @pytest.mark.parametrize('coeffs, periodic, message', [
+        (np.zeros((4, 2)), (True, False), 'shape (4, 2), but periodic is [True, False]: '
+                                          'semantic_coeffs needs 3 columns'),
+        (np.zeros((4, 2)), (False,), 'shape (4, 2), but periodic is [False]: '
+                                     'semantic_coeffs needs 1 columns'),
+        (np.zeros(4), (False,), 'shape (4,), but periodic is [False]'),
+        (np.zeros((4, 2, 1)), (True,), 'shape (4, 2, 1), but periodic is [True]'),
+    ], ids=['too-few-columns', 'too-many-columns', '1d', '3d'])
+    def test_semantic_map_columns(self, coeffs, periodic, message):
+        with pytest.raises(ValueError, match=re.escape('semantic_coeffs has ' + message)):
+            om.SemanticMap(coeffs, periodic)
+
+    def test_c_order_replica_gives_the_fitted_bits(self, small_bundle):
+        # eig_phi's layout is made by the model: a C-order copy of the same
+        # array, through replace or the constructor, gives the same values
+        _, bundle = small_bundle
+        model = bundle.model
+        c_phi = np.ascontiguousarray(model.eig_phi)
+        assert not c_phi.flags.f_contiguous
+        fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+        replicas = [dataclasses.replace(model, eig_phi=c_phi),
+                    om.CidmModel(**{**fields, 'eig_phi': c_phi})]
+        queries = np.random.default_rng(4).uniform(-1.5, 1.5, size=(30, 2))
+        for replica in replicas:
+            assert replica.eig_phi.flags.f_contiguous
+            npt.assert_array_equal(om.eigenfunction_values(replica, queries, model.n_eigs),
+                                   om.eigenfunction_values(model, queries, model.n_eigs))
+            npt.assert_array_equal(
+                om.tangent_frame_at(replica, bundle.sec_frame, bundle.sec_fhat, queries, 1),
+                om.tangent_frame_at(model, bundle.sec_frame, bundle.sec_fhat, queries, 1))
 
 
 class TestDiameterCheck:
@@ -702,6 +752,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert 'not applied' in err
         assert 'OPENBLAS_NUM_THREADS' in err and 'OMP_NUM_THREADS' in err
+
+    @pytest.mark.parametrize('threads', ['0', '-3'])
+    def test_threads_below_one_is_a_usage_error(self, threads, tmp_path, capsys):
+        out = tmp_path / 'pts.csv'
+        capsys.readouterr()
+        assert run_cli('--threads', threads, 'synth', '--kind', 'circle', '--n', '20',
+                       '--out', str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f'error: --threads must be at least 1, got {threads}\n'
+        assert not out.exists()
 
     def test_overwrite_needs_force(self, tmp_path):
         pts = tmp_path / 'pts.csv'

@@ -177,10 +177,15 @@ class TestFit:
         # circle spectrum ratios survive the extra normalization
         assert 3.0 <= model.eig_xi[3] / model.eig_xi[1] <= 5.0
 
-    def test_n_eigs_exceeding_n_rejected(self):
+    def test_n_eigs_exceeding_n_rejected(self, monkeypatch):
+        # refused before the O(N^2) scales and kernel are computed
+        built = []
+        for name in ('_training_scales', '_kernel_csr'):
+            monkeypatch.setattr(cidm, name, lambda *args, name=name: built.append(name))
         pts = om.PointCloud(np.random.default_rng(0).standard_normal((10, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r'^n_eigs must be in \[1, 10\], got 11$'):
             om.fit(pts, om.CidmConfig(k_nn=3, n_eigs=11))
+        assert built == []
 
     # 1e-160 squares to a subnormal that overflows the kernel's division
     # (an error under the suite's RuntimeWarning filter); 1e-10 cuts every
@@ -356,6 +361,10 @@ def row_block_cases():
         'fig3': (fig3, om.CidmConfig(k_nn=80, n_eigs=48, epsilon=1.3)),
         # blocks of 218 and 82 rows
         'ragged': (om.PointCloud(rng.standard_normal((300, 3))), om.CidmConfig(k_nn=7, n_eigs=20)),
+        # a full-spectrum fit, in the same two blocks
+        'full-spectrum': (om.generate(om.SynthSpec(kind='circle', n_points=300, noise_sigma=0.05,
+                                                   seed=3))[0],
+                          om.CidmConfig(k_nn=8, n_eigs=300)),
         # 40 rows in a single block
         'one-block': (om.PointCloud(rng.standard_normal((40, 5))),
                       om.CidmConfig(k_nn=4, n_eigs=40, kernel_variant='cidm_dm_normalized')),
@@ -364,8 +373,9 @@ def row_block_cases():
 
 class TestRowBlockKernel:
     """The row-block half kernel is the upper triangle and the diagonal of
-    ``csr_array`` of the dense kernel, bit for bit, and so are its product
-    and its dense form."""
+    ``csr_array`` of the dense kernel, bit for bit; its product is the full
+    product, and its dense lower triangle gives the eigenpairs of the full
+    matrix, bit for bit."""
 
     @pytest.fixture(scope='class', params=list(row_block_cases()))
     def case(self, request):
@@ -388,9 +398,22 @@ class TestRowBlockKernel:
         npt.assert_array_equal(K.diag, ref['K_sym'].diagonal())
         # the fit holds (nnz + N) / 2 of the nnz kernel entries
         assert 2 * K.upper.nnz + cloud.n_points == ref['K_sym'].nnz
-        npt.assert_array_equal(K.toarray(), ref['K_sym'].toarray())
+        npt.assert_array_equal(K.dense_lower(), np.tril(ref['K_sym'].toarray()))
         npt.assert_array_equal(degree, ref['degree'])
         npt.assert_array_equal(raw_degree, ref['raw_degree'])
+
+    def test_eigh_of_the_lower_triangle_is_bit_identical(self, case):
+        # the hand-off to eigh holds only the lower triangle: eigh must read
+        # that one, and get the bits of eigh of the full matrix
+        cloud, cfg, ref = case
+        K, degree, _ = cidm._kernel_csr(cloud.points, ref['knn_scale'], cfg)
+        cidm._divide_entries(K, degree, root=True)
+        lam, V = cidm._top_eigenpairs(K.dense_lower(), cfg.n_eigs)
+        N = cloud.n_points
+        ref_lam, ref_V = eigh(ref['K_sym'].toarray(), subset_by_index=[N - cfg.n_eigs, N - 1])
+        order = np.argsort(ref_lam)[::-1]
+        npt.assert_array_equal(lam, ref_lam[order])
+        npt.assert_array_equal(V, ref_V[:, order])
 
     @pytest.mark.parametrize('panel_entries', ['default', 1])
     def test_half_kernel_product_is_bit_identical(self, case, panel_entries, monkeypatch):
