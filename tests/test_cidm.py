@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.sparse import csr_array, triu
+from scipy.sparse._sparsetools import csc_matvec
 from scipy.sparse.linalg import eigsh
 
 import onmanifold as om
@@ -341,6 +346,13 @@ class TestCertifiedCutoff:
         assert held < 0.15 * N ** 2 * 8
 
 
+def product_mode(monkeypatch, pipelined: bool) -> None:
+    """Make :meth:`cidm._HalfKernel.two_cores` run every half kernel's
+    product on two threads, or every one inline, whatever the host."""
+    monkeypatch.setattr(cidm, '_PIPELINE_PANELS', 1 if pipelined else np.iinfo(np.int64).max)
+    monkeypatch.setattr(cidm, '_usable_cpus', lambda: 2)
+
+
 def row_block_cases():
     fig2 = om.generate(om.SynthSpec(kind='circle', n_points=1500, noise_sigma=0.1, seed=7))[0]
     fig2_cfg = om.CidmConfig(k_nn=24, n_eigs=40)
@@ -427,8 +439,14 @@ class TestRowBlockKernel:
             indptr = K.upper.indptr
             assert all(b - a == 1 or indptr[b] - indptr[a] <= 1 for a, b in K._panels)
             assert K._panels[-1][1] == cloud.n_points
-        for x in np.random.default_rng(5).standard_normal((4, cloud.n_points)):
-            npt.assert_array_equal(K.matvec(x), ref['K_sym'] @ x)
+        xs = np.random.default_rng(5).standard_normal((4, cloud.n_points))
+        for pipelined in (False, True):
+            product_mode(monkeypatch, pipelined)
+            with K.two_cores():
+                assert (K._helper is not None) == pipelined
+                for x in xs:
+                    npt.assert_array_equal(K.matvec(x), ref['K_sym'] @ x)
+            assert K._helper is None
 
     def test_csr_kernel_has_int32_indices(self, case):
         cloud, cfg, ref = case
@@ -485,6 +503,86 @@ class TestRowBlockKernel:
         half_bytes = (K.upper.data.nbytes + K.upper.indices.nbytes + K.upper.indptr.nbytes
                       + K.diag.nbytes)
         assert peak <= half_bytes + 6 * cidm._BLOCK_ENTRIES * 8
+
+
+class TestTwoCoreProduct:
+    """ARPACK's products run on two threads inside :meth:`cidm._HalfKernel.two_cores`
+    when the kernel has enough panels and the process two CPUs; the fit's
+    bits do not depend on it, and no thread outlives the fit."""
+
+    @staticmethod
+    def spy_on_scatter(monkeypatch, fail_after=None):
+        """Record the thread of each scatter call; raise from call ``fail_after`` + 1."""
+        threads = []
+
+        def spy(*args):
+            threads.append(threading.current_thread())
+            if fail_after is not None and len(threads) > fail_after:
+                raise RuntimeError('scatter failed')
+            csc_matvec(*args)
+
+        monkeypatch.setattr(cidm, 'csc_matvec', spy)
+        return threads
+
+    def test_fit_bits_do_not_depend_on_the_mode(self, torus_assets, monkeypatch):
+        # the N=1500 torus kernel has 6 panels; a pipelined fit scatters on
+        # one helper thread, which it has joined when it returns
+        cloud, _, model, _, _ = torus_assets
+        before = threading.active_count()
+        fits = {}
+        for pipelined in (False, True):
+            product_mode(monkeypatch, pipelined)
+            threads = self.spy_on_scatter(monkeypatch)
+            fits[pipelined] = om.fit(cloud, model.config)
+            helpers = set(threads) - {threading.current_thread()}
+            assert len(helpers) == pipelined and not any(t.is_alive() for t in helpers)
+            assert threading.active_count() == before
+        for name in ('eig_xi', 'eig_phi', 'degree'):
+            npt.assert_array_equal(getattr(fits[True], name), getattr(fits[False], name),
+                                   err_msg=name)
+
+    def test_small_kernels_and_one_cpu_run_inline(self, fig2, torus_assets, monkeypatch):
+        model = fig2['model']
+        small = cidm._kernel_csr(model.training.points, model.knn_scale, model.config)[0]
+        model = torus_assets[2]
+        large = cidm._kernel_csr(model.training.points, model.knn_scale, model.config)[0]
+        assert len(small._panels) < cidm._PIPELINE_PANELS <= len(large._panels)
+        for cpus, pipelined in (({0}, False), ({0, 1}, True)):
+            monkeypatch.setattr(cidm.os, 'sched_getaffinity', lambda pid: cpus, raising=False)
+            with small.two_cores(), large.two_cores():
+                assert small._helper is None
+                assert (large._helper is not None) == pipelined
+
+    @pytest.mark.parametrize('pipelined', [False, True])
+    def test_a_scatter_error_is_raised_from_the_fit(self, torus_assets, monkeypatch, pipelined):
+        cloud, _, model, _, _ = torus_assets
+        product_mode(monkeypatch, pipelined)
+        threads = self.spy_on_scatter(monkeypatch, fail_after=20)
+        before = threading.active_count()
+        raised = []
+
+        def run():
+            try:
+                om.fit(cloud, model.config)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=120)
+        assert not caller.is_alive()
+        assert [str(exc) for exc in raised] == ['scatter failed']
+        assert (threads[-1] is not caller) == pipelined
+        assert threading.active_count() == before
+
+    def test_import_starts_no_thread(self):
+        src = os.path.dirname(os.path.dirname(om.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get('PYTHONPATH')])))
+        code = 'import threading, onmanifold.cli; print(threading.active_count())'
+        done = subprocess.run([sys.executable, '-c', code], env=env, check=True,
+                              capture_output=True, text=True)
+        assert done.stdout.split() == ['1']
 
 
 class TestPointCloud:
