@@ -438,7 +438,7 @@ class _HalfKernel(LinearOperator):
             b = int(np.searchsorted(indptr, int(indptr[a]) + _BLOCK_ENTRIES, side='right')) - 1
             bounds.append(max(b, a + 1))
         self._panels = list(zip(bounds[:-1], bounds[1:]))
-        self._helper = None             # the scatter thread, inside two_cores()
+        self._helper = None             # the scatter thread's executor, inside two_cores()
 
     @contextmanager
     def two_cores(self):
