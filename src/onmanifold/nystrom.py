@@ -15,27 +15,26 @@ the fit, a row starts from the squared distances (``cdist``
 scale; so the unnormalized row at a training point is its row of the
 fitted kernel, and its sum its ``degree``, bit for bit.
 
-``_row_core`` owns the out-of-sample kernel row (scales, the min-shifted
-exponent, kernel values and the certified cutoff come from ``cidm``, the
-functions of the fit); extension, projection and gradients all go
-through it.  It returns the kept kernel values unnormalized, with their
-row sums.  ``_kernel_rows`` divides each row by its sum, for the
-eigenfunction values and the gradients.  A projection does not: each
-iteration is one row per query and one (m, N) @ (N, n) contraction
-(``_contract``) through the operand ``(phi_L / lambda_L) @ xhat`` that the
-projector derived when it was made, and the (m, n) result is divided by
-the sums.  Even after the shift, most of a row can lie far past the cut
-(z > 708 for 69 % of the entries of a row at a ``repro pgd-circle``
-iterate), where numpy's ``exp`` takes its slow subnormal and underflow
-paths; ``cidm._cut_shape`` clamps those entries to the cut first.  A row
-returns only the kernel values, their sums and the query scales; the
-gradients, which also read the distances and delta^2 of their one query,
-recompute those from the same squared distances (``_grad_pieces``).  A
-query that is neither one n-vector nor, where an entry takes a stack, an
-(m, n) array of them, or whose n is not the training dimension, raises
-:class:`InvalidQueryError` (:func:`_queries`, the query rule of every
-entry); so does a row whose query is not finite, overflows when squared,
-or lies so far out that every exponent overflows.
+``_squared_distances`` computes a query's squared distances, once, and
+``_row_core`` turns them into its out-of-sample kernel row, in place
+(scales, the min-shifted exponent, kernel values and the certified
+cutoff come from ``cidm``, the functions of the fit); extension,
+projection and gradients all go through the pair.  A row is its kept
+kernel values, unnormalized, with their row sums:
+:func:`eigenfunction_values` divides each row by its sum in place, and a
+projection iteration multiplies the rows through the operand
+``(phi_L / lambda_L) @ xhat`` that the projector derived when it was
+made, one (m, N) @ (N, n) contraction (``_contract``), and divides the
+(m, n) result by the sums.  ``cidm._cut_shape`` clamps the entries far
+past the cut (z > 708 for 69 % of a row at a ``repro pgd-circle``
+iterate) before the ``exp``, off its slow subnormal and underflow paths.
+A gradient keeps its one query's (1, N) squared distances, for the
+distances and delta^2 it also reads, and hands the row a copy
+(``_jacobian``).  A query that is neither one n-vector nor, where an
+entry takes a stack, an (m, n) array of them, or whose n is not the
+training dimension, raises :class:`InvalidQueryError` (:func:`_queries`,
+the query rule of every entry); so does a row whose query is not finite,
+overflows when squared, or lies so far out that every exponent overflows.
 
 A row also reads what its model derived once, when it was made (fitted,
 loaded or replaced): the read-only kernel eigenvalues ``1 - xi``, the
@@ -56,6 +55,7 @@ neighbor-set switching boundaries are rejected via
 :class:`KnnBoundaryError`.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -100,18 +100,30 @@ def _queries(x, dim: int, stack: bool = True) -> np.ndarray:
     return q
 
 
-def _row_core(model: CidmModel, queries: np.ndarray):
+def _squared_distances(model: CidmModel, queries: np.ndarray) -> np.ndarray:
+    """The (m, N) squared distances from an (m, n) stack of ``queries`` that
+    passed the query rule (:func:`_queries`) to the training points; a row
+    that is not finite raises :class:`InvalidQueryError` naming it."""
+    d2 = cdist(queries, model.training.points, 'sqeuclidean')
+    if not d2.max(initial=0.0) < np.inf:        # NaN, inf, or overflow
+        bad = int(np.argmin(d2.max(axis=1) < np.inf))
+        raise InvalidQueryError(f'query row {bad}: the query or its squared distances '
+                                'to the training points are not finite')
+    return d2
+
+
+def _row_core(model: CidmModel, w: np.ndarray):
     """Unnormalized out-of-sample kernel rows, the one kernel row, of an
-    (m, n) stack of ``queries`` that passed the query rule (:func:`_queries`).
+    (m, n) query stack, from its squared distances ``w`` (:func:`_squared_distances`).
 
     Returns ``(rows, sums, scales)`` with shapes (m, N), (m, 1) and (m,):
-    the kept kernel values, their row sums and the query scales.  The
-    exponent is min-shifted (``cidm._shifted_exponent``), so every row
+    the kept kernel values (in ``w``), their row sums and the query scales.
+    The exponent is min-shifted (``cidm._shifted_exponent``), so every row
     keeps an entry exp(0) = 1, and every sum is at least 1 (above 0 after
     the ``cidm_dm_normalized`` division by the positive ``raw_degree``).
 
-    The row holds two (m, N) float arrays and one (m, N) mask.  ``w``
-    holds the squared distances, then their exponent, and finally the
+    With ``w``, the row holds two (m, N) float arrays and one (m, N) mask.
+    ``w`` holds the squared distances, then their exponent, and finally the
     kernel values; the mask is the kept entries of the exponent.  ``d`` is
     a copy of the squared distances, with the exact zeros excluded, that
     the kNN scales reorder in place, and then holds the scale products.
@@ -120,12 +132,6 @@ def _row_core(model: CidmModel, queries: np.ndarray):
     batch gives empty rows.
     """
     cfg = model.config
-    pts = model.training.points
-    w = cdist(queries, pts, 'sqeuclidean')
-    if not w.max(initial=0.0) < np.inf:         # NaN, inf, or overflow
-        bad = int(np.argmin(w.max(axis=1) < np.inf))
-        raise InvalidQueryError(f'query row {bad}: the query or its squared distances '
-                                'to the training points are not finite')
     d = w.copy()
     # exact-zero distances are skipped, so a training point's row is its fitted row
     if not w.min(initial=np.inf) > 0.0:
@@ -137,14 +143,6 @@ def _row_core(model: CidmModel, queries: np.ndarray):
     if cfg.kernel_variant == 'cidm_dm_normalized':
         u /= model.raw_degree[None, :]
     return u, u.sum(axis=1, keepdims=True), scales
-
-
-def _kernel_rows(model: CidmModel, queries: np.ndarray):
-    """Row-normalized out-of-sample kernel weights ``(weights, scales)``:
-    the rows of :func:`_row_core`, each divided in place by its sum."""
-    u, sums, scales = _row_core(model, queries)
-    u /= sums
-    return u, scales
 
 
 def _mode_lambdas(model: CidmModel, n_modes: int) -> np.ndarray:
@@ -163,7 +161,8 @@ def eigenfunction_values(model: CidmModel, x, n_modes: int) -> np.ndarray:
     """Nystrom values of modes 0..n_modes-1 at one or many queries."""
     lam = _mode_lambdas(model, n_modes)
     q = _queries(x, model.training.ambient_dim)
-    weights = _kernel_rows(model, np.atleast_2d(q))[0]
+    weights, sums, _ = _row_core(model, _squared_distances(model, np.atleast_2d(q)))
+    weights /= sums
     vals = (weights @ model.eig_phi[:, :n_modes]) / lam[None, :]
     return vals[0] if q.ndim == 1 else vals
 
@@ -251,10 +250,11 @@ def project_many(projector: NystromProjector, x: np.ndarray, iterations: int = 2
     Each iteration is one kernel row per query and one (m, N) @ (N, n)
     contraction (:func:`_contract`)."""
     iterations = _size('iterations', iterations, 1)
-    q = _queries(x, projector.model.training.ambient_dim)
+    model = projector.model
+    q = _queries(x, model.training.ambient_dim)
     out = np.atleast_2d(q)
     for _ in range(iterations):
-        rows, sums, _ = _row_core(projector.model, out)
+        rows, sums, _ = _row_core(model, _squared_distances(model, out))
         out = _contract(projector, rows, sums)
     return out[0] if q.ndim == 1 else out
 
@@ -266,17 +266,53 @@ def project(projector: NystromProjector, x, iterations: int = 2) -> np.ndarray:
                         iterations)
 
 
-def _grad_pieces(model: CidmModel, query: np.ndarray):
-    """Unnormalized kernel row at one query and its sum
-    (:func:`_row_core`), its distances and delta^2 (recomputed from the
-    same squared distances, with the operations of :func:`_row_core`; the
-    distances are their square roots), its kNN scale and the gradient of
-    that scale."""
-    rows, sums, scales = _row_core(model, query[None, :])
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float array, with the bits of ``np.linalg.norm``:
+    that computes the same square root of the same dot product, behind
+    several microseconds of dispatch.  ``np.vdot`` rather than ``v.dot``,
+    because it does not warn where the squares overflow: the caller reports
+    the infinite norm itself."""
+    return math.sqrt(np.vdot(v, v))
+
+
+def _loss_gradient(grad, at: np.ndarray, source: str, where: str):
+    """The loss gradient rule: ``(g, norm)``, the ``grad`` that ``source``
+    returned at the point ``at`` (``where`` in messages) as a float array,
+    and its norm; ValueError unless g has the shape of ``at`` and a finite norm."""
+    g = np.asarray(grad, dtype=np.float64)
+    if g.shape != at.shape:
+        raise ValueError(f'{source} returned an array of shape {g.shape}; '
+                         f'the gradient at {where} must have its shape {at.shape}')
+    norm = _norm(g)
+    if not norm < math.inf:         # a NaN or inf entry, or the squares overflow
+        raise ValueError(f'{source} returned a gradient whose norm is not finite ({norm})')
+    return g, norm
+
+
+def diffusion_map_jacobian(model: CidmModel, n_modes: int, x) -> np.ndarray:
+    """Rows ``ell < n_modes`` of the Jacobian d(phi_ell)/dx at x.
+
+    Differentiates the implemented kernel row exactly within the query's
+    fixed neighbor set: both the Euclidean-distance term and the kNN-scale
+    variation contribute.  Mode 0 yields an exactly zero row.
+    """
+    return _jacobian(model, n_modes, x)[0]
+
+
+def _jacobian(model: CidmModel, n_modes: int, x):
+    """``(jac, rows, sums)``: :func:`diffusion_map_jacobian`, and the
+    unnormalized kernel row at x and its sum that it reads.  The row
+    (:func:`_row_core`) gets a copy of the query's squared distances; the
+    distances, delta^2 and the gradient of the kNN scale come from them.
+    The weights are the row divided by its sum, the bits of
+    :func:`eigenfunction_values`."""
+    lam = _mode_lambdas(model, n_modes)
+    query = _queries(x, model.training.ambient_dim, stack=False)
+    d2 = _squared_distances(model, query[None, :])
+    rows, sums, scales = _row_core(model, d2.copy())
     pts = model.training.points
-    row2 = cdist(query[None, :], pts, 'sqeuclidean')[0]
-    delta2 = row2 / (scales[0] * model.knn_scale)
-    row = np.sqrt(row2)
+    delta2 = d2[0] / (scales[0] * model.knn_scale)
+    row = np.sqrt(d2[0])
     pos = np.flatnonzero(row > 0.0)
     k = model.config.k_nn
     if pos.shape[0] < k + 1:
@@ -291,30 +327,8 @@ def _grad_pieces(model: CidmModel, query: np.ndarray):
             f'(gap {gap:.3e}); the kNN scale is not differentiable here')
     nbr = pos[:k]
     grad_scale = ((query[None, :] - pts[nbr]) / row[nbr][:, None]).mean(axis=0)
-    return rows, sums, row, delta2, scales[0], grad_scale
 
-
-def diffusion_map_jacobian(model: CidmModel, n_modes: int, x) -> np.ndarray:
-    """Rows ``ell < n_modes`` of the Jacobian d(phi_ell)/dx at x.
-
-    Differentiates the implemented kernel row exactly within the query's
-    fixed neighbor set: both the Euclidean-distance term and the kNN-scale
-    variation contribute.  Mode 0 yields an exactly zero row.
-    """
-    lam = _mode_lambdas(model, n_modes)
-    query = _queries(x, model.training.ambient_dim, stack=False)
-    return _jacobian(model, lam, query, _grad_pieces(model, query))
-
-
-def _jacobian(model: CidmModel, lam: np.ndarray, query: np.ndarray, pieces):
-    """:func:`diffusion_map_jacobian` for the modes of the kernel
-    eigenvalues ``lam``, from the kernel row at ``query`` (``pieces``, as
-    :func:`_grad_pieces` returns it).  The weights are the row divided by
-    its sum, the bits of :func:`_kernel_rows`."""
-    rows, sums, _, delta2, scale, grad_scale = pieces
     weights = rows[0] / sums[0]
-
-    pts = model.training.points
     eps2 = model.config.epsilon ** 2
     phi = model.eig_phi[:, :lam.shape[0]]
     phi_hat = weights @ phi                          # = lambda * phi(x), (L,)
@@ -324,7 +338,8 @@ def _jacobian(model: CidmModel, lam: np.ndarray, query: np.ndarray, pieces):
     U = centered * a[:, None]
     drift = np.outer(U.sum(axis=0), query) - U.T @ pts      # (L, n)
     s_coef = (weights * delta2) @ centered                  # (L,)
-    return -(2.0 * drift - np.outer(s_coef, grad_scale)) / (lam[:, None] * eps2 * scale)
+    jac = -(2.0 * drift - np.outer(s_coef, grad_scale)) / (lam[:, None] * eps2 * scales[0])
+    return jac, rows, sums
 
 
 def grad_eigenfunction(model: CidmModel, ell: int, x) -> np.ndarray:
@@ -341,14 +356,10 @@ def restricted_loss_gradient(projector: NystromProjector,
     ``loss_grad_at`` maps an input-space point to the loss gradient there;
     it is evaluated at the single-iteration projection of x, which is
     contracted (:func:`_contract`) from the same kernel row as the
-    Jacobian, so it equals ``project(projector, x, 1)`` bit for bit.
+    Jacobian, so it equals ``project(projector, x, 1)`` bit for bit.  Its
+    result must pass the loss gradient rule (:func:`_loss_gradient`).
     """
-    model = projector.model
-    lam = _mode_lambdas(model, projector.l_trunc)
-    query = _queries(x, model.training.ambient_dim, stack=False)
-    pieces = _grad_pieces(model, query)
-    jac = _jacobian(model, lam, query, pieces)
-    rows, sums = pieces[:2]
+    jac, rows, sums = _jacobian(projector.model, projector.l_trunc, x)
     target = _contract(projector, rows, sums)[0]
-    g = np.asarray(loss_grad_at(target), dtype=np.float64)
+    g = _loss_gradient(loss_grad_at(target), target, 'loss_grad_at', 'the projection of x')[0]
     return jac.T @ (projector.xhat @ g)

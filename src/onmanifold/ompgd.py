@@ -35,7 +35,7 @@ import numpy as np
 from . import nystrom
 from .cidm import CidmModel
 from .errors import StalledError, _size
-from .nystrom import NystromProjector, fourier_coefficients, project_many
+from .nystrom import NystromProjector, _loss_gradient, _norm, fourier_coefficients, project_many
 # the step builds its frame with _frame_arrows and _tangent_frame;
 # tangent_frame_at stays importable from here because perfbench/tracing.py
 # wraps it by this name
@@ -309,15 +309,6 @@ def _row_width(frame: SecFrame, label_map: SemanticMap | None) -> int:
     return frame.m_out if label_map is None else max(frame.m_out, label_map.n_modes)
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D float array, with the bits of ``np.linalg.norm``:
-    that computes the same square root of the same dot product, behind
-    several microseconds of dispatch.  ``np.vdot`` rather than ``v.dot``,
-    because it does not warn where the squares overflow: the caller reports
-    the infinite norm itself."""
-    return math.sqrt(np.vdot(v, v))
-
-
 def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
                 projector: NystromProjector, frame: SecFrame, fhat: np.ndarray,
                 config: PgdConfig, index: int = 0,
@@ -343,9 +334,8 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
         If ``frame`` and ``fhat`` fail the SEC-section rule (without
         ``arrows``), if ``x_on_values`` does not hold one value per mode of the row
         (``frame.m_out``, or the larger of it and the label map's modes),
-        or if the oracle's ``loss_grad`` does not return one value per
-        coordinate of ``x_on`` or returns a gradient whose norm is not
-        finite.
+        or if the oracle's ``loss_grad`` fails the loss gradient rule
+        (``nystrom._loss_gradient``): the shape of ``x_on``, a finite norm.
     RankDeficiencyError
         Propagated from the tangent frame when the fields do not span.
     StalledError
@@ -360,14 +350,8 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
     if x_on_values is not None and np.shape(x_on_values) != (width,):
         raise ValueError(f'x_on_values must have shape ({width},), '
                          f'got {np.shape(x_on_values)}')
-    g_raw = np.asarray(oracle.loss_grad(x_on, true_label), dtype=np.float64)
-    if g_raw.shape != x_on.shape:
-        raise ValueError(f'loss_grad returned an array of shape {g_raw.shape}; '
-                         f'the gradient at x_on must have its shape {x_on.shape}')
-    raw_norm = _norm(g_raw)
-    if not raw_norm < math.inf:         # a NaN or inf entry, or the squares overflow
-        raise ValueError(f'loss_grad returned a gradient whose norm is not finite '
-                         f'({raw_norm})')
+    g_raw, raw_norm = _loss_gradient(oracle.loss_grad(x_on, true_label), x_on,
+                                     'loss_grad', 'x_on')
     if raw_norm == 0.0:
         raise StalledError('loss gradient vanished at the current iterate')
     g = g_raw / raw_norm

@@ -5,6 +5,8 @@ from scipy.spatial.distance import pdist, squareform
 import onmanifold as om
 from scipy.spatial.distance import cdist
 
+from onmanifold import nystrom
+
 from onmanifold.cidm import DUPLICATE_SCALE_FRAC, KERNEL_TAIL, CidmConfig, _knn_scales
 from onmanifold.errors import DuplicatePointError, InvalidQueryError
 from onmanifold.repro import (equispaced_circle, fig2_pipeline, fig3_pipeline,
@@ -96,8 +98,8 @@ def semantic_model():
 # ---------------------------------------------------- reference kernel values
 # The kernel values with a masked store of the cut entries, and the
 # out-of-sample row built from fresh temporaries: the plain forms that the
-# mask multiply of ``cidm._cut_shape`` and the in-place arithmetic of
-# ``nystrom._kernel_rows`` must reproduce bit for bit.
+# mask multiply of ``cidm._cut_shape`` and the in-place arithmetic of the
+# row builder (``row_weights``) must reproduce bit for bit.
 
 
 def reference_cut_shape(z: np.ndarray, n_points: int) -> np.ndarray:
@@ -109,8 +111,23 @@ def reference_cut_shape(z: np.ndarray, n_points: int) -> np.ndarray:
     return z
 
 
+def kernel_rows(model, queries: np.ndarray):
+    """``(rows, sums, scales)`` of the row builder at an (m, n) stack of
+    ``queries``: ``nystrom._row_core`` of their squared distances."""
+    return nystrom._row_core(model, nystrom._squared_distances(model, queries))
+
+
+def row_weights(model, queries: np.ndarray):
+    """``(weights, scales)`` of the out-of-sample rows of an (m, n) stack of
+    ``queries``: :func:`kernel_rows`, each row divided in place by its sum,
+    as ``eigenfunction_values`` divides it."""
+    rows, sums, scales = kernel_rows(model, queries)
+    rows /= sums
+    return rows, scales
+
+
 def reference_kernel_rows(model, queries: np.ndarray):
-    """``(weights, dists, scales, delta2)`` of the out-of-sample rows."""
+    """``(weights, dists, scales)`` of the out-of-sample rows."""
     cfg = model.config
     pts = model.training.points
     if queries.shape[1] != pts.shape[1]:
@@ -132,7 +149,7 @@ def reference_kernel_rows(model, queries: np.ndarray):
     u = reference_cut_shape(z, model.n_points)
     if cfg.kernel_variant == 'cidm_dm_normalized':
         u = u / model.raw_degree[None, :]
-    return u / u.sum(axis=1, keepdims=True), dists, scales, delta2
+    return u / u.sum(axis=1, keepdims=True), dists, scales
 
 
 # ---------------------------------------------------- naive dense kernel

@@ -818,9 +818,9 @@ class TestCli:
         rows = []
         row_core = nystrom._row_core
 
-        def counting(model, queries):
-            rows.append(queries.shape[0])
-            return row_core(model, queries)
+        def counting(model, d2):
+            rows.append(d2.shape[0])
+            return row_core(model, d2)
 
         monkeypatch.setattr(nystrom, '_row_core', counting)
         out = tmp_path / 'trace.jsonl'

@@ -19,10 +19,9 @@ import onmanifold as om
 from onmanifold import cidm
 from onmanifold.cidm import KERNEL_TAIL, knn_scales
 from onmanifold.cli import _write_csv
-from onmanifold.nystrom import _kernel_rows
 
 from conftest import (dense_kernel_matrix, dense_squared_distances, dense_training_scales,
-                      reference_cut_shape)
+                      reference_cut_shape, row_weights)
 
 
 def brute_force_scales(pts, k):
@@ -62,7 +61,7 @@ class TestKnnScales:
         # fit uses the same scales; queries at the training points reproduce them
         model = om.fit(pts, om.CidmConfig(k_nn=k, n_eigs=2))
         npt.assert_array_equal(model.knn_scale, knn_scales(pts, k))
-        _, query_scales = _kernel_rows(model, pts.points)
+        _, query_scales = row_weights(model, pts.points)
         npt.assert_allclose(query_scales, expected, rtol=1e-10)
 
     def test_duplicate_points_raise(self):
@@ -260,7 +259,7 @@ class TestCertifiedCutoff:
         model = om.fit(cloud, cfg)
         K, _, _ = dense_kernel_matrix(dense_squared_distances(cloud.points), model.knn_scale, cfg)
         idx = np.arange(0, cloud.n_points, 7)
-        weights = _kernel_rows(model, cloud.points[idx])[0]
+        weights = row_weights(model, cloud.points[idx])[0]
         npt.assert_array_equal(weights != 0.0, K[idx] != 0.0)
 
     @pytest.mark.parametrize('n_points', [40, 400, 4000])

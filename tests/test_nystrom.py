@@ -14,7 +14,7 @@ from scipy.spatial.distance import cdist
 from onmanifold import cidm, nystrom
 from onmanifold.cidm import KERNEL_TAIL
 
-from conftest import reference_kernel_rows
+from conftest import kernel_rows, reference_kernel_rows, row_weights
 
 
 class TestExtendEigenfunction:
@@ -342,9 +342,9 @@ class TestRestrictedLossGradient:
         rows = nystrom._row_core
         calls = []
 
-        def counted(model, queries):
-            calls.append(queries.shape[0])
-            return rows(model, queries)
+        def counted(model, d2):
+            calls.append(d2.shape[0])
+            return rows(model, d2)
 
         # the row core serves the normalized rows and the projections alike
         monkeypatch.setattr(nystrom, '_row_core', counted)
@@ -360,6 +360,39 @@ class TestRestrictedLossGradient:
             assert calls == [1]
             npt.assert_array_equal(seen[0], target)
             npt.assert_array_equal(got, want)
+
+    def test_one_cdist_per_gradient(self, noisy_circle, monkeypatch):
+        # the row, the distances and delta^2 of a gradient come from one
+        # computation of the query's squared distances
+        _, _, model = noisy_circle
+        projector = om.build_projector(model, 15)
+        calls = []
+        monkeypatch.setattr(nystrom, 'cdist',
+                            lambda a, *args: calls.append(a.shape) or cdist(a, *args))
+        x = np.array([1.1, 0.2])
+        nystrom.diffusion_map_jacobian(model, 15, x)
+        assert calls == [(1, 2)]
+        calls.clear()
+        om.restricted_loss_gradient(projector, lambda y: y - 0.3, x)
+        assert calls == [(1, 2)]
+
+    @pytest.mark.parametrize('grad, message', [
+        (lambda y: (y - 0.3)[:, None], r'loss_grad_at returned an array of shape \(2, 1\); '
+                                       r'the gradient at the projection of x must have '
+                                       r'its shape \(2,\)'),
+        (lambda y: np.array([1.0, 2.0, 3.0]), r'loss_grad_at returned an array of shape \(3,\)'),
+        (lambda y: 1.0, r'loss_grad_at returned an array of shape \(\)'),
+        (lambda y: np.array([np.nan, 1.0]),
+         r'loss_grad_at returned a gradient whose norm is not finite \(nan\)'),
+        (lambda y: np.array([np.inf, 1.0]), r'not finite \(inf\)'),
+        (lambda y: np.array([1e200, -1e200]), r'not finite \(inf\)'),    # the squares overflow
+    ], ids=['column', 'three-vector', 'scalar', 'nan', 'inf', 'overflow'])
+    def test_bad_loss_gradient_named(self, noisy_circle, grad, message):
+        # the loss gradient rule of om_pgd_step: x's shape and a finite norm
+        _, _, model = noisy_circle
+        projector = om.build_projector(model, 15)
+        with pytest.raises(ValueError, match=message):
+            om.restricted_loss_gradient(projector, grad, np.array([0.9, 0.5]))
 
 
 class TestKernelVariants:
@@ -517,7 +550,7 @@ class TestQueryProperties:
         try:
             # the query rule of every entry, then the row
             queries = np.atleast_2d(nystrom._queries(q, pts.shape[1]))
-            weights, scales = nystrom._kernel_rows(model, queries)
+            weights, scales = row_weights(model, queries)
         except tuple(NAMED_ROW_ERRORS) as exc:
             prefixes = next(p for t, p in NAMED_ROW_ERRORS.items() if isinstance(exc, t))
             assert str(exc).startswith(prefixes), str(exc)
@@ -547,10 +580,9 @@ class TestQueryProperties:
 class TestPartitionOfUnity:
     def test_weights_sum_to_one(self, noisy_circle):
         _, _, model = noisy_circle
-        from onmanifold.nystrom import _kernel_rows
         rng = np.random.default_rng(2)
         queries = np.vstack([rng.uniform(-3, 3, size=(20, 2)), model.training.points[:5]])
-        weights, _ = _kernel_rows(model, queries)
+        weights, _ = row_weights(model, queries)
         npt.assert_allclose(weights.sum(axis=1), 1.0, rtol=1e-12)
 
     def test_idempotence_near_manifold(self, fig2):
@@ -602,18 +634,17 @@ class TestReferenceRows:
     @pytest.mark.parametrize('case', list(REFERENCE_ROW_CASES))
     def test_rows_are_bit_identical(self, case, request):
         model, queries = REFERENCE_ROW_CASES[case](request)
-        got = nystrom._kernel_rows(model, queries)
-        ref_weights, ref_dists, ref_scales, ref_delta2 = reference_kernel_rows(model, queries)
+        got = row_weights(model, queries)
+        ref_weights, ref_dists, ref_scales = reference_kernel_rows(model, queries)
         for name, a, b in zip(('weights', 'scales'), got, (ref_weights, ref_scales)):
             assert a.shape == b.shape, name
             npt.assert_array_equal(a, b, err_msg=name)
-        # the distances and delta^2 that the gradients read, at 25 of the queries
+        # the distances that the gradients read (and their delta^2 with the
+        # scales), at every query, and the gradient's row at 25 of them
+        npt.assert_array_equal(np.sqrt(nystrom._squared_distances(model, queries)), ref_dists)
         for i in np.linspace(0, queries.shape[0] - 1, 25).astype(int):
-            rows, sums, row, delta2, scale, _ = nystrom._grad_pieces(model, queries[i])
+            _, rows, sums = nystrom._jacobian(model, 1, queries[i])
             npt.assert_array_equal(rows[0] / sums[0], ref_weights[i])
-            npt.assert_array_equal(row, ref_dists[i])
-            npt.assert_array_equal(delta2, ref_delta2[i])
-            assert scale == ref_scales[i]
 
 
 class TestRowMemory:
@@ -627,7 +658,7 @@ class TestRowMemory:
         m, N = queries.shape[0], model.n_points
         tracemalloc.start()
         try:
-            nystrom._kernel_rows(model, queries)
+            row_weights(model, queries)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -793,7 +824,7 @@ class TestTrainingRowsAreFitted:
         model = FITTED_ROW_CASES[case](request)
         pts = model.training.points
         kernel = _fitted_kernel(model)
-        rows, sums, scales = nystrom._row_core(model, pts)
+        rows, sums, scales = kernel_rows(model, pts)
         npt.assert_array_equal(rows, kernel)
         npt.assert_array_equal(sums[:, 0], model.degree)
         npt.assert_array_equal(scales, model.knn_scale)
@@ -803,8 +834,8 @@ class TestTrainingRowsAreFitted:
         pts = model.training.points
         index = np.arange(0, model.n_points, 97)
         batch = np.vstack([fig2['grid'][:40], pts[index], 1.3 * pts[:5], pts[index[::-1]]])
-        rows, sums, _ = nystrom._row_core(model, batch)
-        alone, alone_sums, _ = nystrom._row_core(model, pts[index])
+        rows, sums, _ = kernel_rows(model, batch)
+        alone, alone_sums, _ = kernel_rows(model, pts[index])
         kernel = _fitted_kernel(model)
         k = index.shape[0]
         for got, got_sums in ((rows[40:40 + k], sums[40:40 + k]),
@@ -812,6 +843,22 @@ class TestTrainingRowsAreFitted:
                               (alone, alone_sums)):
             npt.assert_array_equal(got, kernel[index])
             npt.assert_array_equal(got_sums[:, 0], model.degree[index])
+
+    @pytest.mark.parametrize('variant', ['cidm', 'cidm_dm_normalized'])
+    def test_batch_row_is_the_single_row(self, variant):
+        # off-manifold, far (|x| = 50), near-origin and training queries:
+        # row i of one batch is query i's one-query row, bit for bit
+        model, near = _variant(kernel_variant=variant)
+        rng = np.random.default_rng(12)
+        theta = rng.uniform(0.0, 2.0 * np.pi, 12)
+        ring = np.column_stack([np.cos(theta), np.sin(theta)])
+        batch = np.vstack([near[::10], rng.uniform(-2.0, 2.0, size=(20, 2)), 50.0 * ring,
+                           1e-3 * ring, np.zeros((1, 2)), model.training.points[::50]])
+        rows, sums, scales = kernel_rows(model, batch)
+        for i, x in enumerate(batch):
+            one = kernel_rows(model, x[None, :])
+            for name, got, want in zip(('rows', 'sums', 'scales'), (rows, sums, scales), one):
+                npt.assert_array_equal(got[i], want[0], err_msg=f'{name} of query {i}')
 
     @pytest.mark.parametrize('seed', range(4))
     def test_scales_keep_their_bits(self, seed):

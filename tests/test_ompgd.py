@@ -447,9 +447,9 @@ class TestOneRowPerIterate:
         rows, widths = [], []
         row_core, values = nystrom._row_core, nystrom.eigenfunction_values
 
-        def counted_rows(model, queries):
-            rows.append(queries.shape[0])
-            return row_core(model, queries)
+        def counted_rows(model, d2):
+            rows.append(d2.shape[0])
+            return row_core(model, d2)
 
         def counted_values(model, x, n_modes):
             widths.append(n_modes)

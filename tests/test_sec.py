@@ -432,7 +432,7 @@ class TestTangentFrame:
         monkeypatch.setattr(sec, '_frame_arrows',
                             lambda *a: arrows.append(1) or frame_arrows(*a))
         monkeypatch.setattr(nystrom, '_row_core',
-                            lambda m, q: rows.append(q.shape[0]) or row_core(m, q))
+                            lambda m, d2: rows.append(d2.shape[0]) or row_core(m, d2))
         stacked = om.tangent_frame_at(model, frame, fhat, pts, 1)
         assert stacked.shape == (len(pts), 2, 1)
         npt.assert_array_equal(stacked, alone)

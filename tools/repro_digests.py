@@ -8,9 +8,10 @@ output file and one ``<sha256>  <figure>/stdout`` per figure's printed lines,
 so two checkouts give byte-identical outputs exactly when their listings are
 equal.  A last run, ``torus``, covers the ARPACK side of the fit at the size
 of the ``torus-build`` benchmark: the N=4000 seed-1 torus fit's ``eig_xi`` and
-``eig_phi``, its SEC frame's ``etas`` and ``ops``, and the tangent frames at
-its 200 queries after a bundle round trip, one ``<sha256>  torus/<name>`` line
-per array (C-order float64 bytes):
+``eig_phi``, its SEC frame's ``etas`` and ``ops``, the tangent frames at its
+200 queries after a bundle round trip, and the fit's Jacobians of modes 0..8
+at the same queries (``nystrom.diffusion_map_jacobian``, stacked), one
+``<sha256>  torus/<name>`` line per array (C-order float64 bytes):
 
     python3 tools/repro_digests.py > after.txt
     python3 tools/repro_digests.py --src ../other-checkout/src > before.txt
@@ -57,6 +58,7 @@ digest('sec_etas', frame.etas)
 digest('sec_ops', frame.ops)
 digest('tangents', om.tangent_frame_at(loaded.model, loaded.sec_frame, loaded.sec_fhat,
                                        queries, 2))
+digest('jacobian', np.stack([om.nystrom.diffusion_map_jacobian(model, 9, x) for x in queries]))
 """
 
 
