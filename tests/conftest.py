@@ -127,7 +127,7 @@ def row_weights(model, queries: np.ndarray):
 
 
 def reference_kernel_rows(model, queries: np.ndarray):
-    """``(weights, dists, scales)`` of the out-of-sample rows."""
+    """``(weights, dists, scales, delta2)`` of the out-of-sample rows."""
     cfg = model.config
     pts = model.training.points
     if queries.shape[1] != pts.shape[1]:
@@ -149,7 +149,27 @@ def reference_kernel_rows(model, queries: np.ndarray):
     u = reference_cut_shape(z, model.n_points)
     if cfg.kernel_variant == 'cidm_dm_normalized':
         u = u / model.raw_degree[None, :]
-    return u / u.sum(axis=1, keepdims=True), dists, scales
+    return u / u.sum(axis=1, keepdims=True), dists, scales, delta2
+
+
+def reference_jacobian(model, n_modes: int, query: np.ndarray) -> np.ndarray:
+    """Rows ``ell < n_modes`` of the diffusion map's Jacobian at one
+    ``query``: the arithmetic of ``nystrom._jacobian``, in its order, on the
+    weights, distances, scale and delta^2 of :func:`reference_kernel_rows`,
+    with the k nearest neighbors taken from a full sort (ties by index)."""
+    weights, dists, scales, delta2 = (a[0] for a in reference_kernel_rows(model, query[None, :]))
+    pts = model.training.points
+    pos = np.flatnonzero(dists > 0.0)
+    nbr = pos[np.lexsort((pos, dists[pos]))][:model.config.k_nn]
+    grad_scale = ((query[None, :] - pts[nbr]) / dists[nbr][:, None]).mean(axis=0)
+    lam = model._lambdas[:n_modes]
+    phi = model.eig_phi[:, :n_modes]
+    centered = phi - (weights @ phi)[None, :]
+    U = centered * (weights / model.knn_scale)[:, None]
+    drift = np.outer(U.sum(axis=0), query) - U.T @ pts
+    s_coef = (weights * delta2) @ centered
+    return -(2.0 * drift - np.outer(s_coef, grad_scale)) / (lam[:, None] * model.config.epsilon ** 2
+                                                            * scales)
 
 
 # ---------------------------------------------------- naive dense kernel

@@ -14,7 +14,7 @@ from scipy.spatial.distance import cdist
 from onmanifold import cidm, nystrom
 from onmanifold.cidm import KERNEL_TAIL
 
-from conftest import kernel_rows, reference_kernel_rows, row_weights
+from conftest import kernel_rows, reference_jacobian, reference_kernel_rows, row_weights
 
 
 class TestExtendEigenfunction:
@@ -635,16 +635,20 @@ class TestReferenceRows:
     def test_rows_are_bit_identical(self, case, request):
         model, queries = REFERENCE_ROW_CASES[case](request)
         got = row_weights(model, queries)
-        ref_weights, ref_dists, ref_scales = reference_kernel_rows(model, queries)
+        ref_weights, ref_dists, ref_scales, _ = reference_kernel_rows(model, queries)
         for name, a, b in zip(('weights', 'scales'), got, (ref_weights, ref_scales)):
             assert a.shape == b.shape, name
             npt.assert_array_equal(a, b, err_msg=name)
-        # the distances that the gradients read (and their delta^2 with the
-        # scales), at every query, and the gradient's row at 25 of them
+        # the distances that the gradients read, at every query; and at 25 of
+        # them the gradient's row, and its Jacobian, which reads the row's
+        # weights, distances, scale and delta^2, against the reference's
         npt.assert_array_equal(np.sqrt(nystrom._squared_distances(model, queries)), ref_dists)
+        L = model._n_extendable
         for i in np.linspace(0, queries.shape[0] - 1, 25).astype(int):
-            _, rows, sums = nystrom._jacobian(model, 1, queries[i])
+            jac, rows, sums = nystrom._jacobian(model, L, queries[i])
             npt.assert_array_equal(rows[0] / sums[0], ref_weights[i])
+            npt.assert_array_equal(jac, reference_jacobian(model, L, queries[i]),
+                                   err_msg=f'Jacobian at query {i}')
 
 
 class TestRowMemory:
