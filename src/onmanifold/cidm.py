@@ -66,16 +66,32 @@ one, bit for bit.  ARPACK runs on the half
 kernel of ``K_sym``, whose product gives each entry the bits of the full
 CSR product (:meth:`_HalfKernel._matvec`), with int32 index arrays while
 the entry count fits; small or full-spectrum fits hand dense ``eigh`` only
-the lower triangle it reads (:meth:`_HalfKernel.dense_lower`).  On a host
-where the process may use two CPUs, a kernel of ``_PIPELINE_PANELS`` or
-more row panels runs that product as a two-stage pipeline during the
-eigensolve: a helper thread scatters each panel's transpose, and the
-caller gathers the panels it has scattered.  The helper lives only inside
-the eigensolve, and the product keeps its bits.
+the lower triangle it reads (:meth:`_HalfKernel.dense_lower`).
+
+Two cores
+---------
+Where the process may use two CPUs (:func:`_usable_cpus`), the package's
+large block loops run on two threads: the caller and one helper thread
+per process (:class:`_Helper`), started at its first use and dropped in a
+forked child.  The fit's row-block passes (the scales and the diameter,
+the kernel's count and fill passes, the ``cidm_dm_normalized`` degrees)
+give the caller the even-numbered blocks and the helper the odd-numbered
+ones, each with its own scratch (:func:`_blockwise`); each block writes
+its own slices, and the diameter is a max of block maxima.  A kernel of
+``_PIPELINE_PANELS`` or more row panels runs its ARPACK product as a
+two-stage pipeline (:meth:`_HalfKernel.two_cores`): the helper scatters
+each panel's transpose, and the caller gathers the panels it has
+scattered.  ``nystrom`` builds the two halves of a large batch of
+out-of-sample rows on the two threads.  The helper runs only these
+private block functions, never one that submits to it again, and every
+result keeps the bits it has inline, where a process that may use one
+CPU runs everything.
 """
 
+import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
 from queue import SimpleQueue
@@ -323,16 +339,21 @@ def _training_row_scales(pts: np.ndarray, rows: np.ndarray, k_nn: int):
 
 def _training_scales(pts: np.ndarray, k_nn: int):
     """kNN scales of the training points (self excluded) and the data
-    diameter, from one row block of squared distances at a time; the
-    diameter is the square root of the largest one."""
+    diameter, from one row block of squared distances at a time
+    (:func:`_blockwise`); the diameter is the square root of the largest
+    one."""
     N = pts.shape[0]
     k_nn = _size('k_nn', k_nn, 1, N - 1)
     scales = np.empty(N)
-    max_d2 = 0.0
-    for a, b in _row_blocks(N):
-        scales[a:b], block_max = _training_row_scales(pts, np.arange(a, b), k_nn)
-        max_d2 = max(max_d2, block_max)
-    diameter = float(np.sqrt(max_d2))
+
+    def scan(blocks) -> float:
+        max_d2 = 0.0
+        for a, b in blocks:
+            scales[a:b], block_max = _training_row_scales(pts, np.arange(a, b), k_nn)
+            max_d2 = max(max_d2, block_max)
+        return max_d2
+
+    diameter = float(np.sqrt(max(_blockwise(scan, list(_row_blocks(N))))))
     if not diameter < MAX_DISTANCE:
         raise ValueError(f'training distances overflow when squared: the data diameter '
                          f'{diameter:.3e} is not below {MAX_DISTANCE:.3e}; rescale the points')
@@ -353,8 +374,15 @@ def _negated_exponent(d2: np.ndarray, row_scales: np.ndarray, col_scales: np.nda
                       epsilon: float, scratch: np.ndarray) -> np.ndarray:
     """``s = -z`` in place of ``d2``, with z = d2 / (row_scale * col_scale) /
     epsilon^2 and the scale products in ``scratch``.  ``x / (-a * b)`` is
-    ``-(x / (a * b))`` bit for bit, so the negation costs no pass."""
-    d2 /= np.multiply.outer(-row_scales, col_scales, out=scratch)
+    ``-(x / (a * b))`` bit for bit, so the negation costs no pass.
+
+    The products are the column scales, filled in, times the negated row
+    scales: the bits of the outer product, but one broadcast operand, so
+    below about 2700 columns numpy buffers half of what ``multiply.outer``
+    buffers (60 against 120 KiB a call), which two threads may hold at once."""
+    scratch[...] = col_scales
+    scratch *= -row_scales[:, None]
+    d2 /= scratch
     eps2 = epsilon ** 2
     if eps2 != 1.0:
         with np.errstate(over='ignore'):        # an infinite z is a cut entry
@@ -417,6 +445,93 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class _Helper:
+    """One thread, ``onmanifold-helper``, that runs the calls handed to
+    :meth:`submit` one at a time, in order.
+
+    A call runs in a copy of the submitting thread's context, so an
+    ``np.errstate`` in force there applies to it as it would inline.  Its
+    error is raised where its ``Future`` is read.  The thread is a daemon
+    that idles between calls; the process keeps one (:func:`_helper`).
+    """
+
+    def __init__(self):
+        self._calls = SimpleQueue()
+        self.thread = threading.Thread(target=self._serve, name='onmanifold-helper',
+                                       daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            job, run, fn, args = self._calls.get()
+            try:
+                job.set_result(run(fn, *args))
+            except BaseException as exc:        # raised by the reader of the job
+                job.set_exception(exc)
+
+    def submit(self, fn, *args) -> Future:
+        """Queue ``fn(*args)``; the returned ``Future`` holds its result."""
+        job = Future()
+        self._calls.put((job, contextvars.copy_context().run, fn, args))
+        return job
+
+
+#: The process's helper and the lock that guards its start; a forked child
+#: drops both, because the parent's thread does not exist there.
+_HELPER: _Helper | None = None
+_HELPER_LOCK = threading.Lock()
+
+
+def _drop_helper() -> None:
+    global _HELPER, _HELPER_LOCK
+    _HELPER, _HELPER_LOCK = None, threading.Lock()
+
+
+if hasattr(os, 'register_at_fork'):
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _helper() -> _Helper | None:
+    """The process's helper thread, started at the first call; None where
+    the work runs inline: in a process that may use one CPU only, and on
+    the helper itself, which must never wait for its own queue."""
+    global _HELPER
+    if _usable_cpus() < 2:
+        return None
+    with _HELPER_LOCK:
+        if _HELPER is None:
+            _HELPER = _Helper()
+        helper = _HELPER
+    return None if threading.current_thread() is helper.thread else helper
+
+
+def _both(helper: _Helper, work, mine, theirs) -> tuple:
+    """``(work(mine), work(theirs))``, the second on ``helper`` while the
+    caller runs the first.  Both have finished when this returns or raises,
+    since each may write into arrays the caller reads; the caller's error
+    is raised first, then the helper's."""
+    job = helper.submit(work, theirs)
+    try:
+        ours = work(mine)
+    except BaseException:
+        job.exception()
+        raise
+    return ours, job.result()
+
+
+def _blockwise(work, blocks: list) -> list:
+    """The results of ``work`` on a list of row blocks: ``[work(blocks)]``
+    inline, or, with a helper (:func:`_helper`) and at least two blocks,
+    ``work`` of the even-numbered blocks on the caller and of the
+    odd-numbered ones on the helper.  ``work`` allocates its own scratch
+    and writes only its blocks' slices, so the result has the same bits
+    either way."""
+    helper = _helper() if len(blocks) > 1 else None
+    if helper is None:
+        return [work(blocks)]
+    return list(_both(helper, work, blocks[0::2], blocks[1::2]))
+
+
 class _HalfKernel(LinearOperator):
     """A symmetric N x N kernel held once: ``upper``, its strict upper
     triangle (CSR), and ``diag``, its diagonal.
@@ -438,26 +553,23 @@ class _HalfKernel(LinearOperator):
             b = int(np.searchsorted(indptr, int(indptr[a]) + _BLOCK_ENTRIES, side='right')) - 1
             bounds.append(max(b, a + 1))
         self._panels = list(zip(bounds[:-1], bounds[1:]))
-        self._helper = None             # the scatter thread's executor, inside two_cores()
+        self._helper = None             # the helper that scatters, inside two_cores()
 
     @contextmanager
     def two_cores(self):
         """Run :meth:`_matvec` as a two-stage pipeline inside this block when
-        it pays: a helper thread scatters, the caller gathers.  The helper is
-        started at the first product and joined when the block exits, also
-        on an error.  The product stays inline (one thread) for a kernel of
-        fewer than ``_PIPELINE_PANELS`` panels, whose hand-offs cost more
-        than the overlap saves, and in a process that may run on one CPU
-        only.  Either way it has the same bits."""
-        if len(self._panels) < _PIPELINE_PANELS or _usable_cpus() < 2:
+        it pays: the process's helper thread (:func:`_helper`) scatters, the
+        caller gathers.  Each product waits for its scatter before it
+        returns or raises, so nothing of it runs past the block.  The
+        product stays inline (one thread) for a kernel of fewer than
+        ``_PIPELINE_PANELS`` panels, whose hand-offs cost more than the
+        overlap saves, and in a process that may run on one CPU only.
+        Either way it has the same bits."""
+        self._helper = _helper() if len(self._panels) >= _PIPELINE_PANELS else None
+        try:
             yield
-            return
-        with ThreadPoolExecutor(1, thread_name_prefix='onmanifold-scatter') as helper:
-            self._helper = helper
-            try:
-                yield
-            finally:
-                self._helper = None
+        finally:
+            self._helper = None
 
     def _matvec(self, x):
         """``K @ x``, one row panel [a, b) of ``upper`` at a time: the panel's
@@ -499,13 +611,18 @@ class _HalfKernel(LinearOperator):
         if helper is not None:
             scattered = SimpleQueue()
             job = helper.submit(self._scatter, x, y, scattered)
-        for a, b in self._panels:
-            if helper is None:
-                self._scatter_panel(a, b, x, y)
-            elif not scattered.get():
-                job.result()                    # raises the helper's error
-            y[a:b] += dx[a:b]
-            csr_matvec(b - a, N, S.indptr[a:b + 1], S.indices, S.data, x, y[a:b])
+        try:
+            for a, b in self._panels:
+                if helper is None:
+                    self._scatter_panel(a, b, x, y)
+                elif not scattered.get():
+                    job.result()                # raises the helper's error
+                y[a:b] += dx[a:b]
+                csr_matvec(b - a, N, S.indptr[a:b + 1], S.indices, S.data, x, y[a:b])
+        except BaseException:
+            if helper is not None:
+                job.exception()                 # the scatter writes y until it ends
+            raise
         if helper is not None:
             job.result()
         return y
@@ -558,61 +675,84 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
     int32 while the entry count fits (int64 beyond), so a sparse product
     streams 12 bytes per entry rather than 16.  The
     ``cidm_dm_normalized`` degrees are the row sums of the divided kernel,
-    from a third pass that recomputes each dense block row.
+    from a third pass that recomputes each dense block row.  Each pass may
+    run on two threads (:func:`_blockwise`), each walk with its own scratch;
+    a block writes only its own rows of ``indptr``, the degrees and the
+    diagonal, and its own slices of ``data`` and ``indices``.
     """
     N = pts.shape[0]
     cut = _kernel_cut(N)
     blocks = list(_row_blocks(N))
-    scratch = np.empty((blocks[0][1], N))       # the first block is the largest
+    rows = blocks[0][1]                          # the first block is the largest
 
-    def exponents(upper: bool):
-        """Each block's bounds and exponent: to the columns from the block's
-        first row on if ``upper``, else to every column."""
-        for a, b in blocks:
+    def exponents(part: list, upper: bool):
+        """Each block of ``part``, its bounds, exponent and scratch: to the
+        columns from the block's first row on if ``upper``, else to every
+        column.  The walk holds two buffers of its own, one for the squared
+        distances and exponents and one for the scale products, and reuses
+        them for each block, so a block is read before the next is made; the
+        scratch is free after the exponent."""
+        d2, scratch = np.empty((2, rows * N))
+        for a, b in part:
             c = a if upper else 0
-            yield a, b, _negated_exponent(cdist(pts[a:b], pts[c:], 'sqeuclidean'), scales[a:b],
-                                          scales[c:], config.epsilon, scratch[:b - a, :N - c])
+            shape, size = (b - a, N - c), (b - a) * (N - c)
+            s = cdist(pts[a:b], pts[c:], 'sqeuclidean', out=d2[:size].reshape(shape))
+            products = scratch[:size].reshape(shape)
+            yield a, b, _negated_exponent(s, scales[a:b], scales[c:], config.epsilon,
+                                          products), products
 
     # the entries right of the diagonal in a block's square: its first n x n
     # corner serves a last block of n rows
-    right = ~np.tri(blocks[0][1], dtype=bool)
+    right = ~np.tri(rows, dtype=bool)
     indptr = np.zeros(N + 1, dtype=np.int64)
-    for a, b, s in exponents(upper=True):
-        keep = _kept(s, cut)
-        keep[:, :b - a] &= right[:b - a, :b - a]
-        indptr[a + 1:b + 1] = np.count_nonzero(keep, axis=1)
+
+    def count(part: list) -> None:
+        for a, b, s, _ in exponents(part, upper=True):
+            keep = _kept(s, cut)
+            keep[:, :b - a] &= right[:b - a, :b - a]
+            indptr[a + 1:b + 1] = np.count_nonzero(keep, axis=1)
+
+    _blockwise(count, blocks)
     np.cumsum(indptr, out=indptr)
     index_dtype = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=index_dtype)
     diag = np.empty(N)
     raw_degree = np.empty(N)
-    for a, b, s in exponents(upper=False):
-        keep = _kept(s, cut)
-        K = _cut_shape(s, cut, keep)
-        raw_degree[a:b] = K.sum(axis=1)
-        diag[a:b] = np.diagonal(K, a)
-        # the mask has been read: clear it on and below the square's diagonal,
-        # and read it from column a on
-        keep[:, a:b] &= right[:b - a, :b - a]
-        lo, hi = indptr[a], indptr[b]
-        counts = np.diff(indptr[a:b + 1])
-        # entry (r, c) has flat index r (N - a) + c - a in the columns from a
-        # on, and r N + c in the block: add a (r + 1)
-        kept = np.flatnonzero(keep[:, a:])
-        kept += np.repeat(a * np.arange(1, b - a + 1), counts)
-        data[lo:hi] = K.ravel()[kept]
-        # column: flat index in the block minus the start of its row
-        kept -= np.repeat(np.arange(0, (b - a) * N, N), counts)
-        indices[lo:hi] = kept
+
+    def fill(part: list) -> None:
+        for a, b, s, _ in exponents(part, upper=False):
+            keep = _kept(s, cut)
+            K = _cut_shape(s, cut, keep)
+            raw_degree[a:b] = K.sum(axis=1)
+            diag[a:b] = np.diagonal(K, a)
+            # the mask has been read: clear it on and below the square's
+            # diagonal, and read it from column a on
+            keep[:, a:b] &= right[:b - a, :b - a]
+            lo, hi = indptr[a], indptr[b]
+            counts = np.diff(indptr[a:b + 1])
+            # entry (r, c) has flat index r (N - a) + c - a in the columns
+            # from a on, and r N + c in the block: add a (r + 1)
+            kept = np.flatnonzero(keep[:, a:])
+            kept += np.repeat(a * np.arange(1, b - a + 1), counts)
+            data[lo:hi] = K.ravel()[kept]
+            # column: flat index in the block minus the start of its row
+            kept -= np.repeat(np.arange(0, (b - a) * N, N), counts)
+            indices[lo:hi] = kept
+
+    _blockwise(fill, blocks)
     K = _HalfKernel(csr_array((data, indices, indptr.astype(index_dtype)), shape=(N, N)), diag)
     if config.kernel_variant == 'cidm_dm_normalized':
         _divide_entries(K, raw_degree, root=False)
         degree = np.empty(N)
-        for a, b, s in exponents(upper=False):
-            block = _cut_shape(s, cut)
-            block /= np.multiply.outer(raw_degree[a:b], raw_degree, out=scratch[:b - a])
-            degree[a:b] = block.sum(axis=1)
+
+        def divided_degrees(part: list) -> None:
+            for a, b, s, scratch in exponents(part, upper=False):
+                block = _cut_shape(s, cut)
+                block /= np.multiply.outer(raw_degree[a:b], raw_degree, out=scratch)
+                degree[a:b] = block.sum(axis=1)
+
+        _blockwise(divided_degrees, blocks)
         return K, degree, raw_degree
     return K, raw_degree, None
 

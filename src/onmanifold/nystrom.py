@@ -19,7 +19,17 @@ fitted kernel, and its sum its ``degree``, bit for bit.
 ``_row_core`` turns them into its out-of-sample kernel row, in place
 (scales, the min-shifted exponent, kernel values and the certified
 cutoff come from ``cidm``, the functions of the fit); extension,
-projection and gradients all go through the pair.  A row is its kept
+projection and gradients all go through the pair.  Where the process may
+use two CPUs, a batch of values or projections of at least 2 rows and
+``cidm._BLOCK_ENTRIES`` entries builds its two halves on two threads
+(:func:`_rows`): the caller one and the process's helper thread the
+other, each its own squared distances, into its slice of one (m, N)
+array, and its own row.  Every operation of a row reads that row only,
+so the halves have the bits of the whole batch; the contraction with
+the modes or the projector's operand then runs once, on the caller, over
+the whole batch, since a matrix product split by rows may sum a row in
+another order.  The helper calls none of this module's public functions.
+A row is its kept
 kernel values, unnormalized, with their row sums:
 :func:`eigenfunction_values` divides each row by its sum in place, and a
 projection iteration multiplies the rows through the operand
@@ -62,8 +72,8 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .cidm import (SMALL_LAMBDA, CidmModel, _cut_shape, _knn_scales, _shifted_exponent,
-                   inner)
+from .cidm import (_BLOCK_ENTRIES, SMALL_LAMBDA, CidmModel, _both, _cut_shape, _helper,
+                   _knn_scales, _shifted_exponent, inner)
 from .errors import InvalidQueryError, KnnBoundaryError, SmallEigenvalueError, _size
 
 __all__ = [
@@ -100,11 +110,13 @@ def _queries(x, dim: int, stack: bool = True) -> np.ndarray:
     return q
 
 
-def _squared_distances(model: CidmModel, queries: np.ndarray) -> np.ndarray:
+def _squared_distances(model: CidmModel, queries: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """The (m, N) squared distances from an (m, n) stack of ``queries`` that
-    passed the query rule (:func:`_queries`) to the training points; a row
-    that is not finite raises :class:`InvalidQueryError` naming it."""
-    d2 = cdist(queries, model.training.points, 'sqeuclidean')
+    passed the query rule (:func:`_queries`) to the training points, in
+    ``out`` if given; a row that is not finite raises
+    :class:`InvalidQueryError` naming it."""
+    d2 = cdist(queries, model.training.points, 'sqeuclidean', out=out)
     if not d2.max(initial=0.0) < np.inf:        # NaN, inf, or overflow
         bad = int(np.argmin(d2.max(axis=1) < np.inf))
         raise InvalidQueryError(f'query row {bad}: the query or its squared distances '
@@ -126,7 +138,8 @@ def _row_core(model: CidmModel, w: np.ndarray):
     ``w`` holds the squared distances, then their exponent, and finally the
     kernel values; the mask is the kept entries of the exponent.  ``d`` is
     a copy of the squared distances, with the exact zeros excluded, that
-    the kNN scales reorder in place, and then holds the scale products.
+    the kNN scales reorder in place, and then holds the scale products; it
+    is freed before the mask is made, so the row peaks at two of the three.
     These are the fit's operations on the same squared distances, so at a
     training point the row is its fitted kernel row bit for bit.  An empty
     batch gives empty rows.
@@ -139,10 +152,40 @@ def _row_core(model: CidmModel, w: np.ndarray):
     scales = _knn_scales(d, cfg.k_nn)
     if np.isinf(scales).any():
         raise ValueError('fewer than k_nn distinct training points for a query')
-    u = _cut_shape(_shifted_exponent(w, scales, model.knn_scale, cfg.epsilon, d), model._cut)
+    s = _shifted_exponent(w, scales, model.knn_scale, cfg.epsilon, d)
+    del d                       # freed before the mask is made
+    u = _cut_shape(s, model._cut)
     if cfg.kernel_variant == 'cidm_dm_normalized':
         u /= model.raw_degree[None, :]
     return u, u.sum(axis=1, keepdims=True), scales
+
+
+def _rows(model: CidmModel, queries: np.ndarray):
+    """``(rows, sums)`` of :func:`_row_core` at an (m, n) stack of ``queries``.
+
+    A batch of at least 2 rows and ``cidm._BLOCK_ENTRIES`` (m N) entries,
+    where the process has a helper thread (``cidm._helper``), builds its
+    two halves on two cores: the caller one, the helper the other, each its
+    own squared distances in its slice of one (m, N) array and its own
+    :func:`_row_core`.  Every operation of a row reads that row only, so
+    the halves have the bits of the whole batch.  If a half raises, the
+    batch is built again unsplit, which raises the error with its row index
+    in the batch."""
+    m, N = queries.shape[0], model.n_points
+    helper = _helper() if m >= 2 and m * N >= _BLOCK_ENTRIES else None
+    if helper is not None:
+        rows, sums = np.empty((m, N)), np.empty((m, 1))
+
+        def half(part: slice) -> None:
+            w = _squared_distances(model, queries[part], out=rows[part])
+            sums[part] = _row_core(model, w)[1]
+
+        try:
+            _both(helper, half, slice(0, m // 2), slice(m // 2, m))
+            return rows, sums
+        except Exception:       # raised again below, with its row in the batch
+            pass
+    return _row_core(model, _squared_distances(model, queries))[:2]
 
 
 def _mode_lambdas(model: CidmModel, n_modes: int) -> np.ndarray:
@@ -161,7 +204,7 @@ def eigenfunction_values(model: CidmModel, x, n_modes: int) -> np.ndarray:
     """Nystrom values of modes 0..n_modes-1 at one or many queries."""
     lam = _mode_lambdas(model, n_modes)
     q = _queries(x, model.training.ambient_dim)
-    weights, sums, _ = _row_core(model, _squared_distances(model, np.atleast_2d(q)))
+    weights, sums = _rows(model, np.atleast_2d(q))
     weights /= sums
     vals = (weights @ model.eig_phi[:, :n_modes]) / lam[None, :]
     return vals[0] if q.ndim == 1 else vals
@@ -174,18 +217,34 @@ def extend_eigenfunction(model: CidmModel, ell: int, x) -> float:
                                       ell + 1)[ell])
 
 
+def _check_finite(name: str, array: np.ndarray) -> None:
+    """ValueError naming the first entry of ``array`` (by row, and by column
+    if it has columns) that is not finite, and its value."""
+    bad = ~np.isfinite(array)
+    if bad.any():
+        at = np.argwhere(bad)[0]
+        where = f'row {at[0]}' + (f', column {at[1]}' if at.shape[0] > 1 else '')
+        raise ValueError(f'{name} {where} is not finite ({array[tuple(at)]})')
+
+
 def fourier_coefficients(model: CidmModel, values: np.ndarray, l_trunc: int) -> np.ndarray:
-    """Generalized Fourier coefficients <values[:, s], phi_ell> for ell < l_trunc."""
+    """Generalized Fourier coefficients <values[:, s], phi_ell> for ell < l_trunc.
+
+    ``values`` must be finite (:func:`_check_finite`)."""
     vals = np.asarray(values, dtype=np.float64)
     if vals.shape[0] != model.n_points:
         raise ValueError('values must have one row per training point')
+    _check_finite('values', vals)
     l_trunc = _size('l_trunc', l_trunc, 1, model.n_eigs)
     return inner(model, model.eig_phi[:, :l_trunc], vals)
 
 
 def extend_function(model: CidmModel, coeffs: np.ndarray, x) -> np.ndarray:
-    """Evaluate sum_ell coeffs[ell] phi_ell(x); a regression when truncated."""
+    """Evaluate sum_ell coeffs[ell] phi_ell(x); a regression when truncated.
+
+    ``coeffs`` must be finite (:func:`_check_finite`)."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
+    _check_finite('coeffs', coeffs)
     squeeze = coeffs.ndim == 1
     if squeeze:
         coeffs = coeffs[:, None]
@@ -254,8 +313,7 @@ def project_many(projector: NystromProjector, x: np.ndarray, iterations: int = 2
     q = _queries(x, model.training.ambient_dim)
     out = np.atleast_2d(q)
     for _ in range(iterations):
-        rows, sums, _ = _row_core(model, _squared_distances(model, out))
-        out = _contract(projector, rows, sums)
+        out = _contract(projector, *_rows(model, out))
     return out[0] if q.ndim == 1 else out
 
 

@@ -35,7 +35,8 @@ import numpy as np
 from . import nystrom
 from .cidm import CidmModel
 from .errors import StalledError, _size
-from .nystrom import NystromProjector, _loss_gradient, _norm, fourier_coefficients, project_many
+from .nystrom import (NystromProjector, _check_finite, _loss_gradient, _norm,
+                      fourier_coefficients, project_many)
 # the step builds its frame with _frame_arrows and _tangent_frame;
 # tangent_frame_at stays importable from here because perfbench/tracing.py
 # wraps it by this name
@@ -196,6 +197,7 @@ def semantic_map(model: CidmModel, params_deg: np.ndarray,
     params = np.asarray(params_deg, dtype=np.float64)
     if params.ndim == 1:
         params = params[:, None]
+    _check_finite('params_deg', params)
     if params.shape[1] != len(periodic):
         raise ValueError('one periodic flag per parameter column required')
     cols = []

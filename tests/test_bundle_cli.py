@@ -622,6 +622,23 @@ class TestCli:
         got = np.loadtxt(out, delimiter=',')
         assert np.corrcoef(got, fig1_target_function(params))[0, 1] > 0.99
 
+    def test_extend_verb_refuses_a_non_finite_value(self, tmp_path, capsys):
+        # a nan value wrote an all-NaN CSV and exited 0
+        pts = tmp_path / 'pts.csv'
+        vals = tmp_path / 'vals.csv'
+        bundle = tmp_path / 'model.bundle'
+        out = tmp_path / 'ext.csv'
+        run_cli('synth', '--kind', 'circle', '--n', '60', '--seed', '1', '--out', str(pts))
+        run_cli('fit', str(pts), '--k-nn', '6', '--n-eigs', '10', '--out', str(bundle))
+        values = np.ones(60)
+        values[17] = np.nan
+        np.savetxt(vals, values, delimiter=',')
+        capsys.readouterr()
+        assert run_cli('extend', str(bundle), str(pts), '--values', str(vals),
+                       '--out', str(out)) == 1
+        assert capsys.readouterr().err == 'error: values row 17, column 0 is not finite (nan)\n'
+        assert not out.exists()
+
     def test_sec_fields_and_tangent_verbs(self, tmp_path):
         pts = tmp_path / 'pts.csv'
         bundle = tmp_path / 'model.bundle'

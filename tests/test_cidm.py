@@ -347,9 +347,16 @@ class TestCertifiedCutoff:
 
 def product_mode(monkeypatch, pipelined: bool) -> None:
     """Make :meth:`cidm._HalfKernel.two_cores` run every half kernel's
-    product on two threads, or every one inline, whatever the host."""
+    product on two threads, or every one inline, whatever the host; the
+    other block work (``cidm._blockwise``, ``nystrom._rows``) runs on two
+    threads or inline with it."""
     monkeypatch.setattr(cidm, '_PIPELINE_PANELS', 1 if pipelined else np.iinfo(np.int64).max)
-    monkeypatch.setattr(cidm, '_usable_cpus', lambda: 2)
+    cpu_mode(monkeypatch, pipelined)
+
+
+def cpu_mode(monkeypatch, two: bool) -> None:
+    """Make the process look as if it may use two CPUs, or one."""
+    monkeypatch.setattr(cidm, '_usable_cpus', lambda: 2 if two else 1)
 
 
 def row_block_cases():
@@ -447,6 +454,22 @@ class TestRowBlockKernel:
                     npt.assert_array_equal(K.matvec(x), ref['K_sym'] @ x)
             assert K._helper is None
 
+    def test_two_cores_give_the_inline_kernel(self, case, monkeypatch):
+        # the block passes split over two threads, alternate blocks on each,
+        # give the scales, the diameter and the kernel of the inline passes
+        cloud, cfg, ref = case
+        out = {}
+        for two in (False, True):
+            cpu_mode(monkeypatch, two)
+            scales, diameter = cidm._training_scales(cloud.points, cfg.k_nn)
+            K, degree, raw_degree = cidm._kernel_csr(cloud.points, ref['knn_scale'], cfg)
+            out[two] = dict(scales=scales, diameter=diameter, indptr=K.upper.indptr,
+                            indices=K.upper.indices, data=K.upper.data, diag=K.diag,
+                            degree=degree, raw_degree=raw_degree)
+        for name, want in out[False].items():
+            npt.assert_array_equal(out[True][name], want, err_msg=name)
+        npt.assert_array_equal(out[True]['scales'], ref['knn_scale'])
+
     def test_csr_kernel_has_int32_indices(self, case):
         cloud, cfg, ref = case
         K = cidm._kernel_csr(cloud.points, ref['knn_scale'], cfg)[0]
@@ -503,11 +526,17 @@ class TestRowBlockKernel:
                       + K.diag.nbytes)
         assert peak <= half_bytes + 6 * cidm._BLOCK_ENTRIES * 8
 
+    def test_two_core_kernel_holds_one_copy(self, fig2, monkeypatch):
+        # each thread walks its blocks with buffers of its own: the bound holds
+        cpu_mode(monkeypatch, True)
+        self.test_kernel_csr_holds_one_copy(fig2)
+
 
 class TestTwoCoreProduct:
     """ARPACK's products run on two threads inside :meth:`cidm._HalfKernel.two_cores`
     when the kernel has enough panels and the process two CPUs; the fit's
-    bits do not depend on it, and no thread outlives the fit."""
+    bits do not depend on it, and the two threads are the caller and the
+    process's one helper, ``onmanifold-helper``."""
 
     @staticmethod
     def spy_on_scatter(monkeypatch, fail_after=None):
@@ -525,17 +554,17 @@ class TestTwoCoreProduct:
 
     def test_fit_bits_do_not_depend_on_the_mode(self, torus_assets, monkeypatch):
         # the N=1500 torus kernel has 6 panels; a pipelined fit scatters on
-        # one helper thread, which it has joined when it returns
+        # the process's helper thread, which idles when it returns
         cloud, _, model, _, _ = torus_assets
-        before = threading.active_count()
         fits = {}
         for pipelined in (False, True):
             product_mode(monkeypatch, pipelined)
             threads = self.spy_on_scatter(monkeypatch)
             fits[pipelined] = om.fit(cloud, model.config)
             helpers = set(threads) - {threading.current_thread()}
-            assert len(helpers) == pipelined and not any(t.is_alive() for t in helpers)
-            assert threading.active_count() == before
+            assert [t.name for t in helpers] == ['onmanifold-helper'] * pipelined
+        assert [t.name for t in threading.enumerate()
+                if t.name.startswith('onmanifold')] == ['onmanifold-helper']
         for name in ('eig_xi', 'eig_phi', 'degree'):
             npt.assert_array_equal(getattr(fits[True], name), getattr(fits[False], name),
                                    err_msg=name)
@@ -557,7 +586,7 @@ class TestTwoCoreProduct:
         cloud, _, model, _, _ = torus_assets
         product_mode(monkeypatch, pipelined)
         threads = self.spy_on_scatter(monkeypatch, fail_after=20)
-        before = threading.active_count()
+        before = set(threading.enumerate())
         raised = []
 
         def run():
@@ -572,7 +601,10 @@ class TestTwoCoreProduct:
         assert not caller.is_alive()
         assert [str(exc) for exc in raised] == ['scatter failed']
         assert (threads[-1] is not caller) == pipelined
-        assert threading.active_count() == before
+        # no thread but the helper is left, and the helper still serves
+        assert {t.name for t in set(threading.enumerate()) - before} <= {'onmanifold-helper'}
+        if pipelined:
+            assert cidm._helper().submit(sum, [1, 2]).result() == 3
 
     def test_import_starts_no_thread(self):
         src = os.path.dirname(os.path.dirname(om.__file__))

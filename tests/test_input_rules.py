@@ -1,4 +1,4 @@
-"""The three input rules, one table each.
+"""The four input rules, one table each.
 
 * Sizes (``errors._size``): every count, index or truncation a config or a
   public function takes is an integer, not a ``bool``, in its range, or a
@@ -10,6 +10,10 @@
   training dimension with one naming both dimensions.
 * SEC sections (``sec._check_section``): a frame and its ``fhat`` come
   together and agree with the model, or a ValueError names what is wrong.
+* Finite data (``nystrom._check_finite``): the values a function is
+  expanded from, the coefficients it is evaluated from and the parameters
+  a semantic map encodes are finite, or a ValueError names the first entry
+  that is not, by row and column, and its value.
 
 The cases reuse the session fixtures and fail before any O(N^2) work.
 """
@@ -184,6 +188,40 @@ def test_query_dimension_rule(parts, entry):
     message = 'query dimension 3 does not match the training dimension 2'
     with pytest.raises(om.InvalidQueryError, match=f'^{message}$'):
         QUERIES[entry](parts, np.full(3, 0.5))
+
+
+def _with(array, bad: dict) -> np.ndarray:
+    """A float copy of ``array`` with the entries ``{index: value}`` set."""
+    out = np.array(array, dtype=np.float64)
+    for index, value in bad.items():
+        out[index] = value
+    return out
+
+
+#: id -> (the named entry, call of a non-finite value): each call sets the
+#: named entry and a later one to the value.
+NON_FINITE = {
+    'fourier_coefficients-values': ('values row 7, column 1', lambda p, v: om.fourier_coefficients(
+        p['model'], _with(p['cloud'].points, {(7, 1): v, (9, 0): v}), 10)),
+    'fourier_coefficients-vector': ('values row 7', lambda p, v: om.fourier_coefficients(
+        p['model'], _with(np.ones(300), {7: v, 9: v}), 10)),
+    'extend_function-coeffs': ('coeffs row 3, column 1', lambda p, v: om.extend_function(
+        p['model'], _with(np.ones((10, 2)), {(3, 1): v, (4, 0): v}), [1.0, 0.0])),
+    'extend_function-vector': ('coeffs row 3', lambda p, v: om.extend_function(
+        p['model'], _with(np.ones(10), {3: v, 4: v}), [1.0, 0.0])),
+    'semantic_map-params_deg': ('params_deg row 5, column 0', lambda p, v: om.semantic_map(
+        p['model'], _with(np.zeros(300), {5: v, 6: v}), [True], 10)),
+}
+
+
+@pytest.mark.parametrize('value', [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize('case', list(NON_FINITE))
+def test_finite_rule(parts, case, value):
+    # each of these returned NaN or infinite results without an error
+    where, call = NON_FINITE[case]
+    message = re.escape(f'{where} is not finite ({value})')
+    with pytest.raises(ValueError, match=f'^{message}$'):
+        call(parts, value)
 
 
 #: id -> (frame, fhat, message) from the parts; the message names the

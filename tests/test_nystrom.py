@@ -1,5 +1,8 @@
 import dataclasses
+import multiprocessing
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -368,7 +371,7 @@ class TestRestrictedLossGradient:
         projector = om.build_projector(model, 15)
         calls = []
         monkeypatch.setattr(nystrom, 'cdist',
-                            lambda a, *args: calls.append(a.shape) or cdist(a, *args))
+                            lambda a, *args, **kw: calls.append(a.shape) or cdist(a, *args, **kw))
         x = np.array([1.1, 0.2])
         nystrom.diffusion_map_jacobian(model, 15, x)
         assert calls == [(1, 2)]
@@ -667,6 +670,172 @@ class TestRowMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 8 * m * N + m * N + 2 * 8 * np.getbufsize(), peak
+
+    def test_split_row_holds_two_float_arrays_and_one_mask(self, fig2, monkeypatch):
+        # the same batch built in two halves on two threads, through
+        # eigenfunction_values (row_weights builds it unsplit): tracemalloc
+        # counts the helper thread's arrays too, and the bound is the same
+        model = fig2['model']
+        theta = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, 64)
+        queries = 1.2 * np.column_stack([np.cos(theta), np.sin(theta)])
+        m, N = queries.shape[0], model.n_points
+        assert m * N >= cidm._BLOCK_ENTRIES
+        monkeypatch.setattr(cidm, '_usable_cpus', lambda: 2)
+        threads = spy_on_rows(monkeypatch)
+        tracemalloc.start()
+        try:
+            om.eigenfunction_values(model, queries, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * m * N + m * N + 2 * 8 * np.getbufsize(), peak
+        assert sorted(threads) == ['MainThread', 'onmanifold-helper']
+
+
+def spy_on_rows(monkeypatch) -> list:
+    """Record the name of the thread of each ``nystrom._squared_distances``
+    call, the first step of a row."""
+    threads = []
+    squared_distances = nystrom._squared_distances
+
+    def spy(*args, **kw):
+        threads.append(threading.current_thread().name)
+        return squared_distances(*args, **kw)
+
+    monkeypatch.setattr(nystrom, '_squared_distances', spy)
+    return threads
+
+
+class TestSplitRows:
+    """A batch of at least 2 rows and ``cidm._BLOCK_ENTRIES`` entries, in a
+    process that may use two CPUs, builds its two halves on two threads
+    (``nystrom._rows``): with the bits of the inline batch, the inline
+    batch's errors, and no traced function on the helper."""
+
+    @pytest.fixture(scope='class', params=['cidm', 'cidm_dm_normalized'])
+    def variant(self, request):
+        """A model (N=300), its projector, and 400 queries: near the
+        training points, and off the circle."""
+        model, near = _variant(kernel_variant=request.param)
+        far = np.random.default_rng(21).uniform(-2.0, 2.0, size=(100, 2))
+        return model, om.build_projector(model, 15), np.vstack([near, far])
+
+    @staticmethod
+    def both_ways(variant, m: int, split: bool, monkeypatch) -> None:
+        """Values and projections of the first ``m`` queries, on one CPU and
+        on two: bit for bit the same, split on two exactly when ``split``."""
+        model, projector, queries = variant
+        batch = queries[:m]
+        out = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(cidm, '_usable_cpus', lambda: cpus)
+            threads = spy_on_rows(monkeypatch)
+            out[cpus] = (om.eigenfunction_values(model, batch, model.n_eigs),
+                         om.project_many(projector, batch))
+            assert ('onmanifold-helper' in threads) == (split and cpus == 2), threads
+        for name, got, want in zip(('values', 'projections'), out[2], out[1]):
+            npt.assert_array_equal(got, want, err_msg=name)
+
+    @pytest.mark.parametrize('m', [2, 3, 43, 44, 45, 64, 201])
+    def test_split_batch_is_the_inline_batch(self, variant, m, monkeypatch):
+        # every batch of two or more rows splits here
+        monkeypatch.setattr(nystrom, '_BLOCK_ENTRIES', 2)
+        self.both_ways(variant, m, True, monkeypatch)
+
+    def test_threshold(self, variant, monkeypatch):
+        # N=300: 219 rows are the fewest that hold _BLOCK_ENTRIES entries
+        m = -(-cidm._BLOCK_ENTRIES // variant[0].n_points)
+        assert m == 219
+        self.both_ways(variant, m - 1, False, monkeypatch)
+        self.both_ways(variant, m, True, monkeypatch)
+
+    @pytest.mark.filterwarnings('error')
+    @pytest.mark.parametrize('row', [10, 50], ids=['caller', 'helper'])
+    @pytest.mark.parametrize('bad, epsilon, message', [
+        ([np.nan, 0.0], 1.0,
+         'query row {row}: the query or its squared distances to the training points '
+         'are not finite'),
+        ([1e8, 0.0], 1e-150,
+         'query row {row}: its smallest kernel exponent delta^2/epsilon^2 is not finite '
+         'at epsilon=1e-150'),
+    ], ids=['nan', 'exponents-overflow'])
+    @pytest.mark.parametrize('entry', ['eigenfunction_values', 'project_many'])
+    def test_error_in_a_half_is_the_inline_error(self, noisy_circle, monkeypatch, entry, bad,
+                                                 epsilon, message, row):
+        # rows 0-31 are the caller's half of the 64, rows 32-63 the helper's
+        _, _, model = noisy_circle
+        model = dataclasses.replace(model, config=dataclasses.replace(model.config,
+                                                                      epsilon=epsilon))
+        theta = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 64)
+        batch = np.column_stack([np.cos(theta), np.sin(theta)])
+        batch[row] = bad
+        monkeypatch.setattr(nystrom, '_BLOCK_ENTRIES', 2)
+        for cpus in (1, 2):
+            monkeypatch.setattr(cidm, '_usable_cpus', lambda: cpus)
+            threads = spy_on_rows(monkeypatch)
+            match = f'^{re.escape(message.format(row=row))}$'
+            with pytest.raises(om.InvalidQueryError, match=match):
+                if entry == 'eigenfunction_values':
+                    om.eigenfunction_values(model, batch, 3)
+                else:
+                    om.project_many(om.build_projector(model, 15), batch)
+            assert ('onmanifold-helper' in threads) == (cpus == 2)
+
+    def test_helper_runs_in_the_callers_errstate(self, monkeypatch):
+        # an np.errstate in force applies to a half on the helper as inline
+        monkeypatch.setattr(cidm, '_usable_cpus', lambda: 2)
+        with np.errstate(under='raise'):
+            assert cidm._helper().submit(np.geterr).result()['under'] == 'raise'
+        assert cidm._helper().submit(np.geterr).result() == np.geterr()
+
+    def test_traced_functions_run_on_the_caller(self, fig2, monkeypatch):
+        # perfbench's tracer keeps one span stack, so the helper's half calls
+        # no function it wraps; extend_function and semantic_labels reach
+        # eigenfunction_values through the module attribute, as traced
+        model = fig2['model']
+        queries = fig2['grid'][:64]
+        monkeypatch.setattr(cidm, '_usable_cpus', lambda: 2)
+        rows = spy_on_rows(monkeypatch)
+        seen = []
+        values = nystrom.eigenfunction_values
+
+        def spy(*args):
+            seen.append(threading.current_thread().name)
+            return values(*args)
+
+        monkeypatch.setattr(nystrom, 'eigenfunction_values', spy)
+        om.extend_function(model, np.ones(5), queries)
+        om.project_many(om.build_projector(model, 20), queries)
+        assert seen == [threading.current_thread().name]
+        assert rows.count('onmanifold-helper') == 3
+
+    @pytest.mark.skipif(not hasattr(os, 'fork'), reason='fork is not available')
+    @pytest.mark.filterwarnings('ignore::DeprecationWarning')
+    def test_forked_child_splits_a_batch(self, fig2, monkeypatch):
+        # a child forked after the helper started has no helper thread; it
+        # starts its own instead of waiting on the parent's queue
+        model = fig2['model']
+        queries = fig2['grid'][:64]
+        monkeypatch.setattr(cidm, '_usable_cpus', lambda: 2)
+        want = om.eigenfunction_values(model, queries, 20)
+        parent_helper = cidm._HELPER
+        assert parent_helper is not None and parent_helper.thread.is_alive()
+
+        def child():
+            threads = spy_on_rows(monkeypatch)
+            got = om.eigenfunction_values(model, queries, 20)
+            assert np.array_equal(got, want)
+            assert sorted(threads) == ['MainThread', 'onmanifold-helper']
+            assert cidm._HELPER is not parent_helper
+
+        proc = multiprocessing.get_context('fork').Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        hung = proc.is_alive()
+        if hung:
+            proc.kill()
+            proc.join()
+        assert not hung and proc.exitcode == 0
 
 
 class TestEmptyBatch:

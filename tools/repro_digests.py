@@ -9,9 +9,14 @@ so two checkouts give byte-identical outputs exactly when their listings are
 equal.  A last run, ``torus``, covers the ARPACK side of the fit at the size
 of the ``torus-build`` benchmark: the N=4000 seed-1 torus fit's ``eig_xi`` and
 ``eig_phi``, its SEC frame's ``etas`` and ``ops``, the tangent frames at its
-200 queries after a bundle round trip, and the fit's Jacobians of modes 0..8
-at the same queries (``nystrom.diffusion_map_jacobian``, stacked), one
-``<sha256>  torus/<name>`` line per array (C-order float64 bytes):
+200 queries after a bundle round trip, the fit's Jacobians of modes 0..8
+at the same queries (``nystrom.diffusion_map_jacobian``, stacked), and the
+values of all 80 modes and the two-iteration projection (L=20) of the 200
+queries as one (200, 3) batch each, one ``<sha256>  torus/<name>`` line per
+array (C-order float64 bytes).  On a host where the process may use two
+CPUs, the fit's block passes, its ARPACK products and the two batches run
+on two threads; pinned to one CPU (``taskset -c 0``), inline; the listings
+are the same:
 
     python3 tools/repro_digests.py > after.txt
     python3 tools/repro_digests.py --src ../other-checkout/src > before.txt
@@ -59,6 +64,8 @@ digest('sec_ops', frame.ops)
 digest('tangents', om.tangent_frame_at(loaded.model, loaded.sec_frame, loaded.sec_fhat,
                                        queries, 2))
 digest('jacobian', np.stack([om.nystrom.diffusion_map_jacobian(model, 9, x) for x in queries]))
+digest('values', om.eigenfunction_values(model, queries, 80))
+digest('projection', om.project_many(om.build_projector(model, 20), queries, 2))
 """
 
 
