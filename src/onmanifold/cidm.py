@@ -50,23 +50,24 @@ Until the eigensolve no N x N array is formed: the scales and the kernel
 are computed from row blocks of B = max(1, ``_BLOCK_ENTRIES`` // N)
 training rows.  The kernel is symmetric bit for bit (K_ij and K_ji come
 from the same squared distance and the same scale product), so it is held
-once, as a :class:`_HalfKernel`: its strict upper triangle in CSR form and
-its diagonal.  It takes two passes over the blocks: a count pass that
-counts the kept entries right of the diagonal, from the distances to the
-columns from the block's first row on (half of the distance work), and a
-fill pass that computes full block rows, for the degrees, and writes the
-kept entries right of the diagonal into CSR arrays allocated once, at
-their exact size.  Each pass clears its block's own keep mask in place on
-and below the diagonal, so no triangular copy of a block is made.  So the
-fit holds O(B N) scratch plus (nnz + N) / 2 of the nnz kept entries.  Each
-entry and each degree (the sum of a dense kernel row) is computed with the
-same operations in the same order as on the full matrix, so the half
-kernel is the upper triangle and diagonal of ``csr_array`` of the dense
-one, bit for bit.  ARPACK runs on the half
-kernel of ``K_sym``, whose product gives each entry the bits of the full
-CSR product (:meth:`_HalfKernel._matvec`), with int32 index arrays while
-the entry count fits; small or full-spectrum fits hand dense ``eigh`` only
-the lower triangle it reads (:meth:`_HalfKernel.dense_lower`).
+once, as a :class:`_HalfKernel`: its strict upper triangle, in two CSR
+parts split at column h = N // 2, and its diagonal.  It takes two passes
+over the blocks: a count pass that counts each part's kept entries right
+of the diagonal, from the distances to the columns from the block's first
+row on (half of the distance work), and a fill pass that computes full
+block rows, for the degrees, and writes the kept entries right of the
+diagonal into each part's CSR arrays, allocated once, at their exact size.
+Each pass clears its block's own keep mask in place on and below the
+diagonal, so no triangular copy of a block is made.  So the fit holds
+O(B N) scratch plus (nnz + N) / 2 of the nnz kept entries.  Each entry and
+each degree (the sum of a dense kernel row) is computed with the same
+operations in the same order as on the full matrix, so the half kernel is
+the upper triangle and diagonal of ``csr_array`` of the dense one, bit for
+bit.  ARPACK runs on the half kernel of ``K_sym``, whose product gives
+each entry the bits of the full CSR product (:meth:`_HalfKernel._matvec`),
+with int32 index arrays while a part's entry count fits; small or
+full-spectrum fits hand dense ``eigh`` only the lower triangle it reads
+(:meth:`_HalfKernel.dense_lower`).
 
 Two cores
 ---------
@@ -77,22 +78,20 @@ forked child.  The fit's row-block passes (the scales and the diameter,
 the kernel's count and fill passes, the ``cidm_dm_normalized`` degrees)
 give the caller the even-numbered blocks and the helper the odd-numbered
 ones, each with its own scratch (:func:`_blockwise`); each block writes
-its own slices, and the diameter is a max of block maxima.  A kernel of
-``_PIPELINE_PANELS`` or more row panels runs its ARPACK product as a
-two-stage pipeline (:meth:`_HalfKernel.two_cores`): the helper scatters
-each panel's transpose, and the caller gathers the panels it has
-scattered.  ``nystrom`` builds the two halves of a large batch of
-out-of-sample rows on the two threads.  The helper runs only these
-private block functions, never one that submits to it again, and every
-result keeps the bits it has inline, where a process that may use one
-CPU runs everything.
+its own slices, and the diameter is a max of block maxima.  The ARPACK
+product of a kernel of ``_TWO_THREAD_PANELS`` or more row panels computes
+the rows below h on the caller and the rows from h on on the helper
+(:meth:`_HalfKernel._matvec`).  ``nystrom`` builds the two halves of a
+large batch of out-of-sample rows on the two threads.  Each of these is
+one :func:`_both` call.  The helper runs only these private block
+functions, never one that submits to it again, and every result keeps the
+bits it has inline, where a process that may use one CPU runs everything.
 """
 
 import contextvars
 import os
 import threading
 from concurrent.futures import Future
-from contextlib import contextmanager
 from dataclasses import dataclass
 from queue import SimpleQueue
 from typing import Literal
@@ -100,7 +99,7 @@ from typing import Literal
 import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse import csr_array
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_todense
 from scipy.sparse.linalg import LinearOperator, eigsh, ArpackNoConvergence
 from scipy.spatial.distance import cdist
 
@@ -142,9 +141,10 @@ SMALL_LAMBDA = 1e-10
 _BLOCK_ENTRIES = 2 ** 16
 
 #: A half kernel of at least this many row panels runs its ARPACK products
-#: on two threads (:meth:`_HalfKernel.two_cores`), when the process may use
-#: two CPUs; a smaller one runs them inline.
-_PIPELINE_PANELS = 6
+#: on two threads (:meth:`_HalfKernel._matvec`), when the process may use
+#: two CPUs; a smaller one runs them inline, where the hand-off would cost
+#: more than the second thread saves.
+_TWO_THREAD_PANELS = 6
 
 
 @dataclass(frozen=True)
@@ -533,63 +533,52 @@ def _blockwise(work, blocks: list) -> list:
 
 
 class _HalfKernel(LinearOperator):
-    """A symmetric N x N kernel held once: ``upper``, its strict upper
-    triangle (CSR), and ``diag``, its diagonal.
+    """A symmetric N x N kernel K = [[A, B], [B^T, C]], split at h = N // 2,
+    held once: ``diag``, its diagonal, and its strict upper triangle in two
+    N x N CSR parts, ``left`` (its columns below h: the strict upper
+    triangle of A) and ``right`` (its columns from h on: B in the rows
+    below h, the strict upper triangle of C in the others).
 
     ARPACK reads its product, that of ``csr_array`` of the full matrix bit
-    for bit (:meth:`_matvec`), which walks ``upper`` in row panels of at most
-    ``_BLOCK_ENTRIES`` stored entries; inside :meth:`two_cores` it may run
-    the panels' scatter on a helper thread and their gather on the caller,
-    with the same bits.  ``eigh`` reads :meth:`dense_lower`.
+    for bit (:meth:`_matvec`), which walks each half of the rows in row
+    panels of at most ``_BLOCK_ENTRIES`` stored entries, the two halves on
+    two threads when it pays.  ``eigh`` reads :meth:`dense_lower`.
     """
 
-    def __init__(self, upper: csr_array, diag: np.ndarray):
-        super().__init__(np.float64, upper.shape)
-        self.upper, self.diag = upper, diag
-        # row panels of at most _BLOCK_ENTRIES stored entries (and at least one row)
-        indptr, bounds = upper.indptr, [0]
-        while bounds[-1] < upper.shape[0]:
-            a = bounds[-1]
-            b = int(np.searchsorted(indptr, int(indptr[a]) + _BLOCK_ENTRIES, side='right')) - 1
-            bounds.append(max(b, a + 1))
-        self._panels = list(zip(bounds[:-1], bounds[1:]))
-        self._helper = None             # the helper that scatters, inside two_cores()
-
-    @contextmanager
-    def two_cores(self):
-        """Run :meth:`_matvec` as a two-stage pipeline inside this block when
-        it pays: the process's helper thread (:func:`_helper`) scatters, the
-        caller gathers.  Each product waits for its scatter before it
-        returns or raises, so nothing of it runs past the block.  The
-        product stays inline (one thread) for a kernel of fewer than
-        ``_PIPELINE_PANELS`` panels, whose hand-offs cost more than the
-        overlap saves, and in a process that may run on one CPU only.
-        Either way it has the same bits."""
-        self._helper = _helper() if len(self._panels) >= _PIPELINE_PANELS else None
-        try:
-            yield
-        finally:
-            self._helper = None
+    def __init__(self, left: csr_array, right: csr_array, diag: np.ndarray):
+        N = diag.shape[0]
+        super().__init__(np.float64, (N, N))
+        self.left, self.right, self.diag = left, right, diag
+        # row panels of at most _BLOCK_ENTRIES stored entries (and at least
+        # one row), split at row h
+        indptr = np.add(left.indptr, right.indptr, dtype=np.int64)
+        bounds = [0]
+        for end in (N // 2, N):
+            while bounds[-1] < end:
+                a = bounds[-1]
+                b = int(np.searchsorted(indptr, indptr[a] + _BLOCK_ENTRIES, side='right')) - 1
+                bounds.append(min(max(b, a + 1), end))
+        panels = list(zip(bounds[:-1], bounds[1:]))
+        top = bounds.index(N // 2)
+        self._panels = panels[:top], panels[top:]
 
     def _matvec(self, x):
-        """``K @ x``, one row panel [a, b) of ``upper`` at a time: the panel's
+        """``K @ x``: half 0, the rows below h, and half 1, the rows from h
+        on (:meth:`_rows`), each one panel [a, b) at a time.  A panel's
         transpose scatters into y, then rows a..b-1 add their diagonal
-        product and gather their upper entries.  So each y_i adds the
-        products of its row in ascending column order, starting from 0, as
-        the full CSR product does, and the second read of a panel comes from
-        cache.  ``diag * x`` is formed once; each panel adds its slice.
+        product and gather their entries right of the diagonal.  So each y_i
+        adds the products of its row in ascending column order, starting
+        from 0, as the full CSR product does, and the second read of a
+        panel comes from cache.  ``diag * x`` is formed once; each panel
+        adds its slice.
 
-        Inside :meth:`two_cores` the two passes run on two threads: the
-        helper scatters the panels in order (:meth:`_scatter`), and the
-        caller gathers panel p once the helper has scattered it.  The bits
-        do not change: when panel p is gathered, every panel up to p has
-        been scattered, and a later panel's scatter writes only y_c with c
-        at or past p's end, never the rows being gathered.  The scatter
-        streams the panel from memory, the gather is one chain of dependent
-        additions per row (1.15 and 0.85 ms of a 2.1 ms product inside
-        ``eigsh`` on the N=4000 torus), so the two overlap: ``eigsh`` on
-        that torus ran 1.36 s against 1.67 s inline (2-core x86_64, one
-        BLAS thread).
+        The halves write disjoint rows of y: ``left`` holds only columns
+        below h and ``right`` only columns from h on.  With the process's
+        helper thread (:func:`_helper`), the caller computes half 0 while
+        the helper computes half 1 (:func:`_both`); inline, half 0 and then
+        half 1, with the same bits.  The product stays inline for a kernel
+        of fewer than ``_TWO_THREAD_PANELS`` panels and in a process that may
+        run on one CPU only.
 
         The in-place kernels are scipy's private ``_sparsetools``: the public
         ``@`` starts each product from a new zero vector, so the lower and
@@ -604,50 +593,39 @@ class _HalfKernel(LinearOperator):
         One BLAS thread, 2-core x86_64.
         """
         x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
-        N = x.shape[0]
-        S, helper = self.upper, self._helper
-        y = np.zeros(N)
+        y = np.zeros(x.shape[0])
         dx = self.diag * x
-        if helper is not None:
-            scattered = SimpleQueue()
-            job = helper.submit(self._scatter, x, y, scattered)
-        try:
-            for a, b in self._panels:
-                if helper is None:
-                    self._scatter_panel(a, b, x, y)
-                elif not scattered.get():
-                    job.result()                # raises the helper's error
-                y[a:b] += dx[a:b]
-                csr_matvec(b - a, N, S.indptr[a:b + 1], S.indices, S.data, x, y[a:b])
-        except BaseException:
-            if helper is not None:
-                job.exception()                 # the scatter writes y until it ends
-            raise
-        if helper is not None:
-            job.result()
+        helper = _helper() if sum(map(len, self._panels)) >= _TWO_THREAD_PANELS else None
+        if helper is None:
+            for half in (0, 1):
+                self._rows(half, x, y, dx)
+        else:
+            _both(helper, lambda half: self._rows(half, x, y, dx), 0, 1)
         return y
 
-    def _scatter_panel(self, a: int, b: int, x: np.ndarray, y: np.ndarray) -> None:
-        """``y += S[a:b].T @ x[a:b]``, in place: writes y_c for c > a only."""
-        S = self.upper
-        csc_matvec(x.shape[0], b - a, S.indptr[a:b + 1], S.indices, S.data, x[a:b], y)
-
-    def _scatter(self, x: np.ndarray, y: np.ndarray, scattered: SimpleQueue) -> None:
-        """The helper's stage: scatter the panels in order, putting True on
-        ``scattered`` after each one, or False before raising an error, so
-        the caller never waits for a panel that will not come."""
-        try:
-            for a, b in self._panels:
-                self._scatter_panel(a, b, x, y)
-                scattered.put(True)
-        except BaseException:
-            scattered.put(False)
-            raise
+    def _rows(self, half: int, x: np.ndarray, y: np.ndarray, dx: np.ndarray) -> None:
+        """Half 0 or 1 of ``K @ x``, in place of y's zeros.  Half 1 first
+        scatters B^T, from the rows below h of ``right``.  Then, per panel,
+        the transpose of the part that holds the half's columns scatters,
+        and the rows gather ``left`` (half 0 only) and ``right``."""
+        N, S = x.shape[0], (self.left, self.right)[half]
+        if half:
+            csc_matvec(N, N // 2, S.indptr, S.indices, S.data, x, y)
+        for a, b in self._panels[half]:
+            csc_matvec(N, b - a, S.indptr[a:b + 1], S.indices, S.data, x[a:b], y)
+            y[a:b] += dx[a:b]
+            for P in (self.left, self.right)[half:]:
+                csr_matvec(b - a, N, P.indptr[a:b + 1], P.indices, P.data, x, y[a:b])
 
     def dense_lower(self) -> np.ndarray:
         """The dense lower triangle and diagonal (0 above), in Fortran order:
-        all ``eigh(..., lower=True)`` reads, so it gives the full matrix's bits."""
-        K = self.upper.T.toarray()
+        all ``eigh(..., lower=True)`` reads, so it gives the full matrix's bits.
+        Each part adds its entries into the zeros of the transpose, which
+        is C-ordered."""
+        N = self.shape[0]
+        K = np.zeros((N, N), order='F')
+        for S in (self.left, self.right):
+            csr_todense(N, N, S.indptr, S.indices, S.data, K.T)
         np.fill_diagonal(K, self.diag)
         return K
 
@@ -659,11 +637,12 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
     Two passes over the row blocks.  The count pass computes each block's
     exponent (:func:`_negated_exponent`) to the columns from the block's
     first row on, clears the keep mask (:func:`_kept`) in place on and
-    below the diagonal of the block's square, and counts the rest into
-    ``indptr``.  ``data`` and ``indices`` are then allocated once, at their
-    exact size, and the fill pass computes each full block row, for the
-    raw degree, and writes its diagonal and its kept values and columns
-    right of the diagonal straight into their slices: once the kernel
+    below the diagonal of the block's square, and counts the rest of each
+    part (the columns below h = N // 2 and those from h on) into its
+    ``indptr``.  Each part's ``data`` and ``indices`` are then allocated
+    once, at their exact size, and the fill pass computes each full block
+    row, for the raw degree, and writes its diagonal and each part's kept
+    values and columns straight into their slices: once the kernel
     values, the row sum and the diagonal have read the mask, it is cleared
     in the same way, and the kept entries are found in the columns from
     the block's first row on.  So the kernel's entries are held once,
@@ -671,13 +650,13 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
     build's peak.
     Every degree is the sum of a dense kernel row, and the kept entries are
     the nonzero ones, so the result is the upper triangle and diagonal of
-    ``csr_array`` of the dense kernel, bit for bit.  The index arrays are
-    int32 while the entry count fits (int64 beyond), so a sparse product
+    ``csr_array`` of the dense kernel, bit for bit.  A part's index arrays
+    are int32 while its entry count fits (int64 beyond), so a product
     streams 12 bytes per entry rather than 16.  The
     ``cidm_dm_normalized`` degrees are the row sums of the divided kernel,
     from a third pass that recomputes each dense block row.  Each pass may
     run on two threads (:func:`_blockwise`), each walk with its own scratch;
-    a block writes only its own rows of ``indptr``, the degrees and the
+    a block writes only its own rows of each ``indptr``, the degrees and the
     diagonal, and its own slices of ``data`` and ``indices``.
     """
     N = pts.shape[0]
@@ -703,20 +682,23 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
 
     # the entries right of the diagonal in a block's square: its first n x n
     # corner serves a last block of n rows
-    right = ~np.tri(rows, dtype=bool)
-    indptr = np.zeros(N + 1, dtype=np.int64)
+    above = ~np.tri(rows, dtype=bool)
+    # one row per part: left's (the columns below h) and right's
+    h = N // 2
+    indptr = np.zeros((2, N + 1), dtype=np.int64)
 
     def count(part: list) -> None:
         for a, b, s, _ in exponents(part, upper=True):
             keep = _kept(s, cut)
-            keep[:, :b - a] &= right[:b - a, :b - a]
-            indptr[a + 1:b + 1] = np.count_nonzero(keep, axis=1)
+            keep[:, :b - a] &= above[:b - a, :b - a]
+            split = max(h - a, 0)
+            indptr[0, a + 1:b + 1] = np.count_nonzero(keep[:, :split], axis=1)
+            indptr[1, a + 1:b + 1] = np.count_nonzero(keep[:, split:], axis=1)
 
     _blockwise(count, blocks)
-    np.cumsum(indptr, out=indptr)
-    index_dtype = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=index_dtype)
+    np.cumsum(indptr, axis=1, out=indptr)
+    parts = [(np.empty(n), np.empty(n, dtype=np.int32 if n <= np.iinfo(np.int32).max
+                                    else np.int64)) for n in indptr[:, -1]]
     diag = np.empty(N)
     raw_degree = np.empty(N)
 
@@ -727,21 +709,27 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
             raw_degree[a:b] = K.sum(axis=1)
             diag[a:b] = np.diagonal(K, a)
             # the mask has been read: clear it on and below the square's
-            # diagonal, and read it from column a on
-            keep[:, a:b] &= right[:b - a, :b - a]
-            lo, hi = indptr[a], indptr[b]
-            counts = np.diff(indptr[a:b + 1])
-            # entry (r, c) has flat index r (N - a) + c - a in the columns
-            # from a on, and r N + c in the block: add a (r + 1)
-            kept = np.flatnonzero(keep[:, a:])
-            kept += np.repeat(a * np.arange(1, b - a + 1), counts)
-            data[lo:hi] = K.ravel()[kept]
-            # column: flat index in the block minus the start of its row
-            kept -= np.repeat(np.arange(0, (b - a) * N, N), counts)
-            indices[lo:hi] = kept
+            # diagonal, and read each part's columns c..d-1, from a on
+            keep[:, a:b] &= above[:b - a, :b - a]
+            split = max(a, h)
+            for (data, indices), ip, c, d in zip(parts, indptr, (a, split), (split, N)):
+                if c == d:
+                    continue
+                lo, hi = ip[a], ip[b]
+                counts = np.diff(ip[a:b + 1])
+                # entry (r, j) has flat index r (d - c) + j - c in the
+                # columns c..d-1, and r N + j in the block
+                kept = np.flatnonzero(keep[:, c:d])
+                kept += np.repeat(np.arange(b - a) * (N - d + c) + c, counts)
+                data[lo:hi] = K.ravel()[kept]
+                # column: flat index in the block minus the start of its row
+                kept -= np.repeat(np.arange(0, (b - a) * N, N), counts)
+                indices[lo:hi] = kept
 
     _blockwise(fill, blocks)
-    K = _HalfKernel(csr_array((data, indices, indptr.astype(index_dtype)), shape=(N, N)), diag)
+    left, right = (csr_array((data, indices, ip.astype(indices.dtype)), shape=(N, N))
+                   for (data, indices), ip in zip(parts, indptr))
+    K = _HalfKernel(left, right, diag)
     if config.kernel_variant == 'cidm_dm_normalized':
         _divide_entries(K, raw_degree, root=False)
         degree = np.empty(N)
@@ -759,16 +747,16 @@ def _kernel_csr(pts: np.ndarray, scales: np.ndarray, config: CidmConfig):
 
 def _divide_entries(K: _HalfKernel, d: np.ndarray, root: bool) -> None:
     """``K_ij /= d_i d_j`` (``sqrt(d_i d_j)`` if ``root``) on the stored
-    entries of the half kernel, in place, one row block of its upper
-    triangle at a time, and then on its diagonal."""
-    S = K.upper
-    indptr = S.indptr
-    for a, b in _row_blocks(S.shape[0]):
-        lo, hi = indptr[a], indptr[b]
-        den = np.repeat(d[a:b], np.diff(indptr[a:b + 1])) * d[S.indices[lo:hi]]
-        if root:
-            np.sqrt(den, out=den)
-        S.data[lo:hi] /= den
+    entries of the half kernel, in place, one row block of each part at a
+    time, and then on its diagonal."""
+    for S in (K.left, K.right):
+        indptr = S.indptr
+        for a, b in _row_blocks(S.shape[0]):
+            lo, hi = indptr[a], indptr[b]
+            den = np.repeat(d[a:b], np.diff(indptr[a:b + 1])) * d[S.indices[lo:hi]]
+            if root:
+                np.sqrt(den, out=den)
+            S.data[lo:hi] /= den
     den = d * d
     if root:
         np.sqrt(den, out=den)
@@ -796,17 +784,16 @@ def _top_eigenpairs(K_sym, n_eigs: int):
     has the bits of the full CSR product), or a dense lower triangle
     (:meth:`_HalfKernel.dense_lower`), which goes to ``eigh`` with
     ``lower=True``; :func:`fit` chooses which (:func:`_uses_arpack`).
-    ARPACK runs inside :meth:`_HalfKernel.two_cores`, so its products may
-    use one helper thread, which calls no BLAS; the helper is joined before
-    this returns or raises, and an error in it is raised from here.
+    ARPACK's products may use one helper thread, which calls no BLAS; each
+    product waits for it before it returns or raises, and an error in it
+    is raised from here.
     """
     N = K_sym.shape[0]
     try:
         if isinstance(K_sym, _HalfKernel):
             # deterministic Lanczos start so repeated fits are bit-identical
             v0 = np.full(N, 1.0 / np.sqrt(N))
-            with K_sym.two_cores():
-                lam, V = eigsh(K_sym, k=n_eigs, which='LA', v0=v0)
+            lam, V = eigsh(K_sym, k=n_eigs, which='LA', v0=v0)
         else:
             lam, V = eigh(K_sym, lower=True, subset_by_index=[N - n_eigs, N - 1])
     except (np.linalg.LinAlgError, ArpackNoConvergence) as exc:

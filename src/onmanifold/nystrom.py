@@ -242,8 +242,12 @@ def fourier_coefficients(model: CidmModel, values: np.ndarray, l_trunc: int) -> 
 def extend_function(model: CidmModel, coeffs: np.ndarray, x) -> np.ndarray:
     """Evaluate sum_ell coeffs[ell] phi_ell(x); a regression when truncated.
 
-    ``coeffs`` must be finite (:func:`_check_finite`)."""
+    ``coeffs`` must be a vector or a 2-D array, one row per mode, and finite
+    (:func:`_check_finite`)."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
+    if coeffs.ndim not in (1, 2):
+        raise ValueError(f'coeffs has shape {coeffs.shape}: coeffs needs to be a vector or '
+                         'a 2-D array, one row per mode')
     _check_finite('coeffs', coeffs)
     squeeze = coeffs.ndim == 1
     if squeeze:

@@ -169,7 +169,8 @@ class SemanticMap:
 
     Periodic parameters are stored as (cos, sin) column pairs so the
     0/360 seam never appears in the extended functions; they decode back
-    to degrees via atan2.  ``coeffs`` must be 2-D with those columns.
+    to degrees via atan2.  ``coeffs`` must be 2-D with those columns, and
+    finite (:func:`_check_finite`).
     """
 
     coeffs: np.ndarray
@@ -181,6 +182,7 @@ class SemanticMap:
             raise ValueError(f'semantic_coeffs has shape {shape}, but periodic is '
                              f'{list(self.periodic)}: semantic_coeffs needs {width} columns, '
                              'two per periodic parameter and one per plain one')
+        _check_finite('semantic_coeffs', np.asarray(self.coeffs))
 
     @property
     def n_params(self) -> int:

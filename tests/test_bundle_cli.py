@@ -471,6 +471,24 @@ class TestShapeChecks:
         with pytest.raises(ValueError, match=re.escape('semantic_coeffs has ' + message)):
             om.SemanticMap(coeffs, periodic)
 
+    def test_non_finite_semantic_coeffs_refused_on_load(self, circle100, tmp_path):
+        # a bundle's semantic map is checked as a constructed one is; a NaN
+        # coefficient made semantic_labels return NaN labels
+        model, _, _ = circle100
+        path, bad = tmp_path / 'labels.bundle', tmp_path / 'nan.bundle'
+        save_bundle(path, ModelBundle(model=model, label_map=om.SemanticMap(np.ones((5, 2)),
+                                                                            (True,))))
+
+        def poison(arrays):
+            coeffs = arrays['semantic_coeffs'].copy()
+            coeffs[3, 1] = np.nan
+            arrays['semantic_coeffs'] = coeffs
+
+        bad.write_bytes(rewrite_arrays(path.read_bytes(), poison))
+        with pytest.raises(ValueError, match=re.escape(
+                'semantic_coeffs row 3, column 1 is not finite (nan)')):
+            load_bundle(bad)
+
     def test_c_order_replica_gives_the_fitted_bits(self, small_bundle):
         # eig_phi's layout is made by the model: a C-order copy of the same
         # array, through replace or the constructor, gives the same values

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
-from scipy.sparse import csr_array, triu
-from scipy.sparse._sparsetools import csc_matvec
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import eigsh
 
 import onmanifold as om
@@ -315,7 +314,7 @@ class TestCertifiedCutoff:
         cloud, cfg = small_torus()
         K_sym = self.symmetric_kernel(cloud, cfg)
         calls = self.spy_on_arpack(monkeypatch)
-        half = cidm._HalfKernel(csr_array(np.triu(K_sym, 1)), np.diag(K_sym).copy())
+        half = half_kernel(K_sym)
         lam, V = cidm._top_eigenpairs(half, cfg.n_eigs)
         assert len(calls) == 1 and calls[0][0] is half
         N = cloud.n_points
@@ -338,20 +337,44 @@ class TestCertifiedCutoff:
         # upper triangle and the diagonal) is 0.11; beyond the half form, the
         # fit holds a few N-vectors
         N = model.n_points
-        upper = op.upper
-        half_bytes = (upper.data.nbytes + upper.indices.nbytes + upper.indptr.nbytes
-                      + op.diag.nbytes)
-        assert held < half_bytes + 16 * N * 8
+        assert held < half_bytes(op) + 16 * N * 8
         assert held < 0.15 * N ** 2 * 8
 
 
-def product_mode(monkeypatch, pipelined: bool) -> None:
-    """Make :meth:`cidm._HalfKernel.two_cores` run every half kernel's
-    product on two threads, or every one inline, whatever the host; the
-    other block work (``cidm._blockwise``, ``nystrom._rows``) runs on two
-    threads or inline with it."""
-    monkeypatch.setattr(cidm, '_PIPELINE_PANELS', 1 if pipelined else np.iinfo(np.int64).max)
-    cpu_mode(monkeypatch, pipelined)
+def half_kernel(K: np.ndarray) -> cidm._HalfKernel:
+    """The dense symmetric ``K`` as a half kernel, its strict upper triangle
+    split at column N // 2."""
+    upper, h = np.triu(K, 1), K.shape[0] // 2
+    left, right = upper.copy(), upper
+    left[:, h:], right[:, :h] = 0.0, 0.0
+    return cidm._HalfKernel(csr_array(left), csr_array(right), np.diag(K).copy())
+
+
+def half_bytes(K: cidm._HalfKernel) -> int:
+    """The bytes of a half kernel's arrays: both parts and the diagonal."""
+    return K.diag.nbytes + sum(a.nbytes for S in (K.left, K.right)
+                               for a in (S.data, S.indices, S.indptr))
+
+
+def spy_on_both(monkeypatch) -> list:
+    """Record the two pieces of work of each ``cidm._both`` call."""
+    calls, both = [], cidm._both
+
+    def spy(helper, work, mine, theirs):
+        calls.append((mine, theirs))
+        return both(helper, work, mine, theirs)
+
+    monkeypatch.setattr(cidm, '_both', spy)
+    return calls
+
+
+def product_mode(monkeypatch, two_threads: bool) -> None:
+    """Make every half kernel's product run its two halves on two threads,
+    or every one inline, whatever the host; the other block work
+    (``cidm._blockwise``, ``nystrom._rows``) runs on two threads or inline
+    with it."""
+    monkeypatch.setattr(cidm, '_TWO_THREAD_PANELS', 1 if two_threads else np.iinfo(np.int64).max)
+    cpu_mode(monkeypatch, two_threads)
 
 
 def cpu_mode(monkeypatch, two: bool) -> None:
@@ -386,6 +409,17 @@ def row_block_cases():
         # 40 rows in a single block
         'one-block': (om.PointCloud(rng.standard_normal((40, 5))),
                       om.CidmConfig(k_nn=4, n_eigs=40, kernel_variant='cidm_dm_normalized')),
+        # odd N: a 3-d blob of 200 points, whose rows keep most of the blob,
+        # then a line of 201 points out of it, whose rows keep a few
+        # neighbors each; the kernel's first diagonal block A holds about 7
+        # times the entries of its second one, C
+        'unbalanced': (om.PointCloud(np.vstack([
+            rng.standard_normal((200, 3)),
+            np.column_stack([np.linspace(0.0, 20.0, 201), np.zeros((201, 2))])])),
+            om.CidmConfig(k_nn=8, n_eigs=20)),
+        # the smallest kernel: one row on each side of h = 1
+        'two-points': (om.PointCloud(np.array([[0.0, 0.0], [1.0, 0.5]])),
+                       om.CidmConfig(k_nn=1, n_eigs=2)),
     }
 
 
@@ -410,12 +444,14 @@ class TestRowBlockKernel:
         cloud, cfg, ref = case
         K, degree, raw_degree = cidm._kernel_csr(cloud.points, ref['knn_scale'], cfg)
         cidm._divide_entries(K, degree, root=True)
-        upper = triu(ref['K_sym'], 1, format='csr')
-        for name in ('indptr', 'indices', 'data'):
-            npt.assert_array_equal(getattr(K.upper, name), getattr(upper, name), err_msg=name)
+        want = half_kernel(ref['K_sym'].toarray())
+        for part in ('left', 'right'):
+            for name in ('indptr', 'indices', 'data'):
+                npt.assert_array_equal(getattr(getattr(K, part), name),
+                                       getattr(getattr(want, part), name), err_msg=part + name)
         npt.assert_array_equal(K.diag, ref['K_sym'].diagonal())
         # the fit holds (nnz + N) / 2 of the nnz kernel entries
-        assert 2 * K.upper.nnz + cloud.n_points == ref['K_sym'].nnz
+        assert 2 * (K.left.nnz + K.right.nnz) + cloud.n_points == ref['K_sym'].nnz
         npt.assert_array_equal(K.dense_lower(), np.tril(ref['K_sym'].toarray()))
         npt.assert_array_equal(degree, ref['degree'])
         npt.assert_array_equal(raw_degree, ref['raw_degree'])
@@ -438,21 +474,25 @@ class TestRowBlockKernel:
         cloud, cfg, ref = case
         K, degree, _ = cidm._kernel_csr(cloud.points, ref['knn_scale'], cfg)
         cidm._divide_entries(K, degree, root=True)
+        N = cloud.n_points
         if panel_entries == 1:
             monkeypatch.setattr(cidm, '_BLOCK_ENTRIES', 1)
-            K = cidm._HalfKernel(K.upper, K.diag)
-            # a panel is one row, or rows that hold at most one stored entry
-            indptr = K.upper.indptr
-            assert all(b - a == 1 or indptr[b] - indptr[a] <= 1 for a, b in K._panels)
-            assert K._panels[-1][1] == cloud.n_points
-        xs = np.random.default_rng(5).standard_normal((4, cloud.n_points))
-        for pipelined in (False, True):
-            product_mode(monkeypatch, pipelined)
-            with K.two_cores():
-                assert (K._helper is not None) == pipelined
-                for x in xs:
-                    npt.assert_array_equal(K.matvec(x), ref['K_sym'] @ x)
-            assert K._helper is None
+            K = cidm._HalfKernel(K.left, K.right, K.diag)
+            # a panel is one row, or rows that hold at most one stored entry;
+            # the halves split at row h
+            indptr = K.left.indptr + K.right.indptr
+            top, bottom = K._panels
+            assert all(b - a == 1 or indptr[b] - indptr[a] <= 1 for a, b in top + bottom)
+            assert top[-1][1] == bottom[0][0] == N // 2 and bottom[-1][1] == N
+        xs = np.random.default_rng(5).standard_normal((4, N))
+        both = spy_on_both(monkeypatch)
+        for two_threads in (False, True):
+            product_mode(monkeypatch, two_threads)
+            both.clear()
+            for x in xs:
+                npt.assert_array_equal(K.matvec(x), ref['K_sym'] @ x)
+            # one two-thread call a product, or none
+            assert len(both) == len(xs) * two_threads
 
     def test_two_cores_give_the_inline_kernel(self, case, monkeypatch):
         # the block passes split over two threads, alternate blocks on each,
@@ -463,9 +503,12 @@ class TestRowBlockKernel:
             cpu_mode(monkeypatch, two)
             scales, diameter = cidm._training_scales(cloud.points, cfg.k_nn)
             K, degree, raw_degree = cidm._kernel_csr(cloud.points, ref['knn_scale'], cfg)
-            out[two] = dict(scales=scales, diameter=diameter, indptr=K.upper.indptr,
-                            indices=K.upper.indices, data=K.upper.data, diag=K.diag,
-                            degree=degree, raw_degree=raw_degree)
+            out[two] = dict(scales=scales, diameter=diameter, diag=K.diag, degree=degree,
+                            raw_degree=raw_degree)
+            for part in ('left', 'right'):
+                S = getattr(K, part)
+                out[two].update({part + name: getattr(S, name)
+                                 for name in ('indptr', 'indices', 'data')})
         for name, want in out[False].items():
             npt.assert_array_equal(out[True][name], want, err_msg=name)
         npt.assert_array_equal(out[True]['scales'], ref['knn_scale'])
@@ -473,16 +516,19 @@ class TestRowBlockKernel:
     def test_csr_kernel_has_int32_indices(self, case):
         cloud, cfg, ref = case
         K = cidm._kernel_csr(cloud.points, ref['knn_scale'], cfg)[0]
-        assert K.upper.indices.dtype == np.int32
-        assert K.upper.indptr.dtype == np.int32
+        for S in (K.left, K.right):
+            assert S.indices.dtype == np.int32
+            assert S.indptr.dtype == np.int32
 
     def test_fit_hands_arpack_an_int32_csr(self, fig2, monkeypatch):
         model = fig2['model']
         calls = TestCertifiedCutoff.spy_on_arpack(monkeypatch)
         om.fit(model.training, model.config)
         (op, _), = calls
-        assert isinstance(op, cidm._HalfKernel) and isinstance(op.upper, csr_array)
-        assert op.upper.indices.dtype == np.int32 and op.upper.indptr.dtype == np.int32
+        assert isinstance(op, cidm._HalfKernel)
+        for S in (op.left, op.right):
+            assert isinstance(S, csr_array)
+            assert S.indices.dtype == np.int32 and S.indptr.dtype == np.int32
 
     def test_fitted_model_is_bit_identical(self, case):
         cloud, cfg, ref = case
@@ -522,9 +568,7 @@ class TestRowBlockKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        half_bytes = (K.upper.data.nbytes + K.upper.indices.nbytes + K.upper.indptr.nbytes
-                      + K.diag.nbytes)
-        assert peak <= half_bytes + 6 * cidm._BLOCK_ENTRIES * 8
+        assert peak <= half_bytes(K) + 6 * cidm._BLOCK_ENTRIES * 8
 
     def test_two_core_kernel_holds_one_copy(self, fig2, monkeypatch):
         # each thread walks its blocks with buffers of its own: the bound holds
@@ -533,36 +577,53 @@ class TestRowBlockKernel:
 
 
 class TestTwoCoreProduct:
-    """ARPACK's products run on two threads inside :meth:`cidm._HalfKernel.two_cores`
-    when the kernel has enough panels and the process two CPUs; the fit's
-    bits do not depend on it, and the two threads are the caller and the
-    process's one helper, ``onmanifold-helper``."""
+    """ARPACK's products compute their two halves of rows on two threads, in
+    one ``cidm._both`` call each, when the kernel has enough panels and the
+    process two CPUs; the fit's bits do not depend on it, and the two
+    threads are the caller, for the top half, and the process's one helper,
+    ``onmanifold-helper``, for the bottom half."""
 
     @staticmethod
-    def spy_on_scatter(monkeypatch, fail_after=None):
-        """Record the thread of each scatter call; raise from call ``fail_after`` + 1."""
-        threads = []
+    def spy_on_halves(monkeypatch, fail=None) -> dict:
+        """Record the threads of the sparse calls ``csc_matvec`` and
+        ``csr_matvec`` of each half of the rows (0, 1) under ``(name,
+        half)``; with ``fail = (name, half, k)``, call k of ``name`` in
+        ``half`` raises instead."""
+        calls, where, rows = {}, threading.local(), cidm._HalfKernel._rows
 
-        def spy(*args):
-            threads.append(threading.current_thread())
-            if fail_after is not None and len(threads) > fail_after:
-                raise RuntimeError('scatter failed')
-            csc_matvec(*args)
+        def run(self, half, *args):
+            where.half = half
+            try:
+                rows(self, half, *args)
+            finally:
+                where.half = None
 
-        monkeypatch.setattr(cidm, 'csc_matvec', spy)
-        return threads
+        monkeypatch.setattr(cidm._HalfKernel, '_rows', run)
+        for name in ('csc_matvec', 'csr_matvec'):
+            def spy(*args, _name=name, _call=getattr(cidm, name)):
+                threads = calls.setdefault((_name, where.half), [])
+                threads.append(threading.current_thread())
+                if fail == (_name, where.half, len(threads)):
+                    raise RuntimeError(f'{_name} failed')
+                _call(*args)
+
+            monkeypatch.setattr(cidm, name, spy)
+        return calls
 
     def test_fit_bits_do_not_depend_on_the_mode(self, torus_assets, monkeypatch):
-        # the N=1500 torus kernel has 6 panels; a pipelined fit scatters on
-        # the process's helper thread, which idles when it returns
+        # the N=1500 torus kernel has 7 panels; a two-thread fit computes the
+        # bottom halves on the process's helper thread, which idles when it
+        # returns
         cloud, _, model, _, _ = torus_assets
         fits = {}
-        for pipelined in (False, True):
-            product_mode(monkeypatch, pipelined)
-            threads = self.spy_on_scatter(monkeypatch)
-            fits[pipelined] = om.fit(cloud, model.config)
-            helpers = set(threads) - {threading.current_thread()}
-            assert [t.name for t in helpers] == ['onmanifold-helper'] * pipelined
+        for two_threads in (False, True):
+            product_mode(monkeypatch, two_threads)
+            calls = self.spy_on_halves(monkeypatch)
+            fits[two_threads] = om.fit(cloud, model.config)
+            threads = [{t.name for (_, h), ts in calls.items() if h == half for t in ts}
+                       for half in (0, 1)]
+            me = threading.current_thread().name
+            assert threads == [{me}, {'onmanifold-helper' if two_threads else me}]
         assert [t.name for t in threading.enumerate()
                 if t.name.startswith('onmanifold')] == ['onmanifold-helper']
         for name in ('eig_xi', 'eig_phi', 'degree'):
@@ -574,18 +635,25 @@ class TestTwoCoreProduct:
         small = cidm._kernel_csr(model.training.points, model.knn_scale, model.config)[0]
         model = torus_assets[2]
         large = cidm._kernel_csr(model.training.points, model.knn_scale, model.config)[0]
-        assert len(small._panels) < cidm._PIPELINE_PANELS <= len(large._panels)
-        for cpus, pipelined in (({0}, False), ({0, 1}, True)):
+        n_panels = [sum(map(len, K._panels)) for K in (small, large)]
+        assert n_panels[0] < cidm._TWO_THREAD_PANELS <= n_panels[1]
+        both = spy_on_both(monkeypatch)
+        for cpus, two_threads in (({0}, False), ({0, 1}, True)):
             monkeypatch.setattr(cidm.os, 'sched_getaffinity', lambda pid: cpus, raising=False)
-            with small.two_cores(), large.two_cores():
-                assert small._helper is None
-                assert (large._helper is not None) == pipelined
+            both.clear()
+            small.matvec(np.ones(small.shape[0]))
+            assert both == []
+            large.matvec(np.ones(large.shape[0]))
+            assert both == [(0, 1)] * two_threads
 
-    @pytest.mark.parametrize('pipelined', [False, True])
-    def test_a_scatter_error_is_raised_from_the_fit(self, torus_assets, monkeypatch, pipelined):
+    @pytest.mark.parametrize('two_threads', [False, True])
+    @pytest.mark.parametrize('half', [0, 1], ids=['top', 'bottom'])
+    @pytest.mark.parametrize('name', ['csc_matvec', 'csr_matvec'])
+    def test_an_error_in_either_half_is_raised_from_the_fit(self, torus_assets, monkeypatch,
+                                                            name, half, two_threads):
         cloud, _, model, _, _ = torus_assets
-        product_mode(monkeypatch, pipelined)
-        threads = self.spy_on_scatter(monkeypatch, fail_after=20)
+        product_mode(monkeypatch, two_threads)
+        calls = self.spy_on_halves(monkeypatch, fail=(name, half, 3))
         before = set(threading.enumerate())
         raised = []
 
@@ -599,11 +667,12 @@ class TestTwoCoreProduct:
         caller.start()
         caller.join(timeout=120)
         assert not caller.is_alive()
-        assert [str(exc) for exc in raised] == ['scatter failed']
-        assert (threads[-1] is not caller) == pipelined
+        assert [str(exc) for exc in raised] == [f'{name} failed']
+        failed_on = calls[name, half][-1]
+        assert (failed_on is not caller) == (two_threads and half == 1)
         # no thread but the helper is left, and the helper still serves
         assert {t.name for t in set(threading.enumerate()) - before} <= {'onmanifold-helper'}
-        if pipelined:
+        if two_threads:
             assert cidm._helper().submit(sum, [1, 2]).result() == 3
 
     def test_import_starts_no_thread(self):

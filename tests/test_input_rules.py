@@ -158,6 +158,16 @@ def test_shape_size_rule(parts, case, bad):
         call(parts, bad)
 
 
+@pytest.mark.parametrize('shape', [(), (3, 2, 2)], ids=['0d', '3d'])
+def test_coeffs_shape_rule(parts, shape):
+    # the mode count is read off the rows of a vector or a 2-D array only;
+    # these raised IndexError and numpy's matmul message, neither naming coeffs
+    message = re.escape(f'coeffs has shape {shape}: coeffs needs to be a vector or a 2-D '
+                        'array, one row per mode')
+    with pytest.raises(ValueError, match=f'^{message}$'):
+        om.extend_function(parts['model'], np.ones(shape), [1.0, 0.0])
+
+
 #: id -> call of the query x.
 QUERIES = {
     'eigenfunction_values': lambda p, x: om.eigenfunction_values(p['model'], x, 3),
@@ -211,6 +221,10 @@ NON_FINITE = {
         p['model'], _with(np.ones(10), {3: v, 4: v}), [1.0, 0.0])),
     'semantic_map-params_deg': ('params_deg row 5, column 0', lambda p, v: om.semantic_map(
         p['model'], _with(np.zeros(300), {5: v, 6: v}), [True], 10)),
+    'SemanticMap-coeffs': ('semantic_coeffs row 2, column 1', lambda p, v: om.SemanticMap(
+        _with(np.ones((5, 2)), {(2, 1): v, (3, 0): v}), (True,))),
+    'SemanticMap-one-column': ('semantic_coeffs row 4, column 0', lambda p, v: om.SemanticMap(
+        _with(np.ones((5, 1)), {(4, 0): v}), (False,))),
 }
 
 

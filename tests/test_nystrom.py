@@ -981,11 +981,11 @@ def _sqrt_first_scales(dist: np.ndarray, k_nn: int) -> np.ndarray:
 
 
 def _fitted_kernel(model) -> np.ndarray:
-    """The fitted kernel, dense, rebuilt from its half form: the upper
-    triangle, its transpose and the diagonal do not overlap, so their sum
-    is exact."""
-    K = cidm._kernel_csr(model.training.points, model.knn_scale, model.config)[0]
-    return K.upper.toarray() + K.upper.T.toarray() + np.diag(K.diag)
+    """The fitted kernel, dense, rebuilt from its half form: the lower
+    triangle with the diagonal and the transpose of the strict lower
+    triangle do not overlap, so their sum is exact."""
+    lower = cidm._kernel_csr(model.training.points, model.knn_scale, model.config)[0].dense_lower()
+    return lower + np.tril(lower, -1).T
 
 
 class TestTrainingRowsAreFitted:
