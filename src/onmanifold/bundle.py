@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cidm import CidmConfig, CidmModel, PointCloud, _training_row_scales
-from .nystrom import NystromProjector
+from .nystrom import NystromProjector, _xhat_rule
 from .ompgd import SemanticMap
 from .sec import SecFrame, _check_section
 
@@ -66,7 +66,8 @@ def _arrays_digest(buffers) -> str:
 class ModelBundle:
     """A fitted model plus whatever downstream artifacts have been attached.
 
-    Construction refuses a SEC frame without its ``sec_fhat`` or the
+    Construction refuses an ``xhat`` that fails the projector's rule
+    (``nystrom._xhat_rule``), a SEC frame without its ``sec_fhat`` or the
     converse, and a pair that fails the SEC-section rule
     (``sec._check_section``); and semantic coefficients that do not hold
     one row per mode for 1 to ``n_eigs`` modes.
@@ -79,6 +80,8 @@ class ModelBundle:
     label_map: SemanticMap | None = None
 
     def __post_init__(self):
+        if self.xhat is not None:
+            _xhat_rule(self.model, self.xhat)
         if self.sec_frame is not None or self.sec_fhat is not None:
             _check_section(self.model, self.sec_frame, self.sec_fhat, prefix='sec_')
         if self.label_map is not None:

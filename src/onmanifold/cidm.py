@@ -71,29 +71,29 @@ full-spectrum fits hand dense ``eigh`` only the lower triangle it reads
 
 Two cores
 ---------
-Where the process may use two CPUs (:func:`_usable_cpus`), the package's
-large block loops run on two threads: the caller and one helper thread
-per process (:class:`_Helper`), started at its first use and dropped in a
-forked child.  The fit's row-block passes (the scales and the diameter,
-the kernel's count and fill passes, the ``cidm_dm_normalized`` degrees)
-give the caller the even-numbered blocks and the helper the odd-numbered
-ones, each with its own scratch (:func:`_blockwise`); each block writes
-its own slices, and the diameter is a max of block maxima.  The ARPACK
-product of a kernel of ``_TWO_THREAD_PANELS`` or more row panels computes
-the rows below h on the caller and the rows from h on on the helper
-(:meth:`_HalfKernel._matvec`).  ``nystrom`` builds the two halves of a
-large batch of out-of-sample rows on the two threads.  Each of these is
-one :func:`_both` call.  The helper runs only these private block
-functions, never one that submits to it again, and every result keeps the
-bits it has inline, where a process that may use one CPU runs everything.
+The package's large block loops go through one entry, :func:`_both`, which
+runs two pieces of work: on the caller and on one helper thread per
+process (a one-worker ``ThreadPoolExecutor``, started at its first
+hand-off and dropped in a forked child) where the process may use two
+CPUs (:func:`_usable_cpus`), and inline otherwise.  Each caller keeps only
+its own size rule.  The fit's row-block passes (the scales and the
+diameter, the kernel's count and fill passes, the ``cidm_dm_normalized``
+degrees) give the caller the even-numbered blocks and the helper the
+odd-numbered ones, each with its own scratch (:func:`_blockwise`, at least
+2 blocks); each block writes its own slices, and the diameter is a max of
+block maxima.  The ARPACK product of a kernel of ``_TWO_THREAD_PANELS`` or
+more row panels computes the rows below h on the caller and the rows from
+h on on the helper (:meth:`_HalfKernel._matvec`).  ``nystrom`` builds the
+two halves of a large batch of out-of-sample rows on the two threads.  The
+helper runs only these private block functions, and a :func:`_both` call
+made on it runs inline; every result keeps the bits it has inline.
 """
 
 import contextvars
 import os
 import threading
-from concurrent.futures import Future
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from queue import SimpleQueue
 from typing import Literal
 
 import numpy as np
@@ -104,7 +104,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, ArpackNoConvergence
 from scipy.spatial.distance import cdist
 
 from .errors import (DisconnectedGraphError, DuplicatePointError, EigensolverFailure,
-                     InvalidQueryError, _choice, _size)
+                     InvalidQueryError, _check_finite, _choice, _size)
 
 __all__ = [
     'PointCloud',
@@ -220,7 +220,10 @@ class CidmModel:
 
     Construction (a fit, a bundle load, ``dataclasses.replace``) refuses
     arrays whose shapes disagree with ``points`` or with each other, with a
-    ValueError naming both arrays and their shapes.  It derives what every
+    ValueError naming both arrays and their shapes; and arrays with an entry
+    that is not finite (:func:`errors._check_finite`), or, in ``knn_scale``,
+    ``degree`` and ``raw_degree``, not positive, with a ValueError naming
+    the array and the entry.  It derives what every
     out-of-sample row reads from these fields: the read-only kernel
     eigenvalues ``_lambdas = 1 - eig_xi``, the count ``_n_extendable`` of
     leading modes with ``|lambda| >= SMALL_LAMBDA``, and the cutoff
@@ -249,6 +252,14 @@ class CidmModel:
         if not (len(xi) == 1 and xi[0] >= 1 and phi == (pts[0], xi[0])):
             raise ValueError(f'eig_xi has shape {xi} and eig_phi has shape {phi}, but points '
                              f'has shape {pts}: they need shapes (L,) and ({pts[0]}, L)')
+        for name in ('knn_scale', 'degree', 'raw_degree', 'eig_xi', 'eig_phi'):
+            if getattr(self, name) is None:
+                continue
+            arr = np.asarray(getattr(self, name))
+            _check_finite(name, arr)
+            if name in ('knn_scale', 'degree', 'raw_degree') and not np.all(arr > 0):
+                bad = int(np.argmin(arr > 0))
+                raise ValueError(f'{name} row {bad} is not positive ({arr[bad]})')
         if not 0.0 < self.data_diameter < np.inf:
             raise ValueError(f'data_diameter must be finite and > 0, got {self.data_diameter!r}')
         _size('k_nn', self.config.k_nn, 1, pts[0] - 1)
@@ -445,72 +456,44 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _Helper:
-    """One thread, ``onmanifold-helper``, that runs the calls handed to
-    :meth:`submit` one at a time, in order.
-
-    A call runs in a copy of the submitting thread's context, so an
-    ``np.errstate`` in force there applies to it as it would inline.  Its
-    error is raised where its ``Future`` is read.  The thread is a daemon
-    that idles between calls; the process keeps one (:func:`_helper`).
-    """
-
-    def __init__(self):
-        self._calls = SimpleQueue()
-        self.thread = threading.Thread(target=self._serve, name='onmanifold-helper',
-                                       daemon=True)
-        self.thread.start()
-
-    def _serve(self) -> None:
-        while True:
-            job, run, fn, args = self._calls.get()
-            try:
-                job.set_result(run(fn, *args))
-            except BaseException as exc:        # raised by the reader of the job
-                job.set_exception(exc)
-
-    def submit(self, fn, *args) -> Future:
-        """Queue ``fn(*args)``; the returned ``Future`` holds its result."""
-        job = Future()
-        self._calls.put((job, contextvars.copy_context().run, fn, args))
-        return job
+#: The process's helper, a one-worker executor whose thread starts at the
+#: first hand-off, and the lock that guards its start; a forked child drops
+#: both, because the parent's thread does not exist there.
+_EXECUTOR: ThreadPoolExecutor | None = None
+_EXECUTOR_LOCK = threading.Lock()
 
 
-#: The process's helper and the lock that guards its start; a forked child
-#: drops both, because the parent's thread does not exist there.
-_HELPER: _Helper | None = None
-_HELPER_LOCK = threading.Lock()
-
-
-def _drop_helper() -> None:
-    global _HELPER, _HELPER_LOCK
-    _HELPER, _HELPER_LOCK = None, threading.Lock()
+def _drop_executor() -> None:
+    global _EXECUTOR, _EXECUTOR_LOCK
+    _EXECUTOR, _EXECUTOR_LOCK = None, threading.Lock()
 
 
 if hasattr(os, 'register_at_fork'):
-    os.register_at_fork(after_in_child=_drop_helper)
+    os.register_at_fork(after_in_child=_drop_executor)
 
 
-def _helper() -> _Helper | None:
-    """The process's helper thread, started at the first call; None where
-    the work runs inline: in a process that may use one CPU only, and on
-    the helper itself, which must never wait for its own queue."""
-    global _HELPER
-    if _usable_cpus() < 2:
-        return None
-    with _HELPER_LOCK:
-        if _HELPER is None:
-            _HELPER = _Helper()
-        helper = _HELPER
-    return None if threading.current_thread() is helper.thread else helper
-
-
-def _both(helper: _Helper, work, mine, theirs) -> tuple:
-    """``(work(mine), work(theirs))``, the second on ``helper`` while the
-    caller runs the first.  Both have finished when this returns or raises,
+def _both(work, mine, theirs) -> tuple:
+    """``(work(mine), work(theirs))``, the second on the process's helper
+    thread, ``onmanifold-helper_0``, while the caller runs the first, in a
+    copy of the caller's context (so an ``np.errstate`` in force applies
+    there as inline).  Both run inline, one after the other, in a process
+    that may use one CPU, on the helper itself, which must never wait for
+    its own queue, and once the interpreter is shutting down, when the
+    executor refuses work.  Both have finished when this returns or raises,
     since each may write into arrays the caller reads; the caller's error
     is raised first, then the helper's."""
-    job = helper.submit(work, theirs)
+    global _EXECUTOR
+    job = None
+    if _usable_cpus() > 1 and not threading.current_thread().name.startswith('onmanifold-helper'):
+        with _EXECUTOR_LOCK:
+            if _EXECUTOR is None:
+                _EXECUTOR = ThreadPoolExecutor(1, thread_name_prefix='onmanifold-helper')
+        try:
+            job = _EXECUTOR.submit(contextvars.copy_context().run, work, theirs)
+        except RuntimeError:        # cannot schedule new futures after interpreter shutdown
+            pass
+    if job is None:
+        return work(mine), work(theirs)
     try:
         ours = work(mine)
     except BaseException:
@@ -521,15 +504,13 @@ def _both(helper: _Helper, work, mine, theirs) -> tuple:
 
 def _blockwise(work, blocks: list) -> list:
     """The results of ``work`` on a list of row blocks: ``[work(blocks)]``
-    inline, or, with a helper (:func:`_helper`) and at least two blocks,
-    ``work`` of the even-numbered blocks on the caller and of the
-    odd-numbered ones on the helper.  ``work`` allocates its own scratch
-    and writes only its blocks' slices, so the result has the same bits
-    either way."""
-    helper = _helper() if len(blocks) > 1 else None
-    if helper is None:
+    for one block, else ``work`` of the even-numbered blocks and of the
+    odd-numbered ones, one :func:`_both` call.  ``work`` allocates its own
+    scratch and writes only its blocks' slices, so the result has the same
+    bits either way."""
+    if len(blocks) < 2:
         return [work(blocks)]
-    return list(_both(helper, work, blocks[0::2], blocks[1::2]))
+    return list(_both(work, blocks[0::2], blocks[1::2]))
 
 
 class _HalfKernel(LinearOperator):
@@ -541,8 +522,8 @@ class _HalfKernel(LinearOperator):
 
     ARPACK reads its product, that of ``csr_array`` of the full matrix bit
     for bit (:meth:`_matvec`), which walks each half of the rows in row
-    panels of at most ``_BLOCK_ENTRIES`` stored entries, the two halves on
-    two threads when it pays.  ``eigh`` reads :meth:`dense_lower`.
+    panels of at most ``_BLOCK_ENTRIES`` stored entries, the two halves in
+    one :func:`_both` call when it pays.  ``eigh`` reads :meth:`dense_lower`.
     """
 
     def __init__(self, left: csr_array, right: csr_array, diag: np.ndarray):
@@ -573,12 +554,11 @@ class _HalfKernel(LinearOperator):
         adds its slice.
 
         The halves write disjoint rows of y: ``left`` holds only columns
-        below h and ``right`` only columns from h on.  With the process's
-        helper thread (:func:`_helper`), the caller computes half 0 while
-        the helper computes half 1 (:func:`_both`); inline, half 0 and then
-        half 1, with the same bits.  The product stays inline for a kernel
-        of fewer than ``_TWO_THREAD_PANELS`` panels and in a process that may
-        run on one CPU only.
+        below h and ``right`` only columns from h on.  A kernel of at least
+        ``_TWO_THREAD_PANELS`` panels runs them in one :func:`_both` call:
+        where the process may use two CPUs, the caller computes half 0 while
+        the helper computes half 1.  Otherwise, and inline, half 0 and then
+        half 1, with the same bits.
 
         The in-place kernels are scipy's private ``_sparsetools``: the public
         ``@`` starts each product from a new zero vector, so the lower and
@@ -595,12 +575,11 @@ class _HalfKernel(LinearOperator):
         x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
         y = np.zeros(x.shape[0])
         dx = self.diag * x
-        helper = _helper() if sum(map(len, self._panels)) >= _TWO_THREAD_PANELS else None
-        if helper is None:
+        if sum(map(len, self._panels)) >= _TWO_THREAD_PANELS:
+            _both(lambda half: self._rows(half, x, y, dx), 0, 1)
+        else:
             for half in (0, 1):
                 self._rows(half, x, y, dx)
-        else:
-            _both(helper, lambda half: self._rows(half, x, y, dx), 0, 1)
         return y
 
     def _rows(self, half: int, x: np.ndarray, y: np.ndarray, dx: np.ndarray) -> None:
@@ -784,9 +763,9 @@ def _top_eigenpairs(K_sym, n_eigs: int):
     has the bits of the full CSR product), or a dense lower triangle
     (:meth:`_HalfKernel.dense_lower`), which goes to ``eigh`` with
     ``lower=True``; :func:`fit` chooses which (:func:`_uses_arpack`).
-    ARPACK's products may use one helper thread, which calls no BLAS; each
-    product waits for it before it returns or raises, and an error in it
-    is raised from here.
+    ARPACK's products may use one helper thread (:func:`_both`), which
+    calls no BLAS; each product waits for it before it returns or raises,
+    and an error in it is raised from here.
     """
     N = K_sym.shape[0]
     try:

@@ -5,7 +5,8 @@ Every numerical failure raised by this package derives from
 :class:`GeometryError`, so callers (and the CLI) can distinguish usage
 mistakes (plain ``ValueError``) from genuine numerical breakdowns.  Every
 count, index and truncation a config or a public function takes passes
-:func:`_size`, and every named choice passes :func:`_choice`.
+:func:`_size`, every named choice passes :func:`_choice`, and every array
+of data that must be finite passes :func:`_check_finite`.
 """
 
 from typing import get_args
@@ -92,3 +93,14 @@ def _choice(name: str, value, choices) -> None:
     if value not in get_args(choices):
         raise ValueError(f'unknown {name} {value!r}; choose from '
                          f'{", ".join(get_args(choices))}')
+
+
+def _check_finite(name: str, array: np.ndarray) -> None:
+    """ValueError naming the first entry of ``array`` that is not finite, and
+    its value: by row, by row and column for a 2-D array, by index beyond."""
+    bad = ~np.isfinite(array)
+    if bad.any():
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = (f'row {at[0]}' if len(at) == 1 else f'row {at[0]}, column {at[1]}'
+                 if len(at) == 2 else f'entry {at}')
+        raise ValueError(f'{name} {where} is not finite ({array[at]})')

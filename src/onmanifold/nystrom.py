@@ -72,9 +72,10 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .cidm import (_BLOCK_ENTRIES, SMALL_LAMBDA, CidmModel, _both, _cut_shape, _helper,
-                   _knn_scales, _shifted_exponent, inner)
-from .errors import InvalidQueryError, KnnBoundaryError, SmallEigenvalueError, _size
+from .cidm import (_BLOCK_ENTRIES, SMALL_LAMBDA, CidmModel, _both, _cut_shape, _knn_scales,
+                   _shifted_exponent, inner)
+from .errors import (InvalidQueryError, KnnBoundaryError, SmallEigenvalueError, _check_finite,
+                     _size)
 
 __all__ = [
     'NystromProjector',
@@ -163,17 +164,16 @@ def _row_core(model: CidmModel, w: np.ndarray):
 def _rows(model: CidmModel, queries: np.ndarray):
     """``(rows, sums)`` of :func:`_row_core` at an (m, n) stack of ``queries``.
 
-    A batch of at least 2 rows and ``cidm._BLOCK_ENTRIES`` (m N) entries,
-    where the process has a helper thread (``cidm._helper``), builds its
-    two halves on two cores: the caller one, the helper the other, each its
+    A batch of at least 2 rows and ``cidm._BLOCK_ENTRIES`` (m N) entries
+    builds its two halves in one ``cidm._both`` call, on two cores where
+    the process may use two: the caller one, the helper the other, each its
     own squared distances in its slice of one (m, N) array and its own
     :func:`_row_core`.  Every operation of a row reads that row only, so
     the halves have the bits of the whole batch.  If a half raises, the
     batch is built again unsplit, which raises the error with its row index
     in the batch."""
     m, N = queries.shape[0], model.n_points
-    helper = _helper() if m >= 2 and m * N >= _BLOCK_ENTRIES else None
-    if helper is not None:
+    if m >= 2 and m * N >= _BLOCK_ENTRIES:
         rows, sums = np.empty((m, N)), np.empty((m, 1))
 
         def half(part: slice) -> None:
@@ -181,7 +181,7 @@ def _rows(model: CidmModel, queries: np.ndarray):
             sums[part] = _row_core(model, w)[1]
 
         try:
-            _both(helper, half, slice(0, m // 2), slice(m // 2, m))
+            _both(half, slice(0, m // 2), slice(m // 2, m))
             return rows, sums
         except Exception:       # raised again below, with its row in the batch
             pass
@@ -215,16 +215,6 @@ def extend_eigenfunction(model: CidmModel, ell: int, x) -> float:
     ell = _size('ell', ell, 0, model.n_eigs - 1)
     return float(eigenfunction_values(model, _queries(x, model.training.ambient_dim, stack=False),
                                       ell + 1)[ell])
-
-
-def _check_finite(name: str, array: np.ndarray) -> None:
-    """ValueError naming the first entry of ``array`` (by row, and by column
-    if it has columns) that is not finite, and its value."""
-    bad = ~np.isfinite(array)
-    if bad.any():
-        at = np.argwhere(bad)[0]
-        where = f'row {at[0]}' + (f', column {at[1]}' if at.shape[0] > 1 else '')
-        raise ValueError(f'{name} {where} is not finite ({array[tuple(at)]})')
 
 
 def fourier_coefficients(model: CidmModel, values: np.ndarray, l_trunc: int) -> np.ndarray:
@@ -267,7 +257,7 @@ class NystromProjector:
     constant mode included so the data mean is representable.
 
     Construction (``build_projector``, a bundle's ``projector()``,
-    ``dataclasses.replace``) checks that the L modes are extendable and
+    ``dataclasses.replace``) applies the xhat rule (:func:`_xhat_rule`) and
     derives, once, the read-only (N, n) operand
     ``_operand = (phi_L / lambda_L) @ xhat`` that :func:`_contract`
     multiplies a kernel row through.  It is not stored in a bundle.
@@ -277,19 +267,28 @@ class NystromProjector:
     xhat: np.ndarray
 
     def __post_init__(self):
-        shape = np.shape(self.xhat)
-        n_eigs, dim = self.model.n_eigs, self.model.training.ambient_dim
-        if not (len(shape) == 2 and 1 <= shape[0] <= n_eigs and shape[1] == dim):
-            raise ValueError(f'xhat must have shape (L, {dim}) with 1 <= L <= {n_eigs}; '
-                             f'got {shape}')
-        lam = _mode_lambdas(self.model, shape[0])
-        operand = (self.model.eig_phi[:, :shape[0]] / lam[None, :]) @ self.xhat
+        lam = _xhat_rule(self.model, self.xhat)
+        operand = (self.model.eig_phi[:, :lam.shape[0]] / lam[None, :]) @ self.xhat
         operand.flags.writeable = False
         object.__setattr__(self, '_operand', operand)
 
     @property
     def l_trunc(self) -> int:
         return self.xhat.shape[0]
+
+
+def _xhat_rule(model: CidmModel, xhat) -> np.ndarray:
+    """The projector's xhat rule: ``xhat`` has shape (L, n), with 1 <= L <=
+    ``model.n_eigs`` and n the training dimension, and finite entries
+    (:func:`errors._check_finite`), else a ValueError; and its L modes are
+    extendable (:func:`_mode_lambdas`), whose kernel eigenvalues it returns."""
+    shape = np.shape(xhat)
+    n_eigs, dim = model.n_eigs, model.training.ambient_dim
+    if not (len(shape) == 2 and 1 <= shape[0] <= n_eigs and shape[1] == dim):
+        raise ValueError(f'xhat must have shape (L, {dim}) with 1 <= L <= {n_eigs}; '
+                         f'got {shape}')
+    _check_finite('xhat', np.asarray(xhat))
+    return _mode_lambdas(model, shape[0])
 
 
 def build_projector(model: CidmModel, l_trunc: int) -> NystromProjector:

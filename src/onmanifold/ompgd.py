@@ -34,9 +34,8 @@ import numpy as np
 # nystrom's own callers look them up, so one patch of it sees every row
 from . import nystrom
 from .cidm import CidmModel
-from .errors import StalledError, _size
-from .nystrom import (NystromProjector, _check_finite, _loss_gradient, _norm,
-                      fourier_coefficients, project_many)
+from .errors import StalledError, _check_finite, _size
+from .nystrom import NystromProjector, _loss_gradient, _norm, fourier_coefficients, project_many
 # the step builds its frame with _frame_arrows and _tangent_frame;
 # tangent_frame_at stays importable from here because perfbench/tracing.py
 # wraps it by this name
@@ -199,6 +198,10 @@ def semantic_map(model: CidmModel, params_deg: np.ndarray,
     params = np.asarray(params_deg, dtype=np.float64)
     if params.ndim == 1:
         params = params[:, None]
+    if params.shape[0] != model.n_points:
+        raise ValueError(f'params_deg has shape {np.shape(params_deg)}, but points has shape '
+                         f'{model.training.points.shape}: params_deg needs one row per '
+                         'training point')
     _check_finite('params_deg', params)
     if params.shape[1] != len(periodic):
         raise ValueError('one periodic flag per parameter column required')

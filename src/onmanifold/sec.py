@@ -38,7 +38,7 @@ from scipy.spatial import cKDTree
 
 from .cidm import CidmModel, PointCloud, _sign_gauge
 from .errors import (DegenerateFrameError, EigensolverFailure, RankDeficiencyError,
-                     SingularGramError, _size)
+                     SingularGramError, _check_finite, _size)
 from .nystrom import _queries, eigenfunction_values, fourier_coefficients
 
 __all__ = [
@@ -261,6 +261,7 @@ class SecFrame:
     output modes (:func:`field_operator`), which is what a tangent frame
     or a PGD step reads.  Every size is read from ``ops``; the tensors
     and the frame coefficients the fields were solved from are not kept.
+    Both arrays must be finite (:func:`errors._check_finite`).
     """
 
     etas: np.ndarray
@@ -274,6 +275,8 @@ class SecFrame:
             raise ValueError(f'a SEC frame needs etas of shape (F,) and ops of shape '
                              f'(F, m_out, m_basis) with F >= 1 and m_out >= m_basis >= 1; '
                              f'got {etas.shape} and {ops.shape}')
+        _check_finite('etas', etas)
+        _check_finite('ops', ops)
         object.__setattr__(self, 'etas', etas)
         object.__setattr__(self, 'ops', ops)
 
@@ -356,9 +359,9 @@ def _check_section(model: CidmModel, frame: SecFrame | None, fhat,
     """The SEC-section rule: ``fhat`` as a float array, once there are both a
     frame and an ``fhat``, ``fhat`` has between ``frame.m_basis`` and
     ``model.n_eigs`` rows and one column per ambient dimension, and the
-    frame reads at most ``model.n_eigs`` modes; else a ValueError naming
-    what is wrong, with the arguments named ``{prefix}frame`` and
-    ``{prefix}fhat``."""
+    frame reads at most ``model.n_eigs`` modes, and ``fhat`` is finite
+    (:func:`errors._check_finite`); else a ValueError naming what is wrong,
+    with the arguments named ``{prefix}frame`` and ``{prefix}fhat``."""
     name = f'{prefix}fhat'
     if frame is None or fhat is None:
         missing = f'{prefix}frame' if frame is None else name
@@ -376,6 +379,7 @@ def _check_section(model: CidmModel, frame: SecFrame | None, fhat,
     if frame.m_out > n_eigs:
         raise ValueError(f'the SEC frame has m_out={frame.m_out} output modes, but eig_xi '
                          f'has shape ({n_eigs},): a frame reads at most {n_eigs} modes')
+    _check_finite(name, fhat)
     return fhat
 
 
@@ -448,6 +452,12 @@ def _frame_arrows(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
     return tuple(arrows)
 
 
+def _tangent_rank(sv: np.ndarray) -> int:
+    """How many of the descending singular values ``sv`` clear the rank
+    threshold, ``TANGENT_SVD_RTOL`` times the largest."""
+    return int(np.sum(sv > TANGENT_SVD_RTOL * sv[0])) if sv[0] > 0 else 0
+
+
 def _tangent_frame(arrows: tuple[tuple[int, np.ndarray], ...], vals: np.ndarray,
                    dim: int) -> np.ndarray:
     """The basis of :func:`tangent_frame_at` from the frame's ``arrows``
@@ -455,7 +465,7 @@ def _tangent_frame(arrows: tuple[tuple[int, np.ndarray], ...], vals: np.ndarray,
     which must cover modes 0..m_out-1 (further modes are not read)."""
     U, sv, _ = np.linalg.svd(np.stack([vals[:mo] @ w for mo, w in arrows]).T,
                              full_matrices=False)
-    rank = int(np.sum(sv > TANGENT_SVD_RTOL * sv[0])) if sv[0] > 0 else 0
+    rank = _tangent_rank(sv)
     if rank < dim:
         raise RankDeficiencyError(
             f'pushforward arrows span only {rank} of {dim} tangent directions at x')
@@ -463,12 +473,21 @@ def _tangent_frame(arrows: tuple[tuple[int, np.ndarray], ...], vals: np.ndarray,
 
 
 def local_pca_tangent(points: PointCloud, x, k: int, dim: int) -> np.ndarray:
-    """Baseline: top principal directions of the k nearest training points."""
+    """Baseline: top principal directions of the k nearest training points.
+
+    Raises :class:`RankDeficiencyError` if the centred neighbours span fewer
+    than ``dim`` directions (:func:`_tangent_rank`, the rule of
+    :func:`tangent_frame_at`)."""
     pts = points.points
     k = _size('k', k, 1, pts.shape[0])
     dim = _size('dim', dim, 1, min(k, pts.shape[1]))
     _, idx = cKDTree(pts).query(_queries(x, pts.shape[1], stack=False), k=k)
     nbrs = pts[np.atleast_1d(idx)]
     centered = nbrs - nbrs.mean(axis=0)
-    _, _, Vt = np.linalg.svd(centered, full_matrices=False)
+    _, sv, Vt = np.linalg.svd(centered, full_matrices=False)
+    rank = _tangent_rank(sv)
+    if rank < dim:
+        raise RankDeficiencyError(
+            f'the {k} nearest training points span only {rank} of {dim} tangent directions '
+            'at x')
     return _sign_gauge(Vt[:dim].T)

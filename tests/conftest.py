@@ -12,6 +12,9 @@ from onmanifold.errors import DuplicatePointError, InvalidQueryError
 from onmanifold.repro import (equispaced_circle, fig2_pipeline, fig3_pipeline,
                               pgd_circle_pipeline)
 
+#: The name of the thread that runs the helper's half of ``cidm._both``.
+HELPER = 'onmanifold-helper_0'
+
 
 @pytest.fixture(scope='session')
 def circle300():

@@ -130,8 +130,10 @@ class TestBundle:
         path, bundle = small_bundle
         target = tmp_path / 'model.bundle'
         target.write_bytes(path.read_bytes())
-        # xhat fails to convert inside the write, once the temporary file is open
-        broken = ModelBundle(model=bundle.model, xhat=np.array([['x']], dtype=object))
+        # xhat fails to convert inside the write, once the temporary file is
+        # open; construction refuses such an xhat, so it is set afterwards
+        broken = ModelBundle(model=bundle.model)
+        object.__setattr__(broken, 'xhat', np.array([['x']], dtype=object))
         with pytest.raises(ValueError):
             save_bundle(target, broken)
         assert target.read_bytes() == path.read_bytes()
@@ -450,7 +452,10 @@ class TestShapeChecks:
         ('sec_fhat', np.zeros((6, 3)), 'sec_fhat has shape (6, 3), but points has shape (100, 2)'),
         ('label_map', om.SemanticMap(np.zeros((13, 2)), (True,)),
          'semantic_coeffs has shape (13, 2), but eig_xi has shape (12,)'),
-    ], ids=['sec_fhat-rows', 'sec_fhat-1d', 'sec_fhat-columns', 'semantic_coeffs-rows'])
+        ('xhat', np.zeros((20, 3)), 'xhat must have shape (L, 2) with 1 <= L <= 12; '
+                                    'got (20, 3)'),
+    ], ids=['sec_fhat-rows', 'sec_fhat-1d', 'sec_fhat-columns', 'semantic_coeffs-rows',
+            'xhat'])
     def test_bundle_arrays(self, circle100, field, value, message):
         model, _, _ = circle100
         # an fhat is checked against its frame, and refused without one
@@ -487,6 +492,27 @@ class TestShapeChecks:
         bad.write_bytes(rewrite_arrays(path.read_bytes(), poison))
         with pytest.raises(ValueError, match=re.escape(
                 'semantic_coeffs row 3, column 1 is not finite (nan)')):
+            load_bundle(bad)
+
+    @pytest.mark.parametrize('name, index, value, message', [
+        ('eig_phi', (3, 1), np.nan, 'eig_phi row 3, column 1 is not finite (nan)'),
+        ('eig_xi', 4, np.inf, 'eig_xi row 4 is not finite (inf)'),
+        ('knn_scale', 5, -0.25, 'knn_scale row 5 is not positive (-0.25)'),
+        ('xhat', (2, 0), np.nan, 'xhat row 2, column 0 is not finite (nan)'),
+    ], ids=['eig_phi', 'eig_xi', 'knn_scale', 'xhat'])
+    def test_bad_entries_refused_on_load(self, circle100, tmp_path, name, index, value,
+                                         message):
+        # a model's and a projector's arrays are checked as constructed ones
+        # are; each of these gave NaN or wrong values at every query
+        _, path, _ = circle100
+        bad = tmp_path / 'bad.bundle'
+
+        def poison(arrays):
+            arrays[name] = arrays[name].copy()
+            arrays[name][index] = value
+
+        bad.write_bytes(rewrite_arrays(path.read_bytes(), poison))
+        with pytest.raises(ValueError, match=f'^{re.escape(message)}$'):
             load_bundle(bad)
 
     def test_c_order_replica_gives_the_fitted_bits(self, small_bundle):

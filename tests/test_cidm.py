@@ -1,7 +1,9 @@
 import os
 import subprocess
 import sys
+import textwrap
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -19,8 +21,8 @@ from onmanifold import cidm
 from onmanifold.cidm import KERNEL_TAIL, knn_scales
 from onmanifold.cli import _write_csv
 
-from conftest import (dense_kernel_matrix, dense_squared_distances, dense_training_scales,
-                      reference_cut_shape, row_weights)
+from conftest import (HELPER, dense_kernel_matrix, dense_squared_distances,
+                      dense_training_scales, reference_cut_shape, row_weights)
 
 
 def brute_force_scales(pts, k):
@@ -360,9 +362,9 @@ def spy_on_both(monkeypatch) -> list:
     """Record the two pieces of work of each ``cidm._both`` call."""
     calls, both = [], cidm._both
 
-    def spy(helper, work, mine, theirs):
+    def spy(work, mine, theirs):
         calls.append((mine, theirs))
-        return both(helper, work, mine, theirs)
+        return both(work, mine, theirs)
 
     monkeypatch.setattr(cidm, '_both', spy)
     return calls
@@ -623,9 +625,9 @@ class TestTwoCoreProduct:
             threads = [{t.name for (_, h), ts in calls.items() if h == half for t in ts}
                        for half in (0, 1)]
             me = threading.current_thread().name
-            assert threads == [{me}, {'onmanifold-helper' if two_threads else me}]
+            assert threads == [{me}, {HELPER if two_threads else me}]
         assert [t.name for t in threading.enumerate()
-                if t.name.startswith('onmanifold')] == ['onmanifold-helper']
+                if t.name.startswith('onmanifold')] == [HELPER]
         for name in ('eig_xi', 'eig_phi', 'degree'):
             npt.assert_array_equal(getattr(fits[True], name), getattr(fits[False], name),
                                    err_msg=name)
@@ -637,14 +639,16 @@ class TestTwoCoreProduct:
         large = cidm._kernel_csr(model.training.points, model.knn_scale, model.config)[0]
         n_panels = [sum(map(len, K._panels)) for K in (small, large)]
         assert n_panels[0] < cidm._TWO_THREAD_PANELS <= n_panels[1]
-        both = spy_on_both(monkeypatch)
+        calls = self.spy_on_halves(monkeypatch)
+        me = threading.current_thread().name
         for cpus, two_threads in (({0}, False), ({0, 1}, True)):
             monkeypatch.setattr(cidm.os, 'sched_getaffinity', lambda pid: cpus, raising=False)
-            both.clear()
-            small.matvec(np.ones(small.shape[0]))
-            assert both == []
-            large.matvec(np.ones(large.shape[0]))
-            assert both == [(0, 1)] * two_threads
+            for K, split in ((small, False), (large, two_threads)):
+                calls.clear()
+                K.matvec(np.ones(K.shape[0]))
+                # half 1 ran on the helper exactly when the product split
+                assert {t.name for (_, h), ts in calls.items() if h == 1 for t in ts} == {
+                    HELPER if split else me}
 
     @pytest.mark.parametrize('two_threads', [False, True])
     @pytest.mark.parametrize('half', [0, 1], ids=['top', 'bottom'])
@@ -671,9 +675,9 @@ class TestTwoCoreProduct:
         failed_on = calls[name, half][-1]
         assert (failed_on is not caller) == (two_threads and half == 1)
         # no thread but the helper is left, and the helper still serves
-        assert {t.name for t in set(threading.enumerate()) - before} <= {'onmanifold-helper'}
+        assert {t.name for t in set(threading.enumerate()) - before} <= {HELPER}
         if two_threads:
-            assert cidm._helper().submit(sum, [1, 2]).result() == 3
+            assert cidm._both(lambda _: threading.current_thread().name, 0, 1)[1] == HELPER
 
     def test_import_starts_no_thread(self):
         src = os.path.dirname(os.path.dirname(om.__file__))
@@ -684,6 +688,114 @@ class TestTwoCoreProduct:
                               capture_output=True, text=True)
         assert done.stdout.split() == ['1']
 
+
+@pytest.fixture
+def fresh_executor(monkeypatch):
+    """A process that may use two CPUs and has no helper yet; the helper
+    that the test starts is shut down after it."""
+    cpu_mode(monkeypatch, True)
+    monkeypatch.setattr(cidm, '_EXECUTOR', None)
+    monkeypatch.setattr(cidm, '_EXECUTOR_LOCK', threading.Lock())
+    yield
+    if cidm._EXECUTOR is not None:
+        cidm._EXECUTOR.shutdown(wait=False)
+
+
+def current_thread(_) -> threading.Thread:
+    return threading.current_thread()
+
+
+class TestBoth:
+    """``cidm._both``, the package's one two-core entry, decides by itself
+    whether the second piece of work runs on the helper or inline."""
+
+    def test_first_calls_at_once_start_one_helper(self, fresh_executor, monkeypatch):
+        # two threads make their first hand-off together, while the executor
+        # takes 0.1 s to start: both hand off to the one helper it starts
+        started, executor = [], cidm.ThreadPoolExecutor
+
+        def slow_start(*args, **kwargs):
+            time.sleep(0.1)
+            started.append(executor(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(cidm, 'ThreadPoolExecutor', slow_start)
+        barrier, helpers = threading.Barrier(2), []
+
+        def first_call():
+            barrier.wait()
+            helpers.append(cidm._both(current_thread, 0, 1)[1])
+
+        callers = [threading.Thread(target=first_call, daemon=True) for _ in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+        assert len(started) == 1 and cidm._EXECUTOR is started[0]
+        assert len(helpers) == 2 and helpers[0] is helpers[1] and helpers[0].name == HELPER
+
+    def test_a_call_on_the_helper_runs_inline(self, fresh_executor):
+        # the helper never waits for its own queue
+        def work(part):
+            if part == 'theirs':
+                return tuple(t.name for t in cidm._both(current_thread, 0, 1))
+            return part
+
+        done = []
+        caller = threading.Thread(target=lambda: done.append(cidm._both(work, 'mine', 'theirs')),
+                                  daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert done == [('mine', (HELPER, HELPER))]
+
+    def test_the_callers_error_waits_for_the_helper(self, fresh_executor):
+        # each half may write into arrays the caller reads: the caller's
+        # error is raised once the helper's half has finished, and first
+        finished = []
+
+        def work(part):
+            if part == 'mine':
+                raise RuntimeError('mine failed')
+            time.sleep(0.2)
+            finished.append(part)
+            raise RuntimeError('theirs failed')
+
+        with pytest.raises(RuntimeError, match='^mine failed$'):
+            cidm._both(work, 'mine', 'theirs')
+        assert finished == ['theirs']
+
+    @pytest.mark.parametrize('started', [False, True], ids=['no-helper', 'helper'])
+    def test_a_fit_at_exit_completes(self, started):
+        # an atexit handler runs after the executor has begun to shut down,
+        # when it refuses work: the fit and a split batch of rows then run
+        # inline, with the bits of the same work before exit, done inline
+        # (no helper started) or on two threads (the helper started)
+        code = textwrap.dedent(f"""
+            import atexit, hashlib
+            import onmanifold as om
+            from onmanifold import cidm
+
+            cloud = om.generate(om.SynthSpec(kind='circle', n_points=400, noise_sigma=0.1,
+                                             seed=7))[0]
+
+            def digest():
+                model = om.fit(cloud, om.CidmConfig(k_nn=16, n_eigs=12))
+                values = om.eigenfunction_values(model, cloud.points[:200], 12)
+                return hashlib.sha256(model.eig_phi.tobytes() + values.tobytes()).hexdigest()
+
+            cidm._usable_cpus = lambda: {2 if started else 1}
+            print(digest())
+            cidm._usable_cpus = lambda: 2       # hand off wherever this runs
+            atexit.register(lambda: print(digest()))
+            """)
+        src = os.path.dirname(os.path.dirname(om.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get('PYTHONPATH')])))
+        done = subprocess.run([sys.executable, '-c', code], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stderr == ''
+        before, at_exit = done.stdout.split()
+        assert at_exit == before
 
 class TestPointCloud:
     def test_csv_round_trip(self, tmp_path):

@@ -10,10 +10,12 @@
   training dimension with one naming both dimensions.
 * SEC sections (``sec._check_section``): a frame and its ``fhat`` come
   together and agree with the model, or a ValueError names what is wrong.
-* Finite data (``nystrom._check_finite``): the values a function is
-  expanded from, the coefficients it is evaluated from and the parameters
-  a semantic map encodes are finite, or a ValueError names the first entry
-  that is not, by row and column, and its value.
+* Finite data (``errors._check_finite``): the values a function is
+  expanded from, the coefficients it is evaluated from, the parameters a
+  semantic map encodes, a model's arrays, a projector's ``xhat`` and a SEC
+  frame's arrays and ``fhat`` are finite, or a ValueError names the first
+  entry that is not, by row and column, and its value.  A model's kNN
+  scales and degrees are also positive.
 
 The cases reuse the session fixtures and fail before any O(N^2) work.
 """
@@ -225,7 +227,36 @@ NON_FINITE = {
         _with(np.ones((5, 2)), {(2, 1): v, (3, 0): v}), (True,))),
     'SemanticMap-one-column': ('semantic_coeffs row 4, column 0', lambda p, v: om.SemanticMap(
         _with(np.ones((5, 1)), {(4, 0): v}), (False,))),
+    'CidmModel-knn_scale': ('knn_scale row 7', lambda p, v: _replace_array(p, 'knn_scale', 7, v)),
+    'CidmModel-degree': ('degree row 7', lambda p, v: _replace_array(p, 'degree', 7, v)),
+    'CidmModel-raw_degree': (
+        'raw_degree row 7', lambda p, v: _replace_array(p, 'raw_degree', 7, v)),
+    'CidmModel-eig_xi': ('eig_xi row 7', lambda p, v: _replace_array(p, 'eig_xi', 7, v)),
+    'CidmModel-eig_phi': (
+        'eig_phi row 7, column 2', lambda p, v: _replace_array(p, 'eig_phi', (7, 2), v)),
+    'NystromProjector-xhat': ('xhat row 2, column 1', lambda p, v: om.NystromProjector(
+        p['model'], _with(p['projector'].xhat, {(2, 1): v, (3, 0): v}))),
+    'ModelBundle-xhat': ('xhat row 2, column 1', lambda p, v: om.ModelBundle(
+        p['model'], xhat=_with(p['projector'].xhat, {(2, 1): v, (3, 0): v}))),
+    'SecFrame-etas': ('etas row 1', lambda p, v: om.SecFrame(
+        _with(p['frame'].etas, {1: v}), p['frame'].ops)),
+    'SecFrame-ops': ('ops entry (0, 4, 2)', lambda p, v: om.SecFrame(
+        p['frame'].etas, _with(p['frame'].ops, {(0, 4, 2): v, (1, 0, 0): v}))),
+    'tangent_frame_at-fhat': ('fhat row 2, column 0', lambda p, v: om.tangent_frame_at(
+        p['model'], p['frame'], _with(p['fhat'], {(2, 0): v, (3, 1): v}), [1.0, 0.0], 1)),
+    'ModelBundle-sec_fhat': ('sec_fhat row 2, column 0', lambda p, v: om.ModelBundle(
+        p['model'], sec_frame=p['frame'], sec_fhat=_with(p['fhat'], {(2, 0): v}))),
 }
+
+
+def _replace_array(p, name: str, index, value):
+    """The parts' model with ``{name}[index]`` and a later entry set to
+    ``value``, through ``dataclasses.replace``; ``raw_degree`` is the
+    model's degrees, which the ``cidm`` variant may carry."""
+    model = p['model']
+    array = getattr(model, 'degree' if name == 'raw_degree' else name)
+    later = (9,) + tuple(index[1:]) if isinstance(index, tuple) else 9
+    return dataclasses.replace(model, **{name: _with(array, {index: value, later: value})})
 
 
 @pytest.mark.parametrize('value', [np.nan, np.inf, -np.inf])
@@ -236,6 +267,23 @@ def test_finite_rule(parts, case, value):
     message = re.escape(f'{where} is not finite ({value})')
     with pytest.raises(ValueError, match=f'^{message}$'):
         call(parts, value)
+
+
+@pytest.mark.parametrize('value', [0.0, -1.5])
+@pytest.mark.parametrize('name', ['knn_scale', 'degree', 'raw_degree'])
+def test_positive_rule(parts, name, value):
+    # a negated knn_scale gave values of the wrong sign and size, no error
+    message = re.escape(f'{name} row 7 is not positive ({value})')
+    with pytest.raises(ValueError, match=f'^{message}$'):
+        _replace_array(parts, name, 7, value)
+
+
+def test_semantic_map_row_rule(parts):
+    # the message named values, an argument semantic_map does not take
+    message = re.escape('params_deg has shape (50,), but points has shape (300, 2): '
+                        'params_deg needs one row per training point')
+    with pytest.raises(ValueError, match=f'^{message}$'):
+        om.semantic_map(parts['model'], np.zeros(50), [True], 10)
 
 
 #: id -> (frame, fhat, message) from the parts; the message names the

@@ -17,7 +17,7 @@ from scipy.spatial.distance import cdist
 from onmanifold import cidm, nystrom
 from onmanifold.cidm import KERNEL_TAIL
 
-from conftest import kernel_rows, reference_jacobian, reference_kernel_rows, row_weights
+from conftest import HELPER, kernel_rows, reference_jacobian, reference_kernel_rows, row_weights
 
 
 class TestExtendEigenfunction:
@@ -689,7 +689,7 @@ class TestRowMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 8 * m * N + m * N + 2 * 8 * np.getbufsize(), peak
-        assert sorted(threads) == ['MainThread', 'onmanifold-helper']
+        assert sorted(threads) == ['MainThread', HELPER]
 
 
 def spy_on_rows(monkeypatch) -> list:
@@ -732,7 +732,7 @@ class TestSplitRows:
             threads = spy_on_rows(monkeypatch)
             out[cpus] = (om.eigenfunction_values(model, batch, model.n_eigs),
                          om.project_many(projector, batch))
-            assert ('onmanifold-helper' in threads) == (split and cpus == 2), threads
+            assert (HELPER in threads) == (split and cpus == 2), threads
         for name, got, want in zip(('values', 'projections'), out[2], out[1]):
             npt.assert_array_equal(got, want, err_msg=name)
 
@@ -779,14 +779,20 @@ class TestSplitRows:
                     om.eigenfunction_values(model, batch, 3)
                 else:
                     om.project_many(om.build_projector(model, 15), batch)
-            assert ('onmanifold-helper' in threads) == (cpus == 2)
+            assert (HELPER in threads) == (cpus == 2)
 
     def test_helper_runs_in_the_callers_errstate(self, monkeypatch):
         # an np.errstate in force applies to a half on the helper as inline
         monkeypatch.setattr(cidm, '_usable_cpus', lambda: 2)
+
+        def errstate(_):
+            return threading.current_thread().name, np.geterr()
+
         with np.errstate(under='raise'):
-            assert cidm._helper().submit(np.geterr).result()['under'] == 'raise'
-        assert cidm._helper().submit(np.geterr).result() == np.geterr()
+            seen = cidm._both(errstate, 0, 1)
+        assert [name for name, _ in seen] == ['MainThread', HELPER]
+        assert seen[1][1]['under'] == 'raise' and seen[0][1] == seen[1][1]
+        assert cidm._both(errstate, 0, 1)[1][1] == np.geterr()
 
     def test_traced_functions_run_on_the_caller(self, fig2, monkeypatch):
         # perfbench's tracer keeps one span stack, so the helper's half calls
@@ -807,7 +813,7 @@ class TestSplitRows:
         om.extend_function(model, np.ones(5), queries)
         om.project_many(om.build_projector(model, 20), queries)
         assert seen == [threading.current_thread().name]
-        assert rows.count('onmanifold-helper') == 3
+        assert rows.count(HELPER) == 3
 
     @pytest.mark.skipif(not hasattr(os, 'fork'), reason='fork is not available')
     @pytest.mark.filterwarnings('ignore::DeprecationWarning')
@@ -818,15 +824,17 @@ class TestSplitRows:
         queries = fig2['grid'][:64]
         monkeypatch.setattr(cidm, '_usable_cpus', lambda: 2)
         want = om.eigenfunction_values(model, queries, 20)
-        parent_helper = cidm._HELPER
-        assert parent_helper is not None and parent_helper.thread.is_alive()
+        parent_executor = cidm._EXECUTOR
+        assert parent_executor is not None
+        assert HELPER in [t.name for t in threading.enumerate()]
 
         def child():
+            assert cidm._EXECUTOR is None
             threads = spy_on_rows(monkeypatch)
             got = om.eigenfunction_values(model, queries, 20)
             assert np.array_equal(got, want)
-            assert sorted(threads) == ['MainThread', 'onmanifold-helper']
-            assert cidm._HELPER is not parent_helper
+            assert sorted(threads) == ['MainThread', HELPER]
+            assert cidm._EXECUTOR not in (None, parent_executor)
 
         proc = multiprocessing.get_context('fork').Process(target=child)
         proc.start()

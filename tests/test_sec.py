@@ -481,6 +481,16 @@ class TestLocalPca:
             tangent = np.array([-np.sin(theta), np.cos(theta)])
             assert np.degrees(np.arccos(min(abs(v @ tangent), 1.0))) <= 15.0
 
+    @pytest.mark.parametrize('k, dim, rank', [(2, 2, 1), (1, 1, 0)])
+    def test_neighbours_that_span_fewer_directions_are_refused(self, k, dim, rank):
+        # two centred neighbours span one direction and one neighbour none,
+        # so any second (or first) basis vector would be arbitrary
+        cloud = om.generate(om.SynthSpec(kind='torus', n_points=300, seed=1))[0]
+        with pytest.raises(om.RankDeficiencyError, match=(
+                f'^the {k} nearest training points span only {rank} of {dim} tangent '
+                'directions at x$')):
+            local_pca_tangent(cloud, cloud.points[0], k, dim)
+
     def test_sec_beats_pca_in_noisy_region(self, fig3_2d):
         out = fig3_2d
         arrows, tangents = out['arrows'], out['tangents']
