@@ -67,10 +67,11 @@ class ModelBundle:
     """A fitted model plus whatever downstream artifacts have been attached.
 
     Construction refuses an ``xhat`` that fails the projector's rule
-    (``nystrom._xhat_rule``), a SEC frame without its ``sec_fhat`` or the
-    converse, and a pair that fails the SEC-section rule
-    (``sec._check_section``); and semantic coefficients that do not hold
-    one row per mode for 1 to ``n_eigs`` modes.
+    (``nystrom._xhat_rule``), and keeps ``xhat`` as the float64 array that
+    rule returns, as the projector does.  It also refuses a SEC frame
+    without its ``sec_fhat`` or the converse, a pair that fails the
+    SEC-section rule (``sec._check_section``), and semantic coefficients
+    that do not hold one row per mode for 1 to ``n_eigs`` modes.
     """
 
     model: CidmModel
@@ -81,7 +82,7 @@ class ModelBundle:
 
     def __post_init__(self):
         if self.xhat is not None:
-            _xhat_rule(self.model, self.xhat)
+            object.__setattr__(self, 'xhat', _xhat_rule(self.model, self.xhat)[0])
         if self.sec_frame is not None or self.sec_fhat is not None:
             _check_section(self.model, self.sec_frame, self.sec_fhat, prefix='sec_')
         if self.label_map is not None:

@@ -55,9 +55,11 @@ derives its read-only operand when it is made.  None of these is stored
 in a bundle.
 
 A row costs O(N) per query, so a caller that needs several quantities
-at one point asks :func:`eigenfunction_values` once, for the widest
-range of modes, and slices the result: the PGD loop takes both the
-tangent frame and the semantic labels of an iterate from one row.
+at one point reads them from one row: :func:`eigenfunction_values` once,
+for the widest range of modes, sliced; or, as the PGD loop reads the
+tangent arrows and the semantic labels of an iterate, one
+:func:`_contract` of the row with an operand that stacks them all
+(``ompgd._attack_operand``).
 
 Gradients differentiate the full kernel row, including the variation of
 the query's kNN scale (smooth while the neighbor set is fixed); the
@@ -257,18 +259,20 @@ class NystromProjector:
     constant mode included so the data mean is representable.
 
     Construction (``build_projector``, a bundle's ``projector()``,
-    ``dataclasses.replace``) applies the xhat rule (:func:`_xhat_rule`) and
-    derives, once, the read-only (N, n) operand
-    ``_operand = (phi_L / lambda_L) @ xhat`` that :func:`_contract`
-    multiplies a kernel row through.  It is not stored in a bundle.
+    ``dataclasses.replace``) applies the xhat rule (:func:`_xhat_rule`),
+    keeps ``xhat`` as the float64 array it returns, and derives, once, the
+    read-only (N, n) operand ``_operand = (phi_L / lambda_L) @ xhat`` that
+    :func:`_contract` multiplies a kernel row through.  It is not stored in
+    a bundle.
     """
 
     model: CidmModel
     xhat: np.ndarray
 
     def __post_init__(self):
-        lam = _xhat_rule(self.model, self.xhat)
-        operand = (self.model.eig_phi[:, :lam.shape[0]] / lam[None, :]) @ self.xhat
+        xhat, lam = _xhat_rule(self.model, self.xhat)
+        object.__setattr__(self, 'xhat', xhat)
+        operand = (self.model.eig_phi[:, :lam.shape[0]] / lam[None, :]) @ xhat
         operand.flags.writeable = False
         object.__setattr__(self, '_operand', operand)
 
@@ -277,18 +281,20 @@ class NystromProjector:
         return self.xhat.shape[0]
 
 
-def _xhat_rule(model: CidmModel, xhat) -> np.ndarray:
-    """The projector's xhat rule: ``xhat`` has shape (L, n), with 1 <= L <=
-    ``model.n_eigs`` and n the training dimension, and finite entries
-    (:func:`errors._check_finite`), else a ValueError; and its L modes are
-    extendable (:func:`_mode_lambdas`), whose kernel eigenvalues it returns."""
-    shape = np.shape(xhat)
+def _xhat_rule(model: CidmModel, xhat) -> tuple[np.ndarray, np.ndarray]:
+    """The projector's xhat rule: ``xhat`` as a float64 array has shape (L,
+    n), with 1 <= L <= ``model.n_eigs`` and n the training dimension, and
+    finite entries (:func:`errors._check_finite`), else a ValueError; and
+    its L modes are extendable (:func:`_mode_lambdas`).  Returns that array
+    (``xhat`` itself if it is one) and the modes' kernel eigenvalues."""
+    xhat = np.asarray(xhat, dtype=np.float64)
+    shape = xhat.shape
     n_eigs, dim = model.n_eigs, model.training.ambient_dim
     if not (len(shape) == 2 and 1 <= shape[0] <= n_eigs and shape[1] == dim):
         raise ValueError(f'xhat must have shape (L, {dim}) with 1 <= L <= {n_eigs}; '
                          f'got {shape}')
-    _check_finite('xhat', np.asarray(xhat))
-    return _mode_lambdas(model, shape[0])
+    _check_finite('xhat', xhat)
+    return xhat, _mode_lambdas(model, shape[0])
 
 
 def build_projector(model: CidmModel, l_trunc: int) -> NystromProjector:
@@ -297,11 +303,13 @@ def build_projector(model: CidmModel, l_trunc: int) -> NystromProjector:
                             xhat=fourier_coefficients(model, model.training.points, l_trunc))
 
 
-def _contract(projector: NystromProjector, rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """One projection of each query from its unnormalized kernel row
-    (:func:`_row_core`): ``rows`` is multiplied through the projector's
-    operand, and the (m, n) result is divided by the row ``sums``."""
-    out = rows @ projector._operand
+def _contract(operand: np.ndarray, rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """What each query reads through an (N, c) ``operand`` fixed per model,
+    from its unnormalized kernel row (:func:`_row_core`): ``rows`` is
+    multiplied through the operand, and the (m, c) result is divided by the
+    row ``sums``.  Through a projector's ``_operand`` it is one projection
+    of each query."""
+    out = rows @ operand
     out /= sums
     return out
 
@@ -316,7 +324,7 @@ def project_many(projector: NystromProjector, x: np.ndarray, iterations: int = 2
     q = _queries(x, model.training.ambient_dim)
     out = np.atleast_2d(q)
     for _ in range(iterations):
-        out = _contract(projector, *_rows(model, out))
+        out = _contract(projector._operand, *_rows(model, out))
     return out[0] if q.ndim == 1 else out
 
 
@@ -421,6 +429,6 @@ def restricted_loss_gradient(projector: NystromProjector,
     result must pass the loss gradient rule (:func:`_loss_gradient`).
     """
     jac, rows, sums = _jacobian(projector.model, projector.l_trunc, x)
-    target = _contract(projector, rows, sums)[0]
+    target = _contract(projector._operand, rows, sums)[0]
     g = _loss_gradient(loss_grad_at(target), target, 'loss_grad_at', 'the projection of x')[0]
     return jac.T @ (projector.xhat @ g)

@@ -9,19 +9,30 @@ known training labels.
 
 Every Nystrom row costs O(N), and each iterate needs one row: the
 semantic labels of ``x_next`` are read from it, and so is the tangent
-frame of the next step, whose ``x_on`` is that ``x_next``.  A step
-therefore computes the row at ``x_next`` once, with the modes both
-consumers need, and returns it; :func:`om_pgd` hands it to the next
-step.  With the two projection rows, a step makes three rows.
+frame of the next step, whose ``x_on`` is that ``x_next``.  What a step
+reads at a point is one contraction of that row with an operand fixed per
+attack (:func:`_attack_operand`): an (N, F n + p) matrix whose columns are
+each of the F arrow coefficient blocks of the tangent frame
+(``sec._frame_arrows``), n columns each, and then the label map's p
+coefficient columns, every block premultiplied by ``eig_phi[:, :modes] /
+lambda[:modes]``.  The row times the operand, divided by the row sum
+(``nystrom._contract``), is the reading at the point: its F arrows, whose
+SVD gives the tangent frame (``sec._tangent_basis``), and its extended
+label columns, which decode to the semantic labels.  A step reads the
+row at ``x_next`` once, with a label map, and returns the reading;
+:func:`om_pgd` hands it to the next step.  With the two projection rows,
+a step makes three rows.
 
 A step is bound by per-call work, so what it reads that does not change
 within an attack is derived once: per model, the kernel eigenvalues,
 the extendable modes and the kernel cutoff (when the model is made, see
-``cidm.CidmModel``); per attack, each field's arrow coefficients at the
-three truncations of the tangent frame (``sec._frame_arrows``, which
-:func:`om_pgd` carries into every step as it carries the row); and per
+``cidm.CidmModel``); per attack, the operand, which :func:`om_pgd`
+builds before its first step and hands to every step; and per
 classifier, the sector centres in radians.  None of them is stored in a
-bundle, and none changes an output bit.
+bundle.  A reading differs from the arrows and labels taken from the
+eigenfunction values at the point (``tangent_frame_at``,
+:func:`semantic_labels`) only in the last bits, since the operand sums
+the same terms in another order.
 """
 
 import math
@@ -30,16 +41,16 @@ from typing import Literal, Protocol, Sequence
 
 import numpy as np
 
-# rows are looked up as nystrom.eigenfunction_values at call time, as
-# nystrom's own callers look them up, so one patch of it sees every row
+# rows are looked up as nystrom attributes at call time, as nystrom's own
+# callers look them up, so one patch of a nystrom function sees every call
 from . import nystrom
 from .cidm import CidmModel
 from .errors import StalledError, _check_finite, _size
 from .nystrom import NystromProjector, _loss_gradient, _norm, fourier_coefficients, project_many
-# the step builds its frame with _frame_arrows and _tangent_frame;
+# the step reads its frame through _frame_arrows and _tangent_basis;
 # tangent_frame_at stays importable from here because perfbench/tracing.py
 # wraps it by this name
-from .sec import SecFrame, _frame_arrows, _tangent_frame, tangent_frame_at
+from .sec import SecFrame, _frame_arrows, _tangent_basis, tangent_frame_at
 
 __all__ = [
     'ClassifierOracle',
@@ -230,13 +241,13 @@ def semantic_labels(model: CidmModel, label_map: SemanticMap, x) -> np.ndarray:
     n_modes = _size('label_map.n_modes', label_map.n_modes, 1, model.n_eigs)
     q = nystrom._queries(x, model.training.ambient_dim, stack=False)
     vals = nystrom.eigenfunction_values(model, q, n_modes)
-    return _decode_labels(label_map, vals)
+    return _decode_labels(label_map, vals @ label_map.coeffs)
 
 
-def _decode_labels(label_map: SemanticMap, vals: np.ndarray) -> np.ndarray:
-    """:func:`semantic_labels` from the eigenfunction values at x, ``vals``,
-    which must cover the map's modes (further modes are not read)."""
-    ext = np.atleast_1d(vals[..., :label_map.n_modes] @ label_map.coeffs)
+def _decode_labels(label_map: SemanticMap, ext: np.ndarray) -> np.ndarray:
+    """:func:`semantic_labels` from the extended columns at x, ``ext``: the
+    values there of the functions whose coefficients are ``label_map.coeffs``,
+    one per column."""
     out = np.empty(label_map.n_params)
     col = 0
     for j, per in enumerate(label_map.periodic):
@@ -272,9 +283,9 @@ class PgdConfig:
 class PgdStep:
     """One on-manifold PGD step, in execution order.
 
-    ``x_next_values`` holds the eigenfunction values at ``x_next`` that
-    the step computed for its semantic labels (None without a label map);
-    they are not part of :meth:`PgdTrace.to_records`.
+    ``x_next_reading`` holds what the step read at ``x_next`` through its
+    attack's operand for its semantic labels (:func:`_attack_operand`;
+    None without a label map); it is not part of :meth:`PgdTrace.to_records`.
     """
 
     index: int
@@ -285,7 +296,7 @@ class PgdStep:
     x_next: np.ndarray
     label_pred: int
     semantics: np.ndarray | None
-    x_next_values: np.ndarray | None = field(default=None, repr=False)
+    x_next_reading: np.ndarray | None = field(default=None, repr=False)
 
 
 Status = Literal['misclassified', 'max_steps', 'stalled']
@@ -308,41 +319,73 @@ class PgdTrace:
                 for s in self.steps]
 
 
-def _row_width(frame: SecFrame, label_map: SemanticMap | None) -> int:
-    """Modes of the one Nystrom row per iterate: the tangent frame's, and the
-    label map's if there is one.  A carried row and a fresh one have the
-    same width, because the leading columns of a wider ``weights @ phi``
-    are not bit-equal to a narrower product."""
-    return frame.m_out if label_map is None else max(frame.m_out, label_map.n_modes)
+@dataclass(frozen=True)
+class _AttackOperand:
+    """What every step of one attack reads through a point's kernel row.
+
+    ``matrix`` is the read-only (N, F n + p) operand of the module
+    docstring: ``arrow_cols`` = F n columns of arrows and then the p
+    columns of ``label_map`` (none without one), which it was built for.
+    """
+
+    matrix: np.ndarray
+    arrow_cols: int
+    label_map: SemanticMap | None
+
+
+def _attack_operand(model: CidmModel, frame: SecFrame, fhat: np.ndarray, dim: int,
+                    label_map: SemanticMap | None) -> _AttackOperand:
+    """The operand of an attack with a tangent frame of dimension ``dim``,
+    once ``frame`` and ``fhat`` pass the SEC-section rule and ``dim`` its
+    size rule (``sec._frame_arrows``), and the modes it reads are
+    extendable (``nystrom._mode_lambdas``).  Each arrow coefficient block
+    (mo, n) and the label coefficients (k, p) are multiplied by the first
+    mo or k columns of one scaled copy ``eig_phi / lambda``."""
+    arrows = _frame_arrows(model, frame, fhat, dim)
+    label_modes = 0 if label_map is None else label_map.n_modes
+    modes = max(frame.m_out, label_modes)
+    scaled = model.eig_phi[:, :modes] / nystrom._mode_lambdas(model, modes)
+    blocks = [scaled[:, :mo] @ w for mo, w in arrows]
+    if label_map is not None:
+        blocks.append(scaled[:, :label_modes] @ label_map.coeffs)
+    matrix = np.hstack(blocks)
+    matrix.flags.writeable = False
+    return _AttackOperand(matrix, len(arrows) * model.training.ambient_dim, label_map)
+
+
+def _reading(model: CidmModel, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The reading at one point ``x`` that passed the query rule: its one
+    Nystrom row (``nystrom._rows``) through an attack's operand ``matrix``."""
+    return nystrom._contract(matrix, *nystrom._rows(model, x[None, :]))[0]
 
 
 def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
                 projector: NystromProjector, frame: SecFrame, fhat: np.ndarray,
                 config: PgdConfig, index: int = 0,
                 label_map: SemanticMap | None = None, *,
-                x_on_values: np.ndarray | None = None,
-                arrows: tuple | None = None) -> PgdStep:
+                x_on_reading: np.ndarray | None = None,
+                operand: _AttackOperand | None = None) -> PgdStep:
     """One gradient / tangent-project / step / Nystrom-project cycle.
 
-    The tangent frame at ``x_on`` is built from the eigenfunction values
-    there: ``x_on_values`` if given (the ``x_next_values`` of the step
-    that produced ``x_on``), else one fresh Nystrom row.  With a label
-    map, the step computes the row at ``x_next`` once, reads the semantic
-    labels from it and returns it as ``x_next_values``.  The frame's
-    arrow coefficients are ``arrows`` if given (what
-    ``sec._frame_arrows(model, frame, fhat, config.tangent_dim)`` returns,
-    which :func:`om_pgd` computes once per attack), else computed here,
-    after ``frame`` and ``fhat`` pass the SEC-section rule; a step handed
-    ``arrows`` does not read ``fhat``.  Carrying either changes no output bit.
+    The step reads the tangent frame at ``x_on``, and the semantic labels
+    at ``x_next`` with a label map, through its attack's ``operand``
+    (:func:`_attack_operand`, which :func:`om_pgd` builds once per attack);
+    without one it builds it here, after ``frame`` and ``fhat`` pass the
+    SEC-section rule.  A step handed ``operand`` reads neither ``frame``
+    nor ``fhat``.  The reading at ``x_on`` is ``x_on_reading`` if given
+    (the ``x_next_reading`` of the step that produced ``x_on``), else one
+    fresh Nystrom row through the operand.  Carrying either changes no
+    output bit.
 
     Raises
     ------
     ValueError
         If ``frame`` and ``fhat`` fail the SEC-section rule (without
-        ``arrows``), if ``x_on_values`` does not hold one value per mode of the row
-        (``frame.m_out``, or the larger of it and the label map's modes),
-        or if the oracle's ``loss_grad`` fails the loss gradient rule
-        (``nystrom._loss_gradient``): the shape of ``x_on``, a finite norm.
+        ``operand``), if ``operand`` was built for another label map, if
+        ``x_on_reading`` does not hold one entry per column of the
+        operand, or if the oracle's ``loss_grad`` fails the loss gradient
+        rule (``nystrom._loss_gradient``): the shape of ``x_on``, a finite
+        norm.
     RankDeficiencyError
         Propagated from the tangent frame when the fields do not span.
     StalledError
@@ -351,20 +394,23 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
     """
     model = projector.model
     x_on = np.asarray(x_on, dtype=np.float64)
-    if arrows is None:
-        arrows = _frame_arrows(model, frame, fhat, config.tangent_dim)
-    width = _row_width(frame, label_map)
-    if x_on_values is not None and np.shape(x_on_values) != (width,):
-        raise ValueError(f'x_on_values must have shape ({width},), '
-                         f'got {np.shape(x_on_values)}')
+    if operand is None:
+        operand = _attack_operand(model, frame, fhat, config.tangent_dim, label_map)
+    elif operand.label_map is not label_map:
+        raise ValueError('operand was built for another label map than label_map')
+    matrix, split = operand.matrix, operand.arrow_cols
+    if x_on_reading is not None and np.shape(x_on_reading) != (matrix.shape[1],):
+        raise ValueError(f'x_on_reading must have shape ({matrix.shape[1]},), '
+                         f'got {np.shape(x_on_reading)}')
     g_raw, raw_norm = _loss_gradient(oracle.loss_grad(x_on, true_label), x_on,
                                      'loss_grad', 'x_on')
     if raw_norm == 0.0:
         raise StalledError('loss gradient vanished at the current iterate')
     g = g_raw / raw_norm
-    if x_on_values is None:
-        x_on_values = nystrom.eigenfunction_values(model, x_on, width)
-    T = _tangent_frame(arrows, x_on_values, config.tangent_dim)
+    if x_on_reading is None:
+        x_on_reading = _reading(model, matrix, nystrom._queries(
+            x_on, model.training.ambient_dim, stack=False))
+    T = _tangent_basis(x_on_reading[:split].reshape(-1, x_on.shape[0]).T, config.tangent_dim)
     g_tan = T @ (T.T @ g)
     if _norm(g_tan) <= STALL_GRAD_RTOL * _norm(g):
         raise StalledError('gradient is orthogonal to the tangent frame')
@@ -373,10 +419,10 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
     if _norm(x_next - x_on) < STALL_MOVE_RTOL * model.data_diameter:
         raise StalledError('projected step did not move the iterate')
     label_pred = int(oracle.predict(x_next))
-    x_next_values = semantics = None
+    x_next_reading = semantics = None
     if label_map is not None:
-        x_next_values = nystrom.eigenfunction_values(model, x_next, width)
-        semantics = _decode_labels(label_map, x_next_values)
+        x_next_reading = _reading(model, matrix, x_next)
+        semantics = _decode_labels(label_map, x_next_reading[split:])
     return PgdStep(
         index=index,
         x_on=x_on,
@@ -386,7 +432,7 @@ def om_pgd_step(x_on: np.ndarray, true_label: int, oracle: ClassifierOracle,
         x_next=x_next,
         label_pred=label_pred,
         semantics=semantics,
-        x_next_values=x_next_values,
+        x_next_reading=x_next_reading,
     )
 
 
@@ -397,9 +443,9 @@ def om_pgd(start: np.ndarray, true_label: int | None, oracle: ClassifierOracle,
 
     The start point may be off-manifold; it is projected before step 1.
     A ``true_label`` of None means the oracle's label of that projection.
-    The frame's arrow coefficients are fixed for the attack, so they are
-    computed once, and each step gets the eigenfunction values its
-    predecessor computed at its ``x_on``, so an iterate's Nystrom row is
+    The operand every step reads through is fixed for the attack, so it is
+    built once (:func:`_attack_operand`), and each step gets the reading
+    its predecessor made at its ``x_on``, so an iterate's Nystrom row is
     computed once.  Stalls terminate the trace with status ``'stalled'``
     rather than propagating.
     """
@@ -407,20 +453,20 @@ def om_pgd(start: np.ndarray, true_label: int | None, oracle: ClassifierOracle,
     x0 = project_many(projector, start)
     if true_label is None:
         true_label = int(oracle.predict(x0))
-    arrows = _frame_arrows(projector.model, frame, fhat, config.tangent_dim)
-    x_on, x_on_values = x0, None
+    operand = _attack_operand(projector.model, frame, fhat, config.tangent_dim, label_map)
+    x_on, x_on_reading = x0, None
     steps: list[PgdStep] = []
     status: Status = 'max_steps'
     for i in range(config.max_steps):
         try:
             step = om_pgd_step(x_on, true_label, oracle, projector, frame, fhat,
                                config, index=i, label_map=label_map,
-                               x_on_values=x_on_values, arrows=arrows)
+                               x_on_reading=x_on_reading, operand=operand)
         except StalledError:
             status = 'stalled'
             break
         steps.append(step)
-        x_on, x_on_values = step.x_next, step.x_next_values
+        x_on, x_on_reading = step.x_next, step.x_next_reading
         if step.label_pred != true_label:
             status = 'misclassified'
             break

@@ -404,7 +404,9 @@ def tangent_frame_at(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
     while reconstruction noise is not, which steadies the SVD.  The arrows
     are derived once per call (:func:`_frame_arrows`), and each point gets
     its own one-point kernel row, so a basis has the same bits alone or in
-    a stack; the PGD loop reuses a row it has already computed instead.
+    a stack.  A PGD step reads its arrows through its attack's operand
+    instead (``ompgd._attack_operand``), with the same SVD and rank rule
+    (:func:`_tangent_basis`).
 
     Raises
     ------
@@ -434,8 +436,8 @@ def _frame_arrows(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
     coefficients ``op @ fhat`` (row i holds the coefficients of phi_i, so
     the arrow at x is the eigenfunction values there times this) cut to
     each of the three output-mode truncations, as ``(modes, coefficients)``
-    pairs.  They are fixed once the frame and ``fhat`` are, so the PGD loop
-    computes them once per attack.
+    pairs.  They are fixed once the frame and ``fhat`` are, so a PGD attack
+    builds its operand from them once (``ompgd._attack_operand``).
     """
     fhat = _check_section(model, frame, fhat)
     dim = _size('dim', dim, 1, fhat.shape[1])
@@ -455,7 +457,7 @@ def _frame_arrows(model: CidmModel, frame: SecFrame, fhat: np.ndarray,
 def _tangent_rank(sv: np.ndarray) -> int:
     """How many of the descending singular values ``sv`` clear the rank
     threshold, ``TANGENT_SVD_RTOL`` times the largest."""
-    return int(np.sum(sv > TANGENT_SVD_RTOL * sv[0])) if sv[0] > 0 else 0
+    return int(np.count_nonzero(sv > TANGENT_SVD_RTOL * sv[0])) if sv[0] > 0 else 0
 
 
 def _tangent_frame(arrows: tuple[tuple[int, np.ndarray], ...], vals: np.ndarray,
@@ -463,8 +465,15 @@ def _tangent_frame(arrows: tuple[tuple[int, np.ndarray], ...], vals: np.ndarray,
     """The basis of :func:`tangent_frame_at` from the frame's ``arrows``
     (:func:`_frame_arrows`) and the eigenfunction values at x, ``vals``,
     which must cover modes 0..m_out-1 (further modes are not read)."""
-    U, sv, _ = np.linalg.svd(np.stack([vals[:mo] @ w for mo, w in arrows]).T,
-                             full_matrices=False)
+    return _tangent_basis(np.stack([vals[:mo] @ w for mo, w in arrows]).T, dim)
+
+
+def _tangent_basis(at_x: np.ndarray, dim: int) -> np.ndarray:
+    """The ``dim`` leading left singular vectors of the pushforward arrows
+    at one point, the k columns of ``at_x`` (n, k): the one SVD and rank
+    rule of a tangent frame, whether the arrows come from the eigenfunction
+    values (:func:`_tangent_frame`) or through a PGD attack's operand."""
+    U, sv, _ = np.linalg.svd(at_x, full_matrices=False)
     rank = _tangent_rank(sv)
     if rank < dim:
         raise RankDeficiencyError(

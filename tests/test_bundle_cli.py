@@ -59,6 +59,15 @@ class TestBundle:
         save_bundle(copy, loaded)
         assert copy.read_bytes() == path.read_bytes()
 
+    def test_nested_list_xhat_saves_the_same_bytes(self, small_bundle, tmp_path):
+        path, bundle = small_bundle
+        listed = dataclasses.replace(bundle, xhat=bundle.xhat.tolist())
+        assert isinstance(listed.xhat, np.ndarray) and listed.xhat.dtype == np.float64
+        assert listed.projector().l_trunc == 15
+        copy = tmp_path / 'listed.bundle'
+        save_bundle(copy, listed)
+        assert copy.read_bytes() == path.read_bytes()
+
     def test_loaded_bundle_is_usable(self, small_bundle):
         path, bundle = small_bundle
         loaded = load_bundle(path)

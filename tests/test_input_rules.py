@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 import onmanifold as om
-from onmanifold import nystrom, sec
+from onmanifold import nystrom, ompgd, sec
 from onmanifold.ompgd import om_pgd_step
 
 
@@ -346,11 +346,11 @@ def test_bundle_with_neither_or_both(parts):
     assert bundle.sec_fhat is parts['fhat']
 
 
-def test_step_handed_arrows_does_not_read_fhat(parts):
-    # the arrows fix everything a step reads of the frame and fhat
-    args = (parts['cloud'].points[0], 0, *_pgd_args(parts), parts['frame'])
+def test_step_handed_the_operand_reads_neither_frame_nor_fhat(parts):
+    # the operand fixes everything a step reads of the frame and fhat
+    args = (parts['cloud'].points[0], 0, *_pgd_args(parts))
     config = om.PgdConfig(0.05, 2)
-    arrows = sec._frame_arrows(parts['model'], parts['frame'], parts['fhat'], 1)
-    step = om_pgd_step(*args, parts['fhat'], config)
-    unread = om_pgd_step(*args, None, config, arrows=arrows)
+    operand = ompgd._attack_operand(parts['model'], parts['frame'], parts['fhat'], 1, None)
+    step = om_pgd_step(*args, parts['frame'], parts['fhat'], config)
+    unread = om_pgd_step(*args, None, None, config, operand=operand)
     np.testing.assert_array_equal(unread.x_next, step.x_next)

@@ -205,6 +205,21 @@ class TestProjector:
         with pytest.raises(ValueError, match=r'xhat must have shape \(L, 2\) with 1 <= L <= 40'):
             om.NystromProjector(model=model, xhat=np.zeros(shape))
 
+    def test_nested_list_xhat_kept_as_an_array(self, noisy_circle):
+        cloud, _, model = noisy_circle
+        projector = om.build_projector(model, 8)
+        listed = om.NystromProjector(model, projector.xhat.tolist())
+        assert isinstance(listed.xhat, np.ndarray) and listed.xhat.dtype == np.float64
+        assert listed.l_trunc == 8
+        npt.assert_array_equal(listed.xhat, projector.xhat)
+        npt.assert_array_equal(om.project_many(listed, cloud.points[:5]),
+                               om.project_many(projector, cloud.points[:5]))
+        grad = om.restricted_loss_gradient(listed, lambda y: y, cloud.points[0])
+        npt.assert_array_equal(
+            grad, om.restricted_loss_gradient(projector, lambda y: y, cloud.points[0]))
+        # an array of float64 is kept as it is
+        assert om.NystromProjector(model, projector.xhat).xhat is projector.xhat
+
 
 def central_difference(fn, x, h):
     g = np.zeros_like(x)

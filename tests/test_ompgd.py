@@ -389,7 +389,11 @@ class TestOmPgd:
 
 
 PGD_STEP_FIELDS = ('index', 'x_on', 'g_raw', 'g_tan', 'x_stepped', 'x_next', 'label_pred',
-                   'semantics', 'x_next_values')
+                   'semantics', 'x_next_reading')
+
+#: Columns of a pgd_attack operand: 2 fields at 3 truncations, 2
+#: coordinates each, and the label map's cos and sin columns.
+ARROW_COLS, LABEL_COLS = 12, 2
 
 
 def pgd_attack(pgd_run, label_modes, m_out=40):
@@ -412,7 +416,7 @@ def pgd_attack(pgd_run, label_modes, m_out=40):
 
 
 class TestOneRowPerIterate:
-    """om_pgd hands each step the row its predecessor computed at x_on."""
+    """om_pgd hands each step the reading its predecessor made at x_on."""
 
     @pytest.mark.parametrize('label_modes, m_out', [(None, 40), (40, 40), (30, 40), (40, 30)],
                              ids=['no-label-map', 'label-modes-eq-m-out',
@@ -437,51 +441,57 @@ class TestOneRowPerIterate:
         assert trace.status == status == 'misclassified'
         assert len(trace.steps) >= 4
         if label_map is None:
-            assert all(s.x_next_values is None for s in trace.steps)
+            assert all(s.x_next_reading is None for s in trace.steps)
         else:
-            assert all(s.x_next_values.shape == (40,) for s in trace.steps)
+            assert all(s.x_next_reading.shape == (ARROW_COLS + LABEL_COLS,)
+                       for s in trace.steps)
 
     @pytest.mark.parametrize('label_modes, m_out', [(None, 40), (40, 40), (40, 30)])
     def test_rows_per_attack(self, pgd_run, monkeypatch, label_modes, m_out):
         start, args, label_map = pgd_attack(pgd_run, label_modes, m_out)
-        rows, widths = [], []
-        row_core, values = nystrom._row_core, nystrom.eigenfunction_values
+        projection = args[2]._operand
+        rows, readings, values = [], [], []
+        row_core, contract = nystrom._row_core, nystrom._contract
 
         def counted_rows(model, d2):
             rows.append(d2.shape[0])
             return row_core(model, d2)
 
-        def counted_values(model, x, n_modes):
-            widths.append(n_modes)
-            return values(model, x, n_modes)
+        def counted_contractions(operand, kernel_rows, sums):
+            if operand is not projection:
+                readings.append(operand.shape[1])
+            return contract(operand, kernel_rows, sums)
 
-        # every row, projection or eigenfunction values, is made by the row
-        # core; the values are resolved through one of the last two names
+        # every row is made by the row core and contracted through an
+        # operand: the projector's, or the attack's for a reading
         monkeypatch.setattr(nystrom, '_row_core', counted_rows)
-        monkeypatch.setattr(nystrom, 'eigenfunction_values', counted_values)
-        monkeypatch.setattr(sec, 'eigenfunction_values', counted_values)
+        monkeypatch.setattr(nystrom, '_contract', counted_contractions)
+        for module in (nystrom, sec):
+            monkeypatch.setattr(module, 'eigenfunction_values',
+                                lambda *a: values.append(a))
         trace = om_pgd(start, *args, label_map=label_map)
         steps = len(trace.steps)
         assert trace.status == 'misclassified' and steps >= 4
         assert set(rows) == {1}
+        assert values == []
         if label_map is None:
             # two projection rows of the start and of every step, and the
             # tangent row at every x_on
             assert len(rows) == 2 + 3 * steps
-            assert Counter(widths) == {m_out: steps}
+            assert readings == [ARROW_COLS] * steps
         else:
             # plus the row at x0; the row at each x_next serves its labels
-            # and the next step's tangent frame, so it has both their modes
+            # and the next step's tangent frame, so it reads both
             assert len(rows) == 3 + 3 * steps
-            assert Counter(widths) == {max(m_out, label_modes): 1 + steps}
+            assert readings == [ARROW_COLS + LABEL_COLS] * (1 + steps)
         # the rest are projection rows
-        assert len(rows) - len(widths) == 2 + 2 * steps
+        assert len(rows) - len(readings) == 2 + 2 * steps
 
     def test_carried_values_of_the_wrong_width_rejected(self, pgd_run):
         start, args, label_map = pgd_attack(pgd_run, 30)
         x_on = om.project(args[2], start, 2)
-        with pytest.raises(ValueError, match=r'x_on_values must have shape \(40,\)'):
-            om_pgd_step(x_on, *args, label_map=label_map, x_on_values=np.zeros(30))
+        with pytest.raises(ValueError, match=r'x_on_reading must have shape \(14,\), got \(12,\)'):
+            om_pgd_step(x_on, *args, label_map=label_map, x_on_reading=np.zeros(ARROW_COLS))
 
 
 class FixedGradient:
@@ -547,22 +557,58 @@ class TestOracleGradientChecked:
             assert np.isfinite(getattr(step, name)).all(), name
 
 
-class TestArrowsOncePerAttack:
-    def test_frame_arrows_computed_once_per_attack(self, pgd_run, monkeypatch):
+class TestAttackOperand:
+    """Each step reads its tangent arrows and labels through one operand per attack."""
+
+    @pytest.mark.parametrize('label_modes', [30, 40])
+    @pytest.mark.parametrize('m_out', [30, 40])
+    def test_reading_equals_the_values_path(self, pgd_run, label_modes, m_out):
+        start, args, label_map = pgd_attack(pgd_run, label_modes, m_out)
+        model, projector, frame, fhat = pgd_run['model'], args[2], args[3], args[4]
+        operand = ompgd._attack_operand(model, frame, fhat, 1, label_map)
+        assert operand.matrix.shape == (model.n_points, ARROW_COLS + LABEL_COLS)
+        arrows = sec._frame_arrows(model, frame, fhat, 1)
+        assert operand.arrow_cols == ARROW_COLS == 2 * len(arrows)
+        for angle in np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False):
+            x = om.project(projector, 1.05 * np.array([np.cos(angle), np.sin(angle)]))
+            reading = ompgd._reading(model, operand.matrix, x)
+            vals = om.eigenfunction_values(model, x, max(m_out, label_modes))
+            want = np.stack([vals[:mo] @ w for mo, w in arrows]).ravel()
+            got = reading[:ARROW_COLS]
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            want = vals[:label_modes] @ label_map.coeffs
+            got = reading[ARROW_COLS:]
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_operand_is_read_only(self, pgd_run):
+        _, args, label_map = pgd_attack(pgd_run, 40)
+        operand = ompgd._attack_operand(pgd_run['model'], args[3], args[4], 1, label_map)
+        assert not operand.matrix.flags.writeable
+        with pytest.raises(ValueError, match='read-only'):
+            operand.matrix[0, 0] = 1.0
+
+    def test_operand_built_once_per_attack(self, pgd_run, monkeypatch):
         start, args, label_map = pgd_attack(pgd_run, 40)
         calls = []
-        arrows = sec._frame_arrows
+        build = ompgd._attack_operand
 
         def counted(*a):
             calls.append(a)
-            return arrows(*a)
+            return build(*a)
 
-        monkeypatch.setattr(ompgd, '_frame_arrows', counted)
+        monkeypatch.setattr(ompgd, '_attack_operand', counted)
         trace = om_pgd(start, *args, label_map=label_map)
         assert len(trace.steps) >= 4 and len(calls) == 1
-        # a step called on its own computes them itself
+        # a step called on its own builds it itself
         om_pgd_step(trace.x0, *args, label_map=label_map)
         assert len(calls) == 2
+
+    def test_operand_for_another_label_map_refused(self, pgd_run):
+        start, args, label_map = pgd_attack(pgd_run, 40)
+        x_on = om.project(args[2], start, 2)
+        operand = ompgd._attack_operand(pgd_run['model'], args[3], args[4], 1, None)
+        with pytest.raises(ValueError, match='operand was built for another label map'):
+            om_pgd_step(x_on, *args, label_map=label_map, operand=operand)
 
     def test_bad_tangent_dim_named_before_the_first_step(self, pgd_run):
         start, args, _ = pgd_attack(pgd_run, None)

@@ -23,12 +23,23 @@ are the same:
     diff before.txt after.txt
 
 ``--src`` is the directory that holds the ``onmanifold`` package (default: this
-checkout's ``src``).  The exit code is 1 if a figure's run or the torus run
-fails.
+checkout's ``src``).  ``--against SRC`` runs the figures of the package in SRC
+too, and after the listing prints to stderr one line per output whose sha256
+differs there: for a CSV file the largest absolute deviation of its numeric
+cells, for JSON lines that of each numeric field, by key (nested keys joined
+with dots, list entries pooled), so a moved output shows how far it moved:
+
+    python3 tools/repro_digests.py --against ../other-checkout/src > after.txt
+
+The exit code is 1 if a figure's run or the torus run fails.
 """
 
 import argparse
+import csv
 import hashlib
+import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -79,19 +90,97 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _number(value):
+    """``value`` as a float if it is a JSON number or a CSV cell that reads as
+    one, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _leaves(value) -> list:
+    """The entries of a JSON value with its nested lists flattened, in order."""
+    if isinstance(value, list):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+def _fields(record: dict, prefix: str = '') -> dict:
+    """The fields of a JSON-lines record, nested keys joined with dots."""
+    out = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            out.update(_fields(value, f'{prefix}{key}.'))
+        else:
+            out[f'{prefix}{key}'] = _leaves(value)
+    return out
+
+
+def _largest_deviation(ours: list, theirs: list) -> float | None:
+    """The largest |a - b| over the numeric pairs of two lists of entries, or
+    None if the lists differ in length or in an entry that is not a number
+    (a NaN against a NaN deviates by 0, against a number by inf)."""
+    if len(ours) != len(theirs):
+        return None
+    largest = 0.0
+    for a, b in zip(ours, theirs):
+        x, y = _number(a), _number(b)
+        if x is None or y is None:
+            if a != b:
+                return None
+        elif not (x == y or (math.isnan(x) and math.isnan(y))):
+            d = abs(x - y)
+            largest = max(largest, math.inf if math.isnan(d) else d)
+    return largest
+
+
+def _deviation(name: str, ours: bytes, theirs: bytes) -> str:
+    """How output ``name`` deviates between two runs, in words."""
+    try:
+        a, b = ours.decode(), theirs.decode()
+        if name.endswith('.csv'):
+            rows_a, rows_b = list(csv.reader(io.StringIO(a))), list(csv.reader(io.StringIO(b)))
+            if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+                return f'rows or columns differ ({len(rows_a)} rows against {len(rows_b)})'
+            dev = _largest_deviation(_leaves(rows_a), _leaves(rows_b))
+            return ('a cell that is not a number differs' if dev is None
+                    else f'largest |deviation| {dev:.3g} over {sum(map(len, rows_a))} cells')
+        if name.endswith('.jsonl'):
+            recs_a = [_fields(json.loads(line)) for line in a.splitlines()]
+            recs_b = [_fields(json.loads(line)) for line in b.splitlines()]
+            if [sorted(r) for r in recs_a] != [sorted(r) for r in recs_b]:
+                return f'records or keys differ ({len(recs_a)} records against {len(recs_b)})'
+            by_key, same = [], 0
+            for key in sorted({key for rec in recs_a for key in rec}):
+                leaves_a, leaves_b = ([leaf for rec in recs if key in rec for leaf in rec[key]]
+                                      for recs in (recs_a, recs_b))
+                if leaves_a == leaves_b:
+                    same += 1
+                    continue
+                dev = _largest_deviation(leaves_a, leaves_b)
+                by_key.append(f'{key} ' + ('differs' if dev is None else f'{dev:.3g}'))
+            return (f'largest |deviation| by key over {len(recs_a)} records: '
+                    + ', '.join(by_key) + f'; {same} keys unchanged')
+    except (UnicodeDecodeError, ValueError) as exc:
+        return f'not comparable ({exc})'
+    return 'differs; only CSV cells and JSON-lines fields are compared'
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split('\n\n')[0])
     parser.add_argument('--src', type=Path, default=ROOT / 'src',
                         help='directory holding the onmanifold package')
+    parser.add_argument('--against', type=Path, metavar='SRC',
+                        help='another directory holding the onmanifold package; print to '
+                             'stderr how far each output that differs there moved')
     args = parser.parse_args(argv)
-    env = _environment(args.src.resolve())
-    figures = subprocess.run(
-        [sys.executable, '-c', 'from onmanifold.repro import FIGURES; print(*FIGURES)'],
-        env=env, capture_output=True, text=True, check=True).stdout.split()
     failed = False
     with tempfile.TemporaryDirectory(prefix='repro-digests-') as tmp:
 
-        def run(what, *argv):
+        def run(env, what, *argv):
             nonlocal failed
             done = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
                                   cwd=tmp)
@@ -101,14 +190,36 @@ def main(argv=None) -> int:
                 failed = True
             return done.stdout
 
-        for figure in figures:
-            out_dir = Path(tmp) / figure
-            stdout = run(f'repro {figure}', '-m', 'onmanifold.cli', 'repro', figure,
-                         '--out-dir', str(out_dir))
-            for path in sorted(out_dir.iterdir()) if out_dir.is_dir() else []:
-                print(f'{_sha256(path.read_bytes())}  {figure}/{path.name}')
-            print(f'{_sha256(stdout)}  {figure}/stdout')
-        sys.stdout.write(run('torus', '-c', TORUS, str(Path(tmp) / 'torus.bundle')).decode())
+        def outputs(env, where: str) -> dict:
+            """``{'<figure>/<file>': bytes}`` of every figure's output files
+            and printed lines, made in ``tmp/where``."""
+            figures = subprocess.run(
+                [sys.executable, '-c', 'from onmanifold.repro import FIGURES; print(*FIGURES)'],
+                env=env, capture_output=True, text=True, check=True).stdout.split()
+            made = {}
+            for figure in figures:
+                out_dir = Path(tmp) / where / figure
+                stdout = run(env, f'repro {figure}', '-m', 'onmanifold.cli', 'repro', figure,
+                             '--out-dir', str(out_dir))
+                for path in sorted(out_dir.iterdir()) if out_dir.is_dir() else []:
+                    made[f'{figure}/{path.name}'] = path.read_bytes()
+                made[f'{figure}/stdout'] = stdout
+            return made
+
+        env = _environment(args.src.resolve())
+        ours = outputs(env, 'src')
+        for name, data in ours.items():
+            print(f'{_sha256(data)}  {name}')
+        sys.stdout.write(run(env, 'torus', '-c', TORUS, str(Path(tmp) / 'torus.bundle')).decode())
+        if args.against is not None:
+            theirs = outputs(_environment(args.against.resolve()), 'against')
+            for name in ours.keys() | theirs.keys():
+                if name not in theirs or name not in ours:
+                    side = '--src' if name in ours else '--against'
+                    print(f'{name}: made only by {side}', file=sys.stderr)
+                elif ours[name] != theirs[name]:
+                    print(f'{name}: {_deviation(name, ours[name], theirs[name])}',
+                          file=sys.stderr)
     return 1 if failed else 0
 
 
